@@ -496,7 +496,8 @@ func gitCommit() string {
 // configuration whose engine is named in gateCSV (or, via the special name
 // "cached", any cache-fronted series) that slows down by more than
 // maxRegress percent fails the comparison. New and vanished configurations
-// never fail the gate — only measured regressions do.
+// never fail the gate — only measured regressions do — but two snapshots
+// with no configuration in common fail outright.
 //
 // Snapshots measured on different hardware or at different GOMAXPROCS are
 // not comparable: the "regression" would be the machine, not the code.
@@ -577,6 +578,12 @@ func compareSnapshots(oldPath, newPath string, maxRegress float64, gateCSV strin
 		if !matched[r.key()] {
 			fmt.Printf("%-52s %12.1f %12s %9s\n", r.key(), r.NsPerPkt, "-", "gone")
 		}
+	}
+	if len(matched) == 0 {
+		// A baseline with no row in common (a scaling- or churn-only
+		// snapshot, a renamed series) would otherwise pass by comparing
+		// nothing.
+		return fmt.Errorf("bench: %s and %s share no configuration: nothing was compared", oldPath, newPath)
 	}
 	if len(failures) > 0 {
 		fmt.Println()

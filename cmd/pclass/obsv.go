@@ -51,44 +51,42 @@ func startObsServer(addr string, obs *obsv.Obs, svc *serve.Service) (*obsv.Serve
 	srv.AddGaugeFunc("partition.inline_fallbacks", func() float64 {
 		return float64(partition.InlineFallbacks())
 	})
-	if svc.Steered() {
-		// Each scrape samples the load window, so the imbalance series at
-		// /metrics advances at scrape cadence and the rebalance-candidate
-		// check runs as a free side effect.
-		srv.AddGaugeFunc("serve.imbalance_index", func() float64 {
-			return svc.ImbalanceIndex()
+	// Each scrape samples the load window, so the imbalance series at
+	// /metrics advances at scrape cadence and the rebalance-candidate
+	// check runs as a free side effect.
+	srv.AddGaugeFunc("serve.imbalance_index", func() float64 {
+		return svc.ImbalanceIndex()
+	})
+	srv.AddStatus("worker_loads", func() any { return svc.WorkerLoads() })
+	for i := 0; i < svc.Workers(); i++ {
+		w := i
+		srv.AddGaugeFunc(fmt.Sprintf("serve.worker_classified{worker=%q}", fmt.Sprint(w)), func() float64 {
+			return float64(svc.WorkerClassified()[w])
 		})
-		srv.AddStatus("worker_loads", func() any { return svc.WorkerLoads() })
-		for i := 0; i < svc.Workers(); i++ {
+		srv.AddGaugeFunc(fmt.Sprintf("serve.worker_batches{worker=%q}", fmt.Sprint(w)), func() float64 {
+			return float64(svc.WorkerLoads()[w].Batches)
+		})
+	}
+	if det := svc.FlowStats(); det != nil {
+		srv.SetTopFlows(det.Report)
+		srv.AddGaugeFunc("flowstats.packets", func() float64 {
+			return float64(det.Packets())
+		})
+		srv.AddGaugeFunc("flowstats.topk_share", func() float64 {
+			return det.TopKShare()
+		})
+		srv.AddStatus("top_flows", func() any { return det.Report(8) })
+	}
+	if stats := svc.WorkerCacheStats(); stats != nil {
+		for i := range stats {
 			w := i
-			srv.AddGaugeFunc(fmt.Sprintf("serve.worker_classified{worker=%q}", fmt.Sprint(w)), func() float64 {
-				return float64(svc.WorkerClassified()[w])
-			})
-			srv.AddGaugeFunc(fmt.Sprintf("serve.worker_batches{worker=%q}", fmt.Sprint(w)), func() float64 {
-				return float64(svc.WorkerLoads()[w].Batches)
+			srv.AddGaugeFunc(fmt.Sprintf("flowcache.worker_hit_rate{worker=%q}", fmt.Sprint(w)), func() float64 {
+				return svc.WorkerCacheStats()[w].HitRate()
 			})
 		}
-		if det := svc.FlowStats(); det != nil {
-			srv.SetTopFlows(det.Report)
-			srv.AddGaugeFunc("flowstats.packets", func() float64 {
-				return float64(det.Packets())
-			})
-			srv.AddGaugeFunc("flowstats.topk_share", func() float64 {
-				return det.TopKShare()
-			})
-			srv.AddStatus("top_flows", func() any { return det.Report(8) })
-		}
-		if stats := svc.WorkerCacheStats(); stats != nil {
-			for i := range stats {
-				w := i
-				srv.AddGaugeFunc(fmt.Sprintf("flowcache.worker_hit_rate{worker=%q}", fmt.Sprint(w)), func() float64 {
-					return svc.WorkerCacheStats()[w].HitRate()
-				})
-			}
-			srv.AddStatus("flowcache_workers", func() any {
-				return svc.WorkerCacheStats()
-			})
-		}
+		srv.AddStatus("flowcache_workers", func() any {
+			return svc.WorkerCacheStats()
+		})
 	}
 	if _, ok := svc.CacheStats(); ok {
 		srv.AddGaugeFunc("flowcache.hit_rate", func() float64 {
@@ -126,13 +124,9 @@ func startObsServer(addr string, obs *obsv.Obs, svc *serve.Service) (*obsv.Serve
 	return srv, bound, nil
 }
 
-// engineMemoryBits reports the live engine's memory requirement in bits,
-// unwrapping the flow cache first. Engines without a hardware memory model
-// report 0.
+// engineMemoryBits reports the live engine's memory requirement in bits.
+// Engines without a hardware memory model report 0.
 func engineMemoryBits(eng core.Engine) int {
-	if c, ok := eng.(*core.Cached); ok {
-		eng = c.Unwrap()
-	}
 	switch e := eng.(type) {
 	case *stridebv.Engine:
 		return e.MemoryBits()

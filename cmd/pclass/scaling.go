@@ -1,6 +1,6 @@
 // bench -scaling: the multi-core scaling sweep. For each worker count the
-// sweep builds a steered service (RSS-style flow steering, worker-private
-// flow caches), drives it from one feeder goroutine per worker over the
+// sweep builds a service (RSS-style flow steering, worker-private flow
+// caches), drives it from one feeder goroutine per worker over the
 // synchronous zero-allocation ClassifySteered path, and reports aggregate
 // throughput plus scaling efficiency against the single-worker baseline —
 // the software analogue of the paper's area-vs-throughput replication
@@ -92,7 +92,6 @@ func scalingPoint(name string, rules, workers int, cfg scalingConfig) (scalingRe
 	svc, err := serve.New(rs, build, serve.Config{
 		Workers:      workers,
 		CacheEntries: cfg.cache,
-		Steer:        true,
 		Seed:         cfg.seed,
 	})
 	if err != nil {

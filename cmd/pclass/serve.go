@@ -35,12 +35,11 @@ func runServe(args []string) {
 		partsN      = fs.Int("partitions", 0, "partitioned engines: band count (0 = derive from GOMAXPROCS)")
 		prefixBits  = fs.Int("prefix-bits", 0, "partitioned engines: prefix pre-decoder width (0 = size from N)")
 		workers     = fs.Int("workers", 0, "classification workers (0 = GOMAXPROCS)")
-		queue       = fs.Int("queue", 0, "submission queue depth in batches (0 = 4 per worker)")
+		queue       = fs.Int("queue", 0, "submission queue depth in sub-batches; a full queue blocks the submitter (0 = 4 per worker)")
 		batch       = fs.Int("batch", 64, "packets per submitted batch")
 		tracePath   = fs.String("trace", "", "trace file; a directed trace is generated when empty")
 		packets     = fs.Int("packets", 50000, "generated trace length when -trace is empty")
-		cacheN      = fs.Int("cache", 0, "flow-cache capacity in entries fronting the engine (0 = uncached)")
-		steer       = fs.Bool("steer", false, "RSS-style flow steering: hash each packet's flow key to a fixed worker; with -cache the flow cache becomes worker-private shards (full queues block submitters instead of rejecting)")
+		cacheN      = fs.Int("cache", 0, "flow-cache capacity in entries, split into worker-private caches fronting the engine (0 = uncached)")
 		skew        = fs.String("skew", "uniform", "generated-trace skew: uniform | zipf:S (e.g. zipf:1.2)")
 		flows       = fs.Int("flows", 4096, "flow population size for zipf traffic")
 		burst       = fs.Float64("burst", 4, "mean flow-burst length for zipf traffic")
@@ -54,7 +53,7 @@ func runServe(args []string) {
 		seed        = fs.Int64("seed", 1, "deterministic seed for traces and update streams")
 		obsvAddr    = fs.String("obsv", "", "observability HTTP address (e.g. :9090): /metrics, /statusz, /tracez, /topflows, /eventz, /debug/pprof (empty disables)")
 		sample      = fs.Int("sample", 0, "sampled packet tracing: record 1 in N packets hop by hop (0 disables)")
-		top         = fs.Int("top", 0, "end-of-run heavy-hitter report: print the top N detected flows (steered mode; implies observability)")
+		top         = fs.Int("top", 0, "end-of-run heavy-hitter report: print the top N detected flows (implies observability)")
 	)
 	fs.Parse(args)
 	if *rulesPath == "" {
@@ -122,7 +121,6 @@ func runServe(args []string) {
 			Swaps:        *swaps,
 			OpsPerSwap:   *opsPerSwap,
 			CacheEntries: *cacheN,
-			Steer:        *steer,
 			Churn:        true,
 			Incremental:  *incremental,
 			Seed:         *seed,
@@ -136,7 +134,6 @@ func runServe(args []string) {
 		fmt.Printf("throughput       %.0f pkt/s under churn\n", res.PacketsPerSec)
 		fmt.Printf("baseline         %.0f pkt/s churn-free\n", res.BaselinePacketsPerSec)
 		fmt.Printf("degradation      %.1f%%\n", res.DegradationPct)
-		fmt.Printf("backpressure     %d resubmits\n", res.Resubmits)
 		fmt.Print(res.Counters.Table())
 		if obs != nil {
 			printObsSummary(obs)
@@ -148,7 +145,6 @@ func runServe(args []string) {
 		Workers:      *workers,
 		QueueDepth:   *queue,
 		CacheEntries: *cacheN,
-		Steer:        *steer,
 		Incremental:  *incremental,
 		TopFlows:     *top,
 		Seed:         *seed,
@@ -173,7 +169,7 @@ func runServe(args []string) {
 	defer cancel()
 
 	var wg sync.WaitGroup
-	var total, retries atomic.Int64
+	var total atomic.Int64
 	for c := 0; c < *clients; c++ {
 		wg.Add(1)
 		go func(off int) {
@@ -185,11 +181,6 @@ func runServe(args []string) {
 					hi = len(hdrs)
 				}
 				res, err := svc.Classify(ctx, hdrs[lo:hi])
-				if err == serve.ErrQueueFull {
-					retries.Add(1)
-					runtime.Gosched()
-					continue
-				}
 				if err != nil {
 					return
 				}
@@ -234,11 +225,8 @@ func runServe(args []string) {
 	fmt.Printf("engine           %s\n", svc.Engine().Name())
 	fmt.Printf("clients          %d over %s\n", *clients, *duration)
 	fmt.Printf("throughput       %.0f pkt/s\n", float64(total.Load())/duration.Seconds())
-	fmt.Printf("client retries   %d\n", retries.Load())
-	if svc.Steered() {
-		fmt.Printf("steered workers  %v packets each\n", svc.WorkerClassified())
-		fmt.Printf("imbalance index  %.3f (max/mean worker load; 1.0 = balanced)\n", svc.ImbalanceIndex())
-	}
+	fmt.Printf("steered workers  %v packets each\n", svc.WorkerClassified())
+	fmt.Printf("imbalance index  %.3f (max/mean worker load; 1.0 = balanced)\n", svc.ImbalanceIndex())
 	if strings.HasPrefix(*engine, "part-") {
 		fmt.Printf("partition pool   %d workers, %d inline fallbacks\n", partition.PoolSize(), partition.InlineFallbacks())
 	}
@@ -254,12 +242,7 @@ func runServe(args []string) {
 
 // printTopFlows renders the end-of-run heavy-hitter table (-top N).
 func printTopFlows(svc *serve.Service, n int) {
-	det := svc.FlowStats()
-	if det == nil {
-		fmt.Println("top flows        detector off (requires -steer)")
-		return
-	}
-	rep := det.Report(n)
+	rep := svc.FlowStats().Report(n)
 	fmt.Printf("top flows        %d observed packets, top-%d share %.1f%%\n",
 		rep.Packets, rep.K, 100*rep.TopShare)
 	for i, fc := range rep.Flows {

@@ -72,8 +72,8 @@ func (s *Server) AddStatus(name string, fn func() any) {
 	s.statusFns[name] = fn
 }
 
-// SetTopFlows wires the /topflows provider — typically the steered
-// service's flowstats Detector.Report. Nil (the default) serves an
+// SetTopFlows wires the /topflows provider — typically the service's
+// flowstats Detector.Report. Nil (the default) serves an
 // explanatory "detection off" page instead.
 func (s *Server) SetTopFlows(fn func(n int) flowstats.Report) {
 	s.mu.Lock()
@@ -239,7 +239,7 @@ func (s *Server) handleTopflows(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte("flow detection disabled (run a steered observed service, e.g. pclass serve -steer -obsv ...)\n"))
+		w.Write([]byte("flow detection disabled (run an observed service with TopFlows >= 0, e.g. pclass serve -obsv ...)\n"))
 		return
 	}
 	rep := topFn(queryN(r, 16))

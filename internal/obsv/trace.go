@@ -76,8 +76,8 @@ type PacketTrace struct {
 	Hdr        packet.Header `json:"header"`
 	Result     int           `json:"result"`
 	TotalNanos int64         `json:"total_nanos"`
-	// Worker is the steered-path worker that classified the sampled
-	// packet (-1 when the sample was not taken on the steered path).
+	// Worker is the serve worker that classified the sampled packet (-1
+	// when the sample was taken outside the serving layer).
 	Worker  int32        `json:"worker"`
 	NHops   int          `json:"-"`
 	Dropped int          `json:"dropped,omitempty"` // hops beyond MaxHops

@@ -264,10 +264,6 @@ func TestRacedIncrementalRebuildInterleaving(t *testing.T) {
 				// indices, so the consistency window only extends forward.
 				loIdx := snapshotLen() - 1
 				got, err := svc.Classify(ctx, hdrs)
-				if err == ErrQueueFull {
-					round--
-					continue
-				}
 				if err != nil {
 					readerErrs <- err.Error()
 					return

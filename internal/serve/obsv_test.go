@@ -5,7 +5,7 @@ package serve
 // traffic, split every hot-swap into build/verify/total phase samples,
 // register its counters in the shared registry (so /metrics and Counters
 // read the same instruments), and sample packet traces that narrate the
-// cache probe and engine stages.
+// engine stages and name the worker that ran them.
 
 import (
 	"context"
@@ -14,6 +14,7 @@ import (
 
 	"pktclass/internal/core"
 	"pktclass/internal/obsv"
+	"pktclass/internal/packet"
 	"pktclass/internal/ruleset"
 	"pktclass/internal/update"
 )
@@ -48,17 +49,26 @@ func TestObservedServiceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every completed batch contributes exactly one sample to the
-	// submit-wait, classify-batch, and cache-probe histograms; the one swap
-	// contributes one sample to each swap phase.
+	// Every worker's share of a batch contributes exactly one sample to the
+	// submit-wait, classify-batch, and cache-probe histograms, every batch
+	// one to the scatter histogram; the one swap contributes one sample to
+	// each swap phase.
+	var subBatches int64
+	for _, wl := range svc.WorkerLoads() {
+		subBatches += wl.Batches
+	}
+	if subBatches < int64(batches) || subBatches > 2*int64(batches) {
+		t.Fatalf("%d sub-batches from %d batches on 2 workers", subBatches, batches)
+	}
 	for _, tc := range []struct {
 		name string
 		h    *obsv.Histogram
 		want int64
 	}{
-		{obsv.HistSubmitWait, obs.SubmitWait, int64(batches)},
-		{obsv.HistClassifyBatch, obs.ClassifyBatch, int64(batches)},
-		{obsv.HistCacheProbe, obs.CacheProbe, int64(batches)},
+		{obsv.HistSubmitWait, obs.SubmitWait, subBatches},
+		{obsv.HistClassifyBatch, obs.ClassifyBatch, subBatches},
+		{obsv.HistCacheProbe, obs.CacheProbe, subBatches},
+		{obsv.HistSteerScatter, obs.SteerScatter, int64(batches)},
 		{obsv.HistSwapBuild, obs.SwapBuild, 1},
 		{obsv.HistSwapVerify, obs.SwapVerify, 1},
 		{obsv.HistSwapTotal, obs.SwapTotal, 1},
@@ -99,9 +109,10 @@ func TestObservedServiceEndToEnd(t *testing.T) {
 		t.Fatalf("Counters().Classified %d != registry %d", c.Classified, snap.Metrics.Counters["serve.classified"])
 	}
 
-	// With 1-in-1 sampling every batch traced one packet through the
-	// per-packet path: traces must have flowed through the ring, and the
-	// captured hops must include the cache probe and the engine's narration.
+	// With 1-in-1 sampling every sub-batch traced one packet through the
+	// per-packet path: traces must have flowed through the ring, and they
+	// narrate the bare engine (a cache hit would hide exactly the decision
+	// the trace exists to show) on the worker that owns the flow.
 	ref := core.NewLinear(rs)
 	stats := obs.Tracer.Stats()
 	if stats.Sampled == 0 {
@@ -116,8 +127,11 @@ func TestObservedServiceEndToEnd(t *testing.T) {
 		if len(hops) == 0 {
 			t.Fatalf("captured trace has no hops: %+v", tr)
 		}
-		if k := hops[0].Kind; k != obsv.HopCacheHit && k != obsv.HopCacheMiss {
-			t.Fatalf("traced service is cached, but first hop = %v", k)
+		if k := hops[0].Kind; k == obsv.HopCacheHit || k == obsv.HopCacheMiss {
+			t.Fatalf("trace went through the cache: first hop = %v", k)
+		}
+		if want := packet.SteerWorker(tr.Hdr.Key().Hash(), 2); int(tr.Worker) != want {
+			t.Fatalf("trace attributes %s to worker %d, steering says %d", tr.Hdr, tr.Worker, want)
 		}
 		if tr.Engine == "" {
 			t.Fatalf("captured trace has no engine name: %+v", tr)

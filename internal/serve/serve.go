@@ -5,9 +5,10 @@
 //
 // The design separates the two concerns the hardware gets for free:
 //
-//   - Readers never block. The live engine sits behind an
-//     atomic.Pointer[core.Engine]; each worker loads the pointer once per
-//     batch, so a batch is always classified by exactly one internally
+//   - Readers never block on updates. The live engine (with its cache
+//     generation) sits behind one atomic pointer; the submitter loads it
+//     once per batch and every worker classifies its share against that
+//     pin, so a batch is always classified by exactly one internally
 //     consistent engine version (the software equivalent of an atomic
 //     table swap between packets).
 //   - Updates are shadow-built. An updater applies update.Ops to a clone
@@ -17,9 +18,14 @@
 //     verification leaves the old engine serving — rollback is the
 //     default, not a recovery action.
 //
-// Submission is a bounded sharded queue with explicit backpressure:
-// Submit fails fast with ErrQueueFull instead of queueing unbounded
-// latency, so callers observe drops the way a line card observes them.
+// There is one dispatch path (steer.go): Submit and ClassifySteered hash
+// every packet's flow key and scatter the batch so each worker receives
+// exactly the flows it owns, RSS-style. Workers: 1 is the degenerate case
+// of the same path, not a second one. With CacheEntries > 0 every worker
+// fronts the engine with its own single-writer flowcache.Private. The
+// per-worker queues are bounded and backpressure is blocking: a sub-batch
+// cannot spill to another worker without breaking flow affinity, so a full
+// target queue delays the submitter instead of dropping the batch.
 package serve
 
 import (
@@ -46,9 +52,6 @@ import (
 type BuildFunc func(*ruleset.RuleSet) (core.Engine, error)
 
 var (
-	// ErrQueueFull reports backpressure: the submission queue is at
-	// capacity and the batch was rejected, not queued.
-	ErrQueueFull = errors.New("serve: submission queue full")
 	// ErrClosed reports a submission after Close began.
 	ErrClosed = errors.New("serve: service closed")
 	// ErrRolledBack tags swap failures where a well-formed update reached
@@ -64,36 +67,23 @@ type Config struct {
 	// Workers is the number of classification goroutines (0 selects
 	// GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the total number of queued batches across all
-	// worker shards (0 selects 4 batches per worker).
+	// QueueDepth bounds the total number of buffered sub-batches across all
+	// worker shards (0 selects 4 per worker). A submitter whose target
+	// shard is full blocks until the worker drains a slot.
 	QueueDepth int
 	// VerifyPackets is the directed-trace length used to differentially
 	// verify every candidate engine against core.NewLinear before it is
 	// swapped in (0 selects 256; negative disables swap verification).
 	VerifyPackets int
 	// CacheEntries enables the exact-match flow cache in front of the
-	// engine with this total capacity (0 disables caching). The cache is
-	// shared across hot-swaps: each swap wraps the fresh engine under a new
-	// cache generation, so entries written by retired builds become lazy
+	// engine with this total capacity (0 disables caching): one
+	// single-writer flowcache.Private per worker, capacity split evenly.
+	// The caches survive hot-swaps: the service allocates one generation
+	// per engine build, so entries written by retired builds become lazy
 	// misses without a flush and without blocking readers.
 	CacheEntries int
-	// CacheShards overrides the cache's shard count (0 selects the
-	// flowcache default).
-	CacheShards int
-	// Steer enables RSS-style flow steering: Submit hashes every packet's
-	// key (packet.Key.Hash, the flow cache's splitmix64) and scatters the
-	// batch so all packets of a flow land on the worker SteerWorker picks —
-	// per-flow FIFO order, worker-private state, zero cross-core cache-line
-	// traffic on the classify path. With CacheEntries > 0 the flow cache
-	// becomes one single-writer flowcache.Private instance per worker
-	// (capacity split evenly) instead of the shared sharded cache; the
-	// generation-tagged invalidation contract across hot-swaps is unchanged
-	// (the service allocates one generation per engine build and the swap
-	// retires every worker's entries at once, lazily).
-	//
-	// Backpressure differs by design: a steered sub-batch cannot spill to
-	// another worker without breaking flow affinity, so a full target queue
-	// blocks the submitter instead of returning ErrQueueFull.
+	// Deprecated: Steer is inert. Every service steers; the field remains
+	// only so existing keyed literals keep compiling.
 	Steer bool
 	// Incremental routes ApplyOps through the engines' O(delta) update
 	// primitives (StrideBV stage-memory column flips, TCAM per-row SRL16E
@@ -108,9 +98,9 @@ type Config struct {
 	// (0 selects 16; negative disables the spot checks).
 	SpotCheckPackets int
 	// TopFlows sizes the per-worker top-K table of the heavy-hitter
-	// detector on the steered observed path (0 selects 16; negative
-	// disables detection). Each worker feeds its own sketch stripe after
-	// classifying its sub-batch, so detection inherits the steered path's
+	// detector of an observed service (0 selects 16; negative disables
+	// detection). Each worker feeds its own sketch stripe after
+	// classifying its sub-batch, so detection inherits the dispatch path's
 	// single-writer discipline and costs zero allocations per batch.
 	TopFlows int
 	// RebalanceThreshold arms the steer rebalance-candidate journal event:
@@ -154,7 +144,6 @@ func (c Config) withDefaults() Config {
 
 // Pending is an in-flight submitted batch.
 type Pending struct {
-	hdrs    []packet.Header
 	results []int
 	done    chan struct{}
 	// enq is the accept timestamp, stamped only when the service is
@@ -174,15 +163,15 @@ func (p *Pending) Wait(ctx context.Context) ([]int, error) {
 }
 
 // Counters is a point-in-time snapshot of the service's traffic and swap
-// statistics. Each counter records exactly one outcome: backpressure
-// (Rejected), lifecycle (ClosedSubmits), malformed updates (InvalidOps)
-// and shadow-stage rollbacks (FailedSwaps) are all distinct.
+// statistics. Each counter records exactly one outcome: lifecycle
+// (ClosedSubmits), malformed updates (InvalidOps) and shadow-stage
+// rollbacks (FailedSwaps) are all distinct. Backpressure is blocking, so
+// it shows as QueueHighWater and submit-wait latency, never as a drop.
 type Counters struct {
 	Classified     int64 // packets classified
 	Batches        int64 // batches completed
-	Rejected       int64 // batches refused with ErrQueueFull (backpressure only)
-	ClosedSubmits  int64 // batches refused with ErrClosed (lifecycle, not backpressure)
-	QueueHighWater int64 // max batches queued at once
+	ClosedSubmits  int64 // batches refused with ErrClosed
+	QueueHighWater int64 // max sub-batches queued (buffered or blocked in send) at once
 	Swaps          int64 // engine hot-swaps committed (rebuild path)
 	FailedSwaps    int64 // swaps rolled back by shadow build or verify failure
 	InvalidOps     int64 // update requests rejected before any build/verify was attempted
@@ -208,7 +197,6 @@ func (c Counters) Table() *metrics.Table {
 	t := &metrics.Table{Title: "serve counters", Headers: []string{"counter", "value"}}
 	t.AddRow("packets classified", fmt.Sprint(c.Classified))
 	t.AddRow("batches", fmt.Sprint(c.Batches))
-	t.AddRow("batches rejected", fmt.Sprint(c.Rejected))
 	t.AddRow("submits after close", fmt.Sprint(c.ClosedSubmits))
 	t.AddRow("queue high-water", fmt.Sprint(c.QueueHighWater))
 	t.AddRow("swaps", fmt.Sprint(c.Swaps))
@@ -230,23 +218,15 @@ func (c Counters) Table() *metrics.Table {
 }
 
 // live is one published engine build: the classifier plus the flow-cache
-// generation it was built under. Workers load the pair with one pointer
+// generation it was built under. dispatch loads the pair with one pointer
 // load, so an engine and its generation can never be observed torn — the
-// property the per-worker private caches depend on (a steered batch
-// probing generation g always classifies misses on the build g names).
+// property the per-worker private caches depend on (a batch probing
+// generation g always classifies misses on the build g names).
 type live struct {
 	eng core.Engine
-	// gen is the build's cache generation. On the steered path it tags
-	// every private-cache entry; on the legacy path it is 0 and the Cached
-	// wrapper inside eng carries the generation instead.
+	// gen is the build's cache generation; it tags every private-cache
+	// entry the build writes.
 	gen uint64
-}
-
-// item is one queue element: exactly one of p (a whole batch, legacy
-// round-robin path) or t (one worker's share of a steered batch) is set.
-type item struct {
-	p *Pending
-	t *steerTask
 }
 
 // Service classifies submitted batches on worker goroutines against a
@@ -255,16 +235,14 @@ type Service struct {
 	cfg   Config
 	build BuildFunc
 
-	// engine is the live classifier (with its cache generation). Workers
-	// Load it once per batch; updaters Store a fully built and verified
+	// engine is the live classifier (with its cache generation). dispatch
+	// Loads it once per batch; updaters Store a fully built and verified
 	// replacement.
 	//
 	//pclass:pinned
 	engine atomic.Pointer[live]
 
-	// gens allocates one never-reused cache generation per engine build on
-	// the steered path (the shared cache owns its own counter on the
-	// legacy path).
+	// gens allocates one never-reused cache generation per engine build.
 	gens atomic.Uint64
 
 	// mu serializes updaters and guards rs, the ruleset the live engine
@@ -273,25 +251,18 @@ type Service struct {
 	rs       *ruleset.RuleSet
 	swapSeed int64
 
-	// cache, when non-nil, fronts every engine build with the exact-match
-	// flow cache; swapLocked wraps each verified build under a fresh
-	// generation.
-	cache *flowcache.Cache
-
 	// lifecycle guards the queues against submit-after-close: submitters
 	// hold it shared, Close holds it exclusively while closing the shards.
 	lifecycle sync.RWMutex
 	closed    bool
-	shards    []chan item
-	next      atomic.Uint64 // round-robin shard cursor (legacy path)
+	shards    []chan *steerTask
 	queued    atomic.Int64
 	wg        sync.WaitGroup
 
-	// workers holds the per-worker state of the steered path: the private
-	// flow cache and the pre-bound miss fallback. Populated for every
-	// service (the legacy path uses only the loop), sized len(shards).
+	// workers holds the per-worker state: the private flow cache and the
+	// pre-bound miss fallback. Sized len(shards).
 	workers []*worker
-	// steerPool recycles steered scatter scratch (see steer.go).
+	// steerPool recycles scatter scratch (see steer.go).
 	steerPool sync.Pool
 
 	// The counters live in reg — the Obs base registry when observability
@@ -301,7 +272,6 @@ type Service struct {
 	reg           *metrics.Registry
 	classified    *metrics.Counter
 	batches       *metrics.Counter
-	rejected      *metrics.Counter
 	closedSubmits *metrics.Counter
 	depth         *metrics.Gauge
 	swaps         *metrics.Counter
@@ -316,8 +286,8 @@ type Service struct {
 	// obs is Config.Obs; nil disables every observability branch.
 	obs *obsv.Obs
 
-	// det is the steered-path heavy-hitter detector (nil unless steered,
-	// observed and TopFlows >= 0). Each worker observes its own stripe
+	// det is the heavy-hitter detector (nil unless observed and
+	// TopFlows >= 0). Each worker observes its own stripe
 	// after classifying, so the detector never sees concurrent writers.
 	det *flowstats.Detector
 	// journal is Obs.Journal (nil unobserved): the control-plane event
@@ -366,7 +336,7 @@ func New(rs *ruleset.RuleSet, build BuildFunc, cfg Config) (*Service, error) {
 		build:    build,
 		rs:       rs,
 		swapSeed: cfg.Seed,
-		shards:   make([]chan item, cfg.Workers),
+		shards:   make([]chan *steerTask, cfg.Workers),
 		obs:      cfg.Obs,
 	}
 	s.reg = &metrics.Registry{}
@@ -375,7 +345,6 @@ func New(rs *ruleset.RuleSet, build BuildFunc, cfg Config) (*Service, error) {
 	}
 	s.classified = s.reg.Counter("serve.classified")
 	s.batches = s.reg.Counter("serve.batches")
-	s.rejected = s.reg.Counter("serve.rejected")
 	s.closedSubmits = s.reg.Counter("serve.closed_submits")
 	s.depth = s.reg.Gauge("serve.queue_depth")
 	s.swaps = s.reg.Counter("serve.swaps")
@@ -389,16 +358,9 @@ func New(rs *ruleset.RuleSet, build BuildFunc, cfg Config) (*Service, error) {
 	s.imbalance = s.reg.Gauge("serve.imbalance_milli")
 	if cfg.Obs != nil {
 		s.journal = cfg.Obs.Journal
-		if cfg.Steer && cfg.TopFlows > 0 {
+		if cfg.TopFlows > 0 {
 			s.det = flowstats.NewDetector(cfg.Workers, cfg.TopFlows, 0)
 		}
-	}
-	if cfg.CacheEntries > 0 && !cfg.Steer {
-		s.cache = flowcache.New(flowcache.Config{Entries: cfg.CacheEntries, Shards: cfg.CacheShards})
-		if cfg.Obs != nil {
-			s.cache.SetProbeHistogram(cfg.Obs.CacheProbe)
-		}
-		eng = core.NewCached(eng, s.cache)
 	}
 	gen := s.gens.Add(1)
 	s.engine.Store(&live{eng: eng, gen: gen})
@@ -418,9 +380,9 @@ func New(rs *ruleset.RuleSet, build BuildFunc, cfg Config) (*Service, error) {
 		if i < rem {
 			depth++
 		}
-		s.shards[i] = make(chan item, depth)
+		s.shards[i] = make(chan *steerTask, depth)
 		w := &worker{s: s, id: i}
-		if cfg.Steer && cfg.CacheEntries > 0 {
+		if cfg.CacheEntries > 0 {
 			// Capacity split evenly: the steering hash spreads flows
 			// uniformly, so per-worker slices see ~1/W of the flow space.
 			// Clamped to ≥1 — a CacheEntries below the worker count must
@@ -450,8 +412,7 @@ func New(rs *ruleset.RuleSet, build BuildFunc, cfg Config) (*Service, error) {
 type worker struct {
 	s  *Service
 	id int
-	// cache is the worker-private flow cache (steered mode with caching
-	// only; nil otherwise).
+	// cache is the worker-private flow cache (nil when uncached).
 	cache *flowcache.Private
 	// eng is the batch-scoped engine target of missFn, set by the owner
 	// before each private-cache batch call.
@@ -466,62 +427,47 @@ type worker struct {
 	batches    atomic.Int64
 }
 
-// run drains one shard queue. Legacy items carry a whole batch; steered
-// items carry this worker's share of a batch.
+// run drains one shard queue: each task is this worker's share of a batch.
 //
-//pclass:pinned
 //pclass:hotpath
-func (w *worker) run(shard chan item) {
-	s := w.s
-	defer s.wg.Done()
+func (w *worker) run(shard chan *steerTask) {
+	defer w.s.wg.Done()
 	// range drains everything still queued after Close closes the shard:
 	// graceful shutdown completes in-flight batches rather than dropping
 	// them.
-	for it := range shard {
-		s.depth.Set(s.queued.Add(-1))
-		if it.t != nil {
-			w.runSteered(it.t)
-			continue
-		}
-		p := it.p
-		// One engine load per batch keeps the batch on a single engine
-		// version; the native batch path classifies the whole batch with
-		// no per-packet dispatch or allocation.
-		//pclass:allow-pin one load per drained legacy batch; the loop body is the batch scope
-		eng := s.engine.Load().eng
-		if obs := s.obs; obs != nil {
-			obs.SubmitWait.Observe(time.Since(p.enq))
-			// The sampled packet (at most one per batch) is traced through
-			// the per-packet path *before* the batch runs, so its cache-probe
-			// hop reflects the pre-batch cache state — the batch itself would
-			// insert the flow and turn every sampled miss into a hit.
-			if idx, tr := obs.Tracer.SampleBatch(len(p.hdrs)); tr != nil {
-				tr.Hdr = p.hdrs[idx]
-				tr.Result = core.ClassifyTraced(eng, p.hdrs[idx], tr)
-				obs.Tracer.Finish(tr)
-			}
-			start := time.Now()
-			core.ClassifyBatchInto(eng, p.hdrs, p.results)
-			obs.ClassifyBatch.Observe(time.Since(start))
-		} else {
-			core.ClassifyBatchInto(eng, p.hdrs, p.results)
-		}
-		w.classified.Add(int64(len(p.hdrs)))
-		w.batches.Add(1)
-		s.classified.Add(int64(len(p.hdrs)))
-		s.batches.Inc()
-		close(p.done)
+	for t := range shard {
+		w.s.noteQueued(-1)
+		w.runSteered(t)
 	}
 }
 
-// Submit enqueues a batch for classification without blocking. It fails
-// with ErrQueueFull when every shard is at capacity (backpressure) and
-// ErrClosed after Close. With Config.Steer the batch is scattered to the
-// flow-owning workers instead, and a full target queue blocks rather than
-// rejecting (flow affinity forbids spilling to another worker).
+// noteQueued moves the queued-task count by d and publishes it to the
+// serve.queue_depth gauge. Submitters count a task before sending it and
+// workers uncount it after receiving it, so the count is never negative.
+// Publishing repeats until the count read back equals the value just
+// stored: whichever goroutine stores last has seen the latest count, so
+// two racing publishers cannot leave a stale value behind and a drained
+// service reads 0.
+//
+//pclass:hotpath
+func (s *Service) noteQueued(d int64) {
+	n := s.queued.Add(d)
+	for {
+		s.depth.Set(n)
+		cur := s.queued.Load()
+		if cur == n {
+			return
+		}
+		n = cur
+	}
+}
+
+// Submit scatters a batch to the flow-owning workers and returns without
+// waiting for the results. A full target queue blocks the submitter (flow
+// affinity forbids spilling to another worker); the only error is
+// ErrClosed after Close.
 func (s *Service) Submit(hdrs []packet.Header) (*Pending, error) {
 	p := &Pending{
-		hdrs:    hdrs,
 		results: make([]int, len(hdrs)),
 		done:    make(chan struct{}),
 	}
@@ -532,32 +478,16 @@ func (s *Service) Submit(hdrs []packet.Header) (*Pending, error) {
 	s.lifecycle.RLock()
 	defer s.lifecycle.RUnlock()
 	if s.closed {
-		// Lifecycle, not backpressure: a submit after Close must not look
-		// like queue pressure in the stats.
 		s.closedSubmits.Inc()
 		return nil, ErrClosed
 	}
 	if s.obs != nil {
 		p.enq = time.Now()
 	}
-	if s.cfg.Steer {
-		s.submitSteeredLocked(hdrs, p.results, p)
-		return p, nil
-	}
-	// Round-robin across shards, falling through to any shard with room
-	// before declaring backpressure.
-	start := int(s.next.Add(1) % uint64(len(s.shards)))
-	for i := 0; i < len(s.shards); i++ {
-		shard := s.shards[(start+i)%len(s.shards)]
-		select {
-		case shard <- item{p: p}:
-			s.depth.Set(s.queued.Add(1))
-			return p, nil
-		default:
-		}
-	}
-	s.rejected.Inc()
-	return nil, ErrQueueFull
+	// Completion — closing p.done, counting the batch, releasing the
+	// scratch — happens on the last worker to finish its task.
+	s.dispatch(s.getSteerScratch(), hdrs, p.results, p)
+	return p, nil
 }
 
 // Classify submits a batch and waits for its results.
@@ -574,14 +504,10 @@ func (s *Service) Classify(ctx context.Context, hdrs []packet.Header) ([]int, er
 //pclass:pinned
 func (s *Service) Engine() core.Engine { return s.engine.Load().eng }
 
-// Generation returns the cache generation of the live build (0 on the
-// legacy path, where the Cached wrapper owns the generation).
+// Generation returns the cache generation of the live build.
 //
 //pclass:pinned
 func (s *Service) Generation() uint64 { return s.engine.Load().gen }
-
-// Steered reports whether the service runs the RSS-style steered path.
-func (s *Service) Steered() bool { return s.cfg.Steer }
 
 // RuleSet returns the ruleset the live engine was built from. The returned
 // set is replaced, never mutated, by updates — callers may read it freely.
@@ -637,8 +563,8 @@ func (s *Service) ApplyOps(ops []update.Op) error {
 // update primitive: lower the ops to per-row deltas, derive the updated
 // engine (copy-on-write — the live engine is never touched and keeps
 // serving), scope-verify it on the touched rules plus sampled spot checks,
-// re-wrap it under a fresh flow-cache generation, and publish it with the
-// same atomic pointer store as a full swap. Callers hold s.mu; any error
+// and publish it under a fresh flow-cache generation with the same atomic
+// pointer store as a full swap. Callers hold s.mu; any error
 // leaves the service untouched and the caller decides whether to fall back
 // to the shadow rebuild.
 func (s *Service) applyIncrementalLocked(ops []update.Op, next *ruleset.RuleSet) error {
@@ -673,16 +599,11 @@ func (s *Service) applyIncrementalLocked(ops []update.Op, next *ruleset.RuleSet)
 			return fmt.Errorf("serve: incremental verify failed, %w: %s", ErrRolledBack, m)
 		}
 	}
-	if s.cache != nil {
-		// Fresh generation: decisions cached against the pre-delta engine
-		// retire as lazy misses, exactly as on the rebuild path.
-		eng = core.NewCached(eng, s.cache)
-	}
 	s.rs = next
 	retired := s.gens.Load()
 	gen := s.gens.Add(1)
-	// On the steered path the fresh generation retires every worker's
-	// private entries the same lazy way the shared cache retires its own.
+	// Fresh generation: decisions cached against the pre-delta engine
+	// retire as lazy misses, exactly as on the rebuild path.
 	s.engine.Store(&live{eng: eng, gen: gen})
 	s.incrementalSwaps.Inc()
 	s.journal.Append(obsv.EventGenerationRetired, retired, 0, 0, 0)
@@ -736,15 +657,11 @@ func (s *Service) swapLocked(next *ruleset.RuleSet) error {
 			return fmt.Errorf("serve: shadow verify failed, %w: %s", ErrRolledBack, m)
 		}
 	}
-	if s.cache != nil {
-		// Wrap after verification (the cache must not intercept the
-		// differential check) under a fresh generation: the pointer store
-		// below retires every entry older builds wrote, as lazy misses.
-		shadow = core.NewCached(shadow, s.cache)
-	}
 	s.rs = next
 	retired := s.gens.Load()
 	gen := s.gens.Add(1)
+	// The pointer store retires every cache entry older builds wrote, as
+	// lazy misses.
 	s.engine.Store(&live{eng: shadow, gen: gen})
 	s.swaps.Inc()
 	s.journal.Append(obsv.EventGenerationRetired, retired, 0, 0, 0)
@@ -777,14 +694,11 @@ func (s *Service) ShardDepths() []int {
 func (s *Service) Workers() int { return len(s.shards) }
 
 // CacheStats snapshots the flow cache counters; ok is false when the
-// service runs uncached. In steered mode the per-worker private caches
-// are aggregated into one view (Shards = worker count, Generation = the
-// newest generation any worker has served).
+// service runs uncached. The per-worker private caches are aggregated into
+// one view (Shards = worker count, Generation = the newest generation any
+// worker has served).
 func (s *Service) CacheStats() (stats flowcache.Stats, ok bool) {
-	if s.cache != nil {
-		return s.cache.Stats(), true
-	}
-	if !s.cfg.Steer || s.workers[0].cache == nil {
+	if s.workers[0].cache == nil {
 		return flowcache.Stats{}, false
 	}
 	var agg flowcache.Stats
@@ -803,11 +717,11 @@ func (s *Service) CacheStats() (stats flowcache.Stats, ok bool) {
 	return agg, true
 }
 
-// WorkerCacheStats snapshots each worker's private flow cache in steered
-// mode (nil when the service is unsteered or uncached). Index i is worker
-// i's cache — the flows SteerWorker maps there and nothing else.
+// WorkerCacheStats snapshots each worker's private flow cache (nil when
+// the service is uncached). Index i is worker i's cache — the flows
+// SteerWorker maps there and nothing else.
 func (s *Service) WorkerCacheStats() []flowcache.Stats {
-	if !s.cfg.Steer || s.workers[0].cache == nil {
+	if s.workers[0].cache == nil {
 		return nil
 	}
 	out := make([]flowcache.Stats, len(s.workers))
@@ -904,8 +818,8 @@ func (s *Service) maybeRebalanceEvent(idx float64) {
 	}
 }
 
-// FlowStats returns the steered path's heavy-hitter detector, nil when
-// detection is off (unsteered, unobserved, or TopFlows < 0). The returned
+// FlowStats returns the heavy-hitter detector, nil when detection is off
+// (unobserved, or TopFlows < 0). The returned
 // detector is safe to read concurrently with serving.
 func (s *Service) FlowStats() *flowstats.Detector { return s.det }
 
@@ -914,7 +828,6 @@ func (s *Service) Counters() Counters {
 	c := Counters{
 		Classified:           s.classified.Value(),
 		Batches:              s.batches.Value(),
-		Rejected:             s.rejected.Value(),
 		ClosedSubmits:        s.closedSubmits.Value(),
 		QueueHighWater:       s.depth.Max(),
 		Swaps:                s.swaps.Value(),

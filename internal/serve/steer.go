@@ -1,4 +1,4 @@
-// The RSS-style steered submission path: Submit hashes every packet's
+// The service's one dispatch path, RSS-style: Submit hashes every packet's
 // flow key and scatters the batch so each worker receives exactly the
 // packets whose flows it owns. The payoff is the same one hardware RSS
 // buys a multi-queue NIC — per-flow FIFO order for free, worker-private
@@ -40,8 +40,7 @@ type steerTask struct {
 	// l is the (engine, generation) pair pinned by the submitter with ONE
 	// atomic load for the whole batch. Workers classify their sub-batches
 	// against it rather than re-loading: a batch scattered across workers
-	// still lands atomically on a single engine version, the same batch
-	// atomicity the legacy whole-batch path provides.
+	// still lands atomically on a single engine version.
 	l *live
 }
 
@@ -99,8 +98,8 @@ func (sc *steerScratch) release() {
 
 // dispatch gathers hdrs into per-worker tasks by flow hash and sends each
 // non-empty task to its owner's shard. Sends block on a full shard: a
-// steered sub-batch cannot spill to another worker without breaking flow
-// affinity, so backpressure here is latency, not ErrQueueFull. The
+// sub-batch cannot spill to another worker without breaking flow
+// affinity, so backpressure is latency, never a dropped batch. The
 // completion count (wg for synchronous, pending for asynchronous) is
 // armed before the first send — a worker may finish its task before the
 // submitter has sent the next one — and includes one extra reference that
@@ -165,12 +164,14 @@ func (s *Service) dispatch(sc *steerScratch, hdrs []packet.Header, out []int, p 
 		t.out = out
 		t.p = p
 		t.l = l
-		s.shards[w] <- item{t: t}
-		s.depth.Set(s.queued.Add(1))
+		// Counted before the send: the worker uncounts on receive, so the
+		// other order could publish a negative depth.
+		s.noteQueued(1)
+		s.shards[w] <- t
 	}
 	// The scatter histogram closes here: hashing, gather, and the queue
-	// sends are all dispatch overhead the legacy whole-batch path never
-	// pays (the Observe touches only the histogram, never sc).
+	// sends are all dispatch overhead (the Observe touches only the
+	// histogram, never sc).
 	if obs != nil {
 		obs.SteerScatter.Observe(time.Since(scatterStart))
 	}
@@ -183,27 +184,14 @@ func (s *Service) dispatch(sc *steerScratch, hdrs []packet.Header, out []int, p 
 	sc.completeAsync(p)
 }
 
-// submitSteeredLocked is Submit's steered branch. Completion — closing
-// p.done, counting the batch, releasing the scratch — happens on the last
-// worker to finish its task. Callers hold s.lifecycle shared.
-func (s *Service) submitSteeredLocked(hdrs []packet.Header, out []int, p *Pending) {
-	sc := s.getSteerScratch()
-	s.dispatch(sc, hdrs, out, p)
-}
-
-// ClassifySteered classifies hdrs into out synchronously on the steered
-// path: scatter, wait for every flow-owning worker, return. len(out) must
-// equal len(hdrs). Unlike Classify it allocates no Pending and no
-// channel — the steady state is zero allocations per call, which is what
-// the scaling benchmark and the CI allocation gate measure. Only valid on
-// a steered service.
+// ClassifySteered classifies hdrs into out synchronously: scatter, wait
+// for every flow-owning worker, return. len(out) must equal len(hdrs).
+// Unlike Classify it allocates no Pending and no channel — the steady
+// state is zero allocations per call, which is what the scaling benchmark
+// and the CI allocation gate measure.
 //
 //pclass:hotpath
 func (s *Service) ClassifySteered(hdrs []packet.Header, out []int) error {
-	if !s.cfg.Steer {
-		//pclass:allow-alloc misuse path, taken once per misconfigured caller, never per batch
-		return fmt.Errorf("serve: ClassifySteered on an unsteered service")
-	}
 	if len(hdrs) == 0 {
 		return nil
 	}
@@ -225,7 +213,7 @@ func (s *Service) ClassifySteered(hdrs []packet.Header, out []int) error {
 	return nil
 }
 
-// classify runs one steered sub-batch through this worker's private cache
+// classify runs one sub-batch through this worker's private cache
 // (misses fall through to the live engine via the pre-bound missFn) or,
 // uncached, straight through the engine. The dispatch-computed flow
 // hashes ride along so the cache skips its per-packet rehash. Owner
@@ -248,7 +236,7 @@ func (w *worker) classify(l *live, hdrs []packet.Header, hashes []uint64, res []
 	core.ClassifyBatchInto(l.eng, hdrs, res)
 }
 
-// runSteered processes one steered task against the (engine, generation)
+// runSteered processes one task against the (engine, generation)
 // pair the submitter pinned, classifies this worker's sub-batch, scatters
 // the results into the batch output, and completes. Owner goroutine only.
 // Interleaved generations across tasks (a swap landing mid-batch-stream)

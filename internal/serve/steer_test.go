@@ -2,28 +2,28 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"pktclass/internal/core"
 	"pktclass/internal/packet"
 	"pktclass/internal/ruleset"
 	"pktclass/internal/update"
 )
 
-// The steered path must classify exactly like the unsteered engine: the
-// scatter/gather hop, the private caches, and the result re-ordering are
-// all invisible in the output.
+// The dispatch path must classify exactly like the bare linear reference:
+// the scatter/gather hop, the private caches, and the result re-ordering
+// are all invisible in the output.
 func TestSteeredMatchesUnsteered(t *testing.T) {
 	rs := prefixSet(t, 48, 71)
-	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 4, CacheEntries: 1 << 12, Steer: true, Seed: 71})
+	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 4, CacheEntries: 1 << 12, Seed: 71})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mustClose(t, svc)
-	if !svc.Steered() {
-		t.Fatal("Steered() = false on a steered service")
-	}
+	ref := core.NewLinear(rs)
 	trace := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 2048, MatchFraction: 0.7, Seed: 72})
 	// Three passes: cold misses, warm hits, and the async Submit path must
 	// all agree with the linear reference.
@@ -32,25 +32,13 @@ func TestSteeredMatchesUnsteered(t *testing.T) {
 		if err := svc.ClassifySteered(trace, out); err != nil {
 			t.Fatal(err)
 		}
-		for i, h := range trace {
-			if want := rs.FirstMatch(h); out[i] != want {
-				t.Fatalf("pass %d packet %d: steered %d, linear %d", pass, i, out[i], want)
-			}
-		}
+		checkAgainst(t, fmt.Sprint("sync pass ", pass), ref)(0, trace, out)
 	}
-	got, err := svc.Classify(context.Background(), trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range trace {
-		if want := rs.FirstMatch(h); got[i] != want {
-			t.Fatalf("async packet %d: steered %d, linear %d", i, got[i], want)
-		}
-	}
+	classifyChunks(t, svc, trace, len(trace), checkAgainst(t, "async", ref))
 	if st, ok := svc.CacheStats(); !ok {
-		t.Fatal("CacheStats not ok on a cached steered service")
+		t.Fatal("CacheStats not ok on a cached service")
 	} else if st.Hits == 0 || st.Shards != 4 {
-		t.Fatalf("aggregated steered cache stats: %+v", st)
+		t.Fatalf("aggregated cache stats: %+v", st)
 	}
 	if ws := svc.WorkerCacheStats(); len(ws) != 4 {
 		t.Fatalf("WorkerCacheStats: %d entries, want 4", len(ws))
@@ -63,7 +51,7 @@ func TestSteeredMatchesUnsteered(t *testing.T) {
 // publishes tasks safely.
 func TestRacedSteeredFlowAffinity(t *testing.T) {
 	rs := prefixSet(t, 48, 73)
-	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 4, CacheEntries: 1 << 10, Steer: true, Incremental: true, Seed: 73})
+	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 4, CacheEntries: 1 << 10, Incremental: true, Seed: 73})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +138,7 @@ func TestRacedSteeredFlowAffinity(t *testing.T) {
 // into (and the scratch could even be double-sent).
 func TestRacedSteeredAsyncScratchReuse(t *testing.T) {
 	rs := prefixSet(t, 48, 91)
-	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 8, CacheEntries: 1 << 10, Steer: true, Seed: 91})
+	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 8, CacheEntries: 1 << 10, Seed: 91})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +173,7 @@ func TestRacedSteeredAsyncScratchReuse(t *testing.T) {
 // small cache by Workers*4096.
 func TestSteeredTinyCacheNotInflated(t *testing.T) {
 	rs := prefixSet(t, 16, 93)
-	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 4, CacheEntries: 2, Steer: true, Seed: 93})
+	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 4, CacheEntries: 2, Seed: 93})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +190,7 @@ func TestSteeredTinyCacheNotInflated(t *testing.T) {
 // build (and its ruleset-sized structures) until its next batch.
 func TestSteeredWorkerUnbindsEngine(t *testing.T) {
 	rs := prefixSet(t, 16, 95)
-	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 2, CacheEntries: 1 << 8, Steer: true, Seed: 95})
+	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 2, CacheEntries: 1 << 8, Seed: 95})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +217,7 @@ func TestSteeredWorkerUnbindsEngine(t *testing.T) {
 func TestRacedSteeredVersionWindow(t *testing.T) {
 	const swaps = 20
 	rs := prefixSet(t, 48, 75)
-	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 4, CacheEntries: 1 << 10, Steer: true, Incremental: true, Seed: 75})
+	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 4, CacheEntries: 1 << 10, Incremental: true, Seed: 75})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +328,7 @@ func TestRacedSteeredVersionWindow(t *testing.T) {
 // generation's entries are dropped, visibly, as stale.
 func TestSteeredCacheRetiresOnSwap(t *testing.T) {
 	rs := prefixSet(t, 32, 77)
-	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 2, CacheEntries: 1 << 10, Steer: true, Seed: 77})
+	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 2, CacheEntries: 1 << 10, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,17 +365,8 @@ func TestSteeredCacheRetiresOnSwap(t *testing.T) {
 
 func TestClassifySteeredErrors(t *testing.T) {
 	rs := prefixSet(t, 16, 81)
-	plain, err := New(rs.Clone(), strideBuild, Config{Workers: 2, Seed: 81})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mustClose(t, plain)
 	hdrs := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 8, MatchFraction: 0.5, Seed: 82})
-	if err := plain.ClassifySteered(hdrs, make([]int, 8)); err == nil {
-		t.Fatal("ClassifySteered accepted an unsteered service")
-	}
-
-	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 2, Steer: true, Seed: 83})
+	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 2, Seed: 83})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +387,7 @@ func TestClassifySteeredErrors(t *testing.T) {
 // private-cache probe, gather). Steady state must not allocate.
 func BenchmarkSteeredSubmit(b *testing.B) {
 	rs := prefixSet(b, 64, 85)
-	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 4, CacheEntries: 1 << 12, Steer: true, Seed: 85})
+	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 4, CacheEntries: 1 << 12, Seed: 85})
 	if err != nil {
 		b.Fatal(err)
 	}

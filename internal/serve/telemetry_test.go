@@ -36,7 +36,7 @@ func TestRacedSteeredDetectorDuringHotSwap(t *testing.T) {
 	rs := prefixSet(t, 48, 91)
 	obs := newTelemetryObs(0)
 	svc, err := New(rs.Clone(), strideBuild, Config{
-		Workers: 4, CacheEntries: 1 << 10, Steer: true, Incremental: true, Seed: 91, Obs: obs,
+		Workers: 4, CacheEntries: 1 << 10, Incremental: true, Seed: 91, Obs: obs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestRacedSteeredTraceWorkerID(t *testing.T) {
 	rs := prefixSet(t, 48, 95)
 	obs := newTelemetryObs(1) // trace every packet
 	svc, err := New(rs.Clone(), strideBuild, Config{
-		Workers: 4, CacheEntries: 1 << 10, Steer: true, Incremental: true, Seed: 95, Obs: obs,
+		Workers: 4, CacheEntries: 1 << 10, Incremental: true, Seed: 95, Obs: obs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func TestRacedSteeredTraceWorkerID(t *testing.T) {
 func TestSteerScatterHistogramRecords(t *testing.T) {
 	rs := prefixSet(t, 32, 97)
 	obs := newTelemetryObs(0)
-	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 2, Steer: true, Seed: 97, Obs: obs})
+	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 2, Seed: 97, Obs: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestImbalanceAndRebalanceCandidateEvent(t *testing.T) {
 	rs := prefixSet(t, 32, 101)
 	obs := newTelemetryObs(0)
 	svc, err := New(rs.Clone(), strideBuild, Config{
-		Workers: 4, CacheEntries: 1 << 8, Steer: true, Seed: 101, Obs: obs,
+		Workers: 4, CacheEntries: 1 << 8, Seed: 101, Obs: obs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +395,7 @@ func BenchmarkSteeredSubmitObserved(b *testing.B) {
 	rs := prefixSet(b, 64, 103)
 	obs := obsv.NewObs(obsv.NewRegistry(nil), nil)
 	svc, err := New(rs.Clone(), strideBuild, Config{
-		Workers: 4, CacheEntries: 1 << 12, Steer: true, Seed: 103, Obs: obs,
+		Workers: 4, CacheEntries: 1 << 12, Seed: 103, Obs: obs,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -43,10 +43,6 @@ type ServeConfig struct {
 	// uncached, so DegradationPct directly reads the combined cost or win
 	// of the serving layer plus cache under update churn.
 	CacheEntries int
-	// Steer replays through RSS-style flow steering: per-flow worker
-	// affinity, worker-private caches, blocking backpressure (see
-	// serve.Config.Steer).
-	Steer bool
 	// Churn false replays with no updater at all.
 	Churn bool
 	// Incremental routes the churn swaps through the engines' O(delta)
@@ -79,16 +75,13 @@ type ServeResult struct {
 	// DegradationPct is the relative throughput loss versus the baseline
 	// (negative when the serving layer happens to measure faster).
 	DegradationPct float64
-	// Resubmits counts batches that hit backpressure and were retried
-	// after draining an in-flight batch.
-	Resubmits int64
 	// Rollbacks counts churn swaps the service rejected at the shadow
 	// build/verify stage. A rollback is a legitimate outcome under churn —
 	// the service kept serving the previous engine — so the experiment
 	// keeps churning and reports the count instead of aborting.
 	Rollbacks int64
 	// Counters is the service's own accounting (swap count and latency,
-	// queue high-water mark, rejections).
+	// queue high-water mark).
 	Counters serve.Counters
 }
 
@@ -123,7 +116,6 @@ func ServeTrace(rs *ruleset.RuleSet, build serve.BuildFunc, trace []packet.Heade
 		QueueDepth:       cfg.QueueDepth,
 		VerifyPackets:    cfg.VerifyPackets,
 		CacheEntries:     cfg.CacheEntries,
-		Steer:            cfg.Steer,
 		Incremental:      cfg.Incremental,
 		SpotCheckPackets: cfg.SpotCheckPackets,
 		Seed:             cfg.Seed,
@@ -171,53 +163,29 @@ func ServeTrace(rs *ruleset.RuleSet, build serve.BuildFunc, trace []packet.Heade
 		}()
 	}
 
-	type inflight struct {
-		p  *serve.Pending
-		lo int
-	}
-	results := make([]int, len(trace))
-	var (
-		window    []inflight
-		resubmits int64
-	)
-	drainOldest := func() error {
-		f := window[0]
-		window = window[1:]
-		r, err := f.p.Wait(context.Background())
-		if err != nil {
-			return err
-		}
-		copy(results[f.lo:], r)
-		return nil
-	}
+	// Submit blocks while the target queues are full, so the replay is
+	// paced by the service; results are collected in submission order once
+	// everything is in flight.
+	pending := make([]*serve.Pending, 0, (len(trace)+cfg.BatchSize-1)/cfg.BatchSize)
 	start := time.Now()
 	for lo := 0; lo < len(trace); lo += cfg.BatchSize {
 		hi := lo + cfg.BatchSize
 		if hi > len(trace) {
 			hi = len(trace)
 		}
-		for {
-			p, err := svc.Submit(trace[lo:hi])
-			if err == serve.ErrQueueFull {
-				// Backpressure: free a slot by completing the oldest
-				// in-flight batch, then retry.
-				resubmits++
-				if err := drainOldest(); err != nil {
-					return ServeResult{}, err
-				}
-				continue
-			}
-			if err != nil {
-				return ServeResult{}, err
-			}
-			window = append(window, inflight{p: p, lo: lo})
-			break
-		}
-	}
-	for len(window) > 0 {
-		if err := drainOldest(); err != nil {
+		p, err := svc.Submit(trace[lo:hi])
+		if err != nil {
 			return ServeResult{}, err
 		}
+		pending = append(pending, p)
+	}
+	results := make([]int, 0, len(trace))
+	for _, p := range pending {
+		r, err := p.Wait(context.Background())
+		if err != nil {
+			return ServeResult{}, err
+		}
+		results = append(results, r...)
 	}
 	elapsed := time.Since(start)
 	replayDone.Store(true)
@@ -234,7 +202,6 @@ func ServeTrace(rs *ruleset.RuleSet, build serve.BuildFunc, trace []packet.Heade
 		Packets:               len(trace),
 		Elapsed:               elapsed,
 		BaselinePacketsPerSec: baseline.PacketsPerSec,
-		Resubmits:             resubmits,
 		Rollbacks:             rollbacks.Load(),
 		Counters:              svc.Counters(),
 	}
