@@ -44,6 +44,19 @@ func NewOnes(n int) Vector {
 	return v
 }
 
+// View returns an n-bit vector backed by words itself rather than a copy:
+// writes through the view land in the caller's slice, and SharesStorage
+// tells two views of one slice apart from copies. Structures that keep many
+// vectors in one contiguous block (stridebv stage memory) hand out rows
+// this way. words must be exactly the ceil(n/64) words New(n) would
+// allocate, with no bit set at a position >= n.
+func View(n int, words []uint64) Vector {
+	if n < 0 || len(words) != (n+wordBits-1)/wordBits {
+		panic(fmt.Sprintf("bitvec: %d words cannot back %d bits", len(words), n))
+	}
+	return Vector{n: n, words: words}
+}
+
 // Len returns the number of bits in the vector.
 func (v Vector) Len() int { return v.n }
 

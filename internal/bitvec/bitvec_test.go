@@ -391,3 +391,38 @@ func BenchmarkFirstSet2048(b *testing.B) {
 		}
 	}
 }
+
+// A View is backed by the caller's words: writes go both ways, two views of
+// one row share storage, views of neighbouring rows of one block and
+// clones do not, and a word count that cannot back n bits is rejected.
+func TestViewAliasesCallerWords(t *testing.T) {
+	const n = 70 // two words per row
+	block := make([]uint64, 4)
+	row0, row1 := View(n, block[0:2]), View(n, block[2:4])
+	row0.Set(69)
+	if block[1] != 1<<5 {
+		t.Fatalf("write through the view missed the block: %#x", block[1])
+	}
+	block[2] = 1
+	if !row1.Get(0) || row1.FirstSet() != 0 || row1.Len() != n {
+		t.Fatal("view does not read the caller's words")
+	}
+	if !row0.SharesStorage(View(n, block[0:2])) {
+		t.Fatal("two views of one row must share storage")
+	}
+	if row0.SharesStorage(row1) || row0.SharesStorage(row0.Clone()) {
+		t.Fatal("a neighbouring row or a clone must not share storage")
+	}
+	// A view is a full Vector: the kernels work on it against a New one.
+	acc := NewOnes(n)
+	acc.AndWith(row0)
+	if acc.Ones() != 1 || acc.FirstSet() != 69 {
+		t.Fatalf("AndWith over a view: %s", acc)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("View accepted one word for 70 bits")
+		}
+	}()
+	View(n, block[:1])
+}

@@ -4,8 +4,9 @@ import "testing"
 
 // Fuzz targets for the packed-key invariants every engine builds on: the
 // Header <-> Key round trip must be lossless in both directions, and the
-// word-at-a-time StridesInto datapath must agree with the bit-by-bit
-// Stride reference at every stage for every stride width. Run ad hoc with
+// word-at-a-time StridesInto datapath — from a packed Key or straight from
+// the Header — must agree with the bit-by-bit Stride reference at every
+// stage for every stride width. Run ad hoc with
 //
 //	go test ./internal/packet -fuzz FuzzKeyRoundTrip
 //
@@ -67,14 +68,22 @@ func FuzzStridesInto(f *testing.F) {
 		if kbits > 64 {
 			kbits = 64
 		}
-		k := Header{SIP: sip, DIP: dip, SP: sp, DP: dp, Proto: proto}.Key()
-		stages := NumStrides(kbits)
-		got := make([]int, stages)
-		k.StridesInto(kbits, got)
-		for s := 0; s < stages; s++ {
-			if want := k.Stride(s*kbits, kbits); got[s] != want {
-				t.Fatalf("k=%d stage %d: StridesInto %#x, bit-by-bit Stride %#x (key %v)",
-					kbits, s, got[s], want, k)
+		h := Header{SIP: sip, DIP: dip, SP: sp, DP: dp, Proto: proto}
+		k := h.Key()
+		// The fuzzed width, plus every width an engine accepts: the Header
+		// form (no key packing), the Key form and the per-stage bit-by-bit
+		// Stride must agree on all of them for every input.
+		for _, kbits := range []int{kbits, 1, 2, 3, 4, 5, 6, 7, 8} {
+			stages := NumStrides(kbits)
+			fromKey, fromHeader := make([]int, stages), make([]int, stages)
+			k.StridesInto(kbits, fromKey)
+			h.StridesInto(kbits, fromHeader)
+			for s := 0; s < stages; s++ {
+				want := k.Stride(s*kbits, kbits)
+				if fromKey[s] != want || fromHeader[s] != want {
+					t.Fatalf("k=%d stage %d: Key.StridesInto %#x, Header.StridesInto %#x, bit-by-bit Stride %#x (key %v)",
+						kbits, s, fromKey[s], fromHeader[s], want, k)
+				}
 			}
 		}
 	})

@@ -111,6 +111,23 @@ func (k Key) Stride(off, kbits int) int {
 	return v
 }
 
+// words returns the header's tuple bits as a left-aligned 128-bit value
+// hi:lo — bit 0 (the SIP MSB) is hi's top bit and bits W..127 are zero,
+// matching the zero padding Stride applies past the final bit.
+func (h Header) words() (hi, lo uint64) {
+	return uint64(h.SIP)<<32 | uint64(h.DIP),
+		uint64(h.SP)<<48 | uint64(h.DP)<<32 | uint64(h.Proto)<<24
+}
+
+// words is Header.words for an already packed key.
+func (k Key) words() (hi, lo uint64) {
+	hi = uint64(k[0])<<56 | uint64(k[1])<<48 | uint64(k[2])<<40 | uint64(k[3])<<32 |
+		uint64(k[4])<<24 | uint64(k[5])<<16 | uint64(k[6])<<8 | uint64(k[7])
+	lo = uint64(k[8])<<56 | uint64(k[9])<<48 | uint64(k[10])<<40 | uint64(k[11])<<32 |
+		uint64(k[12])<<24
+	return hi, lo
+}
+
 // StridesInto fills dst[s] with the k-bit stride value at stage s for every
 // stage of a kbits decomposition (dst must have NumStrides(kbits) entries).
 // It is the batched-datapath form of Stride: the 104 key bits are loaded
@@ -119,35 +136,49 @@ func (k Key) Stride(off, kbits int) int {
 //
 //pclass:hotpath
 func (k Key) StridesInto(kbits int, dst []int) {
-	stages := NumStrides(kbits)
-	if len(dst) < stages {
-		panic(fmt.Sprintf("packet: stride buffer %d short of %d stages", len(dst), stages))
+	hi, lo := k.words()
+	stridesInto(hi, lo, kbits, dst)
+}
+
+// StridesInto is Key.StridesInto without packing the 13-byte key first: the
+// two words come straight from the header fields. The engines' lookup path
+// calls this form.
+//
+//pclass:hotpath
+func (h Header) StridesInto(kbits int, dst []int) {
+	hi, lo := h.words()
+	stridesInto(hi, lo, kbits, dst)
+}
+
+// stridesInto is the stride extractor both StridesInto forms share: stage s
+// is bits [s·kbits, (s+1)·kbits) of the 128-bit value hi:lo. The stages
+// are walked by their end bit in four runs — those inside hi, the one (if
+// any) straddling the word boundary, those inside lo, and the one (if any)
+// a wide final stride pushes past bit 127, whose padding zeros shift in
+// from the right — so each stage is one shift of one word with no per-stage
+// case analysis, and nothing divides: the stage count ceil(W/kbits) falls
+// out of counting bits (a hardware divide costs more than every shift here).
+// Needs kbits <= 64, which keeps a straddling stage's end below 128.
+//
+//pclass:hotpath
+func stridesInto(hi, lo uint64, kbits int, dst []int) {
+	if kbits < 1 || len(dst)*kbits < W {
+		panic(fmt.Sprintf("packet: stride width %d with a %d-entry buffer", kbits, len(dst)))
 	}
-	// The key as a left-aligned 128-bit value hi:lo; bits W..127 are zero,
-	// matching the zero padding Stride applies past the final bit.
-	hi := uint64(k[0])<<56 | uint64(k[1])<<48 | uint64(k[2])<<40 | uint64(k[3])<<32 |
-		uint64(k[4])<<24 | uint64(k[5])<<16 | uint64(k[6])<<8 | uint64(k[7])
-	lo := uint64(k[8])<<56 | uint64(k[9])<<48 | uint64(k[10])<<40 | uint64(k[11])<<32 |
-		uint64(k[12])<<24
 	mask := uint64(1)<<uint(kbits) - 1
-	for s, off := 0, 0; s < stages; s, off = s+1, off+kbits {
-		end := off + kbits
-		var v uint64
-		switch {
-		case end <= 64:
-			v = hi >> uint(64-end)
-		case off >= 64 && end <= 128:
-			v = lo >> uint(128-end)
-		case off >= 64:
-			// A wide final stage can run past bit 127 (off < W <= 128 but
-			// off+kbits > 128); the padding zeros shift in from the right.
-			v = lo << uint(end-128)
-		default:
-			// off < 64 < end <= 128 always here: kbits <= 64 caps end at
-			// off+64 < 128 for any straddling stage.
-			v = hi<<uint(end-64) | lo>>uint(128-end)
-		}
-		dst[s] = int(v & mask)
+	s, end := 0, kbits
+	for ; end <= 64; s, end = s+1, end+kbits {
+		dst[s] = int(hi >> uint((64-end)&63) & mask)
+	}
+	if end-kbits < 64 {
+		dst[s] = int((hi<<uint((end-64)&63) | lo>>uint((128-end)&63)) & mask)
+		s, end = s+1, end+kbits
+	}
+	for ; end <= 128 && end-kbits < W; s, end = s+1, end+kbits {
+		dst[s] = int(lo >> uint((128-end)&63) & mask)
+	}
+	if end-kbits < W {
+		dst[s] = int(lo << uint((end-128)&63) & mask)
 	}
 }
 

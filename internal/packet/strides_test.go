@@ -5,13 +5,15 @@ import (
 	"testing"
 )
 
-// StridesInto is the batched fast path of Stride; the two must agree bit
-// for bit for every stride width and random key.
+// StridesInto is the batched fast path of Stride, in a Key and a Header
+// form; all three must agree bit for bit for every stride width and random
+// key. Widths past 8 are not engine strides but exercise the straddling
+// and past-bit-127 stages of the extractor.
 func TestStridesIntoMatchesStride(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for kbits := 1; kbits <= 8; kbits++ {
+	for kbits := 1; kbits <= 64; kbits++ {
 		stages := NumStrides(kbits)
-		addrs := make([]int, stages)
+		addrs, fromHeader := make([]int, stages), make([]int, stages)
 		for trial := 0; trial < 200; trial++ {
 			h := Header{
 				SIP:   rng.Uint32(),
@@ -22,10 +24,11 @@ func TestStridesIntoMatchesStride(t *testing.T) {
 			}
 			key := h.Key()
 			key.StridesInto(kbits, addrs)
+			h.StridesInto(kbits, fromHeader)
 			for s := 0; s < stages; s++ {
-				if want := key.Stride(s*kbits, kbits); addrs[s] != want {
-					t.Fatalf("k=%d stage %d: StridesInto=%d Stride=%d for %s",
-						kbits, s, addrs[s], want, h)
+				if want := key.Stride(s*kbits, kbits); addrs[s] != want || fromHeader[s] != want {
+					t.Fatalf("k=%d stage %d: Key.StridesInto=%d Header.StridesInto=%d Stride=%d for %s",
+						kbits, s, addrs[s], fromHeader[s], want, h)
 				}
 			}
 		}

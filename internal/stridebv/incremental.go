@@ -3,7 +3,6 @@ package stridebv
 import (
 	"fmt"
 
-	"pktclass/internal/bitvec"
 	"pktclass/internal/ruleset"
 )
 
@@ -13,19 +12,19 @@ import (
 // (Section III-A: reprogramming one entry writes one bit slice in each
 // affected stage memory), made safe for a live serving engine.
 //
-// The returned engine shares every stage vector the deltas did not change
-// with the receiver — only vectors where some touched entry's bit actually
-// flips are copied before the single-bit write, and stages whose stride
-// condition is unchanged between the old and new entry are skipped without
-// inspection of their 2^k vectors. The receiver keeps serving concurrent
-// readers unmodified throughout; the caller publishes the returned engine
-// with an atomic pointer store, the software analogue of the hardware
-// completing a write behind the search path.
+// The returned engine shares every stage block the deltas did not change
+// with the receiver — a stage is copied, once and whole (2^k·ceil(Ne/64)
+// words), only when some touched entry's bit actually flips in it; a stage
+// whose stride condition is unchanged between the old and new entry is
+// read and left shared. The receiver keeps serving concurrent readers
+// unmodified throughout; the caller publishes the returned engine with an
+// atomic pointer store, the software analogue of the hardware completing a
+// write behind the search path.
 //
-// The child engine records which vectors still alias the receiver
-// (sharedVec/sharedTab), so later in-place writes on it — UpdateEntry,
-// InvalidateEntry, another ApplyDeltas — un-alias before mutating instead
-// of punching through into the receiver's storage.
+// The child engine records which stages still alias the receiver (shared),
+// so later in-place writes on it — UpdateEntry, InvalidateEntry, another
+// ApplyDeltas — un-alias before mutating instead of punching through into
+// the receiver's storage.
 //
 // rules[i] names the entry (== rule, see below) replaced by entries[i];
 // later deltas win when indices repeat. ApplyDeltas requires the 1:1
@@ -44,62 +43,32 @@ func (e *Engine) ApplyDeltas(rules []int, entries []ruleset.Ternary) (*Engine, e
 			return nil, fmt.Errorf("stridebv: delta entry %d out of range [0,%d)", j, e.ne)
 		}
 	}
-	n := &Engine{
-		ex: &ruleset.Expanded{
-			Entries:  append([]ruleset.Ternary(nil), e.ex.Entries...),
-			Parent:   e.ex.Parent,
-			NumRules: e.ex.NumRules,
-		},
-		k:           e.k,
-		stages:      e.stages,
-		ne:          e.ne,
-		sumBits:     e.sumBits,
-		ownsEntries: true,
-		// Same dimensions, so the recycled lookup workspaces are
-		// interchangeable: sharing the pool keeps it warm across swaps.
-		scratch: e.scratch,
+	// The child starts as a copy of the receiver: same geometry, same walk
+	// order until reorder below, and the same scratch pool — the recycled
+	// lookup workspaces are interchangeable, so sharing keeps them warm
+	// across swaps.
+	n := *e
+	n.ex = &ruleset.Expanded{
+		Entries:  append([]ruleset.Ternary(nil), e.ex.Entries...),
+		Parent:   e.ex.Parent,
+		NumRules: e.ex.NumRules,
 	}
-	// Stage tables (and their summaries) start fully shared; setBit clones a
-	// table shallowly — vector headers only — the first time one of its
-	// vectors needs replacing, and clones a vector the first time its bits
-	// actually change.
-	n.mem = make([][]bitvec.Vector, n.stages)
-	//pclass:allow-cow copying table headers into the child's just-made outer table; the shared inner vectors stay read-only until setBit detaches them
-	copy(n.mem, e.mem)
-	n.sum = make([][]bitvec.Vector, n.stages)
-	//pclass:allow-cow copying table headers into the child's just-made outer table; the shared inner vectors stay read-only until setBit detaches them
-	copy(n.sum, e.sum)
-	n.sharedTab = make([]bool, n.stages)
-	n.sharedVec = make([][]bool, n.stages)
-	for s := range n.sharedVec {
-		n.sharedTab[s] = true
-		n.sharedVec[s] = make([]bool, len(n.mem[s]))
-		for c := range n.sharedVec[s] {
-			n.sharedVec[s][c] = true
-		}
+	n.ownsEntries = true
+	// Every stage starts shared: the child gets its own block headers (so
+	// setBit can repoint one stage without the parent seeing it) over the
+	// parent's blocks, which stay read-only until setBit detaches them.
+	n.blk = append([][]uint64(nil), e.blk...)
+	n.sum = append([][]uint64(nil), e.sum...)
+	n.ones = append([]int(nil), e.ones...)
+	n.shared = make([]bool, n.stages)
+	for s := range n.shared {
+		n.shared[s] = true
 	}
 	for i, j := range rules {
-		old := n.ex.Entries[j]
 		//pclass:allow-mutate the entry table is a private copy made above
 		n.ex.Entries[j] = entries[i]
-		n.applyDelta(j, old, entries[i])
+		n.writeEntry(j, entries[i])
 	}
-	return n, nil
-}
-
-// applyDelta flips entry j's bit in the stage vectors whose compatibility
-// with j changed between old and entry. setBit handles the un-aliasing:
-// a vector still shared with the parent is copied before its single-bit
-// flip; one this ApplyDeltas batch already copied is written in place.
-func (n *Engine) applyDelta(j int, old, entry ruleset.Ternary) {
-	for s := 0; s < n.stages; s++ {
-		if stageEqual(old, entry, s*n.k, n.k) {
-			// The stride condition is unchanged: every vector's bit j is
-			// already correct.
-			continue
-		}
-		for c := range n.mem[s] {
-			n.setBit(s, c, j, n.compatible(entry, s, c))
-		}
-	}
+	n.reorder()
+	return &n, nil
 }

@@ -1,6 +1,7 @@
 package stridebv
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -74,38 +75,98 @@ func TestApplyDeltasLeavesReceiverUntouched(t *testing.T) {
 	}
 }
 
-// TestApplyDeltasSharesUntouchedVectors pins the copy-on-write contract:
-// only vectors a delta actually flips may be reallocated; a vector the
-// delta leaves alone must alias the parent engine's storage.
-func TestApplyDeltasSharesUntouchedVectors(t *testing.T) {
-	e, _, rules, entries := deltaFixture(t, 64, 4, 17)
-	updated, err := e.ApplyDeltas(rules, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared := 0
-	for s := 0; s < e.Stages(); s++ {
-		for c := 0; c < 1<<uint(e.Stride()); c++ {
-			if updated.StageVector(s, c).SharesStorage(e.StageVector(s, c)) {
-				shared++
+// sharedStages reports, per stage, whether every row of a's stage block
+// aliases b's (true), none does (false), or fails the test on a mix —
+// copy-on-write detaches whole stage blocks, never single rows.
+func sharedStages(t *testing.T, a, b *Engine) []bool {
+	t.Helper()
+	out := make([]bool, a.Stages())
+	for s := range out {
+		out[s] = a.StageVector(s, 0).SharesStorage(b.StageVector(s, 0))
+		for c := 1; c < 1<<uint(a.Stride()); c++ {
+			if a.StageVector(s, c).SharesStorage(b.StageVector(s, c)) != out[s] {
+				t.Fatalf("stage %d is half shared: row %d disagrees with row 0", s, c)
 			}
 		}
 	}
-	if shared == 0 {
-		t.Fatal("no stage vector shared with the parent: ApplyDeltas deep-copied the engine")
+	return out
+}
+
+// rewriteByte returns entry with key byte i made exact-match on a value the
+// old entry did not have there, so precisely the stages covering bits
+// [8i, 8i+8) change their stride condition.
+func rewriteByte(entry ruleset.Ternary, i int) ruleset.Ternary {
+	entry.Mask[i] = 0xff
+	entry.Value[i] ^= 0x5a // flips bits in both nibbles
+	return entry
+}
+
+// TestApplyDeltasSharesUntouchedStages pins the copy-on-write contract at
+// its granularity, the stage block: a stage some delta flips a bit in is
+// copied whole, a stage the deltas leave alone still aliases the parent's
+// block, and nothing a descendant writes ever shows in an ancestor.
+func TestApplyDeltasSharesUntouchedStages(t *testing.T) {
+	e, _, _, _ := deltaFixture(t, 64, 4, 17)
+	k := e.Stride()
+	covers := func(s, keyByte int) bool { return s*k < 8*keyByte+8 && s*k+k > 8*keyByte }
+	snapE := snapshotMem(e)
+
+	// Child: entry 7's protocol byte (key byte 12, the last two stages).
+	child, err := e.ApplyDeltas([]int{7}, []ruleset.Ternary{rewriteByte(e.Expanded().Entries[7], 12)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, shared := range sharedStages(t, child, e) {
+		if want := !covers(s, 12); shared != want {
+			t.Fatalf("child stage %d shared with parent = %v, want %v", s, shared, want)
+		}
+	}
+	snapChild := snapshotMem(child)
+
+	// Grandchild: entry 9's first SIP byte (the first two stages). It must
+	// detach those from the child, keep the child's own protocol stages
+	// shared with the child (not the grandparent), and keep the rest shared
+	// all the way up.
+	grand, err := child.ApplyDeltas([]int{9}, []ruleset.Ternary{rewriteByte(child.Expanded().Entries[9], 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withChild, withE := sharedStages(t, grand, child), sharedStages(t, grand, e)
+	for s := range withChild {
+		if want := !covers(s, 0); withChild[s] != want {
+			t.Fatalf("grandchild stage %d shared with child = %v, want %v", s, withChild[s], want)
+		}
+		if want := !covers(s, 0) && !covers(s, 12); withE[s] != want {
+			t.Fatalf("grandchild stage %d shared with grandparent = %v, want %v", s, withE[s], want)
+		}
+	}
+
+	// An in-place write on the grandchild clears a bit in every stage, so
+	// every block is detached first and neither ancestor moves.
+	if err := grand.InvalidateEntry(11); err != nil {
+		t.Fatal(err)
+	}
+	for s, shared := range sharedStages(t, grand, child) {
+		if shared {
+			t.Fatalf("stage %d still aliases the parent after an in-place write", s)
+		}
+	}
+	if s, c := diffMem(e, snapE); s >= 0 {
+		t.Fatalf("descendant write leaked into grandparent at (stage=%d, value=%d)", s, c)
+	}
+	if s, c := diffMem(child, snapChild); s >= 0 {
+		t.Fatalf("descendant write leaked into parent at (stage=%d, value=%d)", s, c)
 	}
 
 	// The degenerate delta — replace an entry with its current value —
-	// flips no bits anywhere, so every vector must stay shared.
+	// flips no bits anywhere, so every stage must stay shared.
 	self, err := e.ApplyDeltas([]int{3}, []ruleset.Ternary{e.Expanded().Entries[3]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s := 0; s < e.Stages(); s++ {
-		for c := 0; c < 1<<uint(e.Stride()); c++ {
-			if !self.StageVector(s, c).SharesStorage(e.StageVector(s, c)) {
-				t.Fatalf("self-replacement cloned vector (stage %d, value %d)", s, c)
-			}
+	for s, shared := range sharedStages(t, self, e) {
+		if !shared {
+			t.Fatalf("self-replacement cloned stage %d", s)
 		}
 	}
 }
@@ -171,4 +232,69 @@ func BenchmarkStrideBVApplyDeltas8(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// checkWalkOrder asserts the derived walk state of e: ones[s] is exactly
+// the population of stage s, and order is a permutation of the stages,
+// sparsest first when sorted is set (in-place updates leave it stale).
+func checkWalkOrder(t *testing.T, e *Engine, sorted bool) {
+	t.Helper()
+	seen := make([]bool, e.Stages())
+	for p, s := range e.order {
+		if seen[s] {
+			t.Fatalf("stage %d appears twice in the walk order %v", s, e.order)
+		}
+		seen[s] = true
+		if sorted && p > 0 && e.ones[e.order[p-1]] > e.ones[s] {
+			t.Fatalf("walk order %v is not sparsest first (populations %v)", e.order, e.ones)
+		}
+	}
+	if len(e.order) != e.Stages() {
+		t.Fatalf("walk order has %d of %d stages", len(e.order), e.Stages())
+	}
+	for s := 0; s < e.Stages(); s++ {
+		n := 0
+		for c := 0; c < 1<<uint(e.Stride()); c++ {
+			n += e.StageVector(s, c).Ones()
+		}
+		if e.ones[s] != n {
+			t.Fatalf("stage %d population %d, counter says %d", s, n, e.ones[s])
+		}
+	}
+}
+
+// The walk order is derived from per-stage populations that setBit keeps
+// current: exact after a build, after a delta batch (with the parent's left
+// alone), after in-place updates and after an image round trip.
+func TestWalkOrderTracksStagePopulations(t *testing.T) {
+	e, _, rules, entries := deltaFixture(t, 200, 6, 31)
+	checkWalkOrder(t, e, true)
+	parentOnes := append([]int(nil), e.ones...)
+	child, err := e.ApplyDeltas(rules, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWalkOrder(t, child, true)
+	checkWalkOrder(t, e, true)
+	for s, n := range parentOnes {
+		if e.ones[s] != n {
+			t.Fatalf("ApplyDeltas moved the parent's stage %d population", s)
+		}
+	}
+	if err := child.InvalidateEntry(rules[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := child.UpdateEntry(5, entries[1]); err != nil {
+		t.Fatal(err)
+	}
+	checkWalkOrder(t, child, false)
+	var buf bytes.Buffer
+	if err := child.WriteImage(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadImage(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWalkOrder(t, loaded, true)
 }

@@ -129,7 +129,7 @@ func (p *Pipeline) Step(in []Input) []Output {
 			if f.live {
 				// Stage s memory read at this packet's stride address,
 				// ANDed into the partial result.
-				f.bv.AndWith(p.eng.mem[s][f.key.Stride(s*p.eng.k, p.eng.k)])
+				f.bv.AndWith(p.eng.StageVector(s, f.key.Stride(s*p.eng.k, p.eng.k)))
 			}
 			p.regs[s][port] = f
 		}
@@ -141,7 +141,7 @@ func (p *Pipeline) Step(in []Input) []Output {
 		p.regs[0][port] = flight{}
 		if port < len(in) {
 			v := p.allocBV()
-			v.CopyFrom(p.eng.mem[0][in[port].Key.Stride(0, p.eng.k)])
+			v.CopyFrom(p.eng.StageVector(0, in[port].Key.Stride(0, p.eng.k)))
 			p.regs[0][port] = flight{key: in[port].Key, bv: v, token: in[port].Token, live: true}
 			p.inFlt++
 		}

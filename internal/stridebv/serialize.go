@@ -4,9 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
 
-	"pktclass/internal/bitvec"
 	"pktclass/internal/packet"
 	"pktclass/internal/ruleset"
 )
@@ -44,14 +42,14 @@ func (e *Engine) WriteImage(w io.Writer) error {
 			return err
 		}
 	}
-	word := make([]byte, 8)
-	for s := 0; s < e.stages; s++ {
-		for c := 0; c < 1<<uint(e.k); c++ {
-			for _, wv := range e.mem[s][c].Words() {
-				binary.LittleEndian.PutUint64(word, wv)
-				if _, err := w.Write(word); err != nil {
-					return err
-				}
+	row := make([]byte, 8*e.words)
+	for _, blk := range e.blk {
+		for ; len(blk) > 0; blk = blk[e.words:] {
+			for i, wv := range blk[:e.words] {
+				binary.LittleEndian.PutUint64(row[8*i:], wv)
+			}
+			if _, err := w.Write(row); err != nil {
+				return err
 			}
 		}
 	}
@@ -101,37 +99,26 @@ func ReadImage(r io.Reader) (*Engine, error) {
 		//pclass:allow-mutate filling a freshly decoded, not-yet-shared expansion
 		ex.Parent[i] = p
 	}
-	e := &Engine{ex: ex, k: k, stages: stages, ne: ne, scratch: new(sync.Pool)}
-	e.mem = make([][]bitvec.Vector, stages)
-	word := make([]byte, 8)
-	for s := 0; s < stages; s++ {
-		//pclass:allow-cow decoding into a just-made table; e is unpublished, nothing aliases it yet
-		e.mem[s] = make([]bitvec.Vector, 1<<uint(k))
-		for c := range e.mem[s] {
-			v := bitvec.New(ne)
-			words := v.Words()
-			for wi := range words {
-				if _, err := io.ReadFull(r, word); err != nil {
-					return nil, fmt.Errorf("stridebv: truncated stage memory: %w", err)
-				}
-				words[wi] = binary.LittleEndian.Uint64(word)
-			}
-			//pclass:allow-cow decoding into a just-made table; e is unpublished, nothing aliases it yet
-			e.mem[s][c] = v
-		}
-	}
+	e := newEngine(ex, k, ne)
 	// Tail-word hygiene: stored images must not set bits past ne (a
-	// corrupt tail would let FirstSet return an out-of-range entry).
-	if rem := uint(ne % 64); rem != 0 {
-		for s := range e.mem {
-			for c := range e.mem[s] {
-				words := e.mem[s][c].Words()
-				if words[len(words)-1]>>rem != 0 {
-					return nil, fmt.Errorf("stridebv: image has bits beyond ne")
-				}
+	// corrupt tail would let the walker return an out-of-range entry).
+	tail := uint(ne % 64)
+	row := make([]byte, 8*e.words)
+	blks := e.makeBlocks(e.words)
+	for _, blk := range blks {
+		for ; len(blk) > 0; blk = blk[e.words:] {
+			if _, err := io.ReadFull(r, row); err != nil {
+				return nil, fmt.Errorf("stridebv: truncated stage memory: %w", err)
+			}
+			for i := range blk[:e.words] {
+				blk[i] = binary.LittleEndian.Uint64(row[8*i:])
+			}
+			if tail != 0 && blk[e.words-1]>>tail != 0 {
+				return nil, fmt.Errorf("stridebv: image has bits beyond ne")
 			}
 		}
 	}
-	e.initSummaries()
+	e.blk = blks
+	e.RefreshSummaries()
 	return e, nil
 }

@@ -20,6 +20,7 @@ package stridebv
 import (
 	"fmt"
 	"math/bits"
+	"sort"
 	"sync"
 
 	"pktclass/internal/bitvec"
@@ -34,51 +35,61 @@ type Engine struct {
 	k      int
 	stages int
 	ne     int
-	// mem[s][c] is the Ne-bit vector for stride value c at stage s. A
-	// delta-derived engine (ApplyDeltas) shares vectors and inner tables
-	// with its parent until setBit detaches them.
+	// words is the length of one stage row — the Ne-bit vector one stride
+	// value addresses — in 64-bit words, sumWords the length of its summary.
+	words, sumWords int
+	// blk[s] is stage s's whole memory, 2^k rows of words words each:
+	// blk[s][c·words+w] is word w of the vector for stride value c. Rows are
+	// contiguous, so the words a lookup reads from one stage stream
+	// sequentially. A delta-derived engine (ApplyDeltas) shares a stage's
+	// block with its parent until setBit detaches it.
 	//
 	//pclass:cow
-	mem [][]bitvec.Vector
-	// sum[s][c] is the word-level summary of mem[s][c]: bit w is set iff
-	// 64-bit word w of the stage vector is nonzero. ANDing the summaries
-	// along a header's path yields the candidate words the full AND can
-	// possibly survive in, so classification skips all-zero words and its
-	// cost tracks the population near the match, not Ne. sumBits is the
-	// summary width (the stage vectors' word count). Aliased with a delta
-	// parent exactly like mem.
+	blk [][]uint64
+	// sum[s] is the word-level summary of blk[s], laid out the same way:
+	// bit w of row c (sum[s][c·sumWords+w/64], bit w%64) is set iff word w of
+	// the stage row is nonzero. ANDing the summaries along a header's path
+	// yields the candidate words the full AND can possibly survive in, so
+	// classification skips all-zero words and its cost tracks the population
+	// near the match, not Ne. Aliased with a delta parent exactly like blk.
 	//
 	//pclass:cow
-	sum     [][]bitvec.Vector
-	sumBits int
+	sum [][]uint64
+	// shared[s] means blk[s] and sum[s] still alias the engine this one was
+	// delta-derived from (ApplyDeltas); nil for engines built from scratch.
+	// setBit clones the stage's blocks before the first in-place write, so a
+	// delta child can never mutate state a concurrent reader of the parent
+	// still holds.
+	shared []bool
+	// ones[s] counts the set bits of blk[s], kept current by setBit; order
+	// lists the stages sparsest first — the order the lookup ANDs them in.
+	// AND commutes, so any order gives the same answer; probing the most
+	// selective stages first is what lets a candidate word die after a load
+	// or two wherever in the tuple the ruleset's selective bits sit (the
+	// leading SIP bits of a firewall set, the DIP and port bits of a
+	// prefix-only one). A delta child copies ones; order is replaced whole
+	// by reorder and never written in place, so it can stay shared.
+	ones, order []int
 	// ownsEntries is set once the engine has copied ex away from the
 	// caller's Expanded (copy-on-first-update; see UpdateEntry).
 	ownsEntries bool
-	// sharedVec/sharedTab track storage still aliased with the engine this
-	// one was delta-derived from (ApplyDeltas). sharedVec[s][c] means
-	// mem[s][c] and sum[s][c] alias the parent's vectors; sharedTab[s]
-	// means the inner mem[s]/sum[s] tables are the parent's slices. Both
-	// are nil for engines built from scratch. setBit un-aliases (clones)
-	// before any in-place write, so a delta child can never mutate state a
-	// concurrent reader of the parent still holds.
-	sharedVec [][]bool
-	sharedTab []bool
-	// scratch recycles per-goroutine lookup state (partial-result vector
-	// plus precomputed stage addresses) so the classification fast path
-	// allocates nothing in steady state. It is held by pointer so a
+	// scratch recycles per-goroutine lookup state so the classification fast
+	// path allocates nothing in steady state. It is held by pointer so a
 	// delta-derived engine (ApplyDeltas) shares the pool with its parent:
 	// the dimensions are identical and the warm workspaces survive swaps.
 	scratch *sync.Pool
 }
 
 // scratchState is one goroutine's reusable lookup workspace, recycled
-// through the engine's pool.
+// through the engine's pool: a packet's stage addresses, the candidate
+// words left to walk (the AND of the addressed rows' summaries) and, for
+// matchInto only, the full result vector.
 //
 //pclass:pooled
 type scratchState struct {
-	acc   bitvec.Vector
-	sum   bitvec.Vector
 	addrs []int
+	sum   []uint64
+	acc   bitvec.Vector
 }
 
 // MinStride and MaxStride bound supported stride lengths. The paper uses 3
@@ -89,6 +100,13 @@ const (
 	MaxStride = 8
 )
 
+// leadStages is how many stages (the sparsest ones, see Engine.order) the
+// word walker ANDs before it first tests the partial result. Nearly every
+// candidate word dies within them, which turns the "word died" branch from
+// a coin flip per stage into one predictable branch per candidate. Every
+// supported stride has more stages than this (ceil(W/MaxStride) = 13).
+const leadStages = 4
+
 // New builds a StrideBV engine with stride k over the expanded ruleset.
 func New(ex *ruleset.Expanded, k int) (*Engine, error) {
 	if k < MinStride || k > MaxStride {
@@ -97,27 +115,38 @@ func New(ex *ruleset.Expanded, k int) (*Engine, error) {
 	if ex.Len() == 0 {
 		return nil, fmt.Errorf("stridebv: empty ruleset")
 	}
-	e := &Engine{
-		ex:      ex,
-		k:       k,
-		stages:  packet.NumStrides(k),
-		ne:      ex.Len(),
-		scratch: new(sync.Pool),
-	}
-	e.mem = make([][]bitvec.Vector, e.stages)
-	for s := range e.mem {
-		//pclass:allow-cow populating a just-made table; e is unpublished, nothing aliases it yet
-		e.mem[s] = make([]bitvec.Vector, 1<<uint(k))
-		for c := range e.mem[s] {
-			//pclass:allow-cow populating a just-made table; e is unpublished, nothing aliases it yet
-			e.mem[s][c] = bitvec.New(e.ne)
-		}
-	}
+	e := newEngine(ex, k, ex.Len())
+	e.blk, e.sum, e.ones = e.makeBlocks(e.words), e.makeBlocks(e.sumWords), make([]int, e.stages)
 	for j, entry := range ex.Entries {
 		e.writeEntry(j, entry)
 	}
-	e.initSummaries()
+	e.reorder()
 	return e, nil
+}
+
+// newEngine returns an engine of the given geometry, its stage memory still
+// to be attached.
+func newEngine(ex *ruleset.Expanded, k, ne int) *Engine {
+	words := (ne + 63) / 64
+	return &Engine{
+		ex:       ex,
+		k:        k,
+		stages:   packet.NumStrides(k),
+		ne:       ne,
+		words:    words,
+		sumWords: (words + 63) / 64,
+		scratch:  new(sync.Pool),
+	}
+}
+
+// makeBlocks allocates one zeroed block per stage: 2^k rows of rowWords
+// words.
+func (e *Engine) makeBlocks(rowWords int) [][]uint64 {
+	b := make([][]uint64, e.stages)
+	for s := range b {
+		b[s] = make([]uint64, rowWords<<uint(e.k))
+	}
+	return b
 }
 
 // getScratch returns a recycled (or, on first use per goroutine, fresh)
@@ -129,9 +158,9 @@ func (e *Engine) getScratch() *scratchState {
 		return sc
 	}
 	return &scratchState{
-		acc:   bitvec.New(e.ne),
-		sum:   bitvec.New(e.sumBits),
 		addrs: make([]int, e.stages),
+		sum:   make([]uint64, e.sumWords),
+		acc:   bitvec.New(e.ne),
 	}
 }
 
@@ -144,98 +173,94 @@ func (e *Engine) putScratch(sc *scratchState) { e.scratch.Put(sc) }
 // NewFSBV builds the k=1 Field-Split Bit Vector engine.
 func NewFSBV(ex *ruleset.Expanded) (*Engine, error) { return New(ex, 1) }
 
-// initSummaries (re)derives the word-level summary vectors from the stage
-// memories. Called once construction or image load has populated mem; see
-// RefreshSummaries for the exported form.
-func (e *Engine) initSummaries() {
-	e.sumBits = (e.ne + 63) / 64
-	e.sum = make([][]bitvec.Vector, e.stages)
-	for s := range e.sum {
-		//pclass:allow-cow rebuilding the summary into a just-made table no snapshot can hold
-		e.sum[s] = make([]bitvec.Vector, len(e.mem[s]))
-		for c := range e.sum[s] {
-			sv := bitvec.New(e.sumBits)
-			for w, word := range e.mem[s][c].Words() {
-				sv.SetTo(w, word != 0)
+// RefreshSummaries recomputes the state derived from the stage memories:
+// the word-level summary index, the stage populations and the walk order.
+// None of it exists in hardware, so code that mutates stage memory directly
+// through StageVector (fault injection, scrub tooling) must refresh before
+// classifying; the supported mutation paths (UpdateEntry, InvalidateEntry,
+// ApplyDeltas) maintain it incrementally. The summaries are rebuilt into
+// fresh blocks, never in place, so a delta parent's are left alone.
+func (e *Engine) RefreshSummaries() {
+	sum, ones := e.makeBlocks(e.sumWords), make([]int, e.stages)
+	for s, blk := range e.blk {
+		for i, word := range blk {
+			if word != 0 {
+				c, w := i/e.words, i%e.words
+				sum[s][c*e.sumWords+w>>6] |= 1 << uint(w&63)
+				ones[s] += bits.OnesCount64(word)
 			}
-			//pclass:allow-cow rebuilding the summary into a just-made table no snapshot can hold
-			e.sum[s][c] = sv
 		}
 	}
+	e.sum, e.ones = sum, ones
+	e.reorder()
 }
 
-// RefreshSummaries recomputes the word-level summary index from the stage
-// memories. The summaries are derived software state — hardware has no
-// such structure — so code that mutates stage memory directly through
-// StageVector (fault injection, scrub tooling) must refresh them before
-// classifying; the supported mutation paths (UpdateEntry, InvalidateEntry,
-// ApplyDeltas) maintain them incrementally.
-func (e *Engine) RefreshSummaries() { e.initSummaries() }
+// reorder re-sorts the walk order by the current stage populations. New,
+// RefreshSummaries (so ReadImage) and ApplyDeltas end with it; the in-place
+// UpdateEntry does not — a stale order costs a few extra loads per lookup,
+// never a wrong answer, and one entry cannot move a stage's population far.
+func (e *Engine) reorder() {
+	order := make([]int, e.stages)
+	for s := range order {
+		order[s] = s
+	}
+	sort.SliceStable(order, func(a, b int) bool { return e.ones[order[a]] < e.ones[order[b]] })
+	e.order = order
+}
 
-// setBit is the single mutation point for stage memory: it un-aliases any
-// storage still shared with a delta parent (vector clone, plus a shallow
-// inner-table clone the first time a stage is touched) before writing, and
-// keeps the word-level summary consistent with the written word. This is
-// the function the PR-7 aliased-write fix funnelled every write through —
-// cowwrite enforces that nothing grows a second write path.
+// setBit is the single mutation point for stage memory: it un-aliases a
+// stage's blocks while they are still shared with a delta parent before
+// writing, and keeps the word-level summary and the stage population
+// consistent with the written word. This is the function the PR-7
+// aliased-write fix funnelled every write through — cowwrite enforces that
+// nothing grows a second write path.
 //
 //pclass:cow-mutator
 func (e *Engine) setBit(s, c, j int, want bool) {
-	v := e.mem[s][c]
-	if v.Get(j) == want {
+	w := j >> 6
+	i, bit := c*e.words+w, uint64(1)<<uint(j&63)
+	if (e.blk[s][i]&bit != 0) == want {
 		return
 	}
-	if e.sharedVec != nil && e.sharedVec[s][c] {
-		if e.sharedTab[s] {
-			e.mem[s] = append([]bitvec.Vector(nil), e.mem[s]...)
-			e.sum[s] = append([]bitvec.Vector(nil), e.sum[s]...)
-			e.sharedTab[s] = false
-		}
-		v = v.Clone()
-		e.mem[s][c] = v
-		e.sum[s][c] = e.sum[s][c].Clone()
-		e.sharedVec[s][c] = false
+	if e.shared != nil && e.shared[s] {
+		e.blk[s] = append([]uint64(nil), e.blk[s]...)
+		e.sum[s] = append([]uint64(nil), e.sum[s]...)
+		e.shared[s] = false
 	}
-	v.SetTo(j, want)
-	if e.sum != nil {
-		w := j >> 6
-		e.sum[s][c].SetTo(w, v.Words()[w] != 0)
+	e.blk[s][i] ^= bit
+	if want {
+		e.ones[s]++
+	} else {
+		e.ones[s]--
+	}
+	si, sbit := c*e.sumWords+w>>6, uint64(1)<<uint(w&63)
+	if e.blk[s][i] != 0 {
+		e.sum[s][si] |= sbit
+	} else {
+		e.sum[s][si] &^= sbit
 	}
 }
 
-// writeEntry sets entry j's bit in every compatible (stage, value) vector.
-// The write restores entry j's whole column from scratch, which is what
-// makes it double as the fault-scrub repair primitive.
+// writeEntry rewrites entry j's whole bit column: in every stage, bit j of
+// row c is set iff stride value c is compatible with the entry there. The
+// entry's care and value strides are derived once per stage, so each row
+// costs one compare: c matches iff it agrees with the value on every cared
+// bit. Bits past W (final-stage padding) are cared about and zero — they
+// only match the zero padding the header side generates — and an
+// invalidated entry is compatible with nothing. Rewriting from scratch is
+// what makes this double as the fault-scrub repair primitive; bits that are
+// already right are left alone, so a stage the write does not change is
+// never detached from a delta parent.
 func (e *Engine) writeEntry(j int, entry ruleset.Ternary) {
+	var care, val [packet.W]int
+	entry.Mask.StridesInto(e.k, care[:])
+	entry.Value.StridesInto(e.k, val[:])
+	care[e.stages-1] |= 1<<uint(e.stages*e.k-packet.W) - 1
 	for s := 0; s < e.stages; s++ {
 		for c := 0; c < 1<<uint(e.k); c++ {
-			e.setBit(s, c, j, e.compatible(entry, s, c))
+			e.setBit(s, c, j, !entry.Invalid && (c^val[s])&care[s] == 0)
 		}
 	}
-}
-
-// compatible reports whether stride value c at stage s can match entry.
-// Bits past W (final-stage padding) only match the zero padding the header
-// side generates. An invalidated entry is compatible with nothing.
-func (e *Engine) compatible(entry ruleset.Ternary, s, c int) bool {
-	if entry.Invalid {
-		return false
-	}
-	for b := 0; b < e.k; b++ {
-		i := s*e.k + b
-		cbit := c >> uint(e.k-1-b) & 1
-		if i >= packet.W {
-			// Header stride padding is always 0.
-			if cbit != 0 {
-				return false
-			}
-			continue
-		}
-		if entry.Mask.Bit(i) == 1 && entry.Value.Bit(i) != cbit {
-			return false
-		}
-	}
-	return true
 }
 
 // Name identifies the engine, including its stride.
@@ -263,68 +288,97 @@ func (e *Engine) MemoryBits() int { return e.stages * (1 << uint(e.k)) * e.ne }
 // (Classify, ClassifyBatch) uses the recycled-scratch equivalent instead.
 func (e *Engine) MatchVector(key packet.Key) bitvec.Vector {
 	sc := e.getScratch()
-	v := e.matchInto(key, sc).Clone()
+	key.StridesInto(e.k, sc.addrs)
+	v := e.matchInto(sc).Clone()
 	e.putScratch(sc)
 	return v
 }
 
-// matchInto computes the full match vector into sc.acc and returns it. The
-// stage stride addresses are extracted once up front, then the word-level
-// summaries along the path are ANDed first (one summary word covers 4096
-// entries): only words the summary AND keeps can be nonzero in the final
-// result, so the per-stage AND runs word-by-word over the survivors with an
-// early break the moment a word dies. Everything else is zero-filled
-// without touching stage memory.
+// candidates ANDs the summaries of the rows sc.addrs selects into sc.sum:
+// the candidate words, the only ones that can be nonzero in the final
+// result (one summary word covers 4096 entries).
 //
 //pclass:hotpath
-func (e *Engine) matchInto(key packet.Key, sc *scratchState) bitvec.Vector {
-	key.StridesInto(e.k, sc.addrs)
-	addrs := sc.addrs
-	sum := sc.sum
-	sum.CopyFrom(e.sum[0][addrs[0]])
-	for s := 1; s < e.stages; s++ {
-		sum.AndWith(e.sum[s][addrs[s]])
+func (e *Engine) candidates(sc *scratchState) {
+	sums, sw := e.sum, e.sumWords
+	for i := range sc.sum {
+		cand := ^uint64(0)
+		for s, c := range sc.addrs {
+			cand &= sums[s][c*sw+i]
+		}
+		sc.sum[i] = cand
 	}
-	acc := sc.acc
-	accW := acc.Words()
+}
+
+// nextMatch is the one summary-guided word walker every lookup shares. It
+// takes the next candidates off sc.sum, in ascending order, until one
+// survives the AND of every addressed stage row, and returns that word's
+// index and value — or (-1, 0) once the candidates are spent. Only
+// candidate words are ever read, in e.order: the leadStages sparsest rows
+// unconditionally, the rest with an early break the moment the word dies.
+//
+//pclass:hotpath
+func (e *Engine) nextMatch(sc *scratchState) (int, uint64) {
+	blk, addrs, n, order := e.blk, sc.addrs, e.words, e.order
+	// The leadStages rows, as equal-length slices: one bounds check on b0
+	// covers all four loads.
+	b0 := blk[order[0]][addrs[order[0]]*n:][:n]
+	b1 := blk[order[1]][addrs[order[1]]*n:][:len(b0)]
+	b2 := blk[order[2]][addrs[order[2]]*n:][:len(b0)]
+	b3 := blk[order[3]][addrs[order[3]]*n:][:len(b0)]
+	order = order[leadStages:]
+	for i, cand := range sc.sum {
+		for ; cand != 0; cand &= cand - 1 {
+			w := i<<6 + bits.TrailingZeros64(cand)
+			word := b0[w] & b1[w] & b2[w] & b3[w]
+			if word == 0 {
+				continue
+			}
+			for p := 0; word != 0 && p < len(order); p++ {
+				s := order[p]
+				word &= blk[s][addrs[s]*n+w]
+			}
+			if word != 0 {
+				sc.sum[i] = cand & (cand - 1)
+				return w, word
+			}
+		}
+		sc.sum[i] = 0
+	}
+	return -1, 0
+}
+
+// matchInto computes the full match vector for the strides in sc.addrs into
+// sc.acc and returns it: surviving words come from the walker, everything
+// else is zero-filled without touching stage memory.
+//
+//pclass:hotpath
+func (e *Engine) matchInto(sc *scratchState) bitvec.Vector {
+	e.candidates(sc)
+	accW := sc.acc.Words()
 	for w := range accW {
 		accW[w] = 0
 	}
-	for w := sum.FirstSet(); w >= 0; w = sum.NextSet(w + 1) {
-		word := e.mem[0][addrs[0]].Words()[w]
-		for s := 1; s < e.stages && word != 0; s++ {
-			word &= e.mem[s][addrs[s]].Words()[w]
-		}
+	for w, word := e.nextMatch(sc); w >= 0; w, word = e.nextMatch(sc) {
 		accW[w] = word
 	}
-	return acc
+	return sc.acc
 }
 
-// firstMatch returns the first surviving entry for a key, or -1 — the
-// priority-encoder output. It shares matchInto's summary-guided word walk
-// but additionally stops at the first nonzero result word: words are
-// visited in ascending entry order, so the first survivor word holds the
-// highest-priority match and nothing after it can win.
+// firstMatch returns the first surviving entry for a header, or -1 — the
+// priority-encoder output. Words are walked in ascending entry order, so
+// the first survivor word holds the highest-priority match and nothing
+// after it can win.
 //
 //pclass:hotpath
-func (e *Engine) firstMatch(key packet.Key, sc *scratchState) int {
-	key.StridesInto(e.k, sc.addrs)
-	addrs := sc.addrs
-	sum := sc.sum
-	sum.CopyFrom(e.sum[0][addrs[0]])
-	for s := 1; s < e.stages; s++ {
-		sum.AndWith(e.sum[s][addrs[s]])
+func (e *Engine) firstMatch(h packet.Header, sc *scratchState) int {
+	h.StridesInto(e.k, sc.addrs)
+	e.candidates(sc)
+	w, word := e.nextMatch(sc)
+	if w < 0 {
+		return -1
 	}
-	for w := sum.FirstSet(); w >= 0; w = sum.NextSet(w + 1) {
-		word := e.mem[0][addrs[0]].Words()[w]
-		for s := 1; s < e.stages && word != 0; s++ {
-			word &= e.mem[s][addrs[s]].Words()[w]
-		}
-		if word != 0 {
-			return w<<6 + bits.TrailingZeros64(word)
-		}
-	}
-	return -1
+	return w<<6 + bits.TrailingZeros64(word)
 }
 
 // Classify returns the highest-priority matching rule index, or -1.
@@ -332,7 +386,7 @@ func (e *Engine) firstMatch(key packet.Key, sc *scratchState) int {
 //pclass:hotpath
 func (e *Engine) Classify(h packet.Header) int {
 	sc := e.getScratch()
-	entry := e.firstMatch(h.Key(), sc)
+	entry := e.firstMatch(h, sc)
 	e.putScratch(sc)
 	if entry < 0 {
 		return -1
@@ -349,7 +403,7 @@ func (e *Engine) Classify(h packet.Header) int {
 func (e *Engine) ClassifyBatch(hdrs []packet.Header, out []int) {
 	sc := e.getScratch()
 	for i, h := range hdrs {
-		entry := e.firstMatch(h.Key(), sc)
+		entry := e.firstMatch(h, sc)
 		if entry < 0 {
 			out[i] = -1
 		} else {
@@ -362,7 +416,8 @@ func (e *Engine) ClassifyBatch(hdrs []packet.Header, out []int) {
 // MultiMatch returns every matching rule index in priority order.
 func (e *Engine) MultiMatch(h packet.Header) []int {
 	sc := e.getScratch()
-	rules := e.ex.ParentRules(e.matchInto(h.Key(), sc).SetBits())
+	h.StridesInto(e.k, sc.addrs)
+	rules := e.ex.ParentRules(e.matchInto(sc).SetBits())
 	e.putScratch(sc)
 	return rules
 }
@@ -372,7 +427,7 @@ func (e *Engine) MultiMatch(h packet.Header) []int {
 // (no global rebuild required). The write restores entry j's column from
 // scratch — the fault-scrub repair primitive — and allocates nothing in
 // steady state on an engine that owns its storage. On a delta-derived
-// engine (ApplyDeltas) the touched vectors are un-aliased first, so the
+// engine (ApplyDeltas) the touched stages are un-aliased first, so the
 // parent engine that concurrent readers may still hold is never mutated.
 // The engine copies its entry table on the first update, so the caller's
 // Expanded — possibly shared with a reference engine for differential
@@ -381,8 +436,7 @@ func (e *Engine) MultiMatch(h packet.Header) []int {
 //
 // UpdateEntry mutates live stage memory and must not run concurrently with
 // classification; for the publish-after-write variant that is safe under
-// concurrent readers (and skips stages whose stride condition did not
-// change), see ApplyDeltas.
+// concurrent readers, see ApplyDeltas.
 func (e *Engine) UpdateEntry(j int, entry ruleset.Ternary) error {
 	if j < 0 || j >= e.ne {
 		return fmt.Errorf("stridebv: entry %d out of range [0,%d)", j, e.ne)
@@ -392,26 +446,6 @@ func (e *Engine) UpdateEntry(j int, entry ruleset.Ternary) error {
 	e.ex.Entries[j] = entry
 	e.writeEntry(j, entry)
 	return nil
-}
-
-// stageEqual reports whether two ternary entries impose the same match
-// condition on the k bits starting at off: equal care masks and equal
-// cared-about values. Bits at or past W never differ (both entries ignore
-// the zero padding). An invalidated entry matches nothing anywhere, so two
-// invalid entries are stage-equal and an invalid/valid pair never is.
-func stageEqual(a, b ruleset.Ternary, off, k int) bool {
-	if a.Invalid || b.Invalid {
-		return a.Invalid == b.Invalid
-	}
-	for i := off; i < off+k && i < packet.W; i++ {
-		if a.Mask.Bit(i) != b.Mask.Bit(i) {
-			return false
-		}
-		if a.Mask.Bit(i) == 1 && a.Value.Bit(i) != b.Value.Bit(i) {
-			return false
-		}
-	}
-	return true
 }
 
 // ensureOwnedEntries detaches the engine's entry table from the Expanded it
@@ -439,11 +473,16 @@ func (e *Engine) InvalidateEntry(j int) error {
 	return e.UpdateEntry(j, ruleset.InvalidTernary())
 }
 
-// StageVector exposes the stored vector at (stage, value) for tests and the
-// hardware-model netlist builder. Mutating it directly bypasses the
-// summary index maintenance — call RefreshSummaries afterwards (see the
-// fault-injection tests).
-func (e *Engine) StageVector(s, c int) bitvec.Vector { return e.mem[s][c] }
+// StageVector exposes the stored vector at (stage, value) — a view of the
+// stage block's row, not a copy — and is how everything outside the lookup
+// kernel (cycle-accurate pipeline, traced classify, tests, the
+// hardware-model netlist builder) reads stage memory. Mutating it directly
+// bypasses both the copy-on-write detach and the summary maintenance: only
+// do so on an engine that owns its storage, and call RefreshSummaries
+// afterwards (see the fault-injection tests).
+func (e *Engine) StageVector(s, c int) bitvec.Vector {
+	return bitvec.View(e.ne, e.blk[s][c*e.words:(c+1)*e.words])
+}
 
 // Expanded returns the engine's view of the expanded ruleset. Until the
 // first UpdateEntry this is the Expanded the engine was built over; after

@@ -14,6 +14,56 @@ func genSet(t testing.TB, n int, profile ruleset.Profile, seed int64) (*ruleset.
 	return rs, rs.Expand()
 }
 
+// compatible is the bit-probe oracle the word-wise build is checked against:
+// whether stride value c at stage s of a k-bit decomposition can match
+// entry. Bits past W (final-stage padding) only match the zero padding the
+// header side generates; an invalidated entry is compatible with nothing.
+func compatible(entry ruleset.Ternary, k, s, c int) bool {
+	if entry.Invalid {
+		return false
+	}
+	for b := 0; b < k; b++ {
+		i := s*k + b
+		cbit := c >> uint(k-1-b) & 1
+		if i >= packet.W {
+			if cbit != 0 {
+				return false
+			}
+			continue
+		}
+		if entry.Mask.Bit(i) == 1 && entry.Value.Bit(i) != cbit {
+			return false
+		}
+	}
+	return true
+}
+
+// The build derives each (entry, stage) care/value stride once and sets a
+// row's bit by one compare; every stored bit must equal the bit-by-bit
+// oracle, for every stride (k=3,5,6,7 pad the final stage; none of them
+// divides 64).
+func TestBuildMatchesBitProbeOracle(t *testing.T) {
+	_, ex := genSet(t, 70, ruleset.FirewallProfile, 5)
+	//pclass:allow-mutate the fixture's expansion is private to this test
+	ex.Entries[3] = ruleset.InvalidTernary()
+	for k := MinStride; k <= MaxStride; k++ {
+		e, err := New(ex, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < e.Stages(); s++ {
+			for c := 0; c < 1<<uint(k); c++ {
+				v := e.StageVector(s, c)
+				for j, entry := range ex.Entries {
+					if got, want := v.Get(j), compatible(entry, k, s, c); got != want {
+						t.Fatalf("k=%d stage %d value %d entry %d: stored %v, oracle %v", k, s, c, j, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	_, ex := genSet(t, 8, ruleset.PrefixOnly, 1)
 	if _, err := New(ex, 0); err == nil {

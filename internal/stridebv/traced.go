@@ -19,12 +19,12 @@ func (e *Engine) ClassifyTraced(h packet.Header, tr *obsv.PacketTrace) int {
 	}
 	tr.SetEngine(e.Name())
 	sc := e.getScratch()
-	h.Key().StridesInto(e.k, sc.addrs)
+	h.StridesInto(e.k, sc.addrs)
 	acc := sc.acc
-	acc.CopyFrom(e.mem[0][sc.addrs[0]])
+	acc.CopyFrom(e.StageVector(0, sc.addrs[0]))
 	tr.AddHop(obsv.HopStrideStage, 0, int64(acc.Ones()))
 	for s := 1; s < e.stages; s++ {
-		acc.AndWith(e.mem[s][sc.addrs[s]])
+		acc.AndWith(e.StageVector(s, sc.addrs[s]))
 		tr.AddHop(obsv.HopStrideStage, s, int64(acc.Ones()))
 	}
 	entry := acc.FirstSet()
