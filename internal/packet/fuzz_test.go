@@ -25,6 +25,7 @@ func FuzzKeyRoundTrip(f *testing.F) {
 		if k2 := HeaderFromKey(k).Key(); k2 != k {
 			t.Fatalf("key not canonical: %v -> %v", k, k2)
 		}
+		checkWords(t, h, k)
 		// Bit must agree with the documented field layout: walking the 104
 		// bits MSB-first per field reassembles every field.
 		var sipR uint32
@@ -53,6 +54,30 @@ func FuzzKeyRoundTrip(f *testing.F) {
 	})
 }
 
+// checkWords asserts the two-word form: Header.Words and Key.Words agree,
+// bit i of the key is bit 63-i of hi (i < 64) or bit 127-i of lo, and the
+// padding bits W..127 are zero.
+func checkWords(t *testing.T, h Header, k Key) {
+	t.Helper()
+	hi, lo := h.Words()
+	if khi, klo := k.Words(); khi != hi || klo != lo {
+		t.Fatalf("Header.Words %#x:%#x != Key.Words %#x:%#x (key %v)", hi, lo, khi, klo, k)
+	}
+	for i := 0; i < 128; i++ {
+		w := hi
+		if i >= 64 {
+			w = lo
+		}
+		want := 0
+		if i < W {
+			want = k.Bit(i)
+		}
+		if got := int(w >> uint(63-i&63) & 1); got != want {
+			t.Fatalf("Words bit %d = %d, want %d (key %v)", i, got, want, k)
+		}
+	}
+}
+
 func FuzzStridesInto(f *testing.F) {
 	f.Add(uint32(0), uint32(0), uint16(0), uint16(0), uint8(0), 4)
 	f.Add(^uint32(0), ^uint32(0), ^uint16(0), ^uint16(0), ^uint8(0), 1)
@@ -70,6 +95,7 @@ func FuzzStridesInto(f *testing.F) {
 		}
 		h := Header{SIP: sip, DIP: dip, SP: sp, DP: dp, Proto: proto}
 		k := h.Key()
+		checkWords(t, h, k)
 		// The fuzzed width, plus every width an engine accepts: the Header
 		// form (no key packing), the Key form and the per-stage bit-by-bit
 		// Stride must agree on all of them for every input.

@@ -111,16 +111,22 @@ func (k Key) Stride(off, kbits int) int {
 	return v
 }
 
-// words returns the header's tuple bits as a left-aligned 128-bit value
-// hi:lo — bit 0 (the SIP MSB) is hi's top bit and bits W..127 are zero,
-// matching the zero padding Stride applies past the final bit.
-func (h Header) words() (hi, lo uint64) {
+// Words returns the header's tuple bits as a left-aligned 128-bit value
+// hi:lo — bit 0 (the SIP MSB) is hi's MSB, bit 64 is lo's MSB, and bits
+// W..127 (lo's low 24 bits) are zero, matching the zero padding Stride
+// applies past the final bit. The stride extractor and the TCAM row compare
+// both work on this form; neither packs a Key first.
+//
+//pclass:hotpath
+func (h Header) Words() (hi, lo uint64) {
 	return uint64(h.SIP)<<32 | uint64(h.DIP),
 		uint64(h.SP)<<48 | uint64(h.DP)<<32 | uint64(h.Proto)<<24
 }
 
-// words is Header.words for an already packed key.
-func (k Key) words() (hi, lo uint64) {
+// Words is Header.Words for an already packed key.
+//
+//pclass:hotpath
+func (k Key) Words() (hi, lo uint64) {
 	hi = uint64(k[0])<<56 | uint64(k[1])<<48 | uint64(k[2])<<40 | uint64(k[3])<<32 |
 		uint64(k[4])<<24 | uint64(k[5])<<16 | uint64(k[6])<<8 | uint64(k[7])
 	lo = uint64(k[8])<<56 | uint64(k[9])<<48 | uint64(k[10])<<40 | uint64(k[11])<<32 |
@@ -136,7 +142,7 @@ func (k Key) words() (hi, lo uint64) {
 //
 //pclass:hotpath
 func (k Key) StridesInto(kbits int, dst []int) {
-	hi, lo := k.words()
+	hi, lo := k.Words()
 	stridesInto(hi, lo, kbits, dst)
 }
 
@@ -146,7 +152,7 @@ func (k Key) StridesInto(kbits int, dst []int) {
 //
 //pclass:hotpath
 func (h Header) StridesInto(kbits int, dst []int) {
-	hi, lo := h.words()
+	hi, lo := h.Words()
 	stridesInto(hi, lo, kbits, dst)
 }
 

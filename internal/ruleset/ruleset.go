@@ -102,8 +102,8 @@ func (ex *Expanded) Len() int { return len(ex.Entries) }
 // FirstMatch returns the highest-priority *rule* index matching the key
 // under ternary semantics, or -1.
 func (ex *Expanded) FirstMatch(k packet.Key) int {
-	for i, t := range ex.Entries {
-		if t.MatchesKey(k) {
+	for i := range ex.Entries {
+		if ex.Entries[i].MatchesKey(k) {
 			return ex.Parent[i]
 		}
 	}

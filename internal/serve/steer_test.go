@@ -318,6 +318,13 @@ func TestRacedSteeredVersionWindow(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
+	// A private cache adopts a new generation when its worker next sees a
+	// batch, and the readers may all have finished before the first swap
+	// committed: one batch after the last swap makes the check below hold
+	// on any schedule.
+	if _, err := svc.Classify(context.Background(), trace); err != nil {
+		t.Fatal(err)
+	}
 	if st, ok := svc.CacheStats(); !ok || st.Generation < 2 {
 		t.Fatalf("private caches never advanced generations: %+v ok=%v", st, ok)
 	}

@@ -8,27 +8,28 @@ import (
 	"pktclass/internal/srl"
 )
 
-// validateDeltas checks a delta batch against an expansion: matching index
-// and entry counts, in-range rows, and the 1:1 rule↔entry mapping the
-// per-row write path needs (a rule spanning several entries has no single
-// row to rewrite — that is a structural delta for the shadow-rebuild path).
-func validateDeltas(ex *ruleset.Expanded, rules []int, entries []ruleset.Ternary) error {
+// validateDeltas checks a delta batch against a TCAM of ne entries holding
+// numRules rules: matching index and entry counts, in-range rows, and the
+// 1:1 rule↔entry mapping the per-row write path needs (a rule spanning
+// several entries has no single row to rewrite — that is a structural delta
+// for the shadow-rebuild path).
+func validateDeltas(ne, numRules int, rules []int, entries []ruleset.Ternary) error {
 	if len(rules) != len(entries) {
 		return fmt.Errorf("tcam: %d delta indices but %d entries", len(rules), len(entries))
 	}
-	if ex.Len() != ex.NumRules {
-		return fmt.Errorf("tcam: delta update needs a 1:1 rule/entry mapping (%d rules expand to %d entries)", ex.NumRules, ex.Len())
+	if ne != numRules {
+		return fmt.Errorf("tcam: delta update needs a 1:1 rule/entry mapping (%d rules expand to %d entries)", numRules, ne)
 	}
 	for _, j := range rules {
-		if j < 0 || j >= ex.Len() {
-			return fmt.Errorf("tcam: delta entry %d out of range [0,%d)", j, ex.Len())
+		if j < 0 || j >= ne {
+			return fmt.Errorf("tcam: delta entry %d out of range [0,%d)", j, ne)
 		}
 	}
 	return nil
 }
 
-// cowExpanded copies the entry table (the only field a row write touches)
-// and shares the parent map.
+// cowExpanded copies the FPGA model's entry table (the only field a row
+// write touches) and shares the parent map.
 func cowExpanded(ex *ruleset.Expanded) *ruleset.Expanded {
 	return &ruleset.Expanded{
 		Entries:  append([]ruleset.Ternary(nil), ex.Entries...),
@@ -40,20 +41,19 @@ func cowExpanded(ex *ruleset.Expanded) *ruleset.Expanded {
 // ApplyDeltas applies a batch of single-entry rule replacements and returns
 // the resulting TCAM without touching the receiver, which keeps serving
 // concurrent searches until the caller publishes the result (atomic pointer
-// store). Only the entry table is copied; the write cost is O(delta).
-// rules[i] names the row replaced by entries[i]; later deltas win when
-// indices repeat. Requires the 1:1 rule↔entry mapping of a prefix-only
-// expansion.
+// store). Only the row table is copied (32 B per entry) and only the
+// touched rows are repacked; the parent map is shared. rules[i] names the
+// row replaced by entries[i]; later deltas win when indices repeat.
+// Requires the 1:1 rule↔entry mapping of a prefix-only expansion.
 func (t *Behavioral) ApplyDeltas(rules []int, entries []ruleset.Ternary) (*Behavioral, error) {
-	if err := validateDeltas(t.ex, rules, entries); err != nil {
+	if err := validateDeltas(len(t.rows), t.numRules, rules, entries); err != nil {
 		return nil, err
 	}
-	ex := cowExpanded(t.ex)
+	rows := append([]row(nil), t.rows...)
 	for i, j := range rules {
-		//pclass:allow-mutate the entry table is a private copy made above
-		ex.Entries[j] = entries[i]
+		rows[j] = packRow(entries[i])
 	}
-	return &Behavioral{ex: ex}, nil
+	return &Behavioral{table{rows: rows, parent: t.parent, numRules: t.numRules}}, nil
 }
 
 // ApplyDeltas applies a batch of single-entry rule replacements through the
@@ -72,7 +72,7 @@ func (t *Behavioral) ApplyDeltas(rules []int, entries []ruleset.Ternary) (*Behav
 // deltas win when indices repeat. Requires the 1:1 rule↔entry mapping of a
 // prefix-only expansion.
 func (t *FPGA) ApplyDeltas(rules []int, entries []ruleset.Ternary) (*FPGA, error) {
-	if err := validateDeltas(t.ex, rules, entries); err != nil {
+	if err := validateDeltas(t.ex.Len(), t.ex.NumRules, rules, entries); err != nil {
 		return nil, err
 	}
 	n := &FPGA{

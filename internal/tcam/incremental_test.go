@@ -1,6 +1,7 @@
 package tcam
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -89,27 +90,41 @@ func TestFPGAApplyDeltasCycleAccounting(t *testing.T) {
 	}
 }
 
+// TestTCAMApplyDeltasValidation pins what both TCAMs refuse and the words
+// they refuse it with (the serving layer logs these on its rollback path).
 func TestTCAMApplyDeltasValidation(t *testing.T) {
 	_, ex, _, rules, entries := tcamDeltaFixture(t, 32, 4, 37)
-	eng := NewBehavioral(ex)
-	if _, err := eng.ApplyDeltas(rules, entries[:len(entries)-1]); err == nil {
-		t.Fatal("accepted mismatched rules/entries lengths")
-	}
-	bad := append([]int(nil), rules...)
-	bad[0] = ex.Len()
-	if _, err := eng.ApplyDeltas(bad, entries); err == nil {
-		t.Fatal("accepted out-of-range row")
-	}
 	rsFw := ruleset.Generate(ruleset.GenConfig{N: 48, Profile: ruleset.FirewallProfile, Seed: 38, DefaultRule: true})
 	exFw := rsFw.Expand()
 	if exFw.Len() == exFw.NumRules {
-		t.Skip("firewall profile produced no range expansion at this seed")
+		t.Fatal("firewall profile produced no range expansion at this seed")
 	}
-	if _, err := NewBehavioral(exFw).ApplyDeltas(rules[:1], entries[:1]); err == nil {
-		t.Fatal("accepted delta on a range-expanded TCAM")
+	outOfRange := func(j int) []int {
+		bad := append([]int(nil), rules...)
+		bad[0] = j
+		return bad
 	}
-	if _, err := NewFPGA(exFw).ApplyDeltas(rules[:1], entries[:1]); err == nil {
-		t.Fatal("accepted delta on a range-expanded FPGA TCAM")
+	cases := []struct {
+		name    string
+		ex      *ruleset.Expanded
+		rules   []int
+		entries []ruleset.Ternary
+		want    string
+	}{
+		{"length mismatch", ex, rules, entries[:3], "tcam: 4 delta indices but 3 entries"},
+		{"row past the end", ex, outOfRange(ex.Len()), entries, "tcam: delta entry 32 out of range [0,32)"},
+		{"negative row", ex, outOfRange(-1), entries, "tcam: delta entry -1 out of range [0,32)"},
+		{"range-expanded", exFw, rules[:1], entries[:1],
+			fmt.Sprintf("tcam: delta update needs a 1:1 rule/entry mapping (48 rules expand to %d entries)", exFw.Len())},
+	}
+	for _, c := range cases {
+		_, errB := NewBehavioral(c.ex).ApplyDeltas(c.rules, c.entries)
+		_, errF := NewFPGA(c.ex).ApplyDeltas(c.rules, c.entries)
+		for engine, err := range map[string]error{"behavioral": errB, "fpga": errF} {
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s, %s: error %v, want %q", c.name, engine, err, c.want)
+			}
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // are identical to a flat TCAM; only the number of *active* entries per
 // search — the dominant dynamic-power term — changes.
 type Partitioned struct {
-	ex *ruleset.Expanded
+	table
 	// cfg
 	indexOff  int
 	indexBits int
@@ -57,7 +57,7 @@ func NewPartitioned(ex *ruleset.Expanded, cfg PartitionConfig) (*Partitioned, er
 		return nil, fmt.Errorf("tcam: MaxCopies %d < 1", cfg.MaxCopies)
 	}
 	p := &Partitioned{
-		ex:        ex,
+		table:     newTable(ex),
 		indexOff:  cfg.IndexOff,
 		indexBits: cfg.IndexBits,
 		maxCopies: cfg.MaxCopies,
@@ -96,8 +96,14 @@ func (p *Partitioned) compatibleIndices(e ruleset.Ternary) []int {
 	return out
 }
 
-func (p *Partitioned) index(k packet.Key) int {
-	return k.Stride(p.indexOff, p.indexBits)
+// index is the pre-decoder: the indexBits bits at indexOff of the key hi:lo.
+// The three terms are the 128-bit left shift by indexOff, top word only — Go
+// shifts by 64 or more (including the wrapped negative counts) yield zero,
+// so exactly the terms that apply survive.
+func (p *Partitioned) index(hi, lo uint64) int {
+	off := uint(p.indexOff)
+	v := hi<<off | lo>>(64-off) | lo<<(off-64)
+	return int(v >> uint(64-p.indexBits))
 }
 
 // Name identifies the engine.
@@ -106,12 +112,12 @@ func (p *Partitioned) Name() string {
 }
 
 // NumRules returns the original rule count.
-func (p *Partitioned) NumRules() int { return p.ex.NumRules }
+func (p *Partitioned) NumRules() int { return p.numRules }
 
 // Classify searches the selected block plus overflow and returns the
 // highest-priority matching rule, or -1.
 func (p *Partitioned) Classify(h packet.Header) int {
-	k := h.Key()
+	hi, lo := h.Words()
 	best := -1
 	probe := func(entries []int32) {
 		for _, j := range entries {
@@ -120,31 +126,31 @@ func (p *Partitioned) Classify(h packet.Header) int {
 				// current best nothing better can follow in this list.
 				break
 			}
-			if p.ex.Entries[j].MatchesKey(k) {
+			if p.rows[j].matches(hi, lo) {
 				best = int(j)
 				break
 			}
 		}
 	}
-	probe(p.blocks[p.index(k)])
+	probe(p.blocks[p.index(hi, lo)])
 	probe(p.overflow)
 	if best < 0 {
 		return -1
 	}
-	return p.ex.Parent[best]
+	return p.parent[best]
 }
 
 // MultiMatch returns every matching rule in priority order. The selected
 // block and the overflow list are both built in ascending entry order, so
 // a single linear merge yields priority order directly — no post-hoc sort,
 // no intermediate match list — and an entry present in both lists (or a
-// rule replicated across entries) is consumed once before ParentRules
+// rule replicated across entries) is consumed once before appendRule
 // collapses entries to rules, so replication can never double-report.
 func (p *Partitioned) MultiMatch(h packet.Header) []int {
-	k := h.Key()
-	blk := p.blocks[p.index(k)]
+	hi, lo := h.Words()
+	blk := p.blocks[p.index(hi, lo)]
 	ovf := p.overflow
-	var idx []int
+	var out []int
 	i, j := 0, 0
 	for i < len(blk) || j < len(ovf) {
 		var e int32
@@ -161,17 +167,17 @@ func (p *Partitioned) MultiMatch(h packet.Header) []int {
 			i++
 			j++
 		}
-		if p.ex.Entries[e].MatchesKey(k) {
-			idx = append(idx, int(e))
+		if p.rows[e].matches(hi, lo) {
+			out = p.appendRule(out, int(e))
 		}
 	}
-	return p.ex.ParentRules(idx)
+	return out
 }
 
 // ActiveEntries returns how many entries a search with the given header
 // enables — the dynamic-power driver.
 func (p *Partitioned) ActiveEntries(h packet.Header) int {
-	return len(p.blocks[p.index(h.Key())]) + len(p.overflow)
+	return len(p.blocks[p.index(h.Words())]) + len(p.overflow)
 }
 
 // MeanActiveEntries averages active entries over all pre-decoder values,
@@ -201,7 +207,7 @@ func (p *Partitioned) PowerSaving() float64 {
 	if mean <= 0 {
 		return 1
 	}
-	return float64(p.ex.Len()) / mean
+	return float64(len(p.rows)) / mean
 }
 
 // String summarises the organization.

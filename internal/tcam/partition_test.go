@@ -1,6 +1,7 @@
 package tcam
 
 import (
+	"math/rand"
 	"testing"
 
 	"pktclass/internal/packet"
@@ -20,6 +21,24 @@ func TestPartitionedValidation(t *testing.T) {
 	}
 	if _, err := NewPartitioned(ex, PartitionConfig{IndexOff: 0, IndexBits: 4, MaxCopies: 0}); err == nil {
 		t.Fatal("accepted MaxCopies 0")
+	}
+}
+
+// The pre-decoder reads its index bits from the key's two words; it must
+// agree with the bit-by-bit Key.Stride at every legal geometry, including
+// fields that straddle the word boundary at bit 64.
+func TestPartitionedIndexEqualsKeyStride(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for bits := 1; bits <= 12; bits++ {
+		for off := 0; off+bits <= packet.W; off++ {
+			p := &Partitioned{indexOff: off, indexBits: bits}
+			for i := 0; i < 8; i++ {
+				k := randomKey(rng)
+				if got, want := p.index(k.Words()), k.Stride(off, bits); got != want {
+					t.Fatalf("index bits [%d,%d) of %v = %#x, Key.Stride = %#x", off, off+bits, k, got, want)
+				}
+			}
+		}
 	}
 }
 

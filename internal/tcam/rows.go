@@ -1,0 +1,58 @@
+package tcam
+
+import "pktclass/internal/ruleset"
+
+// row is one TCAM entry packed for a two-word ternary compare: value and
+// mask words for tuple bits 0..63 (hi) and 64..103 (lo), left-aligned like
+// packet.Header.Words, the value pre-ANDed with the mask. A disabled entry
+// cares about lo's lowest bit — padding no key ever sets — and wants it 1,
+// so it fails the compare like any mismatch and no loop tests a valid bit.
+type row struct{ vhi, mhi, vlo, mlo uint64 }
+
+func packRow(t ruleset.Ternary) row {
+	if t.Invalid {
+		return row{vlo: 1, mlo: 1}
+	}
+	vhi, vlo := t.Value.Words()
+	mhi, mlo := t.Mask.Words()
+	return row{vhi: vhi & mhi, mhi: mhi, vlo: vlo & mlo, mlo: mlo}
+}
+
+// matches reports whether every cared-about bit of the key hi:lo equals the
+// stored value. Branch-free, so an entry costs the same whatever it holds.
+//
+//pclass:hotpath
+func (r *row) matches(hi, lo uint64) bool {
+	return (hi^r.vhi)&r.mhi|(lo^r.vlo)&r.mlo == 0
+}
+
+// table is an expansion in searchable form, the only copy of the entries a
+// software TCAM keeps: the ruleset.Expanded it was packed from is not
+// retained, only its parent map.
+type table struct {
+	// rows is shared with nothing until ApplyDeltas, which copies it for
+	// the child before writing the child's rows.
+	//
+	//pclass:cow
+	rows     []row
+	parent   []int // parent[i] is the rule entry i expands
+	numRules int
+}
+
+func newTable(ex *ruleset.Expanded) table {
+	rows := make([]row, len(ex.Entries))
+	for i := range rows {
+		rows[i] = packRow(ex.Entries[i])
+	}
+	return table{rows: rows, parent: ex.Parent, numRules: ex.NumRules}
+}
+
+// appendRule appends entry's parent rule to out unless it is already last:
+// callers visit entries in ascending order and one rule's entries are
+// contiguous, so this collapses matching entries to rules.
+func (t *table) appendRule(out []int, entry int) []int {
+	if p := t.parent[entry]; len(out) == 0 || out[len(out)-1] != p {
+		out = append(out, p)
+	}
+	return out
+}

@@ -14,62 +14,74 @@ import (
 
 // Behavioral is the reference TCAM: entries searched in parallel (semantics:
 // all compared, lowest index wins), wildcards per bit. It operates on the
-// ternary-expanded form of a ruleset and reports rule-level results.
+// ternary-expanded form of a ruleset, stored as packed word rows, and
+// reports rule-level results.
 type Behavioral struct {
-	ex *ruleset.Expanded
+	table
 }
 
-// NewBehavioral builds a behavioral TCAM over an expanded ruleset.
+// NewBehavioral builds a behavioral TCAM over an expanded ruleset. It packs
+// the entries into its own row table and keeps ex's parent map; ex itself
+// is not retained.
 func NewBehavioral(ex *ruleset.Expanded) *Behavioral {
-	return &Behavioral{ex: ex}
+	return &Behavioral{table: newTable(ex)}
 }
 
 // Name identifies the engine in reports.
 func (t *Behavioral) Name() string { return "tcam-behavioral" }
 
 // NumRules returns the original rule count N.
-func (t *Behavioral) NumRules() int { return t.ex.NumRules }
+func (t *Behavioral) NumRules() int { return t.numRules }
 
 // NumEntries returns the stored entry count Ne.
-func (t *Behavioral) NumEntries() int { return t.ex.Len() }
+func (t *Behavioral) NumEntries() int { return len(t.rows) }
 
 // Classify returns the highest-priority matching rule index, or -1.
-// This is the priority-encoder output of a hardware TCAM.
+// This is the priority-encoder output of a hardware TCAM: the first row
+// that matches the header's two words, straight from its fields.
 //
 //pclass:hotpath
 func (t *Behavioral) Classify(h packet.Header) int {
-	return t.ex.FirstMatch(h.Key())
+	hi, lo := h.Words()
+	rows := t.rows
+	for i := range rows {
+		if rows[i].matches(hi, lo) {
+			return t.parent[i]
+		}
+	}
+	return -1
 }
 
 // ClassifyBatch classifies hdrs into out (the core.BatchClassifier fast
 // path): one pass over the batch with no per-packet interface dispatch or
-// allocation. Safe for concurrent use — a search only reads the entry table.
+// allocation. Safe for concurrent use — a search only reads the row table.
 //
 //pclass:hotpath
 func (t *Behavioral) ClassifyBatch(hdrs []packet.Header, out []int) {
-	for i, h := range hdrs {
-		out[i] = t.ex.FirstMatch(h.Key())
+	for i := range hdrs {
+		out[i] = t.Classify(hdrs[i])
 	}
 }
 
 // MultiMatch returns all matching rule indices in priority order.
 func (t *Behavioral) MultiMatch(h packet.Header) []int {
-	k := h.Key()
-	var entries []int
-	for i, e := range t.ex.Entries {
-		if e.MatchesKey(k) {
-			entries = append(entries, i)
+	hi, lo := h.Words()
+	var out []int
+	for i := range t.rows {
+		if t.rows[i].matches(hi, lo) {
+			out = t.appendRule(out, i)
 		}
 	}
-	return t.ex.ParentRules(entries)
+	return out
 }
 
 // MatchVector returns the raw per-entry match flags (the TCAM match lines
 // before priority encoding).
 func (t *Behavioral) MatchVector(k packet.Key) []bool {
-	out := make([]bool, t.ex.Len())
-	for i, e := range t.ex.Entries {
-		out[i] = e.MatchesKey(k)
+	hi, lo := k.Words()
+	out := make([]bool, len(t.rows))
+	for i := range t.rows {
+		out[i] = t.rows[i].matches(hi, lo)
 	}
 	return out
 }

@@ -17,10 +17,10 @@ func (t *Behavioral) ClassifyTraced(h packet.Header, tr *obsv.PacketTrace) int {
 		return t.Classify(h)
 	}
 	tr.SetEngine(t.Name())
-	k := h.Key()
+	hi, lo := h.Words()
 	matches, first := 0, -1
-	for i := range t.ex.Entries {
-		if t.ex.Entries[i].MatchesKey(k) {
+	for i := range t.rows {
+		if t.rows[i].matches(hi, lo) {
 			matches++
 			if first < 0 {
 				first = i
@@ -32,5 +32,5 @@ func (t *Behavioral) ClassifyTraced(h packet.Header, tr *obsv.PacketTrace) int {
 	if first < 0 {
 		return -1
 	}
-	return t.ex.Parent[first]
+	return t.parent[first]
 }

@@ -11,7 +11,8 @@ func TestBehavioralClassifyTraced(t *testing.T) {
 	rs := ruleset.Generate(ruleset.GenConfig{
 		N: 128, Profile: ruleset.FirewallProfile, Seed: 31, DefaultRule: true,
 	})
-	eng := NewBehavioral(rs.Expand())
+	ex := rs.Expand()
+	eng := NewBehavioral(ex)
 	trace := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 300, MatchFraction: 0.8, Seed: 32})
 	tc := obsv.NewTracer(1, 4)
 	for _, h := range trace {
@@ -25,19 +26,28 @@ func TestBehavioralClassifyTraced(t *testing.T) {
 		if len(hops) != 2 || hops[0].Kind != obsv.HopTCAMSearch || hops[1].Kind != obsv.HopPriorityEncode {
 			t.Fatalf("hops = %+v", hops)
 		}
-		// The match-line count must agree with the full match vector, and the
-		// encoder winner with the count.
-		lines := 0
-		for _, m := range eng.MatchVector(h.Key()) {
+		// The search hop must count every asserted match line, not stop at
+		// the winner: the byte-level oracle over the expansion gives the
+		// count and the first line, the match vector must agree with it.
+		lines, first := 0, -1
+		mv := eng.MatchVector(h.Key())
+		for i := range ex.Entries {
+			m := ex.Entries[i].MatchesKey(h.Key())
+			if m != mv[i] {
+				t.Fatalf("match line %d = %v, oracle says %v for %s", i, mv[i], m, h)
+			}
 			if m {
 				lines++
+				if first < 0 {
+					first = i
+				}
 			}
 		}
 		if int(hops[0].Detail) != lines {
-			t.Fatalf("search hop reports %d lines, match vector has %d", hops[0].Detail, lines)
+			t.Fatalf("search hop reports %d lines, oracle counts %d", hops[0].Detail, lines)
 		}
-		if (lines > 0) != (hops[1].Detail >= 0) {
-			t.Fatalf("%d lines but encoder winner %d", lines, hops[1].Detail)
+		if int(hops[1].Detail) != first {
+			t.Fatalf("encoder winner %d, oracle's first line %d", hops[1].Detail, first)
 		}
 	}
 	if eng.ClassifyTraced(trace[0], nil) != eng.Classify(trace[0]) {
