@@ -12,7 +12,6 @@ import (
 	"pktclass/internal/core"
 	"pktclass/internal/obsv"
 	"pktclass/internal/packet"
-	"pktclass/internal/partition"
 	"pktclass/internal/serve"
 	"pktclass/internal/stridebv"
 	"pktclass/internal/tcam"
@@ -41,16 +40,6 @@ func startObsServer(addr string, obs *obsv.Obs, svc *serve.Service) (*obsv.Serve
 			return float64(svc.ShardDepths()[shard])
 		})
 	}
-	// The partition pool instruments are registered unconditionally: a
-	// non-partitioned engine scrapes them as flat zeros, a partitioned one
-	// sees the live pool size and inline-fallback pressure that were
-	// previously only printed at end of run.
-	srv.AddGaugeFunc("partition.pool_size", func() float64 {
-		return float64(partition.PoolSize())
-	})
-	srv.AddGaugeFunc("partition.inline_fallbacks", func() float64 {
-		return float64(partition.InlineFallbacks())
-	})
 	// Each scrape samples the load window, so the imbalance series at
 	// /metrics advances at scrape cadence and the rebalance-candidate
 	// check runs as a free side effect.

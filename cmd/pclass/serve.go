@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,7 +17,6 @@ import (
 	"pktclass/internal/cli"
 	"pktclass/internal/obsv"
 	"pktclass/internal/packet"
-	"pktclass/internal/partition"
 	"pktclass/internal/ruleset"
 	"pktclass/internal/serve"
 	"pktclass/internal/sim"
@@ -32,7 +30,7 @@ func runServe(args []string) {
 		engine      = fs.String("engine", "stridebv", "engine: "+strings.Join(cli.EngineNames(), " | "))
 		stride      = fs.Int("stride", 4, "stride length for stridebv/rangebv")
 		splitter    = fs.String("splitter", "", "partitioned engines: splitting policy, prefix | band (empty = engine default; band keeps every hot-swap on the O(delta) path)")
-		partsN      = fs.Int("partitions", 0, "partitioned engines: band count (0 = derive from GOMAXPROCS)")
+		partsN      = fs.Int("partitions", 0, "partitioned engines: band count (0 = 2)")
 		prefixBits  = fs.Int("prefix-bits", 0, "partitioned engines: prefix pre-decoder width (0 = size from N)")
 		workers     = fs.Int("workers", 0, "classification workers (0 = GOMAXPROCS)")
 		queue       = fs.Int("queue", 0, "submission queue depth in sub-batches; a full queue blocks the submitter (0 = 4 per worker)")
@@ -81,36 +79,6 @@ func runServe(args []string) {
 	var obs *obsv.Obs
 	if *obsvAddr != "" || *sample > 0 || *top > 0 {
 		obs = newObs(*sample)
-	}
-	if obs != nil {
-		// Pool growth becomes a journaled control-plane event; wire the
-		// hook before the explicit sizing below so the initial growth is
-		// recorded too.
-		partition.SetPoolResizeHook(func(oldSize, newSize int) {
-			obs.Journal.Append(obsv.EventPoolResize, 0, int64(oldSize), int64(newSize), 0)
-		})
-	}
-
-	// The partitioned engines fan every batch into a package-shared
-	// sub-engine pool sized for one lone engine by default; under the
-	// serving layer the real concurrency is workers x partitions, so size
-	// it explicitly (capped — beyond the core count extra goroutines only
-	// add scheduler pressure; the inline-fallback counter reports any
-	// remaining undersizing).
-	if strings.HasPrefix(*engine, "part-") {
-		effWorkers := *workers
-		if effWorkers <= 0 {
-			effWorkers = runtime.GOMAXPROCS(0)
-		}
-		parts := *partsN
-		if parts <= 0 {
-			parts = runtime.GOMAXPROCS(0)
-		}
-		pool := effWorkers * parts
-		if lim := 4 * runtime.GOMAXPROCS(0); pool > lim {
-			pool = lim
-		}
-		partition.SetPoolSize(pool)
 	}
 
 	if *measure {
@@ -227,9 +195,6 @@ func runServe(args []string) {
 	fmt.Printf("throughput       %.0f pkt/s\n", float64(total.Load())/duration.Seconds())
 	fmt.Printf("steered workers  %v packets each\n", svc.WorkerClassified())
 	fmt.Printf("imbalance index  %.3f (max/mean worker load; 1.0 = balanced)\n", svc.ImbalanceIndex())
-	if strings.HasPrefix(*engine, "part-") {
-		fmt.Printf("partition pool   %d workers, %d inline fallbacks\n", partition.PoolSize(), partition.InlineFallbacks())
-	}
 	fmt.Print(svc.Counters().Table())
 	if *top > 0 {
 		printTopFlows(svc, *top)

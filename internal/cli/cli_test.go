@@ -6,7 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"pktclass/internal/core"
 	"pktclass/internal/packet"
 	"pktclass/internal/ruleset"
 )
@@ -113,5 +115,37 @@ func TestEngineBuilderCurriesBuildEngine(t *testing.T) {
 	}
 	if _, err := EngineBuilder("no-such-engine", 4)(rs); err == nil {
 		t.Fatal("unknown engine name accepted")
+	}
+}
+
+// BuildEngineOpts accepts "part-part-<sub>". A partition layer that queued
+// sub-batches on a shared worker pool deadlocked here (every worker parked
+// waiting on inner tasks queued behind it); searching inline, a nested
+// engine is just a deeper call.
+func TestNestedPartitionBatch(t *testing.T) {
+	rs := ruleset.Generate(ruleset.GenConfig{N: 512, Profile: ruleset.FirewallProfile, Seed: 7, DefaultRule: true})
+	eng, err := BuildEngineOpts(rs, "part-part-stridebv", Options{Stride: 4, PrefixBits: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdrs := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 256, MatchFraction: 0.8, Seed: 8})
+	out := make([]int, len(hdrs))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range 200 {
+			core.ClassifyBatchInto(eng, hdrs, out)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("nested partitioned ClassifyBatch did not return within 10s")
+	}
+	lin := core.NewLinear(rs)
+	for i, h := range hdrs {
+		if want := lin.Classify(h); out[i] != want {
+			t.Fatalf("batch[%d] = %d, linear = %d for %s", i, out[i], want, h)
+		}
 	}
 }

@@ -28,9 +28,6 @@ const (
 	// EventGenerationRetired: a swap retired Gen — every cache entry
 	// tagged with it is now a lazy miss.
 	EventGenerationRetired
-	// EventPoolResize: the partition worker pool grew. A is the old
-	// size, B the new.
-	EventPoolResize
 	// EventRebalanceCandidate: top-K flow share x imbalance index crossed
 	// the configured threshold — the steering layer flags that moving or
 	// splitting an elephant flow would pay. A is the hottest worker, V
@@ -49,8 +46,6 @@ func (k EventKind) String() string {
 		return "delta-fallback"
 	case EventGenerationRetired:
 		return "generation-retired"
-	case EventPoolResize:
-		return "pool-resize"
 	case EventRebalanceCandidate:
 		return "rebalance-candidate"
 	default:

@@ -108,7 +108,6 @@ func TestEventKindNamesAndJSON(t *testing.T) {
 		EventSwapRolledBack:     "swap-rolled-back",
 		EventDeltaFallback:      "delta-fallback",
 		EventGenerationRetired:  "generation-retired",
-		EventPoolResize:         "pool-resize",
 		EventRebalanceCandidate: "rebalance-candidate",
 	}
 	for k, want := range names {
@@ -116,11 +115,11 @@ func TestEventKindNamesAndJSON(t *testing.T) {
 			t.Fatalf("%d.String() = %q, want %q", k, k.String(), want)
 		}
 	}
-	b, err := json.Marshal(Event{Seq: 9, Nanos: 12345, Kind: EventPoolResize, A: 4, B: 8})
+	b, err := json.Marshal(Event{Seq: 9, Nanos: 12345, Kind: EventDeltaFallback, A: 4, B: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(b), `"kind":"pool-resize"`) {
+	if !strings.Contains(string(b), `"kind":"delta-fallback"`) {
 		t.Fatalf("event JSON missing named kind: %s", b)
 	}
 }

@@ -78,7 +78,7 @@ func TestEventzEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t)
 	j := NewJournal(8)
 	j.Append(EventSwapCommitted, 1, 256, 0, 0)
-	j.Append(EventPoolResize, 0, 4, 8, 0)
+	j.Append(EventGenerationRetired, 4, 0, 8, 0)
 	srv.SetJournal(j)
 
 	rec := httptest.NewRecorder()
@@ -87,7 +87,7 @@ func TestEventzEndpoint(t *testing.T) {
 		t.Fatalf("status %d", rec.Code)
 	}
 	body := rec.Body.String()
-	for _, want := range []string{"appended=2", "swap-committed", "pool-resize"} {
+	for _, want := range []string{"appended=2", "swap-committed", "generation-retired"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("eventz missing %q:\n%s", want, body)
 		}
@@ -106,7 +106,7 @@ func TestEventzEndpoint(t *testing.T) {
 		t.Fatalf("eventz doc = %+v", doc)
 	}
 	// n=1 keeps the newest event.
-	if doc.Events[0].Kind != EventPoolResize || doc.Events[0].B != 8 {
+	if doc.Events[0].Kind != EventGenerationRetired || doc.Events[0].B != 8 {
 		t.Fatalf("newest event = %+v", doc.Events[0])
 	}
 }

@@ -2,159 +2,35 @@ package partition
 
 import (
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"pktclass/internal/core"
 	"pktclass/internal/packet"
 )
 
-// The batch path fans the steered partitions out across a package-level
-// worker pool — the software analogue of P sub-engines searching in
-// parallel on the fabric. A shared pool (rather than per-engine worker
-// goroutines) keeps hot-swap cheap: delta-derived and rebuilt engines come
-// and go under internal/serve without leaking goroutines, and the workers
-// stay warm across swaps. Submission is non-blocking: when every worker is
-// busy the submitting goroutine runs the task inline, so throughput
-// degrades to sequential instead of deadlocking and the pool needs no
-// shutdown protocol.
-
-// batchTask is one partition's share of a batch. Tasks live in the
-// engine's recycled batch scratch, so the steady-state path allocates
-// nothing.
-type batchTask struct {
-	eng  core.Engine
-	hdrs []packet.Header
-	out  []int
-	wg   *sync.WaitGroup
-}
-
-func (t *batchTask) run() {
-	core.ClassifyBatchInto(t.eng, t.hdrs, t.out)
-	t.wg.Done()
-}
-
-// poolQueueDepth is the shared task queue's fixed capacity. It is sized
-// generously and independently of the worker count so that growing the
-// pool (SetPoolSize) never needs to replace the channel — replacing it
-// would race every concurrent submitter.
-const poolQueueDepth = 256
-
-var (
-	poolOnce sync.Once
-	taskCh   chan *batchTask
-
-	// poolMu guards pool growth; poolWorkers is the goroutine count. The
-	// atomic mirror lets the per-batch ensurePool fast path skip the lock
-	// once the pool is at size — batches from many serving workers would
-	// otherwise serialize on pool bookkeeping, a cross-core bottleneck on
-	// exactly the path that exists to scale across cores.
-	poolMu          sync.Mutex
-	poolWorkers     int
-	poolWorkersFast atomic.Int32
-
-	inlineFallbacks atomic.Int64
-
-	// resizeHook, when set, is invoked after each pool growth with the
-	// old and new sizes — the serving layer journals these as
-	// control-plane events. Stored atomically so SetPoolResizeHook never
-	// races ensurePool's fast path.
-	resizeHook atomic.Value // of func(oldSize, newSize int)
-)
-
-// ensurePool creates the shared queue once and grows the worker pool to
-// at least n goroutines. The pool never shrinks: workers range on the
-// shared channel and cannot be retired without a shutdown protocol the
-// hot-swap design deliberately avoids.
-func ensurePool(n int) {
-	poolOnce.Do(func() { taskCh = make(chan *batchTask, poolQueueDepth) })
-	if n < 1 {
-		n = 1
-	}
-	if int(poolWorkersFast.Load()) >= n {
-		return
-	}
-	poolMu.Lock()
-	old := poolWorkers
-	for poolWorkers < n {
-		poolWorkers++
-		go func() {
-			for t := range taskCh {
-				t.run()
-			}
-		}()
-	}
-	grown := poolWorkers
-	poolWorkersFast.Store(int32(poolWorkers))
-	poolMu.Unlock()
-	if grown > old {
-		// Outside poolMu: the hook may read PoolSize or journal an event
-		// without holding up concurrent growers.
-		if fn, ok := resizeHook.Load().(func(int, int)); ok && fn != nil {
-			fn(old, grown)
-		}
-	}
-}
-
-// SetPoolSize grows the package-shared sub-engine worker pool to at
-// least n goroutines. The default (first ClassifyBatch with no explicit
-// size) is GOMAXPROCS — correct for one engine serving alone, but under
-// a steered serving layer every service worker fans its sub-batch into
-// the same pool, so callers that know the real concurrency (service
-// workers × partitions) should size it explicitly. Safe for concurrent
-// use; n <= current size is a no-op.
-func SetPoolSize(n int) { ensurePool(n) }
-
-// PoolSize reports the current worker pool size (0 before first use).
-func PoolSize() int { return int(poolWorkersFast.Load()) }
-
-// InlineFallbacks reports how many sub-batch tasks ran inline on the
-// submitting goroutine because the pool queue was full. A climbing value
-// under load means the pool is undersized for the offered concurrency —
-// the signal SetPoolSize exists to act on.
-func InlineFallbacks() int64 { return inlineFallbacks.Load() }
-
-// SetPoolResizeHook registers fn to be called after every pool growth
-// with the old and new worker counts (nil clears it). The hook runs on
-// the growing goroutine, outside the pool lock; keep it cheap. Intended
-// for the serving layer's control-plane event journal.
-func SetPoolResizeHook(fn func(oldSize, newSize int)) {
-	// atomic.Value refuses nil; store a typed no-op to clear.
-	if fn == nil {
-		fn = func(int, int) {}
-	}
-	resizeHook.Store(fn)
-}
-
-// submit hands a task to the pool, or runs it inline when the pool is
-// saturated. Workers never submit, so inline fallback cannot deadlock.
-//
-//pclass:hotpath
-func submit(t *batchTask) {
-	select {
-	case taskCh <- t:
-	default:
-		inlineFallbacks.Add(1)
-		t.run()
-	}
-}
+// The batch path runs on the calling goroutine and owns no threads: the
+// serving layer above already gives every worker a core, so the partition
+// layer's job is only to hand each sub-engine one contiguous sub-batch and
+// merge the winners. The hardware searches the P sub-engines in parallel;
+// in software that parallelism is the caller's (internal/serve steers
+// batches across workers), not this package's.
 
 // batchScratch is one ClassifyBatch invocation's reusable workspace,
 // recycled through the engine's pool.
 //
 //pclass:pooled
 type batchScratch struct {
-	// Per part: gathered headers, gathered packet indices, and the part's
-	// local results (parallel to hdrs/idx).
-	hdrs [][]packet.Header
-	idx  [][]int32
-	res  [][]int
-	// alwaysRes[i] holds always-part i's results over the full batch.
-	alwaysRes [][]int
-	best      []int32
-	tasks     []batchTask
-	wg        sync.WaitGroup
+	// hdrs/idx hold the batch counting-sorted by bucket part: part pi's
+	// headers and their positions in the caller's batch occupy
+	// [start[pi], start[pi+1]). A header steers to at most one DIP and one
+	// SIP bucket, so 2·batch entries always suffice. res is parallel to
+	// hdrs; the always-searched parts reuse its head for the whole batch.
+	hdrs []packet.Header
+	idx  []int32
+	res  []int
+	// start has one offset per part plus the end sentinel; fill is the
+	// placement cursor of the sort.
+	start, fill []int32
+	best        []int32
 }
 
 // getBatchScratch fetches (or, on a cold pool miss, builds) the batch
@@ -167,13 +43,8 @@ func (e *Engine) getBatchScratch(batch int) *batchScratch {
 	if !ok {
 		sc = e.newBatchScratch()
 	}
-	for pi := range sc.hdrs {
-		sc.hdrs[pi] = sc.hdrs[pi][:0]
-		sc.idx[pi] = sc.idx[pi][:0]
-	}
 	if cap(sc.best) < batch {
-		//pclass:allow-alloc one-time grow to the largest batch seen; reused forever after
-		sc.best = make([]int32, batch)
+		sc.grow(batch)
 	}
 	sc.best = sc.best[:batch]
 	return sc
@@ -184,125 +55,113 @@ func (e *Engine) getBatchScratch(batch int) *batchScratch {
 // batch benchmarks).
 func (e *Engine) newBatchScratch() *batchScratch {
 	return &batchScratch{
-		hdrs:      make([][]packet.Header, len(e.parts)),
-		idx:       make([][]int32, len(e.parts)),
-		res:       make([][]int, len(e.parts)),
-		alwaysRes: make([][]int, len(e.always)),
-		tasks:     make([]batchTask, len(e.parts)+len(e.always)),
+		start: make([]int32, len(e.parts)+1),
+		fill:  make([]int32, len(e.parts)),
 	}
+}
+
+// grow resizes the per-batch arrays to the largest batch seen; they are
+// reused forever after.
+func (sc *batchScratch) grow(batch int) {
+	sc.hdrs = make([]packet.Header, 2*batch)
+	sc.idx = make([]int32, 2*batch)
+	sc.res = make([]int, 2*batch)
+	sc.best = make([]int32, batch)
 }
 
 // ClassifyBatch classifies hdrs into out (the core.BatchClassifier fast
-// path): packets are steered to their partitions, each partition's share
-// is searched as one sub-batch on the worker pool, and the winners are
-// min-merged by global rule index. Safe for concurrent use; allocation-
-// free in steady state once the recycled scratch has warmed up.
+// path): the batch is counting-sorted by bucket part, each non-empty part
+// searches its contiguous share as one sub-batch, the always-searched
+// parts take the whole batch, and every part's winners are min-merged by
+// global rule index as soon as it returns. Partitions hold disjoint rule
+// subsets with order-preserving local-to-global maps, so the lowest
+// global index across partitions is exactly the flat engine's first
+// match. Safe for concurrent use; allocation-free in steady state once
+// the recycled scratch has warmed up.
 //
 //pclass:hotpath
 func (e *Engine) ClassifyBatch(hdrs []packet.Header, out []int) {
-	ensurePool(runtime.GOMAXPROCS(0))
+	if len(e.parts) == 1 {
+		// One part holds every rule in order: local index == global index.
+		core.ClassifyBatchInto(e.parts[0].eng, hdrs, out)
+		return
+	}
 	sc := e.getBatchScratch(len(hdrs))
-	nt := 0
-
-	// Steer: gather each bucket part's packets. Residual/band parts take
-	// the whole batch and need no gathering.
-	if e.splitter == PrefixSplit {
-		for i, h := range hdrs {
-			k := h.Key()
-			if pi := e.dipPart[k.Stride(packet.DIPOff, e.prefixBits)]; pi >= 0 {
-				//pclass:allow-alloc appends into scratch capacity retained across batches; amortized to 0 allocs/op
-				sc.hdrs[pi] = append(sc.hdrs[pi], h)
-				//pclass:allow-alloc appends into scratch capacity retained across batches; amortized to 0 allocs/op
-				sc.idx[pi] = append(sc.idx[pi], int32(i))
-			}
-			if pi := e.sipPart[k.Stride(packet.SIPOff, e.prefixBits)]; pi >= 0 {
-				//pclass:allow-alloc appends into scratch capacity retained across batches; amortized to 0 allocs/op
-				sc.hdrs[pi] = append(sc.hdrs[pi], h)
-				//pclass:allow-alloc appends into scratch capacity retained across batches; amortized to 0 allocs/op
-				sc.idx[pi] = append(sc.idx[pi], int32(i))
-			}
-		}
-		for pi := range e.parts {
-			n := len(sc.hdrs[pi])
-			if n == 0 {
-				continue
-			}
-			if cap(sc.res[pi]) < n {
-				//pclass:allow-alloc one-time grow per partition; reused forever after
-				sc.res[pi] = make([]int, n)
-			}
-			sc.res[pi] = sc.res[pi][:n]
-			sc.tasks[nt] = batchTask{eng: e.parts[pi].eng, hdrs: sc.hdrs[pi], out: sc.res[pi], wg: &sc.wg}
-			nt++
-		}
-	}
-	for ai, pi := range e.always {
-		if cap(sc.alwaysRes[ai]) < len(hdrs) {
-			//pclass:allow-alloc one-time grow per always-partition; reused forever after
-			sc.alwaysRes[ai] = make([]int, len(hdrs))
-		}
-		sc.alwaysRes[ai] = sc.alwaysRes[ai][:len(hdrs)]
-		sc.tasks[nt] = batchTask{eng: e.parts[pi].eng, hdrs: hdrs, out: sc.alwaysRes[ai], wg: &sc.wg}
-		nt++
-	}
-
-	sc.wg.Add(nt)
-	for i := 1; i < nt; i++ {
-		submit(&sc.tasks[i])
-	}
-	if nt > 0 {
-		// Run one share on the submitting goroutine: it has nothing else
-		// to do until the merge, and this guarantees forward progress even
-		// with a fully saturated pool.
-		sc.tasks[0].run()
-	}
-	sc.wg.Wait()
-
-	e.mergeBatch(sc, hdrs, out)
-	e.scratch.Put(sc)
-}
-
-// mergeBatch min-merges every partition's local winners into the global
-// result: partitions hold disjoint rule subsets with order-preserving
-// local-to-global maps, so the lowest global index across partitions is
-// exactly the flat engine's first match.
-//
-//pclass:hotpath
-func (e *Engine) mergeBatch(sc *batchScratch, hdrs []packet.Header, out []int) {
 	best := sc.best
 	for i := range best {
 		best[i] = math.MaxInt32
 	}
-	for ai, pi := range e.always {
-		p := &e.parts[pi]
-		for i, l := range sc.alwaysRes[ai] {
-			if l >= 0 {
-				if g := p.global[l]; g < best[i] {
-					best[i] = g
-				}
-			}
-		}
-	}
+
 	if e.splitter == PrefixSplit {
+		start, fill := sc.start, sc.fill
+		clear(start)
+		for _, h := range hdrs {
+			dip, sip := e.steer(h)
+			if dip >= 0 {
+				start[dip+1]++
+			}
+			if sip >= 0 {
+				start[sip+1]++
+			}
+		}
+		for pi := range fill {
+			start[pi+1] += start[pi]
+			fill[pi] = start[pi]
+		}
+		for i, h := range hdrs {
+			dip, sip := e.steer(h)
+			if dip >= 0 {
+				sc.hdrs[fill[dip]], sc.idx[fill[dip]] = h, int32(i)
+				fill[dip]++
+			}
+			if sip >= 0 {
+				sc.hdrs[fill[sip]], sc.idx[fill[sip]] = h, int32(i)
+				fill[sip]++
+			}
+		}
 		for pi := range e.parts {
-			p := &e.parts[pi]
-			res := sc.res[pi]
-			// Iterate the (freshly steered) index list, not res: a part
-			// with no packets this batch keeps its stale result capacity.
-			for t, i := range sc.idx[pi] {
-				if l := res[t]; l >= 0 {
-					if g := p.global[l]; g < best[i] {
-						best[i] = g
-					}
+			lo, hi := start[pi], start[pi+1]
+			if lo == hi {
+				continue
+			}
+			p, res := &e.parts[pi], sc.res[lo:hi]
+			core.ClassifyBatchInto(p.eng, sc.hdrs[lo:hi], res)
+			for t, i := range sc.idx[lo:hi] {
+				if l := res[t]; l >= 0 && p.global[l] < best[i] {
+					best[i] = p.global[l]
 				}
 			}
 		}
 	}
-	for i := range best {
-		if best[i] == math.MaxInt32 {
-			out[i] = -1
-		} else {
-			out[i] = int(best[i])
+	// The always-searched parts take the whole batch, so their results are
+	// already in batch order.
+	for _, pi := range e.always {
+		p, res := &e.parts[pi], sc.res[:len(hdrs)]
+		core.ClassifyBatchInto(p.eng, hdrs, res)
+		for i, l := range res {
+			if l >= 0 && p.global[l] < best[i] {
+				best[i] = p.global[l]
+			}
 		}
 	}
+
+	for i, g := range best {
+		if g == math.MaxInt32 {
+			g = -1
+		}
+		out[i] = int(g)
+	}
+	e.scratch.Put(sc)
 }
+
+// PoolSize reports 0: the partition layer owns no goroutines.
+//
+// Deprecated: kept only because the frozen benchmark/ module still reads
+// it; drop it together with the partition.pool_size row.
+func PoolSize() int { return 0 }
+
+// InlineFallbacks reports 0: there is no pool to fall back from.
+//
+// Deprecated: kept only because the frozen benchmark/ module still reads
+// it; drop it together with the partition.inline_fallbacks row.
+func InlineFallbacks() int64 { return 0 }

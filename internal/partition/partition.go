@@ -1,5 +1,6 @@
 // Package partition breaks the paper's 2048-rule evaluation ceiling: it
-// splits a ruleset into P sub-engines searched in parallel and merges the
+// splits a ruleset into P sub-engines — parallel on the fabric, searched
+// one after another on the calling goroutine here — and merges the
 // per-partition winners by priority (lowest global rule index wins).
 //
 // The paper's engines are deliberately ruleset-feature independent, but
@@ -21,8 +22,8 @@
 //     population, not ruleset size.
 //   - BandSplit slices the ruleset into P contiguous priority bands
 //     balanced by ternary entry count (the hardware unit of cost). Every
-//     band is searched for every packet; the point is parallel latency,
-//     and it serves as the feature-independent fallback when the ruleset
+//     band is searched for every packet; in hardware the point is parallel
+//     latency, here it is the feature-independent fallback when the ruleset
 //     has no prefix structure to steer on.
 //
 // Each partition is itself any core.Engine (StrideBV with its own stage
@@ -31,12 +32,15 @@
 // flat engine over the whole ruleset: every rule lives in exactly one
 // partition, and the cross-partition merge takes the minimum surviving
 // global rule index.
+//
+// The package starts no goroutines: a lookup, single or batched, runs to
+// completion on its caller, and callers that want cores (internal/serve)
+// bring their own workers.
 package partition
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"pktclass/internal/core"
@@ -52,7 +56,7 @@ const (
 	// residual priority bands) — sub-linear lookups on structured rulesets.
 	PrefixSplit Splitter = "prefix"
 	// BandSplit slices into contiguous priority bands balanced by entry
-	// count — feature-independent, parallel-latency only.
+	// count — feature-independent, every band searched per packet.
 	BandSplit Splitter = "band"
 )
 
@@ -64,7 +68,7 @@ type Config struct {
 	// Splitter is the assignment policy; default PrefixSplit.
 	Splitter Splitter
 	// Parts is the band count (BandSplit) or residual band count
-	// (PrefixSplit). 0 derives it from GOMAXPROCS.
+	// (PrefixSplit). 0 means defaultBands.
 	Parts int
 	// PrefixBits is the pre-decoder width B for PrefixSplit; 0 sizes it
 	// from N so the average bucket holds ~2048 rules (the paper's proven
@@ -94,8 +98,8 @@ type part struct {
 type partLoc struct{ part, local int32 }
 
 // Engine is the partitioned classifier. It implements core.Engine and
-// core.BatchClassifier; the batch path fans partitions out across a shared
-// worker pool and min-merges the winners.
+// core.BatchClassifier; the batch path sorts the batch by partition, searches
+// each sub-engine inline and min-merges the winners.
 type Engine struct {
 	rs         *ruleset.RuleSet
 	splitter   Splitter
@@ -133,7 +137,7 @@ func New(rs *ruleset.RuleSet, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("partition: band count %d outside [0,64]", cfg.Parts)
 	}
 	if cfg.Parts == 0 {
-		cfg.Parts = defaultBands()
+		cfg.Parts = defaultBands
 	}
 	if cfg.PrefixBits < 0 || cfg.PrefixBits > MaxPrefixBits {
 		return nil, fmt.Errorf("partition: prefix bits %d outside [0,%d]", cfg.PrefixBits, MaxPrefixBits)
@@ -222,17 +226,10 @@ func New(rs *ruleset.RuleSet, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// defaultBands picks the residual/band count from available parallelism.
-func defaultBands() int {
-	p := runtime.GOMAXPROCS(0)
-	if p < 2 {
-		return 2
-	}
-	if p > 8 {
-		return 8
-	}
-	return p
-}
+// defaultBands is the residual/band count when Config.Parts is 0. It is a
+// constant so geometry (and therefore speed) never depends on the machine:
+// every always-searched band is one more sub-engine call per packet.
+const defaultBands = 2
 
 // autoPrefixBits sizes the pre-decoder so the average DIP bucket holds
 // about 2048 rules — the flat engines' proven operating point.
@@ -355,22 +352,16 @@ func (e *Engine) PrefixBits() int {
 // Splitter returns the active assignment policy.
 func (e *Engine) Splitter() Splitter { return e.splitter }
 
-// classifyMerge searches every partition the key steers to and returns the
-// minimum surviving global rule index (math.MaxInt32 when nothing matched).
-func (e *Engine) classifyMerge(h packet.Header, k packet.Key) int32 {
-	best := int32(math.MaxInt32)
-	if e.splitter == PrefixSplit {
-		if pi := e.dipPart[k.Stride(packet.DIPOff, e.prefixBits)]; pi >= 0 {
-			best = e.classifyPart(pi, h, best)
-		}
-		if pi := e.sipPart[k.Stride(packet.SIPOff, e.prefixBits)]; pi >= 0 {
-			best = e.classifyPart(pi, h, best)
-		}
+// steer returns the DIP- and SIP-bucket parts h is searched in, -1 for an
+// empty bucket (and always under BandSplit, which has no buckets).
+//
+//pclass:hotpath
+func (e *Engine) steer(h packet.Header) (dip, sip int32) {
+	if e.splitter != PrefixSplit {
+		return -1, -1
 	}
-	for _, pi := range e.always {
-		best = e.classifyPart(pi, h, best)
-	}
-	return best
+	s := uint(32 - e.prefixBits)
+	return e.dipPart[h.DIP>>s], e.sipPart[h.SIP>>s]
 }
 
 // classifyPart searches one partition and merges its winner into best by
@@ -390,12 +381,20 @@ func (e *Engine) classifyPart(pi int32, h packet.Header, best int32) int32 {
 	return best
 }
 
-// Classify returns the highest-priority matching rule index, or -1. The
-// single-packet path searches the steered partitions sequentially (the
-// per-goroutine fan-out only pays off when amortized over a batch; see
-// ClassifyBatch).
+// Classify returns the highest-priority matching rule index, or -1: the
+// minimum surviving global rule index over every partition h steers to.
 func (e *Engine) Classify(h packet.Header) int {
-	best := e.classifyMerge(h, h.Key())
+	best := int32(math.MaxInt32)
+	dip, sip := e.steer(h)
+	if dip >= 0 {
+		best = e.classifyPart(dip, h, best)
+	}
+	if sip >= 0 {
+		best = e.classifyPart(sip, h, best)
+	}
+	for _, pi := range e.always {
+		best = e.classifyPart(pi, h, best)
+	}
 	if best == math.MaxInt32 {
 		return -1
 	}
@@ -406,7 +405,6 @@ func (e *Engine) Classify(h packet.Header) int {
 // steered partitions' lists (each already ascending in global index) are
 // k-way merged.
 func (e *Engine) MultiMatch(h packet.Header) []int {
-	k := h.Key()
 	var lists [][]int
 	add := func(pi int32) {
 		p := &e.parts[pi]
@@ -420,13 +418,12 @@ func (e *Engine) MultiMatch(h packet.Header) []int {
 		}
 		lists = append(lists, global)
 	}
-	if e.splitter == PrefixSplit {
-		if pi := e.dipPart[k.Stride(packet.DIPOff, e.prefixBits)]; pi >= 0 {
-			add(pi)
-		}
-		if pi := e.sipPart[k.Stride(packet.SIPOff, e.prefixBits)]; pi >= 0 {
-			add(pi)
-		}
+	dip, sip := e.steer(h)
+	if dip >= 0 {
+		add(dip)
+	}
+	if sip >= 0 {
+		add(sip)
 	}
 	for _, pi := range e.always {
 		add(pi)
@@ -463,14 +460,15 @@ func mergeSorted(lists [][]int) []int {
 	}
 }
 
-// String summarises the partition geometry.
+// String summarises the partition geometry, including bucket balance (rules
+// in the largest part against the mean) — what the splitter is there to keep
+// even.
 func (e *Engine) String() string {
 	largest := 0
 	for _, p := range e.parts {
-		if len(p.global) > largest {
-			largest = len(p.global)
-		}
+		largest = max(largest, len(p.global))
 	}
-	return fmt.Sprintf("%s{parts=%d always=%d largest=%d B=%d}",
-		e.Name(), len(e.parts), len(e.always), largest, e.prefixBits)
+	return fmt.Sprintf("%s{parts=%d always=%d largest=%d mean=%.1f B=%d}",
+		e.Name(), len(e.parts), len(e.always), largest,
+		float64(e.rs.Len())/float64(len(e.parts)), e.prefixBits)
 }

@@ -1,7 +1,9 @@
 package partition_test
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"pktclass/internal/partition"
 	"pktclass/internal/ruleset"
 	"pktclass/internal/stridebv"
+	"pktclass/internal/update"
 )
 
 func buildStride(rs *ruleset.RuleSet) (core.Engine, error) {
@@ -147,8 +150,22 @@ func TestPartitionGeometry(t *testing.T) {
 	if !strings.HasPrefix(part.Name(), "part-prefix-") {
 		t.Fatalf("Name = %q", part.Name())
 	}
-	if part.String() == "" {
-		t.Fatal("empty String")
+	// String reports bucket balance: rules in the largest part beside the
+	// mean over all parts.
+	var parts, always, largest, b int
+	var mean float64
+	geom := part.String()[len(part.Name()):]
+	if _, err := fmt.Sscanf(geom, "{parts=%d always=%d largest=%d mean=%f B=%d}", &parts, &always, &largest, &mean, &b); err != nil {
+		t.Fatalf("String = %q: %v", part.String(), err)
+	}
+	if parts != part.NumParts() || b != part.PrefixBits() || always < 1 || always > 2 {
+		t.Fatalf("String = %q, want parts=%d always=1..2 B=%d", part.String(), part.NumParts(), part.PrefixBits())
+	}
+	if want := float64(rs.Len()) / float64(parts); mean < want-0.05 || mean > want+0.05 {
+		t.Fatalf("String = %q, want mean %.1f", part.String(), want)
+	}
+	if float64(largest) < mean || largest > rs.Len() {
+		t.Fatalf("String = %q: largest outside [mean, N]", part.String())
 	}
 	band, err := partition.New(rs, partition.Config{Build: buildStride, Splitter: partition.BandSplit, Parts: 4})
 	if err != nil {
@@ -159,6 +176,99 @@ func TestPartitionGeometry(t *testing.T) {
 	}
 	if band.NumParts() != 4 {
 		t.Fatalf("band parts = %d want 4", band.NumParts())
+	}
+}
+
+// Geometry must not depend on the machine: the default band count is a
+// constant, so the same ruleset partitions identically whatever GOMAXPROCS
+// says.
+func TestGeometryIgnoresGOMAXPROCS(t *testing.T) {
+	rs := genSet(t, 1024, ruleset.FirewallProfile, 104)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, splitter := range []partition.Splitter{partition.PrefixSplit, partition.BandSplit} {
+		var geom [2]string
+		for i, procs := range []int{1, 8} {
+			runtime.GOMAXPROCS(procs)
+			part, err := partition.New(rs, partition.Config{Build: buildLinear, Splitter: splitter})
+			if err != nil {
+				t.Fatal(err)
+			}
+			geom[i] = fmt.Sprintf("%d %s", part.NumParts(), part)
+		}
+		if geom[0] != geom[1] {
+			t.Fatalf("%s geometry differs: GOMAXPROCS=1 %q, GOMAXPROCS=8 %q", splitter, geom[0], geom[1])
+		}
+	}
+}
+
+// checkBatches drives eng through batches of very different sizes cut from
+// trace and compares every result with ref. The sizes shrink after a large
+// batch so a recycled scratch that kept a stale segment, offset or result
+// would show.
+func checkBatches(t *testing.T, label string, eng, ref core.Engine, trace []packet.Header) {
+	t.Helper()
+	off := 0
+	for _, n := range []int{0, 1, 400, 3, 256, 1} {
+		hdrs := trace[off : off+n]
+		off += n
+		out := make([]int, n)
+		core.ClassifyBatchInto(eng, hdrs, out)
+		for i, h := range hdrs {
+			if want := ref.Classify(h); out[i] != want {
+				t.Fatalf("%s, batch of %d: %v for %s", label, n, errDiff(i, out[i], want), h)
+			}
+		}
+	}
+}
+
+// The batch scratch is recycled across batches of any size and shared with
+// ApplyDeltas children; neither may leak one batch's state into the next.
+func TestBatchScratchReuse(t *testing.T) {
+	configs := []partition.Config{
+		{Splitter: partition.PrefixSplit, Parts: 2, PrefixBits: 2},
+		{Splitter: partition.BandSplit, Parts: 3},
+		{Splitter: partition.BandSplit, Parts: 1}, // the single-part bypass
+	}
+	for ci, cfg := range configs {
+		for _, sub := range []string{"stridebv", "linear"} {
+			label := fmt.Sprintf("%s p%d over %s", cfg.Splitter, cfg.Parts, sub)
+			rs := genSet(t, 128, ruleset.PrefixOnly, int64(120+ci))
+			trace := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 661, MatchFraction: 0.8, Seed: int64(130 + ci)})
+			cfg.Build = buildLinear
+			if sub == "stridebv" {
+				cfg.Build = buildStride
+			}
+			part, err := partition.New(rs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkBatches(t, label, part, core.NewLinear(rs), trace)
+
+			// A child shares the parent's scratch pool. StrideBV sub-engines
+			// take a real delta; core.Linear has no delta path, so its child
+			// is the empty delta's copy.
+			next := rs
+			var rules []int
+			var entries []ruleset.Ternary
+			if sub == "stridebv" {
+				j := steerableIndex(rs, 2)
+				if j < 0 {
+					t.Fatal("no DIP-steerable rule in fixture")
+				}
+				next = rs.Clone()
+				//pclass:allow-mutate writing the test's private clone, not the shared input
+				next.Rules[j] = narrowDIP(rs.Rules[j])
+				if rules, entries, err = update.Deltas([]update.Op{{Index: j, Rule: next.Rules[j]}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			child, err := part.ApplyDeltas(rules, entries, update.ApplyDeltasToEngine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkBatches(t, label+" (child)", child, core.NewLinear(next), trace)
+			checkBatches(t, label+" (parent again)", part, core.NewLinear(rs), trace)
+		}
 	}
 }
 
@@ -202,7 +312,7 @@ type diffErr struct{ i, got, want int }
 
 func errDiff(i, got, want int) error { return diffErr{i, got, want} }
 func (e diffErr) Error() string {
-	return "concurrent batch diverged"
+	return fmt.Sprintf("batch diverged at %d: got %d want %d", e.i, e.got, e.want)
 }
 
 func BenchmarkPartitionedBatch(b *testing.B) {
@@ -213,7 +323,7 @@ func BenchmarkPartitionedBatch(b *testing.B) {
 	}
 	hdrs := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 256, MatchFraction: 0.9, Seed: 2})
 	out := make([]int, len(hdrs))
-	// Warm the recycled scratch and the worker pool before counting allocs.
+	// Warm the recycled scratch before counting allocs.
 	core.ClassifyBatchInto(part, hdrs, out)
 	b.ReportAllocs()
 	b.ResetTimer()
