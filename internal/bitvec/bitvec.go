@@ -35,15 +35,6 @@ func New(n int) Vector {
 	return Vector{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
-// NewOnes returns a vector of n bits with every bit set. This is the
-// identity element for And at length n and the conventional initial partial
-// result BVP[0..N-1] fed into the first StrideBV pipeline stage.
-func NewOnes(n int) Vector {
-	v := New(n)
-	v.SetAll()
-	return v
-}
-
 // View returns an n-bit vector backed by words itself rather than a copy:
 // writes through the view land in the caller's slice, and SharesStorage
 // tells two views of one slice apart from copies. Structures that keep many
@@ -129,54 +120,6 @@ func (v Vector) check(i int) {
 	}
 }
 
-// SetAll sets every bit in the vector.
-//
-//pclass:mutates
-func (v Vector) SetAll() {
-	for i := range v.words {
-		v.words[i] = ^uint64(0)
-	}
-	v.maskTail()
-}
-
-// ClearAll zeroes every bit.
-//
-//pclass:mutates
-func (v Vector) ClearAll() {
-	for i := range v.words {
-		v.words[i] = 0
-	}
-}
-
-// maskTail zeroes the unused high bits of the final word.
-func (v Vector) maskTail() {
-	if v.n%wordBits != 0 && len(v.words) > 0 {
-		v.words[len(v.words)-1] &= (1 << uint(v.n%wordBits)) - 1
-	}
-}
-
-// And returns a new vector equal to v AND o. Lengths must match.
-func (v Vector) And(o Vector) Vector {
-	v.checkLen(o)
-	out := New(v.n)
-	for i := range v.words {
-		out.words[i] = v.words[i] & o.words[i]
-	}
-	return out
-}
-
-// AndInto computes dst = v AND o without allocating. Lengths must match.
-// dst may alias v or o.
-//
-//pclass:hotpath
-func (v Vector) AndInto(o, dst Vector) {
-	v.checkLen(o)
-	v.checkLen(dst)
-	for i := range v.words {
-		dst.words[i] = v.words[i] & o.words[i]
-	}
-}
-
 // AndWith computes v &= o in place.
 //
 //pclass:mutates
@@ -186,36 +129,6 @@ func (v Vector) AndWith(o Vector) {
 	for i := range v.words {
 		v.words[i] &= o.words[i]
 	}
-}
-
-// Or returns a new vector equal to v OR o.
-func (v Vector) Or(o Vector) Vector {
-	v.checkLen(o)
-	out := New(v.n)
-	for i := range v.words {
-		out.words[i] = v.words[i] | o.words[i]
-	}
-	return out
-}
-
-// OrWith computes v |= o in place.
-//
-//pclass:mutates
-func (v Vector) OrWith(o Vector) {
-	v.checkLen(o)
-	for i := range v.words {
-		v.words[i] |= o.words[i]
-	}
-}
-
-// Not returns a new vector with every bit of v inverted (within Len).
-func (v Vector) Not() Vector {
-	out := New(v.n)
-	for i := range v.words {
-		out.words[i] = ^v.words[i]
-	}
-	out.maskTail()
-	return out
 }
 
 func (v Vector) checkLen(o Vector) {
@@ -321,19 +234,4 @@ func (v Vector) String() string {
 		}
 	}
 	return b.String()
-}
-
-// FromString parses a vector from the format produced by String.
-func FromString(s string) (Vector, error) {
-	v := New(len(s))
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '1':
-			v.Set(i)
-		case '0':
-		default:
-			return Vector{}, fmt.Errorf("bitvec: invalid character %q at %d", s[i], i)
-		}
-	}
-	return v, nil
 }

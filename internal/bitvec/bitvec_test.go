@@ -77,39 +77,6 @@ func TestOutOfRangePanics(t *testing.T) {
 	}
 }
 
-func TestSetAllMasksTail(t *testing.T) {
-	for _, n := range []int{1, 5, 63, 64, 65, 100} {
-		v := New(n)
-		v.SetAll()
-		if v.Ones() != n {
-			t.Fatalf("n=%d: SetAll Ones = %d", n, v.Ones())
-		}
-		if v.FirstSet() != 0 {
-			t.Fatalf("n=%d: FirstSet after SetAll = %d", n, v.FirstSet())
-		}
-	}
-}
-
-func TestNewOnes(t *testing.T) {
-	v := NewOnes(77)
-	if v.Ones() != 77 {
-		t.Fatalf("NewOnes(77).Ones() = %d", v.Ones())
-	}
-	// Identity for And.
-	r := randVector(77, rand.New(rand.NewSource(1)))
-	if !r.And(v).Equal(r) {
-		t.Fatal("And with all-ones changed vector")
-	}
-}
-
-func TestClearAll(t *testing.T) {
-	v := NewOnes(100)
-	v.ClearAll()
-	if !v.IsZero() {
-		t.Fatal("ClearAll left bits set")
-	}
-}
-
 func randVector(n int, rng *rand.Rand) Vector {
 	v := New(n)
 	for i := 0; i < n; i++ {
@@ -120,12 +87,19 @@ func randVector(n int, rng *rand.Rand) Vector {
 	return v
 }
 
+// and returns a fresh a AND b, leaving both operands alone.
+func and(a, b Vector) Vector {
+	c := a.Clone()
+	c.AndWith(b)
+	return c
+}
+
 func TestAndSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(300)
 		a, b := randVector(n, rng), randVector(n, rng)
-		c := a.And(b)
+		c := and(a, b)
 		for i := 0; i < n; i++ {
 			want := a.Get(i) && b.Get(i)
 			if c.Get(i) != want {
@@ -135,53 +109,13 @@ func TestAndSemantics(t *testing.T) {
 	}
 }
 
-func TestAndIntoAliasing(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a, b := randVector(200, rng), randVector(200, rng)
-	want := a.And(b)
-	got := a.Clone()
-	got.AndInto(b, got) // dst aliases receiver
-	if !got.Equal(want) {
-		t.Fatal("AndInto with aliased dst differs from And")
-	}
-	got2 := a.Clone()
-	got2.AndWith(b)
-	if !got2.Equal(want) {
-		t.Fatal("AndWith differs from And")
-	}
-}
-
-func TestOrNotSemantics(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n := 130
-	a, b := randVector(n, rng), randVector(n, rng)
-	or := a.Or(b)
-	not := a.Not()
-	for i := 0; i < n; i++ {
-		if or.Get(i) != (a.Get(i) || b.Get(i)) {
-			t.Fatalf("Or bit %d wrong", i)
-		}
-		if not.Get(i) != !a.Get(i) {
-			t.Fatalf("Not bit %d wrong", i)
-		}
-	}
-	if not.Ones()+a.Ones() != n {
-		t.Fatalf("Not tail mask broken: %d + %d != %d", not.Ones(), a.Ones(), n)
-	}
-	c := a.Clone()
-	c.OrWith(b)
-	if !c.Equal(or) {
-		t.Fatal("OrWith differs from Or")
-	}
-}
-
 func TestLengthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("And with mismatched lengths did not panic")
+			t.Fatal("AndWith with mismatched lengths did not panic")
 		}
 	}()
-	New(10).And(New(11))
+	New(10).AndWith(New(11))
 }
 
 func TestFirstSetMatchesNaive(t *testing.T) {
@@ -254,25 +188,27 @@ func TestSetBitsMultiMatchOrder(t *testing.T) {
 	}
 }
 
+// String renders bit i as character i, so reading the characters back
+// recovers the vector.
 func TestStringRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		v := randVector(1+rng.Intn(150), rng)
-		back, err := FromString(v.String())
-		if err != nil {
-			t.Fatal(err)
+		str := v.String()
+		if len(str) != v.Len() {
+			t.Fatalf("String has %d characters for %d bits", len(str), v.Len())
 		}
-		if !back.Equal(v) {
-			t.Fatalf("round trip failed: %s != %s", back, v)
+		for i := range str {
+			if str[i] != '0' && str[i] != '1' || (str[i] == '1') != v.Get(i) {
+				t.Fatalf("character %d of %q disagrees with bit %v", i, str, v.Get(i))
+			}
 		}
-	}
-	if _, err := FromString("01x"); err == nil {
-		t.Fatal("FromString accepted invalid character")
 	}
 }
 
 func TestCloneIndependent(t *testing.T) {
-	a := NewOnes(70)
+	a := New(70)
+	a.Set(0)
 	b := a.Clone()
 	b.Clear(0)
 	if !a.Get(0) {
@@ -309,7 +245,7 @@ func TestQuickAndCommutative(t *testing.T) {
 	f := func(q quickVec, seed2 int64) bool {
 		a := q.vector()
 		b := randVector(a.Len(), rand.New(rand.NewSource(seed2)))
-		return a.And(b).Equal(b.And(a))
+		return and(a, b).Equal(and(b, a))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -323,21 +259,9 @@ func TestQuickAndAssociativeIdempotent(t *testing.T) {
 		rng3 := rand.New(rand.NewSource(s3))
 		b := randVector(a.Len(), rng2)
 		c := randVector(a.Len(), rng3)
-		assoc := a.And(b).And(c).Equal(a.And(b.And(c)))
-		idem := a.And(a).Equal(a)
+		assoc := and(and(a, b), c).Equal(and(a, and(b, c)))
+		idem := and(a, a).Equal(a)
 		return assoc && idem
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickDeMorgan(t *testing.T) {
-	f := func(q quickVec, s2 int64) bool {
-		a := q.vector()
-		b := randVector(a.Len(), rand.New(rand.NewSource(s2)))
-		// NOT(a AND b) == NOT a OR NOT b
-		return a.And(b).Not().Equal(a.Not().Or(b.Not()))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -370,14 +294,13 @@ func TestQuickFirstSetIsMinimumOfSetBits(t *testing.T) {
 	}
 }
 
-func BenchmarkAndInto2048(b *testing.B) {
+func BenchmarkAndWith2048(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := randVector(2048, rng)
 	y := randVector(2048, rng)
-	dst := New(2048)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		x.AndInto(y, dst)
+		x.AndWith(y)
 	}
 }
 
@@ -414,7 +337,10 @@ func TestViewAliasesCallerWords(t *testing.T) {
 		t.Fatal("a neighbouring row or a clone must not share storage")
 	}
 	// A view is a full Vector: the kernels work on it against a New one.
-	acc := NewOnes(n)
+	acc := New(n)
+	for i := 0; i < n; i++ {
+		acc.Set(i)
+	}
 	acc.AndWith(row0)
 	if acc.Ones() != 1 || acc.FirstSet() != 69 {
 		t.Fatalf("AndWith over a view: %s", acc)

@@ -3,7 +3,9 @@
 // its Section II-A notes that OpenFlow-style classification inspects 12+
 // fields, i.e. much wider keys. Ruleset-feature independence carries over
 // unchanged: memory is ceil(W/k)·2^k·Ne bits for StrideBV and 2·W·Ne for
-// TCAM, whatever the fields mean.
+// TCAM, whatever the fields mean. Engine is a front end of stridebv.Memory —
+// the same stage memory and word walker the 5-tuple engines use — and TCAM
+// is the byte-level linear reference it is tested against.
 //
 // Keys and ternary patterns are big-endian byte strings: bit i of a key is
 // bit 7-i%8 of byte i/8, matching internal/packet's layout so the 104-bit
@@ -14,6 +16,7 @@ import (
 	"fmt"
 
 	"pktclass/internal/bitvec"
+	"pktclass/internal/stridebv"
 )
 
 // Ternary is a W-bit ternary pattern over byte strings.
@@ -43,128 +46,69 @@ func (t Ternary) Matches(key []byte) bool {
 	return true
 }
 
-// Engine is the width-generic StrideBV classifier.
+// Engine is the width-generic StrideBV classifier: stridebv's stage memory
+// at W = wBits, addressed by byte-string keys. Width, Stages, NumEntries and
+// MemoryBits (ceil(W/k)·2^k·Ne) are the memory's own.
 type Engine struct {
-	wBits  int
-	k      int
-	stages int
-	ne     int
-	mem    [][]bitvec.Vector
+	stridebv.Memory
 }
 
-// New builds a stride-k engine over Ne ternary entries of wBits bits.
+// New builds a stride-k engine over Ne ternary entries of wBits bits. An
+// entry must be ceil(wBits/8) bytes and care about no bit past wBits.
 func New(entries []Ternary, wBits, k int) (*Engine, error) {
-	if wBits < 1 {
-		return nil, fmt.Errorf("genbv: width %d", wBits)
+	m, err := stridebv.NewMemory(wBits, k, len(entries))
+	if err != nil {
+		return nil, fmt.Errorf("genbv: %w", err)
 	}
-	if k < 1 || k > 8 {
-		return nil, fmt.Errorf("genbv: stride %d outside [1,8]", k)
-	}
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("genbv: no entries")
-	}
+	e := &Engine{m}
 	wantBytes := (wBits + 7) / 8
-	for i, e := range entries {
-		if len(e.Value) != wantBytes || len(e.Mask) != wantBytes {
-			return nil, fmt.Errorf("genbv: entry %d has %d bytes, want %d", i, len(e.Value), wantBytes)
+	for i, t := range entries {
+		if len(t.Value) != wantBytes || len(t.Mask) != wantBytes {
+			return nil, fmt.Errorf("genbv: entry %d has %d bytes, want %d", i, len(t.Value), wantBytes)
 		}
-	}
-	e := &Engine{
-		wBits:  wBits,
-		k:      k,
-		stages: (wBits + k - 1) / k,
-		ne:     len(entries),
-	}
-	e.mem = make([][]bitvec.Vector, e.stages)
-	for s := range e.mem {
-		e.mem[s] = make([]bitvec.Vector, 1<<uint(k))
-		for c := range e.mem[s] {
-			v := bitvec.New(e.ne)
-			for j, entry := range entries {
-				if compatible(entry, e.wBits, s, k, c) {
-					v.Set(j)
-				}
-			}
-			e.mem[s][c] = v
+		if pad := byte(1)<<uint(wantBytes*8-wBits) - 1; t.Mask[wantBytes-1]&pad != 0 {
+			return nil, fmt.Errorf("genbv: entry %d cares about bits past width %d", i, wBits)
 		}
+		e.WriteEntry(i, t.Value, t.Mask, true)
 	}
+	e.Reorder()
 	return e, nil
 }
 
-func bitOf(b []byte, i int) int {
-	return int(b[i>>3]>>(7-uint(i&7))) & 1
-}
-
-func compatible(t Ternary, w, s, k, c int) bool {
-	for b := 0; b < k; b++ {
-		i := s*k + b
-		cbit := c >> uint(k-1-b) & 1
-		if i >= w {
-			if cbit != 0 {
-				return false
-			}
-			continue
-		}
-		if bitOf(t.Mask, i) == 1 && bitOf(t.Value, i) != cbit {
-			return false
-		}
+// checkKey rejects a key that is not ceil(W/8) bytes.
+func (e *Engine) checkKey(key []byte) error {
+	if want := (e.Width() + 7) / 8; len(key) != want {
+		return fmt.Errorf("genbv: key %d bytes, want %d", len(key), want)
 	}
-	return true
+	return nil
 }
-
-// strideOf extracts the k-bit stride at stage s of a key, zero-padded.
-func (e *Engine) strideOf(key []byte, s int) int {
-	v := 0
-	for b := 0; b < e.k; b++ {
-		v <<= 1
-		if i := s*e.k + b; i < e.wBits {
-			v |= bitOf(key, i)
-		}
-	}
-	return v
-}
-
-// Width returns the key width in bits.
-func (e *Engine) Width() int { return e.wBits }
-
-// Stages returns the pipeline depth.
-func (e *Engine) Stages() int { return e.stages }
-
-// NumEntries returns Ne.
-func (e *Engine) NumEntries() int { return e.ne }
-
-// MemoryBits returns the stage-memory requirement: ceil(W/k)·2^k·Ne.
-func (e *Engine) MemoryBits() int { return e.stages * (1 << uint(e.k)) * e.ne }
 
 // MatchVector computes the multi-match vector for a key.
 func (e *Engine) MatchVector(key []byte) (bitvec.Vector, error) {
-	if len(key) != (e.wBits+7)/8 {
-		return bitvec.Vector{}, fmt.Errorf("genbv: key %d bytes, want %d", len(key), (e.wBits+7)/8)
+	if err := e.checkKey(key); err != nil {
+		return bitvec.Vector{}, err
 	}
-	acc := e.mem[0][e.strideOf(key, 0)].Clone()
-	for s := 1; s < e.stages; s++ {
-		acc.AndWith(e.mem[s][e.strideOf(key, s)])
-	}
-	return acc, nil
+	return e.Match(key), nil
 }
 
-// Classify returns the first matching entry index, or -1.
+// Classify returns the first matching entry index, or -1. Key bits past W
+// in the last byte are ignored.
 func (e *Engine) Classify(key []byte) (int, error) {
-	v, err := e.MatchVector(key)
-	if err != nil {
+	if err := e.checkKey(key); err != nil {
 		return -1, err
 	}
-	return v.FirstSet(), nil
+	return e.First(key), nil
 }
 
-// TCAM is the width-generic linear ternary search, the reference for the
-// generic engine.
+// TCAM is the width-generic linear ternary search, the byte-level reference
+// for the generic engine.
 type TCAM struct {
 	entries []Ternary
+	wBits   int
 }
 
-// NewTCAM wraps the entries.
-func NewTCAM(entries []Ternary) *TCAM { return &TCAM{entries: entries} }
+// NewTCAM wraps the entries, each a wBits-bit pattern.
+func NewTCAM(entries []Ternary, wBits int) *TCAM { return &TCAM{entries: entries, wBits: wBits} }
 
 // Classify returns the first matching entry index, or -1.
 func (t *TCAM) Classify(key []byte) int {
@@ -176,10 +120,5 @@ func (t *TCAM) Classify(key []byte) int {
 	return -1
 }
 
-// MemoryBits returns 2·W·Ne for W taken from the first entry.
-func (t *TCAM) MemoryBits() int {
-	if len(t.entries) == 0 {
-		return 0
-	}
-	return 2 * 8 * len(t.entries[0].Value) * len(t.entries)
-}
+// MemoryBits returns 2·W·Ne: a value and a mask bit per key bit per entry.
+func (t *TCAM) MemoryBits() int { return 2 * t.wBits * len(t.entries) }

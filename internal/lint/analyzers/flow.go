@@ -55,7 +55,8 @@ func isSyncPoolMethod(fn *types.Func, name string) bool {
 
 // fieldKey returns the "Type.Field" fact key of a field selection along
 // with the field's defining package, or ok=false when sel is not a direct
-// field selection on a named (possibly pointer-to-named) type.
+// field selection on a named (possibly pointer-to-named) type, or on a type
+// that embeds one.
 func fieldKey(info *types.Info, sel *ast.SelectorExpr) (key string, pkg *types.Package, ok bool) {
 	s, found := info.Selections[sel]
 	if !found || s.Kind() != types.FieldVal {
@@ -65,12 +66,17 @@ func fieldKey(info *types.Info, sel *ast.SelectorExpr) (key string, pkg *types.P
 	if field == nil || field.Pkg() == nil {
 		return "", nil, false
 	}
-	t := types.Unalias(s.Recv())
-	if p, ok := t.(*types.Pointer); ok {
-		t = types.Unalias(p.Elem())
+	// A field promoted through embedding is keyed by the struct that
+	// declares it, not by the type it was selected on: step through the
+	// embedded fields on the selection's path.
+	n := namedOf(s.Recv())
+	for _, i := range s.Index()[:len(s.Index())-1] {
+		if n == nil {
+			return "", nil, false
+		}
+		n = namedOf(n.Underlying().(*types.Struct).Field(i).Type())
 	}
-	n, isNamed := t.(*types.Named)
-	if !isNamed {
+	if n == nil {
 		return "", nil, false
 	}
 	return n.Obj().Name() + "." + field.Name(), field.Pkg(), true

@@ -85,3 +85,10 @@ type Grid struct {
 	//pclass:cow
 	Cells [][]uint64
 }
+
+// Front embeds the COW vector the way stridebv's engines embed their stage
+// memory: Mem and Sum are promoted, and stay COW storage under that name.
+type Front struct {
+	Vector
+	Rules int
+}

@@ -52,6 +52,13 @@ func rangeBuggy(g *def.Grid) {
 	}
 }
 
+// promotedBuggy: the field reached through an embedding struct is the
+// same shared storage, whichever way the selector spells it.
+func promotedBuggy(f *def.Front, mask uint64) {
+	f.Mem[0] |= mask        // want `write into //pclass:cow storage Vector.Mem`
+	f.Vector.Sum[0] |= mask // want `write into //pclass:cow storage Vector.Sum`
+}
+
 // cloneClean: call results are detached storage; writes are free.
 func cloneClean(v *def.Vector) []uint64 {
 	fresh := v.Clone()

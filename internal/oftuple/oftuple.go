@@ -3,10 +3,11 @@
 // The paper's Section II-A singles OpenFlow out as the many-field cousin of
 // 5-tuple classification; this package demonstrates that the two
 // feature-independent engines extend to that regime unchanged — memory is
-// still a closed form in (W, k, Ne) with W = 248 bits.
+// still a closed form in (W, k, Ne) with W = 256 bits.
 package oftuple
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -28,7 +29,7 @@ const (
 	TpSrcBits   = 16
 	TpDstBits   = 16
 
-	// W is the total tuple width: 256 bits... summed precisely below.
+	// W is the total tuple width.
 	W = InPortBits + EthSrcBits + EthDstBits + EthTypeBits + VlanBits +
 		IPSrcBits + IPDstBits + ProtoBits + TosBits + TpSrcBits + TpDstBits // 256
 	// KeyBytes is the packed size.
@@ -50,24 +51,26 @@ type Header struct {
 	TpDst   uint16
 }
 
-// Key packs the header MSB-first per field, fields in declaration order.
-func (h Header) Key() []byte {
-	k := make([]byte, 0, KeyBytes)
-	k = append(k, byte(h.InPort>>8), byte(h.InPort))
-	k = appendUint48(k, h.EthSrc)
-	k = appendUint48(k, h.EthDst)
-	k = append(k, byte(h.EthType>>8), byte(h.EthType))
-	k = append(k, byte(h.Vlan>>8), byte(h.Vlan))
-	k = append(k, byte(h.IPSrc>>24), byte(h.IPSrc>>16), byte(h.IPSrc>>8), byte(h.IPSrc))
-	k = append(k, byte(h.IPDst>>24), byte(h.IPDst>>16), byte(h.IPDst>>8), byte(h.IPDst))
-	k = append(k, h.Proto, h.Tos)
-	k = append(k, byte(h.TpSrc>>8), byte(h.TpSrc))
-	k = append(k, byte(h.TpDst>>8), byte(h.TpDst))
+// Key packs the header MSB-first per field, fields in declaration order. It
+// is an array, not a slice, so a lookup's key never reaches the heap.
+func (h Header) Key() (k [KeyBytes]byte) {
+	binary.BigEndian.PutUint16(k[0:], h.InPort)
+	putUint48(k[2:], h.EthSrc)
+	putUint48(k[8:], h.EthDst)
+	binary.BigEndian.PutUint16(k[14:], h.EthType)
+	binary.BigEndian.PutUint16(k[16:], h.Vlan)
+	binary.BigEndian.PutUint32(k[18:], h.IPSrc)
+	binary.BigEndian.PutUint32(k[22:], h.IPDst)
+	k[26], k[27] = h.Proto, h.Tos
+	binary.BigEndian.PutUint16(k[28:], h.TpSrc)
+	binary.BigEndian.PutUint16(k[30:], h.TpDst)
 	return k
 }
 
-func appendUint48(k []byte, v uint64) []byte {
-	return append(k, byte(v>>40), byte(v>>32), byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+// putUint48 stores the low 48 bits of v big-endian.
+func putUint48(b []byte, v uint64) {
+	binary.BigEndian.PutUint16(b, uint16(v>>32))
+	binary.BigEndian.PutUint32(b[2:], uint32(v))
 }
 
 // FieldMatch is an exact-or-wildcard constraint on one field (OpenFlow 1.0
@@ -177,12 +180,13 @@ func NewTable(rules []Rule, k int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Table{Rules: rules, engine: eng, tcam: genbv.NewTCAM(entries)}, nil
+	return &Table{Rules: rules, engine: eng, tcam: genbv.NewTCAM(entries, W)}, nil
 }
 
 // Classify returns the first matching rule index via StrideBV, or -1.
 func (t *Table) Classify(h Header) int {
-	idx, err := t.engine.Classify(h.Key())
+	key := h.Key()
+	idx, err := t.engine.Classify(key[:])
 	if err != nil {
 		panic("oftuple: internal key width error: " + err.Error())
 	}
@@ -190,7 +194,10 @@ func (t *Table) Classify(h Header) int {
 }
 
 // ClassifyTCAM returns the TCAM engine's answer (used for cross-checks).
-func (t *Table) ClassifyTCAM(h Header) int { return t.tcam.Classify(h.Key()) }
+func (t *Table) ClassifyTCAM(h Header) int {
+	key := h.Key()
+	return t.tcam.Classify(key[:])
+}
 
 // MemoryBits returns (stridebv, tcam) storage for the table.
 func (t *Table) MemoryBits() (strideBV, tcamBits int) {

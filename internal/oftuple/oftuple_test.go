@@ -52,7 +52,7 @@ func TestRuleMatchesAndTernaryAgree(t *testing.T) {
 			} else {
 				h = HeaderInRule(r, rng)
 			}
-			if tern.Matches(h.Key()) != r.Matches(h) {
+			if key := h.Key(); tern.Matches(key[:]) != r.Matches(h) {
 				t.Fatalf("rule %d: ternary and direct match disagree", i)
 			}
 		}

@@ -44,7 +44,7 @@ func (e *Engine) ApplyDeltas(rules []int, entries []ruleset.Ternary) (*Engine, e
 		}
 	}
 	// The child starts as a copy of the receiver: same geometry, same walk
-	// order until reorder below, and the same scratch pool — the recycled
+	// order until Reorder below, and the same scratch pool — the recycled
 	// lookup workspaces are interchangeable, so sharing keeps them warm
 	// across swaps.
 	n := *e
@@ -69,6 +69,6 @@ func (e *Engine) ApplyDeltas(rules []int, entries []ruleset.Ternary) (*Engine, e
 		n.ex.Entries[j] = entries[i]
 		n.writeEntry(j, entries[i])
 	}
-	n.reorder()
+	n.Reorder()
 	return &n, nil
 }

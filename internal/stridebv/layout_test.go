@@ -2,10 +2,12 @@ package stridebv_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"pktclass/internal/bitvec"
 	"pktclass/internal/core"
+	"pktclass/internal/genbv"
 	"pktclass/internal/packet"
 	"pktclass/internal/ruleset"
 	"pktclass/internal/stridebv"
@@ -30,14 +32,32 @@ func layoutFixture(t testing.TB, ne int, wild bool) (*ruleset.RuleSet, *ruleset.
 	return rs, ex, hdrs
 }
 
-// TestLayoutDifferential checks the block layout and its one walker against
-// the references on every stride and on entry counts either side of each
-// layout boundary: one word, one word ± 1 bit, one summary word (4096
-// entries), one summary word + 1 entry, and a third summary word.
-// Classify/ClassifyBatch answer like core.NewLinear; MatchVector and
-// MultiMatch agree with per-entry Ternary.MatchesKey.
+// layoutSizes are entry counts either side of each layout boundary: one
+// word, one word ± 1 bit, one summary word (4096 entries) and one summary
+// word + 1 entry.
+var layoutSizes = []int{1, 63, 64, 65, 4096, 4097}
+
+// skipRaced trims the raced run: builds of the big tables take seconds each
+// under the detector, and the plain run has them all.
+func skipRaced(ne, k int) bool {
+	return stridebv.RaceEnabled && ne >= 4096 && k != 3 && k != 4
+}
+
+// TestLayoutDifferential checks the one stage memory — block layout,
+// summary index, walker — against the references through every front end
+// that rides it, on every stride and on entry counts either side of each
+// layout boundary.
 func TestLayoutDifferential(t *testing.T) {
-	for _, ne := range []int{1, 63, 64, 65, 4096, 4097, 8203} {
+	t.Run("5tuple", layout5Tuple)
+	t.Run("range", layoutRange)
+	t.Run("generic", layoutGeneric)
+}
+
+// layout5Tuple: Classify/ClassifyBatch answer like core.NewLinear;
+// MatchVector and MultiMatch agree with per-entry Ternary.MatchesKey. The
+// 5-tuple axis also takes a third summary word (8203 entries).
+func layout5Tuple(t *testing.T) {
+	for _, ne := range append([]int{8203}, layoutSizes...) {
 		for _, wild := range []bool{false, true} {
 			rs, ex, hdrs := layoutFixture(t, ne, wild)
 			linear := core.NewLinear(rs)
@@ -56,8 +76,8 @@ func TestLayoutDifferential(t *testing.T) {
 				t.Fatalf("ne=%d wild=%v: %d of %d headers match nothing", ne, wild, misses, len(hdrs))
 			}
 			for k := stridebv.MinStride; k <= stridebv.MaxStride; k++ {
-				if stridebv.RaceEnabled && ne >= 4096 && k != 3 && k != 4 {
-					continue // raced builds of the big tables take seconds each; the plain run has them all
+				if skipRaced(ne, k) {
+					continue
 				}
 				name := fmt.Sprintf("ne=%d wild=%v k=%d", ne, wild, k)
 				e, err := stridebv.New(ex, k)
@@ -77,6 +97,142 @@ func TestLayoutDifferential(t *testing.T) {
 					// One entry per rule, so the matching rules are the matching entries.
 					if got := e.MultiMatch(h); fmt.Sprint(got) != fmt.Sprint(want[i].SetBits()) {
 						t.Fatalf("%s: MultiMatch %v, MatchesKey %v for %s", name, got, want[i].SetBits(), h)
+					}
+				}
+			}
+		}
+	}
+}
+
+// layoutRange: the range engine keeps one bit per rule, so the fixtures are
+// rulesets with real port ranges (which the ternary path would expand), with
+// and without a catch-all default rule. Classify/ClassifyBatch answer like
+// core.NewLinear; MultiMatch and MatchVector agree with RuleSet.AllMatches.
+func layoutRange(t *testing.T) {
+	for _, ne := range layoutSizes {
+		for i, profile := range []ruleset.Profile{ruleset.FirewallProfile, ruleset.FeatureFree} {
+			rs := ruleset.Generate(ruleset.GenConfig{N: ne, Profile: profile, Seed: int64(ne), DefaultRule: i == 0})
+			if rs.Expand().Len() == ne && ne > 1 {
+				t.Fatalf("ne=%d %v: no rule carries a port range", ne, profile)
+			}
+			hdrs := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 60, MatchFraction: 0.8, Seed: int64(ne) + 1})
+			linear := core.NewLinear(rs)
+			for k := stridebv.MinStride; k <= stridebv.MaxStride; k++ {
+				if skipRaced(ne, k) {
+					continue
+				}
+				name := fmt.Sprintf("ne=%d %v k=%d", ne, profile, k)
+				e, err := stridebv.NewRange(rs, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := make([]int, len(hdrs))
+				e.ClassifyBatch(hdrs, out)
+				for i, h := range hdrs {
+					ref := linear.Classify(h)
+					if got := e.Classify(h); got != ref || out[i] != ref {
+						t.Fatalf("%s: Classify %d, ClassifyBatch %d, linear %d for %s", name, got, out[i], ref, h)
+					}
+					all := fmt.Sprint(rs.AllMatches(h))
+					if got := e.MultiMatch(h); fmt.Sprint(got) != all {
+						t.Fatalf("%s: MultiMatch %v, AllMatches %s for %s", name, got, all, h)
+					}
+					if got := e.MatchVector(h); got.Len() != ne || fmt.Sprint(got.SetBits()) != all {
+						t.Fatalf("%s: MatchVector %v, AllMatches %s for %s", name, got.SetBits(), all, h)
+					}
+				}
+			}
+		}
+	}
+}
+
+// randTernaries draws ne w-bit patterns with sparse care masks (about one
+// bit in eight, none past w), so keys derived from an entry's value
+// actually match.
+func randTernaries(rng *rand.Rand, w, ne int) []genbv.Ternary {
+	nbytes := (w + 7) / 8
+	entries := make([]genbv.Ternary, ne)
+	for i := range entries {
+		v, m := make([]byte, nbytes), make([]byte, nbytes)
+		rng.Read(v)
+		rng.Read(m)
+		for b := range m {
+			m[b] &= byte(rng.Intn(256)) & byte(rng.Intn(256))
+		}
+		m[nbytes-1] &^= byte(1)<<uint(nbytes*8-w) - 1
+		entries[i] = genbv.Ternary{Value: v, Mask: m}
+	}
+	return entries
+}
+
+// layoutGeneric: byte-string keys of widths that leave fewer stages than
+// the walker's lead (W = 8), a final stride straddling the key's end
+// (W = 13, 104 at k = 3, 300 at k = 7, 8) and the OpenFlow tuple's 256 bits,
+// against the byte-level genbv.TCAM. Half the keys carry junk in the bits
+// past W, which no entry cares about and the stride extractor must drop.
+func layoutGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, w := range []int{8, 13, 72, 104, 256, 300} {
+		nbytes := (w + 7) / 8
+		pad := byte(1)<<uint(nbytes*8-w) - 1
+		for _, ne := range layoutSizes {
+			entries := randTernaries(rng, w, ne)
+			keys := make([][]byte, 60)
+			for i := range keys {
+				keys[i] = make([]byte, nbytes)
+				rng.Read(keys[i])
+				if i%3 == 0 { // directed: an entry's value with one byte redrawn
+					copy(keys[i], entries[rng.Intn(ne)].Value)
+					keys[i][rng.Intn(nbytes)] = byte(rng.Intn(256))
+				}
+				if i%2 == 0 {
+					keys[i][nbytes-1] &^= pad
+				}
+			}
+			// The byte-level references, once per key: the TCAM's first match
+			// and every entry's own Matches.
+			ref := genbv.NewTCAM(entries, w)
+			first, all := make([]int, len(keys)), make([]string, len(keys))
+			hits := 0
+			for i, key := range keys {
+				var matching []int
+				for j, entry := range entries {
+					if entry.Matches(key) {
+						matching = append(matching, j)
+					}
+				}
+				first[i], all[i] = ref.Classify(key), fmt.Sprint(matching)
+				if first[i] >= 0 {
+					hits++
+				}
+			}
+			if ne > 1 && hits == 0 {
+				t.Fatalf("W=%d ne=%d: no key matched any entry", w, ne)
+			}
+			strides := []int{1, 3, 4, 7, 8}
+			if ne >= 4096 {
+				strides = []int{1, 3, 4, 8} // the big builds are column-write bound; k=7 adds no boundary there
+			}
+			for _, k := range strides {
+				if skipRaced(ne, k) || stridebv.RaceEnabled && ne >= 4096 && w > 104 {
+					continue
+				}
+				name := fmt.Sprintf("W=%d ne=%d k=%d", w, ne, k)
+				e, err := genbv.New(entries, w, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stages := (w + k - 1) / k
+				if e.Width() != w || e.NumEntries() != ne || e.Stages() != stages || e.MemoryBits() != stages*(1<<k)*ne {
+					t.Fatalf("%s: geometry W=%d Ne=%d stages=%d bits=%d", name, e.Width(), e.NumEntries(), e.Stages(), e.MemoryBits())
+				}
+				for i, key := range keys {
+					if got, err := e.Classify(key); err != nil || got != first[i] {
+						t.Fatalf("%s: engine %d (%v), tcam %d for key % x", name, got, err, first[i], key)
+					}
+					vec, err := e.MatchVector(key)
+					if err != nil || vec.Len() != ne || fmt.Sprint(vec.SetBits()) != all[i] {
+						t.Fatalf("%s: MatchVector %v (%v), Matches %s for key % x", name, vec.SetBits(), err, all[i], key)
 					}
 				}
 			}

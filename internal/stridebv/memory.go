@@ -1,0 +1,414 @@
+package stridebv
+
+import (
+	"fmt"
+	"math/bits"
+	"sort"
+	"sync"
+
+	"pktclass/internal/bitvec"
+)
+
+// Memory is StrideBV stage memory over a W-bit key: ceil(W/k) stages of 2^k
+// rows of Ne bits, whatever W, k and the key's fields mean — the uniformity
+// the paper's Section III-A3 rests on. It holds the one row-AND walker, the
+// one summary index, the one column build rule and the one copy-on-write
+// mutation point of every bit-vector engine in the tree. The front ends
+// embed it and differ only in how a lookup's stage addresses are produced
+// and in what a surviving entry means: Engine (the packed 5-tuple, entries
+// resolved through the expansion's parent map), RangeEngine (the 72 prefix
+// bits, port bounds tested on the survivors) and genbv.Engine (any width,
+// byte-string keys, which is why the type is exported).
+type Memory struct {
+	w, k, stages, ne int
+	// words is the length of one stage row — the Ne-bit vector one stride
+	// value addresses — in 64-bit words, sumWords the length of its summary.
+	words, sumWords int
+	// blk[s] is stage s's whole memory, 2^k rows of words words each:
+	// blk[s][c·words+w] is word w of the vector for stride value c. Rows are
+	// contiguous, so the words a lookup reads from one stage stream
+	// sequentially. A delta-derived engine (ApplyDeltas) shares a stage's
+	// block with its parent until setBit detaches it.
+	//
+	//pclass:cow
+	blk [][]uint64
+	// sum[s] is the word-level summary of blk[s], laid out the same way:
+	// bit w of row c (sum[s][c·sumWords+w/64], bit w%64) is set iff word w of
+	// the stage row is nonzero. ANDing the summaries along a key's path
+	// yields the candidate words the full AND can possibly survive in, so
+	// classification skips all-zero words and its cost tracks the population
+	// near the match, not Ne. Aliased with a delta parent exactly like blk.
+	//
+	//pclass:cow
+	sum [][]uint64
+	// shared[s] means blk[s] and sum[s] still alias the engine this one was
+	// delta-derived from (ApplyDeltas); nil for memories built from scratch.
+	// setBit clones the stage's blocks before the first in-place write, so a
+	// delta child can never mutate state a concurrent reader of the parent
+	// still holds.
+	shared []bool
+	// ones[s] counts the set bits of blk[s], kept current by setBit; order
+	// lists the stages sparsest first — the order the lookup ANDs them in.
+	// AND commutes, so any order gives the same answer; probing the most
+	// selective stages first is what lets a candidate word die after a load
+	// or two wherever in the key the ruleset's selective bits sit (the
+	// leading SIP bits of a firewall set, the DIP and port bits of a
+	// prefix-only one). A delta child copies ones; order is replaced whole
+	// by Reorder and never written in place, so it can stay shared.
+	ones, order []int
+	// scratch recycles per-goroutine lookup state so the classification fast
+	// path allocates nothing in steady state. It is held by pointer so a
+	// delta-derived engine (ApplyDeltas) shares the pool with its parent:
+	// the dimensions are identical and the warm workspaces survive swaps.
+	scratch *sync.Pool
+}
+
+// scratchState is one goroutine's reusable workspace, recycled through the
+// memory's pool: a key's stage addresses (an entry write's value strides),
+// an entry write's care strides, the candidate words left to walk (the AND
+// of the addressed rows' summaries) and, for matchInto only, the full
+// result vector.
+//
+//pclass:pooled
+type scratchState struct {
+	addrs, care []int
+	sum         []uint64
+	acc         bitvec.Vector
+}
+
+// MinStride and MaxStride bound supported stride lengths. The paper uses 3
+// and 4; larger strides square the per-stage memory (2^k growth), smaller
+// ones add stages.
+const (
+	MinStride = 1
+	MaxStride = 8
+)
+
+// leadStages is how many stages (the sparsest ones, see Memory.order) the
+// word walker ANDs before it first tests the partial result. Nearly every
+// candidate word dies within them, which turns the "word died" branch from
+// a coin flip per stage into one predictable branch per candidate. A key
+// with fewer stages (W = 8, k = 8 has one) repeats its sparsest stage to
+// fill the lead; see Reorder.
+const leadStages = 4
+
+// NewMemory returns all-zero stage memory for ne entries of w bits at
+// stride k: no entry matches anything until WriteEntry programs its column.
+func NewMemory(w, k, ne int) (Memory, error) {
+	if k < MinStride || k > MaxStride {
+		return Memory{}, fmt.Errorf("stridebv: stride %d outside [%d,%d]", k, MinStride, MaxStride)
+	}
+	if w < 1 {
+		return Memory{}, fmt.Errorf("stridebv: key width %d", w)
+	}
+	if ne < 1 {
+		return Memory{}, fmt.Errorf("stridebv: no entries")
+	}
+	m := newMemory(w, k, ne)
+	m.blk, m.sum, m.ones = m.makeBlocks(m.words), m.makeBlocks(m.sumWords), make([]int, m.stages)
+	m.Reorder()
+	return m, nil
+}
+
+// newMemory returns memory of the given geometry, its storage still to be
+// attached.
+func newMemory(w, k, ne int) Memory {
+	words := (ne + 63) / 64
+	return Memory{
+		w:        w,
+		k:        k,
+		stages:   (w + k - 1) / k,
+		ne:       ne,
+		words:    words,
+		sumWords: (words + 63) / 64,
+		scratch:  new(sync.Pool),
+	}
+}
+
+// makeBlocks allocates one zeroed block per stage: 2^k rows of rowWords
+// words.
+func (m *Memory) makeBlocks(rowWords int) [][]uint64 {
+	b := make([][]uint64, m.stages)
+	for s := range b {
+		b[s] = make([]uint64, rowWords<<uint(m.k))
+	}
+	return b
+}
+
+// getScratch returns a recycled (or, on first use per goroutine, fresh)
+// workspace sized for this memory.
+//
+//pclass:pooled
+func (m *Memory) getScratch() *scratchState {
+	if sc, ok := m.scratch.Get().(*scratchState); ok {
+		return sc
+	}
+	return &scratchState{
+		addrs: make([]int, m.stages),
+		care:  make([]int, m.stages),
+		sum:   make([]uint64, m.sumWords),
+		acc:   bitvec.New(m.ne),
+	}
+}
+
+// putScratch recycles a workspace; the caller must not touch sc again.
+//
+//pclass:releases
+func (m *Memory) putScratch(sc *scratchState) { m.scratch.Put(sc) }
+
+// Width returns the key width W in bits.
+func (m *Memory) Width() int { return m.w }
+
+// Stride returns k.
+func (m *Memory) Stride() int { return m.k }
+
+// Stages returns the pipeline depth ceil(W/k).
+func (m *Memory) Stages() int { return m.stages }
+
+// NumEntries returns the bit-vector width Ne.
+func (m *Memory) NumEntries() int { return m.ne }
+
+// MemoryBits returns the total stage-memory requirement in bits:
+// stages × 2^k × Ne.
+func (m *Memory) MemoryBits() int { return m.stages * (1 << uint(m.k)) * m.ne }
+
+// RefreshSummaries recomputes the state derived from the stage memories:
+// the word-level summary index, the stage populations and the walk order.
+// None of it exists in hardware, so code that mutates stage memory directly
+// through StageVector (fault injection, scrub tooling) must refresh before
+// classifying; the supported mutation paths (WriteEntry and the front ends'
+// UpdateEntry, InvalidateEntry, ApplyDeltas) maintain it incrementally. The
+// summaries are rebuilt into fresh blocks, never in place, so a delta
+// parent's are left alone.
+func (m *Memory) RefreshSummaries() {
+	sum, ones := m.makeBlocks(m.sumWords), make([]int, m.stages)
+	for s, blk := range m.blk {
+		for i, word := range blk {
+			if word != 0 {
+				c, w := i/m.words, i%m.words
+				sum[s][c*m.sumWords+w>>6] |= 1 << uint(w&63)
+				ones[s] += bits.OnesCount64(word)
+			}
+		}
+	}
+	m.sum, m.ones = sum, ones
+	m.Reorder()
+}
+
+// Reorder re-sorts the walk order by the current stage populations. The
+// constructors, RefreshSummaries (so ReadImage) and ApplyDeltas end with it;
+// an in-place WriteEntry does not — a stale order costs a few extra loads
+// per lookup, never a wrong answer, and one entry cannot move a stage's
+// population far. A key with fewer than leadStages stages repeats its
+// sparsest one until the walker's unconditional lead is full: AND is
+// idempotent, so the duplicate loads change nothing.
+func (m *Memory) Reorder() {
+	order := make([]int, m.stages, max(m.stages, leadStages))
+	for s := range order {
+		order[s] = s
+	}
+	sort.SliceStable(order, func(a, b int) bool { return m.ones[order[a]] < m.ones[order[b]] })
+	for len(order) < leadStages {
+		order = append(order, order[0])
+	}
+	m.order = order
+}
+
+// setBit is the single mutation point for stage memory: it un-aliases a
+// stage's blocks while they are still shared with a delta parent before
+// writing, and keeps the word-level summary and the stage population
+// consistent with the written word. This is the function the PR-7
+// aliased-write fix funnelled every write through — cowwrite enforces that
+// nothing grows a second write path.
+//
+//pclass:cow-mutator
+func (m *Memory) setBit(s, c, j int, want bool) {
+	w := j >> 6
+	i, bit := c*m.words+w, uint64(1)<<uint(j&63)
+	if (m.blk[s][i]&bit != 0) == want {
+		return
+	}
+	if m.shared != nil && m.shared[s] {
+		m.blk[s] = append([]uint64(nil), m.blk[s]...)
+		m.sum[s] = append([]uint64(nil), m.sum[s]...)
+		m.shared[s] = false
+	}
+	m.blk[s][i] ^= bit
+	if want {
+		m.ones[s]++
+	} else {
+		m.ones[s]--
+	}
+	si, sbit := c*m.sumWords+w>>6, uint64(1)<<uint(w&63)
+	if m.blk[s][i] != 0 {
+		m.sum[s][si] |= sbit
+	} else {
+		m.sum[s][si] &^= sbit
+	}
+}
+
+// stridesInto is the one generic stride extractor: dst[s] becomes bits
+// [s·k, (s+1)·k) of key — ceil(W/8) bytes, MSB first (bit i is bit 7-i%8 of
+// byte i/8, the packet.Key layout) — and every position from W on, the tail
+// of the last byte and the final stage's padding, reads as zero whatever
+// key holds there.
+// Entry writes for every front end and the Range and generic-width lookups
+// use it; the 5-tuple lookup keeps packet.Header.StridesInto, the
+// divide-free two-word form of the same function.
+//
+//pclass:hotpath
+func (m *Memory) stridesInto(key []byte, dst []int) {
+	k, mask := uint(m.k), uint(1)<<uint(m.k)-1
+	last, tail := (m.w-1)/8, byte(0xFF)<<uint(7-(m.w-1)%8)
+	var acc, have uint
+	i := 0
+	for s := range dst {
+		for ; have < k; have, i = have+8, i+1 {
+			acc <<= 8
+			if i < len(key) {
+				b := key[i]
+				if i == last {
+					b &= tail
+				}
+				acc |= uint(b)
+			}
+		}
+		have -= k
+		dst[s] = int(acc >> have & mask)
+	}
+}
+
+// WriteEntry rewrites entry j's whole bit column from a W-bit ternary
+// pattern (mask bit 1 = care): in every stage, bit j of row c is set iff
+// stride value c is compatible with the entry there. The entry's care and
+// value strides are derived once per stage, so each row costs one compare:
+// c matches iff it agrees with the value on every cared bit. Bits past W
+// (final-stage padding) are cared about and zero — they only match the zero
+// padding the key side generates — and an entry that is not valid is
+// compatible with nothing. Rewriting from scratch is what makes this double
+// as the fault-scrub repair primitive; bits that are already right are left
+// alone, so a stage the write does not change is never detached from a
+// delta parent. Not safe concurrently with lookups on the same memory.
+func (m *Memory) WriteEntry(j int, value, mask []byte, valid bool) {
+	sc := m.getScratch()
+	m.stridesInto(value, sc.addrs)
+	m.stridesInto(mask, sc.care)
+	sc.care[m.stages-1] |= 1<<uint(m.stages*m.k-m.w) - 1
+	for s, val := range sc.addrs {
+		care := sc.care[s]
+		for c := 0; c < 1<<uint(m.k); c++ {
+			m.setBit(s, c, j, valid && (c^val)&care == 0)
+		}
+	}
+	m.putScratch(sc)
+}
+
+// candidates ANDs the summaries of the rows sc.addrs selects into sc.sum:
+// the candidate words, the only ones that can be nonzero in the final
+// result (one summary word covers 4096 entries).
+//
+//pclass:hotpath
+func (m *Memory) candidates(sc *scratchState) {
+	sums, sw := m.sum, m.sumWords
+	for i := range sc.sum {
+		cand := ^uint64(0)
+		for s, c := range sc.addrs {
+			cand &= sums[s][c*sw+i]
+		}
+		sc.sum[i] = cand
+	}
+}
+
+// nextMatch is the one summary-guided word walker every lookup shares. It
+// takes the next candidates off sc.sum, in ascending order, until one
+// survives the AND of every addressed stage row, and returns that word's
+// index and value — or (-1, 0) once the candidates are spent. Only
+// candidate words are ever read, in m.order: the leadStages sparsest rows
+// unconditionally, the rest with an early break the moment the word dies.
+//
+//pclass:hotpath
+func (m *Memory) nextMatch(sc *scratchState) (int, uint64) {
+	blk, addrs, n, order := m.blk, sc.addrs, m.words, m.order
+	// The leadStages rows, as equal-length slices: one bounds check on b0
+	// covers all four loads.
+	b0 := blk[order[0]][addrs[order[0]]*n:][:n]
+	b1 := blk[order[1]][addrs[order[1]]*n:][:len(b0)]
+	b2 := blk[order[2]][addrs[order[2]]*n:][:len(b0)]
+	b3 := blk[order[3]][addrs[order[3]]*n:][:len(b0)]
+	order = order[leadStages:]
+	for i, cand := range sc.sum {
+		for ; cand != 0; cand &= cand - 1 {
+			w := i<<6 + bits.TrailingZeros64(cand)
+			word := b0[w] & b1[w] & b2[w] & b3[w]
+			if word == 0 {
+				continue
+			}
+			for p := 0; word != 0 && p < len(order); p++ {
+				s := order[p]
+				word &= blk[s][addrs[s]*n+w]
+			}
+			if word != 0 {
+				sc.sum[i] = cand & (cand - 1)
+				return w, word
+			}
+		}
+		sc.sum[i] = 0
+	}
+	return -1, 0
+}
+
+// matchInto computes the full match vector for the strides in sc.addrs into
+// sc.acc and returns it: surviving words come from the walker, everything
+// else is zero-filled without touching stage memory.
+//
+//pclass:hotpath
+func (m *Memory) matchInto(sc *scratchState) bitvec.Vector {
+	m.candidates(sc)
+	accW := sc.acc.Words()
+	for w := range accW {
+		accW[w] = 0
+	}
+	for w, word := m.nextMatch(sc); w >= 0; w, word = m.nextMatch(sc) {
+		accW[w] = word
+	}
+	return sc.acc
+}
+
+// First returns the lowest entry matching key — ceil(W/8) bytes, MSB
+// first — or -1. It is the lookup of a front end whose keys are byte
+// strings (genbv); allocation-free in steady state and safe for concurrent
+// use.
+//
+//pclass:hotpath
+func (m *Memory) First(key []byte) int {
+	sc := m.getScratch()
+	m.stridesInto(key, sc.addrs)
+	m.candidates(sc)
+	j := -1
+	if w, word := m.nextMatch(sc); w >= 0 {
+		j = w<<6 + bits.TrailingZeros64(word)
+	}
+	m.putScratch(sc)
+	return j
+}
+
+// Match returns the multi-match vector for key, freshly allocated and owned
+// by the caller.
+func (m *Memory) Match(key []byte) bitvec.Vector {
+	sc := m.getScratch()
+	m.stridesInto(key, sc.addrs)
+	v := m.matchInto(sc).Clone()
+	m.putScratch(sc)
+	return v
+}
+
+// StageVector exposes the stored vector at (stage, value) — a view of the
+// stage block's row, not a copy — and is how everything outside the lookup
+// kernel (cycle-accurate pipeline, traced classify, tests, the
+// hardware-model netlist builder) reads stage memory. Mutating it directly
+// bypasses both the copy-on-write detach and the summary maintenance: only
+// do so on memory that owns its storage, and call RefreshSummaries
+// afterwards (see the fault-injection tests).
+func (m *Memory) StageVector(s, c int) bitvec.Vector {
+	return bitvec.View(m.ne, m.blk[s][c*m.words:(c+1)*m.words])
+}

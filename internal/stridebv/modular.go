@@ -86,10 +86,9 @@ func (m *Modular) MemoryBits() int {
 // priority-ordered, so the first module with any hit owns the answer —
 // exactly what the hardware's cross-module select implements.
 func (m *Modular) Classify(h packet.Header) int {
-	key := h.Key()
 	for _, e := range m.modules {
-		if idx := e.MatchVector(key).FirstSet(); idx >= 0 {
-			return e.ex.Parent[idx]
+		if r := e.Classify(h); r >= 0 {
+			return r
 		}
 	}
 	return -1

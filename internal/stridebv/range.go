@@ -1,8 +1,9 @@
 package stridebv
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sync"
+	"math/bits"
 
 	"pktclass/internal/bitvec"
 	"pktclass/internal/packet"
@@ -15,181 +16,53 @@ import (
 // to 4(w-1)^2 ternary entries; this module keeps Ne == N).
 //
 // The prefix-matchable 72 bits (SIP, DIP, protocol) go through ordinary
-// k-bit stride stages; each port field gets one dedicated range stage that
-// compares the header port against the N stored [lo,hi] bounds in parallel
-// and emits an N-bit match vector, ANDed into the pipeline like any other
-// stage.
+// k-bit stride stages — the embedded Memory, one bit per rule; each port
+// field gets one dedicated range stage that compares the header port
+// against the N stored [lo,hi] bounds. In hardware the comparators run in
+// parallel and emit an N-bit vector ANDed into the pipeline; here they are
+// evaluated only on the bits that survive the stride stages, which is the
+// same AND.
 type RangeEngine struct {
-	rs     *ruleset.RuleSet
-	k      int
-	stages int // stride stages over the 72 prefix bits
-	n      int
-	mem    [][]bitvec.Vector // [stage][2^k] vectors of n bits
-	spLo   []uint16
-	spHi   []uint16
-	dpLo   []uint16
-	dpHi   []uint16
-	// scratch recycles lookup workspaces (see Engine.scratch); it keeps the
-	// Classify/ClassifyBatch fast path allocation-free.
-	scratch sync.Pool
-}
-
-// getScratch returns a recycled (or fresh) lookup workspace.
-//
-//pclass:pooled
-func (e *RangeEngine) getScratch() *scratchState {
-	if sc, ok := e.scratch.Get().(*scratchState); ok {
-		return sc
-	}
-	return &scratchState{acc: bitvec.New(e.n), addrs: make([]int, e.stages)}
+	Memory
+	// ports[j] is rule j's source and destination port bounds: the range
+	// modules' registers.
+	ports [][2]ruleset.PortRange
 }
 
 // prefixBits is the width of the stride-searchable portion (SIP+DIP+proto).
 const prefixBits = packet.SIPBits + packet.DIPBits + packet.ProtoBits // 72
 
-// NewRange builds a range-module StrideBV engine with stride k.
-func NewRange(rs *ruleset.RuleSet, k int) (*RangeEngine, error) {
-	if k < MinStride || k > MaxStride {
-		return nil, fmt.Errorf("stridebv: stride %d outside [%d,%d]", k, MinStride, MaxStride)
-	}
-	if rs.Len() == 0 {
-		return nil, fmt.Errorf("stridebv: empty ruleset")
-	}
-	n := rs.Len()
-	e := &RangeEngine{
-		rs:     rs,
-		k:      k,
-		stages: (prefixBits + k - 1) / k,
-		n:      n,
-		spLo:   make([]uint16, n),
-		spHi:   make([]uint16, n),
-		dpLo:   make([]uint16, n),
-		dpHi:   make([]uint16, n),
-	}
-	e.mem = make([][]bitvec.Vector, e.stages)
-	for s := range e.mem {
-		e.mem[s] = make([]bitvec.Vector, 1<<uint(k))
-		for c := range e.mem[s] {
-			e.mem[s][c] = bitvec.New(n)
-		}
-	}
-	for j, r := range rs.Rules {
-		e.spLo[j], e.spHi[j] = r.SP.Lo, r.SP.Hi
-		e.dpLo[j], e.dpHi[j] = r.DP.Lo, r.DP.Hi
-		val, mask := prefixPartTernary(r)
-		for s := 0; s < e.stages; s++ {
-			for c := 0; c < 1<<uint(k); c++ {
-				e.mem[s][c].SetTo(j, strideCompatible(val, mask, prefixBits, s, k, c))
-			}
-		}
-	}
-	return e, nil
-}
-
-// prefixPartTernary packs SIP|DIP|proto of a rule into 72-bit value/mask
-// arrays (9 bytes, MSB-first like packet.Key).
-func prefixPartTernary(r ruleset.Rule) (val, mask [9]byte) {
-	put32 := func(off int, v, m uint32) {
-		for b := 0; b < 32; b++ {
-			i := off + b
-			if m>>uint(31-b)&1 == 1 {
-				mask[i>>3] |= 1 << (7 - uint(i&7))
-				if v>>uint(31-b)&1 == 1 {
-					val[i>>3] |= 1 << (7 - uint(i&7))
-				}
-			}
-		}
-	}
-	put32(0, r.SIP.Value, r.SIP.Mask())
-	put32(32, r.DIP.Value, r.DIP.Mask())
-	for b := 0; b < 8; b++ {
-		i := 64 + b
-		if r.Proto.Mask>>uint(7-b)&1 == 1 {
-			mask[i>>3] |= 1 << (7 - uint(i&7))
-			if r.Proto.Value>>uint(7-b)&1 == 1 {
-				val[i>>3] |= 1 << (7 - uint(i&7))
-			}
-		}
-	}
-	return val, mask
-}
-
-// strideCompatible checks a k-bit stride value c at stage s against a
-// ternary bit string of width w stored in MSB-first byte arrays.
-func strideCompatible(val, mask [9]byte, w, s, k, c int) bool {
-	for b := 0; b < k; b++ {
-		i := s*k + b
-		cbit := byte(c >> uint(k-1-b) & 1)
-		if i >= w {
-			if cbit != 0 {
-				return false
-			}
-			continue
-		}
-		mbit := mask[i>>3] >> (7 - uint(i&7)) & 1
-		vbit := val[i>>3] >> (7 - uint(i&7)) & 1
-		if mbit == 1 && vbit != cbit {
-			return false
-		}
-	}
-	return true
-}
-
-// prefixKey extracts the 72 stride-searchable header bits in engine order.
-func prefixKey(h packet.Header) [9]byte {
-	var k [9]byte
-	k[0] = byte(h.SIP >> 24)
-	k[1] = byte(h.SIP >> 16)
-	k[2] = byte(h.SIP >> 8)
-	k[3] = byte(h.SIP)
-	k[4] = byte(h.DIP >> 24)
-	k[5] = byte(h.DIP >> 16)
-	k[6] = byte(h.DIP >> 8)
-	k[7] = byte(h.DIP)
-	k[8] = h.Proto
+// packPrefix packs SIP|DIP|proto values — a header's fields, or a rule's
+// values or care masks — MSB first like packet.Key.
+func packPrefix(sip, dip uint32, proto uint8) (k [prefixBits / 8]byte) {
+	binary.BigEndian.PutUint32(k[0:], sip)
+	binary.BigEndian.PutUint32(k[4:], dip)
+	k[8] = proto
 	return k
 }
 
-func strideOf(key [9]byte, off, k, w int) int {
-	v := 0
-	for b := 0; b < k; b++ {
-		v <<= 1
-		if i := off + b; i < w {
-			v |= int(key[i>>3] >> (7 - uint(i&7)) & 1)
-		}
+// NewRange builds a range-module StrideBV engine with stride k.
+func NewRange(rs *ruleset.RuleSet, k int) (*RangeEngine, error) {
+	m, err := NewMemory(prefixBits, k, rs.Len())
+	if err != nil {
+		return nil, err
 	}
-	return v
-}
-
-// prefixStridesInto fills dst with every stage's stride address for a
-// 72-bit prefix key, loading the key into two machine words once instead of
-// re-extracting bits per stage (the RangeEngine analogue of
-// packet.Key.StridesInto).
-func prefixStridesInto(key [9]byte, k int, dst []int) {
-	hi := uint64(key[0])<<56 | uint64(key[1])<<48 | uint64(key[2])<<40 | uint64(key[3])<<32 |
-		uint64(key[4])<<24 | uint64(key[5])<<16 | uint64(key[6])<<8 | uint64(key[7])
-	lo := uint64(key[8]) << 56
-	mask := uint64(1)<<uint(k) - 1
-	for s, off := 0, 0; s < len(dst); s, off = s+1, off+k {
-		end := off + k
-		var v uint64
-		switch {
-		case end <= 64:
-			v = hi >> uint(64-end)
-		case off >= 64:
-			v = lo >> uint(128-end)
-		default:
-			v = hi<<uint(end-64) | lo>>uint(128-end)
-		}
-		dst[s] = int(v & mask)
+	e := &RangeEngine{Memory: m, ports: make([][2]ruleset.PortRange, rs.Len())}
+	for j, r := range rs.Rules {
+		e.ports[j] = [2]ruleset.PortRange{r.SP, r.DP}
+		val := packPrefix(r.SIP.Value, r.DIP.Value, r.Proto.Value)
+		mask := packPrefix(r.SIP.Mask(), r.DIP.Mask(), r.Proto.Mask)
+		e.WriteEntry(j, val[:], mask[:], true)
 	}
+	e.Reorder()
+	return e, nil
 }
 
 // Name identifies the engine.
 func (e *RangeEngine) Name() string { return fmt.Sprintf("stridebv-range-k%d", e.k) }
 
 // NumRules returns N; the vector width equals it (no expansion).
-func (e *RangeEngine) NumRules() int { return e.n }
+func (e *RangeEngine) NumRules() int { return e.ne }
 
 // Stages returns the total pipeline depth: stride stages plus the two
 // range-module stages.
@@ -197,8 +70,50 @@ func (e *RangeEngine) Stages() int { return e.stages + 2 }
 
 // MemoryBits counts stage memory plus the range modules' bound registers
 // (4 × 16 bits per rule).
-func (e *RangeEngine) MemoryBits() int {
-	return e.stages*(1<<uint(e.k))*e.n + 4*16*e.n
+func (e *RangeEngine) MemoryBits() int { return e.Memory.MemoryBits() + 4*16*e.ne }
+
+// inRange is the range modules' output for one surviving word of the
+// stride stages: word (entries 64w..64w+63) with every rule whose port
+// bounds exclude the header cleared.
+//
+//pclass:hotpath
+func (e *RangeEngine) inRange(w int, word uint64, h packet.Header) uint64 {
+	for rest := word; rest != 0; rest &= rest - 1 {
+		b := bits.TrailingZeros64(rest)
+		if p := &e.ports[w<<6+b]; !p[0].Matches(h.SP) || !p[1].Matches(h.DP) {
+			word &^= 1 << uint(b)
+		}
+	}
+	return word
+}
+
+// firstMatch returns the first rule whose prefix part and port ranges all
+// match, or -1: the first survivor of the stride stages that is in range
+// wins, and only survivors are ever tested.
+//
+//pclass:hotpath
+func (e *RangeEngine) firstMatch(h packet.Header, sc *scratchState) int {
+	key := packPrefix(h.SIP, h.DIP, h.Proto)
+	e.stridesInto(key[:], sc.addrs)
+	e.candidates(sc)
+	for w, word := e.nextMatch(sc); w >= 0; w, word = e.nextMatch(sc) {
+		if word = e.inRange(w, word, h); word != 0 {
+			return w<<6 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
+}
+
+// matchInto computes the match vector into sc.acc and returns it.
+func (e *RangeEngine) matchInto(h packet.Header, sc *scratchState) bitvec.Vector {
+	key := packPrefix(h.SIP, h.DIP, h.Proto)
+	e.stridesInto(key[:], sc.addrs)
+	acc := e.Memory.matchInto(sc)
+	words := acc.Words()
+	for w, word := range words {
+		words[w] = e.inRange(w, word, h)
+	}
+	return acc
 }
 
 // MatchVector computes the final multi-match vector for a header. The
@@ -206,30 +121,8 @@ func (e *RangeEngine) MemoryBits() int {
 func (e *RangeEngine) MatchVector(h packet.Header) bitvec.Vector {
 	sc := e.getScratch()
 	v := e.matchInto(h, sc).Clone()
-	e.scratch.Put(sc)
+	e.putScratch(sc)
 	return v
-}
-
-// matchInto computes the match vector into sc.acc and returns it.
-//
-//pclass:hotpath
-func (e *RangeEngine) matchInto(h packet.Header, sc *scratchState) bitvec.Vector {
-	key := prefixKey(h)
-	prefixStridesInto(key, e.k, sc.addrs)
-	acc := sc.acc
-	acc.CopyFrom(e.mem[0][sc.addrs[0]])
-	for s := 1; s < e.stages; s++ {
-		acc.AndWith(e.mem[s][sc.addrs[s]])
-	}
-	// Range modules: N parallel comparators per port field.
-	for j := 0; j < e.n; j++ {
-		if acc.Get(j) {
-			if h.SP < e.spLo[j] || h.SP > e.spHi[j] || h.DP < e.dpLo[j] || h.DP > e.dpHi[j] {
-				acc.Clear(j)
-			}
-		}
-	}
-	return acc
 }
 
 // Classify returns the highest-priority matching rule index, or -1.
@@ -237,8 +130,8 @@ func (e *RangeEngine) matchInto(h packet.Header, sc *scratchState) bitvec.Vector
 //pclass:hotpath
 func (e *RangeEngine) Classify(h packet.Header) int {
 	sc := e.getScratch()
-	r := e.matchInto(h, sc).FirstSet()
-	e.scratch.Put(sc)
+	r := e.firstMatch(h, sc)
+	e.putScratch(sc)
 	return r
 }
 
@@ -250,21 +143,21 @@ func (e *RangeEngine) Classify(h packet.Header) int {
 func (e *RangeEngine) ClassifyBatch(hdrs []packet.Header, out []int) {
 	sc := e.getScratch()
 	for i, h := range hdrs {
-		out[i] = e.matchInto(h, sc).FirstSet()
+		out[i] = e.firstMatch(h, sc)
 	}
-	e.scratch.Put(sc)
+	e.putScratch(sc)
 }
 
 // MultiMatch returns all matching rule indices in priority order.
 func (e *RangeEngine) MultiMatch(h packet.Header) []int {
 	sc := e.getScratch()
 	r := e.matchInto(h, sc).SetBits()
-	e.scratch.Put(sc)
+	e.putScratch(sc)
 	return r
 }
 
 // String summarises the configuration.
 func (e *RangeEngine) String() string {
 	return fmt.Sprintf("%s{strideStages=%d rangeStages=2 rules=%d mem=%dKbit}",
-		e.Name(), e.stages, e.n, e.MemoryBits()/1024)
+		e.Name(), e.stages, e.ne, e.MemoryBits()/1024)
 }

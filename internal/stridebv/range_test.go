@@ -7,24 +7,6 @@ import (
 	"pktclass/internal/ruleset"
 )
 
-func TestRangeEngineEqualsLinear(t *testing.T) {
-	for _, profile := range []ruleset.Profile{ruleset.FirewallProfile, ruleset.FeatureFree} {
-		rs := ruleset.Generate(ruleset.GenConfig{N: 48, Profile: profile, Seed: 31, DefaultRule: true})
-		for _, k := range []int{3, 4} {
-			e, err := NewRange(rs, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			trace := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 300, MatchFraction: 0.8, Seed: 11})
-			for _, h := range trace {
-				if got, want := e.Classify(h), rs.FirstMatch(h); got != want {
-					t.Fatalf("%v k=%d: Classify=%d linear=%d for %s", profile, k, got, want, h)
-				}
-			}
-		}
-	}
-}
-
 func TestRangeEngineMultiMatch(t *testing.T) {
 	rs := ruleset.Generate(ruleset.GenConfig{N: 30, Profile: ruleset.FirewallProfile, Seed: 33, DefaultRule: true})
 	e, err := NewRange(rs, 4)

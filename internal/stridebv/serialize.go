@@ -99,7 +99,7 @@ func ReadImage(r io.Reader) (*Engine, error) {
 		//pclass:allow-mutate filling a freshly decoded, not-yet-shared expansion
 		ex.Parent[i] = p
 	}
-	e := newEngine(ex, k, ne)
+	e := &Engine{Memory: newMemory(packet.W, k, ne), ex: ex}
 	// Tail-word hygiene: stored images must not set bits past ne (a
 	// corrupt tail would let the walker return an out-of-range entry).
 	tail := uint(ne % 64)
