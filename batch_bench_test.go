@@ -92,7 +92,7 @@ func BenchmarkLinearBatch(b *testing.B) {
 	}
 }
 
-// Flow-cached benchmarks: the same engines fronted by the sharded
+// Flow-cached benchmarks: the same engines fronted by the
 // generation-tagged flow cache, swept across traffic-skew regimes. Under
 // uniform traffic over a large flow population the cache mostly misses and
 // the numbers bound its overhead; under Zipf skew (s = 0.9 and the paper

@@ -15,7 +15,7 @@ import (
 // steady state.
 //
 // A Cached instance is pinned to one cache generation, allocated from the
-// shared cache at construction: the generation names this exact engine
+// cache at construction: the generation names this exact engine
 // build, so a cache hit can only ever return a decision this build (or an
 // identical earlier wrap of the same build's ruleset) produced. The
 // serving layer exploits this for hot-swaps — it wraps each freshly
@@ -73,7 +73,7 @@ func (c *Cached) Name() string { return fmt.Sprintf("cached(%s)", c.eng.Name()) 
 // Unwrap returns the underlying engine.
 func (c *Cached) Unwrap() Engine { return c.eng }
 
-// Cache returns the shared flow cache (for stats snapshots).
+// Cache returns the flow cache (for stats snapshots).
 func (c *Cached) Cache() *flowcache.Cache { return c.cache }
 
 // Generation returns the cache generation this build is pinned to.
@@ -93,9 +93,9 @@ func (c *Cached) Classify(h packet.Header) int {
 	return r
 }
 
-// ClassifyBatch classifies hdrs into out through the cache's batched
-// probe/insert path, classifying only the misses on the wrapped engine
-// (its native batch path when it has one).
+// ClassifyBatch classifies hdrs into out through the cache's two-phase
+// probe/fill path, classifying only the misses on the wrapped engine (its
+// native batch path when it has one) with the cache lock released.
 //
 //pclass:hotpath
 func (c *Cached) ClassifyBatch(hdrs []packet.Header, out []int) {

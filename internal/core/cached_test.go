@@ -100,7 +100,7 @@ func TestCachedDifferentialUnderHotSwap(t *testing.T) {
 	// the previous, all sharing one flow cache. The shared header
 	// population is drawn from every version, so the same 5-tuples are
 	// classified under builds that genuinely disagree about them.
-	cache := flowcache.New(flowcache.Config{Entries: 1 << 10, Shards: 4})
+	cache := flowcache.New(flowcache.Config{Entries: 1 << 10})
 	sets := make([]*ruleset.RuleSet, versions)
 	sets[0] = base
 	for v := 1; v < versions; v++ {

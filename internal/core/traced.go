@@ -36,9 +36,9 @@ func ClassifyTraced(eng Engine, h packet.Header, tr *obsv.PacketTrace) int {
 }
 
 // ClassifyTraced consults the flow cache first, recording the probe as a
-// hit or miss hop tagged with the cache shard, then narrates the wrapped
-// engine's decision on a miss. The cache insert happens after tracing so
-// the recorded hops describe exactly the work a cold lookup performs.
+// hit or miss hop, then narrates the wrapped engine's decision on a miss.
+// The cache insert happens after tracing so the recorded hops describe
+// exactly the work a cold lookup performs.
 //
 //pclass:hotpath
 func (c *Cached) ClassifyTraced(h packet.Header, tr *obsv.PacketTrace) int {
@@ -47,12 +47,11 @@ func (c *Cached) ClassifyTraced(h packet.Header, tr *obsv.PacketTrace) int {
 	}
 	tr.SetEngine(c.Name())
 	key := h.Key()
-	shard := c.cache.ShardIndex(key)
 	if r, ok := c.cache.Lookup(key, c.gen); ok {
-		tr.AddHop(obsv.HopCacheHit, shard, int64(r))
+		tr.AddHop(obsv.HopCacheHit, 0, int64(r))
 		return int(r)
 	}
-	tr.AddHop(obsv.HopCacheMiss, shard, -1)
+	tr.AddHop(obsv.HopCacheMiss, 0, -1)
 	r := ClassifyTraced(c.eng, h, tr)
 	c.cache.Insert(key, c.gen, int32(r))
 	return r

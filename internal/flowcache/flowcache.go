@@ -1,26 +1,23 @@
-// Package flowcache is a sharded, fixed-capacity, zero-allocation
-// exact-match cache on the packed 104-bit packet.Key — the software
-// analogue of the exact-match flow table real datapaths put in front of a
-// full classifier (RVH-style front-ends, OpenFlow microflow caches). Real
-// traffic is flow-dominated: the same 5-tuple arrives in long bursts, so a
+// Package flowcache is a fixed-capacity, zero-allocation exact-match cache
+// on the packed 104-bit packet.Key — the software analogue of the
+// exact-match flow table real datapaths put in front of a full classifier
+// (RVH-style front-ends, OpenFlow microflow caches). Real traffic is
+// flow-dominated: the same 5-tuple arrives in long bursts, so a
 // tens-of-nanoseconds probe short-circuits the full StrideBV pipeline or
 // TCAM scan (hundreds to thousands of ns) for every packet after a flow's
 // first.
 //
 // # Structure
 //
-// The cache is split into power-of-two shards (hash high bits) so
-// concurrent batches rarely contend; each shard is a power-of-two array of
+// There is one table type, Private: a power-of-two array of
 // set-associative buckets (hash low bits) of bucketWays entries with a
-// per-bucket CLOCK hand giving second-chance eviction. Capacity is fixed
-// at construction: the steady state allocates nothing, inserts into a full
-// bucket evict in place, and the whole structure is two flat slices per
-// shard.
-//
-// The batch path (LookupBatch/InsertBatch) keeps the per-shard mutex off
-// the per-packet hot path: a batch is counting-sorted by shard once, and
-// each shard lock is taken once per batch for all of that shard's probes,
-// not once per packet.
+// per-bucket CLOCK hand giving second-chance eviction, owned by a single
+// goroutine. Capacity is fixed at construction: the steady state allocates
+// nothing, inserts into a full bucket evict in place, and the whole
+// structure is one flat slice. The serving layer gives every steered
+// worker its own Private. Cache is the same table behind one mutex, for
+// callers that share a cache between goroutines; its batch path takes the
+// lock once to probe and once to insert, never across the engine call.
 //
 // # Generations
 //
@@ -30,7 +27,7 @@
 // never reused — by NextGeneration. A lookup only hits when the entry's
 // tag equals the generation the caller is serving; after a swap installs a
 // build with a fresh generation, every entry written by retired builds
-// becomes a lazy miss (counted as a stale drop when its slot is touched).
+// becomes a lazy miss (counted as a stale drop when its slot is reclaimed).
 // There is no stop-the-world flush and readers never block: a batch still
 // in flight on the previous build keeps hitting that build's entries —
 // exactly the batch-on-one-engine-version semantics the serving layer
@@ -42,13 +39,10 @@ package flowcache
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pktclass/internal/metrics"
-	"pktclass/internal/obsv"
 	"pktclass/internal/packet"
 )
 
@@ -71,32 +65,21 @@ type bucket struct {
 	entries [bucketWays]entry
 }
 
-// shard is an independently locked slice of the key space.
-type shard struct {
-	mu      sync.Mutex
-	buckets []bucket
-	_       [40]byte // pad to a cache line so shard locks don't false-share
-}
-
 // Config sizes a Cache.
 type Config struct {
-	// Entries is the total capacity across all shards; it is rounded up so
-	// each shard holds a power-of-two number of bucketWays-entry buckets
-	// (0 selects 1<<16).
+	// Entries is the capacity; it is rounded up to a power-of-two number of
+	// bucketWays-entry buckets (0 selects 1<<16).
 	Entries int
-	// Shards is the number of independently locked shards, rounded up to a
-	// power of two (0 selects 8).
-	Shards int
 }
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
-	Hits       int64 // lookups answered from the cache
-	Misses     int64 // lookups that fell through to the engine
-	Evictions  int64 // live same-generation entries displaced by CLOCK
-	StaleDrops int64 // retired-generation entries displaced or probed over
-	Entries    int   // fixed capacity
-	Shards     int
+	Hits       int64  // lookups answered from the cache
+	Misses     int64  // lookups that fell through to the engine
+	Evictions  int64  // live same-generation entries displaced by CLOCK
+	StaleDrops int64  // retired-generation entries dropped or overwritten
+	Entries    int    // fixed capacity
+	Shards     int    // tables behind the snapshot (1, or serve's worker count)
 	Generation uint64 // newest generation handed out (0 before any build)
 }
 
@@ -122,70 +105,30 @@ func (s Stats) Table() *metrics.Table {
 	return t
 }
 
-// Cache is the sharded flow cache. All methods are safe for concurrent
-// use.
+// Cache is a Private behind one mutex, plus the generation allocator. All
+// methods are safe for concurrent use; every table access happens under mu.
 type Cache struct {
-	shards     []shard
-	shardShift uint // shard = hash >> shardShift (high bits)
-	bucketMask uint64
+	mu sync.Mutex
+	p  *Private
 
 	gen atomic.Uint64 // last generation handed out by NextGeneration
 
-	hits       metrics.Counter
-	misses     metrics.Counter
-	evictions  metrics.Counter
-	staleDrops metrics.Counter
-
-	// probeHist, when set, records the batched probe phase's wall time (one
-	// sample per batch, observed after every shard lock is released so the
-	// histogram update never runs under a shard mutex).
-	probeHist atomic.Pointer[obsv.Histogram]
-
-	scratch sync.Pool // *batchScratch
+	scratch sync.Pool // *batchScratch: one per in-flight batch
 }
 
-// SetProbeHistogram directs probe-phase latency into h (nil disables).
-// Safe to call while traffic is flowing.
-func (c *Cache) SetProbeHistogram(h *obsv.Histogram) { c.probeHist.Store(h) }
-
-// ShardIndex maps a key to the shard that stores it, for trace records and
-// per-shard reporting.
-func (c *Cache) ShardIndex(key packet.Key) int { return c.shardOf(Hash(key)) }
-
-// New builds a fixed-capacity cache. The zero Config selects 1<<16 entries
-// across 8 shards.
+// New builds a fixed-capacity cache. The zero Config selects 1<<16 entries.
 func New(cfg Config) *Cache {
 	if cfg.Entries <= 0 {
 		cfg.Entries = 1 << 16
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 8
+	return &Cache{
+		p:       NewPrivate(cfg.Entries),
+		scratch: sync.Pool{New: func() any { return new(batchScratch) }},
 	}
-	nShards := ceilPow2(cfg.Shards)
-	perShard := (cfg.Entries + nShards - 1) / nShards
-	nBuckets := ceilPow2((perShard + bucketWays - 1) / bucketWays)
-	c := &Cache{
-		shards:     make([]shard, nShards),
-		shardShift: uint(64 - bits.TrailingZeros(uint(nShards))),
-		bucketMask: uint64(nBuckets - 1),
-	}
-	for i := range c.shards {
-		c.shards[i].buckets = make([]bucket, nBuckets)
-	}
-	return c
-}
-
-func ceilPow2(v int) int {
-	if v <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(v-1))
 }
 
 // Entries returns the fixed capacity.
-func (c *Cache) Entries() int {
-	return len(c.shards) * len(c.shards[0].buckets) * bucketWays
-}
+func (c *Cache) Entries() int { return c.p.Entries() }
 
 // NextGeneration allocates a fresh, never-reused generation for one engine
 // build. The serving layer calls it once per hot-swap; entries tagged by
@@ -194,36 +137,25 @@ func (c *Cache) NextGeneration() uint64 { return c.gen.Add(1) }
 
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
-	return Stats{
-		Hits:       c.hits.Value(),
-		Misses:     c.misses.Value(),
-		Evictions:  c.evictions.Value(),
-		StaleDrops: c.staleDrops.Value(),
-		Entries:    c.Entries(),
-		Shards:     len(c.shards),
-		Generation: c.gen.Load(),
-	}
+	st := c.p.Stats()
+	st.Generation = c.gen.Load()
+	return st
 }
 
-// Hash mixes the 104 key bits into the 64-bit probe hash the cache shards
-// and buckets are addressed by. It is packet.Key.Hash — the same flow hash
-// the serving layer steers workers with — so the bit-budget contract
-// documented there (steering consumes high bits, buckets consume low bits)
-// holds across both consumers by construction.
+// Hash mixes the 104 key bits into the 64-bit probe hash buckets are
+// addressed by. It is packet.Key.Hash — the same flow hash the serving
+// layer steers workers with — so the bit-budget contract documented there
+// (steering consumes high bits, buckets consume low bits) holds across
+// both consumers by construction.
 //
 //pclass:hotpath
 func Hash(k packet.Key) uint64 { return k.Hash() }
 
-// shardOf maps a hash to its shard index (high bits, independent of the
-// bucket index's low bits).
-func (c *Cache) shardOf(h uint64) int { return int(h >> c.shardShift) }
-
 // lookup probes the bucket for key at generation gen. The second return
 // distinguishes a hit from a miss; staleDropped reports that a same-key
 // entry from a retired generation was dropped (a lazy miss whose slot the
-// reinsert will reclaim). Both the sharded cache (under its shard lock)
-// and the single-writer Private variant share this bucket discipline — the
-// caller supplies the synchronization and owns the counters.
+// reinsert will reclaim). The caller supplies the synchronization and owns
+// the counters.
 //
 //pclass:hotpath
 func (b *bucket) lookup(key packet.Key, gen uint64) (result int32, hit, staleDropped bool) {
@@ -245,12 +177,13 @@ func (b *bucket) lookup(key packet.Key, gen uint64) (result int32, hit, staleDro
 
 // insert stores (key, gen, result), preferring in place the same key, then
 // an empty or stale slot, then the CLOCK victim. evicted reports a live
-// same-generation entry was displaced; staleDrops counts retired-generation
-// entries reclaimed or refreshed over. Synchronization is the caller's, as
-// with lookup.
+// same-generation entry was displaced; staleDropped that a
+// retired-generation entry was overwritten (one left in its slot is not
+// counted: the insert that reclaims it will). Synchronization is the
+// caller's, as with lookup.
 //
 //pclass:hotpath
-func (b *bucket) insert(key packet.Key, gen uint64, result int32) (evicted bool, staleDrops int) {
+func (b *bucket) insert(key packet.Key, gen uint64, result int32) (evicted, staleDropped bool) {
 	victim := -1
 	for i := range b.entries {
 		e := &b.entries[i]
@@ -264,17 +197,16 @@ func (b *bucket) insert(key packet.Key, gen uint64, result int32) (evicted bool,
 			// miss, or the flow was re-classified under a newer build). A
 			// cross-generation refresh is effectively a new entry, so it
 			// also loses any accumulated second chance.
-			if e.gen != gen {
-				staleDrops++
+			staleDropped = e.gen != gen
+			if staleDropped {
 				e.ref = false
 			}
 			e.gen, e.result = gen, result
-			return false, staleDrops
+			return false, staleDropped
 		case e.gen != gen && victim < 0:
 			// Retired-generation entries are dead weight; reclaim before
 			// touching any live entry.
-			staleDrops++
-			victim = i
+			victim, staleDropped = i, true
 		}
 	}
 	if victim < 0 {
@@ -299,49 +231,16 @@ func (b *bucket) insert(key packet.Key, gen uint64, result int32) (evicted bool,
 	// New entries start unreferenced: second chance is earned by a hit,
 	// otherwise a stream of one-shot flows would flush every hot entry.
 	b.entries[victim] = entry{key: key, result: result, gen: gen}
-	return evicted, staleDrops
-}
-
-// lookupLocked probes one bucket for key at generation gen, folding the
-// outcome into the cache counters. Caller holds the shard lock.
-//
-//pclass:hotpath
-func (c *Cache) lookupLocked(s *shard, h uint64, key packet.Key, gen uint64) (int32, bool) {
-	r, hit, stale := s.buckets[h&c.bucketMask].lookup(key, gen)
-	if stale {
-		c.staleDrops.Inc()
-	}
-	return r, hit
-}
-
-// insertLocked stores (key, gen, result) through the shared bucket
-// discipline. Caller holds the shard lock.
-//
-//pclass:hotpath
-func (c *Cache) insertLocked(s *shard, h uint64, key packet.Key, gen uint64, result int32) {
-	evicted, stale := s.buckets[h&c.bucketMask].insert(key, gen, result)
-	if evicted {
-		c.evictions.Inc()
-	}
-	if stale > 0 {
-		c.staleDrops.Add(int64(stale))
-	}
+	return evicted, staleDropped
 }
 
 // Lookup probes the cache for one key at generation gen.
 //
 //pclass:hotpath
 func (c *Cache) Lookup(key packet.Key, gen uint64) (int32, bool) {
-	h := Hash(key)
-	s := &c.shards[c.shardOf(h)]
-	s.mu.Lock()
-	r, ok := c.lookupLocked(s, h, key, gen)
-	s.mu.Unlock()
-	if ok {
-		c.hits.Inc()
-	} else {
-		c.misses.Inc()
-	}
+	c.mu.Lock()
+	r, ok := c.p.Lookup(key, gen)
+	c.mu.Unlock()
 	return r, ok
 }
 
@@ -349,171 +248,36 @@ func (c *Cache) Lookup(key packet.Key, gen uint64) (int32, bool) {
 //
 //pclass:hotpath
 func (c *Cache) Insert(key packet.Key, gen uint64, result int32) {
-	h := Hash(key)
-	s := &c.shards[c.shardOf(h)]
-	s.mu.Lock()
-	c.insertLocked(s, h, key, gen, result)
-	s.mu.Unlock()
-}
-
-// batchScratch is one batch's reusable workspace: keys and hashes for the
-// whole batch, the counting-sort permutation grouping packets by shard,
-// and the compacted miss set. Recycled through the cache's pool.
-//
-//pclass:pooled
-type batchScratch struct {
-	keys   []packet.Key
-	hashes []uint64
-	perm   []int32 // batch indices ordered by shard
-	starts []int32 // per-shard segment starts in perm (len = shards+1)
-	cursor []int32 // per-shard fill cursor for the counting sort
-	hit    []bool
-
-	missIdx  []int32
-	missHdrs []packet.Header
-	missOut  []int
-}
-
-// getScratch fetches (or builds) the batch workspace sized for n packets.
-//
-//pclass:pooled
-func (c *Cache) getScratch(n int) *batchScratch {
-	sc, _ := c.scratch.Get().(*batchScratch)
-	if sc == nil {
-		sc = &batchScratch{
-			starts: make([]int32, len(c.shards)+1),
-			cursor: make([]int32, len(c.shards)),
-		}
-	}
-	if cap(sc.keys) < n {
-		sc.keys = make([]packet.Key, n)
-		sc.hashes = make([]uint64, n)
-		sc.perm = make([]int32, n)
-		sc.hit = make([]bool, n)
-		sc.missIdx = make([]int32, n)
-		sc.missHdrs = make([]packet.Header, n)
-		sc.missOut = make([]int, n)
-	}
-	sc.keys = sc.keys[:n]
-	sc.hashes = sc.hashes[:n]
-	sc.perm = sc.perm[:n]
-	sc.hit = sc.hit[:n]
-	return sc
+	c.mu.Lock()
+	c.p.Insert(key, gen, result)
+	c.mu.Unlock()
 }
 
 // ClassifyBatchInto classifies hdrs into out at generation gen, answering
-// what it can from the cache and calling classifyMisses exactly once (when
+// what it can from the cache and calling classifyMisses at most once (when
 // there are misses) with the compacted miss set to fill in the rest; the
-// fresh results are inserted before returning. The whole batch costs one
-// lock acquisition per touched shard on the probe side and one on the
-// insert side, and the steady state allocates nothing (scratch is pooled).
-// classifyMisses must not retain its argument slices.
+// fresh results are inserted before returning. The lock is taken once to
+// probe and once to insert and is never held across classifyMisses, which
+// may therefore call back into the cache. The steady state allocates
+// nothing (scratch is pooled). classifyMisses must not retain its argument
+// slices.
 //
 //pclass:hotpath
 func (c *Cache) ClassifyBatchInto(gen uint64, hdrs []packet.Header, out []int, classifyMisses func(hdrs []packet.Header, out []int)) {
-	n := len(hdrs)
-	if n == 0 {
+	if batchLen(hdrs, out) == 0 {
 		return
 	}
-	if len(out) != n {
-		panic(fmt.Sprintf("flowcache: batch output length %d != input length %d", len(out), n))
-	}
-	sc := c.getScratch(n)
+	sc := c.scratch.Get().(*batchScratch)
 	defer c.scratch.Put(sc)
 
-	// Key, hash and shard for the whole batch up front, then a counting
-	// sort over shard ids so each shard's probes run under one lock
-	// acquisition.
-	starts := sc.starts
-	for i := range starts {
-		starts[i] = 0
-	}
-	for i, h := range hdrs {
-		k := h.Key()
-		sc.keys[i] = k
-		hv := Hash(k)
-		sc.hashes[i] = hv
-		starts[c.shardOf(hv)+1]++
-	}
-	for s := 1; s < len(starts); s++ {
-		starts[s] += starts[s-1]
-	}
-	fill := sc.cursor
-	copy(fill, starts[:len(starts)-1])
-	for i := range hdrs {
-		s := c.shardOf(sc.hashes[i])
-		sc.perm[fill[s]] = int32(i)
-		fill[s]++
-	}
-
-	// Probe phase: one lock per touched shard. The probe histogram sees the
-	// whole phase as one sample, observed only after the last shard lock is
-	// dropped — a per-lookup observation would put the histogram update
-	// inside the mutex hold.
-	probeHist := c.probeHist.Load()
-	var probeStart time.Time
-	if probeHist != nil {
-		probeStart = time.Now()
-	}
-	hits := 0
-	for si := range c.shards {
-		lo, hi := starts[si], starts[si+1]
-		if lo == hi {
-			continue
-		}
-		s := &c.shards[si]
-		s.mu.Lock()
-		for _, pi := range sc.perm[lo:hi] {
-			r, ok := c.lookupLocked(s, sc.hashes[pi], sc.keys[pi], gen)
-			sc.hit[pi] = ok
-			if ok {
-				out[pi] = int(r)
-				hits++
-			}
-		}
-		s.mu.Unlock()
-	}
-	if probeHist != nil {
-		probeHist.Observe(time.Since(probeStart))
-	}
-	c.hits.Add(int64(hits))
-	c.misses.Add(int64(n - hits))
-	if hits == n {
+	c.mu.Lock()
+	m := c.p.probe(sc, gen, hdrs, nil, out)
+	c.mu.Unlock()
+	if m == 0 {
 		return
 	}
-
-	// Compact the misses shard-ordered (walking perm keeps the insert
-	// phase's shard grouping intact), classify them in one engine batch,
-	// and scatter the results back.
-	m := 0
-	for _, pi := range sc.perm {
-		if !sc.hit[pi] {
-			sc.missIdx[m] = pi
-			sc.missHdrs[m] = hdrs[pi]
-			m++
-		}
-	}
-	missHdrs, missOut := sc.missHdrs[:m], sc.missOut[:m]
-	classifyMisses(missHdrs, missOut)
-	for j, pi := range sc.missIdx[:m] {
-		out[pi] = missOut[j]
-	}
-
-	// Insert phase: misses are still shard-ordered, so again one lock per
-	// touched shard.
-	for j := 0; j < m; {
-		pi := sc.missIdx[j]
-		si := c.shardOf(sc.hashes[pi])
-		s := &c.shards[si]
-		s.mu.Lock()
-		for j < m {
-			pi = sc.missIdx[j]
-			if c.shardOf(sc.hashes[pi]) != si {
-				break
-			}
-			c.insertLocked(s, sc.hashes[pi], sc.keys[pi], gen, int32(missOut[j]))
-			j++
-		}
-		s.mu.Unlock()
-	}
+	classifyMisses(sc.missHdrs[:m], sc.missOut[:m])
+	c.mu.Lock()
+	c.p.fill(sc, gen, nil, m, out)
+	c.mu.Unlock()
 }

@@ -1,14 +1,8 @@
-// The single-writer cache variant behind RSS-style flow steering: when the
-// serving layer hashes every packet of a flow to the same worker, that
-// worker can own a private cache outright — no shard locks, no cross-core
-// cache-line traffic on the probe path, no pooled scratch handoff. The
-// bucket structure, CLOCK eviction and generation-tagged lazy invalidation
-// are shared with the sharded Cache (see bucket.lookup / bucket.insert);
-// only the synchronization differs: there is none, by construction.
 package flowcache
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -17,16 +11,18 @@ import (
 	"pktclass/internal/packet"
 )
 
-// Private is a fixed-capacity exact-match flow cache owned by exactly one
-// goroutine. All mutating methods (Lookup, Insert, ClassifyBatchInto) must
-// be called from that owner; Stats and SetProbeHistogram are safe from any
+// Private is the exact-match flow table, owned by exactly one goroutine:
+// behind RSS-style flow steering every packet of a flow reaches the same
+// worker, so that worker's table needs no lock and sees no cross-core
+// cache-line traffic on the probe path. All mutating methods (Lookup,
+// Insert, ClassifyBatchInto) must be called from the owner — or, as Cache
+// does, under a lock; Stats and SetProbeHistogram are safe from any
 // goroutine (the counters are atomic so scrapes never race the owner).
 //
-// Generations work exactly as on the sharded Cache, but Private does not
-// allocate them: the serving layer owns one generation counter per service
-// and passes the live build's generation into every call, so a hot-swap
-// retires every worker's private entries at once without touching any of
-// the caches.
+// Private does not allocate generations: the serving layer owns one
+// generation counter per service and passes the live build's generation
+// into every call, so a hot-swap retires every worker's private entries at
+// once without touching any of the caches.
 type Private struct {
 	buckets    []bucket
 	bucketMask uint64
@@ -39,13 +35,35 @@ type Private struct {
 
 	probeHist atomic.Pointer[obsv.Histogram]
 
-	// Batch scratch, owned by the single writer: grown once, reused for
-	// every batch, never pooled — there is no concurrency to pool against.
+	// The single writer's batch workspace: grown once, reused for every
+	// batch, never pooled — there is no concurrency to pool against.
+	scratch batchScratch
+}
+
+// batchScratch is one batch's workspace between the probe and fill phases:
+// keys and hashes for the whole batch and the compacted miss set. Private
+// owns one; Cache pools them, one per in-flight batch.
+//
+//pclass:pooled
+type batchScratch struct {
 	hashes   []uint64
 	keys     []packet.Key
 	missIdx  []int32
 	missHdrs []packet.Header
 	missOut  []int
+}
+
+// grow ensures the scratch holds n packets.
+func (sc *batchScratch) grow(n int) {
+	if cap(sc.hashes) < n {
+		sc.hashes = make([]uint64, n)
+		sc.keys = make([]packet.Key, n)
+		sc.missIdx = make([]int32, n)
+		sc.missHdrs = make([]packet.Header, n)
+		sc.missOut = make([]int, n)
+	}
+	sc.hashes = sc.hashes[:n]
+	sc.keys = sc.keys[:n]
 }
 
 // NewPrivate builds a private cache with at least entries capacity,
@@ -60,6 +78,13 @@ func NewPrivate(entries int) *Private {
 		buckets:    make([]bucket, nBuckets),
 		bucketMask: uint64(nBuckets - 1),
 	}
+}
+
+func ceilPow2(v int) int {
+	if v <= 1 {
+		return 1
+	}
+	return 1 << bits.Len(uint(v-1))
 }
 
 // Entries returns the fixed capacity.
@@ -108,29 +133,15 @@ func (p *Private) Insert(key packet.Key, gen uint64, result int32) {
 	if evicted {
 		p.evictions.Inc()
 	}
-	if stale > 0 {
-		p.staleDrops.Add(int64(stale))
+	if stale {
+		p.staleDrops.Inc()
 	}
-}
-
-// grow ensures the batch scratch holds n packets.
-func (p *Private) grow(n int) {
-	if cap(p.hashes) < n {
-		p.hashes = make([]uint64, n)
-		p.keys = make([]packet.Key, n)
-		p.missIdx = make([]int32, n)
-		p.missHdrs = make([]packet.Header, n)
-		p.missOut = make([]int, n)
-	}
-	p.hashes = p.hashes[:n]
-	p.keys = p.keys[:n]
 }
 
 // ClassifyBatchInto classifies hdrs into out at generation gen, answering
-// what it can from the cache and calling classifyMisses exactly once (when
+// what it can from the cache and calling classifyMisses at most once (when
 // there are misses) with the compacted miss set; fresh results are
-// inserted before returning. Unlike the sharded batch path there is no
-// counting sort and no lock: probes run in arrival order on the owner's
+// inserted before returning. Probes run in arrival order on the owner's
 // core. Steady state allocates nothing. Owner only; classifyMisses must
 // not retain its argument slices.
 //
@@ -153,27 +164,47 @@ func (p *Private) ClassifyBatchPrehashedInto(gen uint64, hdrs []packet.Header, h
 	p.classifyBatch(gen, hdrs, hashes, out, classifyMisses)
 }
 
-// classifyBatch is the shared batch body. pre, when non-nil, carries the
-// caller-computed flow hashes; nil computes them here (into the owned
-// scratch, so the insert phase can re-address buckets either way).
+// classifyBatch is the single-writer batch body: probe, classify the
+// misses, fill. pre, when non-nil, carries the caller-computed flow hashes.
 //
 //pclass:hotpath
 func (p *Private) classifyBatch(gen uint64, hdrs []packet.Header, pre []uint64, out []int, classifyMisses func(hdrs []packet.Header, out []int)) {
-	n := len(hdrs)
-	if n == 0 {
+	if batchLen(hdrs, out) == 0 {
 		return
 	}
-	if len(out) != n {
-		panic(fmt.Sprintf("flowcache: batch output length %d != input length %d", len(out), n))
+	sc := &p.scratch
+	m := p.probe(sc, gen, hdrs, pre, out)
+	if m == 0 {
+		return
 	}
+	classifyMisses(sc.missHdrs[:m], sc.missOut[:m])
+	p.fill(sc, gen, pre, m, out)
+}
+
+// batchLen returns the batch length, rejecting an output slice that does
+// not match it — before any lock is taken or table state touched.
+//
+//pclass:hotpath
+func batchLen(hdrs []packet.Header, out []int) int {
+	if len(out) != len(hdrs) {
+		panic(fmt.Sprintf("flowcache: batch output length %d != input length %d", len(out), len(hdrs)))
+	}
+	return len(hdrs)
+}
+
+// probe is the batch's first phase: it answers every hit into out and
+// compacts the misses into sc (headers in sc.missHdrs[:m], their batch
+// positions in sc.missIdx[:m]), returning the miss count m. pre, when
+// non-nil, carries caller-computed flow hashes; nil computes them into sc.
+// Either way fill is passed the same pre and re-addresses buckets from it,
+// so the caller's hashes are neither copied nor retained.
+//
+//pclass:hotpath
+func (p *Private) probe(sc *batchScratch, gen uint64, hdrs []packet.Header, pre []uint64, out []int) int {
 	if p.lastGen.Load() != gen {
 		p.lastGen.Store(gen)
 	}
-	p.grow(n)
-	hs := pre
-	if hs == nil {
-		hs = p.hashes
-	}
+	sc.grow(len(hdrs))
 
 	probeHist := p.probeHist.Load()
 	var probeStart time.Time
@@ -183,13 +214,13 @@ func (p *Private) classifyBatch(gen uint64, hdrs []packet.Header, pre []uint64, 
 	hits, stale, m := 0, 0, 0
 	for i, h := range hdrs {
 		k := h.Key()
-		p.keys[i] = k
+		sc.keys[i] = k
 		var hv uint64
 		if pre != nil {
 			hv = pre[i]
 		} else {
 			hv = k.Hash()
-			p.hashes[i] = hv
+			sc.hashes[i] = hv
 		}
 		r, hit, staleDropped := p.buckets[hv&p.bucketMask].lookup(k, gen)
 		if staleDropped {
@@ -200,37 +231,46 @@ func (p *Private) classifyBatch(gen uint64, hdrs []packet.Header, pre []uint64, 
 			hits++
 			continue
 		}
-		p.missIdx[m] = int32(i)
-		p.missHdrs[m] = hdrs[i]
+		sc.missIdx[m] = int32(i)
+		sc.missHdrs[m] = h
 		m++
 	}
 	if probeHist != nil {
 		probeHist.Observe(time.Since(probeStart))
 	}
 	p.hits.Add(int64(hits))
-	p.misses.Add(int64(n - hits))
+	p.misses.Add(int64(m))
 	if stale > 0 {
 		p.staleDrops.Add(int64(stale))
 	}
-	if m == 0 {
-		return
-	}
+	return m
+}
 
-	missHdrs, missOut := p.missHdrs[:m], p.missOut[:m]
-	classifyMisses(missHdrs, missOut)
-	evicted, insStale := 0, 0
-	for j, pi := range p.missIdx[:m] {
-		out[pi] = missOut[j]
-		ev, st := p.buckets[hs[pi]&p.bucketMask].insert(p.keys[pi], gen, int32(missOut[j]))
+// fill is the batch's second phase: it scatters the m engine results in
+// sc.missOut back into out and inserts each under gen.
+//
+//pclass:hotpath
+func (p *Private) fill(sc *batchScratch, gen uint64, pre []uint64, m int, out []int) {
+	hs := pre
+	if hs == nil {
+		hs = sc.hashes
+	}
+	evicted, stale := 0, 0
+	for j, pi := range sc.missIdx[:m] {
+		r := sc.missOut[j]
+		out[pi] = r
+		ev, st := p.buckets[hs[pi]&p.bucketMask].insert(sc.keys[pi], gen, int32(r))
 		if ev {
 			evicted++
 		}
-		insStale += st
+		if st {
+			stale++
+		}
 	}
 	if evicted > 0 {
 		p.evictions.Add(int64(evicted))
 	}
-	if insStale > 0 {
-		p.staleDrops.Add(int64(insStale))
+	if stale > 0 {
+		p.staleDrops.Add(int64(stale))
 	}
 }

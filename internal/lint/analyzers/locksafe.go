@@ -8,11 +8,11 @@ import (
 	"pktclass/internal/lint/analysis"
 )
 
-// LockSafe enforces the per-shard lock discipline of the serving stack.
+// LockSafe enforces the lock discipline of the serving stack.
 var LockSafe = &analysis.Analyzer{
 	Name:        "locksafe",
 	SuppressKey: "lock",
-	Doc: `enforce lock discipline: no lock-holding copies, no engine calls under a shard lock, no deferred unlocks in loops
+	Doc: `enforce lock discipline: no lock-holding copies, no engine calls under a lock, no deferred unlocks in loops
 
 Three checks. (1) Values whose type transitively contains a sync lock or
 a sync/atomic value must not be copied: by-value parameters, receivers
@@ -20,10 +20,10 @@ and results, pointer-dereference assignments, and range-value copies are
 flagged (a wider net than vet's copylocks, which only sees Lock methods).
 (2) Between a mu.Lock() and its mu.Unlock() — or for the rest of the
 function after a defer mu.Unlock() — calls into classification
-(Classify*, classify*, MultiMatch) are flagged: the flowcache batch
-design keeps the engine's full lookup outside every shard critical
-section, and a call back into an engine while a shard lock is held is
-how lock-order inversions and tail-latency cliffs start. (3) defer
+(Classify*, classify*, MultiMatch) are flagged: flowcache.Cache's batch
+path probes under its lock, releases it for the engine's full lookup and
+retakes it to insert, and a call back into an engine while the lock is
+held is how self-deadlocks and tail-latency cliffs start. (3) defer
 mu.Unlock() inside a loop is flagged: the unlock runs at function
 return, not loop-iteration end. Suppress with //pclass:allow-lock.`,
 	Run: runLockSafe,
@@ -271,7 +271,7 @@ func reportClassifyCalls(pass *analysis.Pass, stmt ast.Stmt, held map[string]boo
 		case *ast.CallExpr:
 			if name, ok := calleeName(x); ok && isClassifyName(name) {
 				for lock := range held {
-					pass.Reportf(x.Pos(), "calls %s while holding lock %s; classification must run outside shard critical sections", name, lock)
+					pass.Reportf(x.Pos(), "calls %s while holding lock %s; classification must run outside lock critical sections", name, lock)
 					break
 				}
 			}

@@ -67,6 +67,46 @@ func deferredClassify(s *shard) int {
 	return classifyBatch(3) // want `calls classifyBatch while holding lock s\.mu`
 }
 
+// table stands in for the single-writer structure a locked wrapper guards.
+type table struct{ entries []int }
+
+func (t *table) probe(n int) int { return len(t.entries) - n }
+func (t *table) fill(m int)      { t.entries = t.entries[:m] }
+
+type locked struct {
+	mu sync.Mutex
+	t  *table
+}
+
+// twoPhase probes under the lock, runs the miss function with the lock
+// released, and retakes it to fill.
+func twoPhase(l *locked, n int, classifyMisses func(int)) {
+	l.mu.Lock()
+	m := l.t.probe(n)
+	l.mu.Unlock()
+	if m == 0 {
+		return
+	}
+	classifyMisses(m) // between the two critical sections: fine
+	l.mu.Lock()
+	l.t.fill(m)
+	l.mu.Unlock()
+}
+
+// leakedPhase is the same body with the miss function called before the
+// probe phase's Unlock.
+func leakedPhase(l *locked, n int, classifyMisses func(int)) {
+	l.mu.Lock()
+	m := l.t.probe(n)
+	if m == 0 {
+		l.mu.Unlock()
+		return
+	}
+	classifyMisses(m) // want `calls classifyMisses while holding lock l\.mu`
+	l.t.fill(m)
+	l.mu.Unlock()
+}
+
 // branchClassify takes the lock inside one branch only.
 func branchClassify(s *shard, b bool) int {
 	if b {

@@ -15,8 +15,8 @@ import (
 type HopKind uint8
 
 const (
-	// HopCacheHit / HopCacheMiss: the flow-cache probe. Stage is the cache
-	// shard index; Detail is the cached rule on a hit, -1 on a miss.
+	// HopCacheHit / HopCacheMiss: the flow-cache probe. Stage is 0; Detail
+	// is the cached rule on a hit, -1 on a miss.
 	HopCacheHit HopKind = iota
 	HopCacheMiss
 	// HopStrideStage: one StrideBV pipeline stage. Stage is the stage

@@ -3,16 +3,15 @@ package packet
 // Hash mixes the 104 key bits into a 64-bit value with a splitmix64-style
 // finalizer over two input words: a 64-bit high word (key bytes 0..7) and
 // a 40-bit low word (key bytes 8..12). It is the one flow hash the whole
-// system steers by: the flow cache derives shard and bucket addresses from
-// it, and the serving layer's RSS-style submit path derives the worker
-// index from it — the software analogue of a NIC's RSS hash feeding both
-// the receive-queue selector and the flow-table index.
+// system steers by: the flow cache derives bucket addresses from it, and
+// the serving layer's RSS-style submit path derives the worker index from
+// it — the software analogue of a NIC's RSS hash feeding both the
+// receive-queue selector and the flow-table index.
 //
 // Output bit budget (so the consumers never alias each other):
 //
 //	bits  0..31 — flow-cache bucket index (the caches mask low bits)
-//	bits 32..63 — worker steering (SteerWorker) and the sharded cache's
-//	              shard selector (top bits)
+//	bits 32..63 — worker steering (SteerWorker)
 //
 // SteerWorker consumes h>>32 while cache buckets consume low bits, so a
 // worker-private cache (which sees only keys steered to its worker) still

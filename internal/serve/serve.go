@@ -599,20 +599,7 @@ func (s *Service) applyIncrementalLocked(ops []update.Op, next *ruleset.RuleSet)
 			return fmt.Errorf("serve: incremental verify failed, %w: %s", ErrRolledBack, m)
 		}
 	}
-	s.rs = next
-	retired := s.gens.Load()
-	gen := s.gens.Add(1)
-	// Fresh generation: decisions cached against the pre-delta engine
-	// retire as lazy misses, exactly as on the rebuild path.
-	s.engine.Store(&live{eng: eng, gen: gen})
-	s.incrementalSwaps.Inc()
-	s.journal.Append(obsv.EventGenerationRetired, retired, 0, 0, 0)
-	s.journal.Append(obsv.EventSwapCommitted, gen, int64(next.Len()), 1, 0)
-	elapsed := time.Since(start)
-	s.swapLatency.Observe(elapsed)
-	if s.obs != nil {
-		s.obs.SwapTotal.Observe(elapsed)
-	}
+	s.commitLocked(eng, next, start, true)
 	return nil
 }
 
@@ -657,21 +644,35 @@ func (s *Service) swapLocked(next *ruleset.RuleSet) error {
 			return fmt.Errorf("serve: shadow verify failed, %w: %s", ErrRolledBack, m)
 		}
 	}
+	s.commitLocked(shadow, next, start, false)
+	return nil
+}
+
+// commitLocked publishes a verified engine for next under a fresh
+// flow-cache generation — the one commit sequence the rebuild and the
+// incremental path share. The pointer store retires every cache entry
+// older builds wrote, as lazy misses. start is when the swap began;
+// incremental selects the counter and the journal's path flag. Callers
+// hold s.mu.
+func (s *Service) commitLocked(eng core.Engine, next *ruleset.RuleSet, start time.Time, incremental bool) {
 	s.rs = next
 	retired := s.gens.Load()
 	gen := s.gens.Add(1)
-	// The pointer store retires every cache entry older builds wrote, as
-	// lazy misses.
-	s.engine.Store(&live{eng: shadow, gen: gen})
-	s.swaps.Inc()
+	s.engine.Store(&live{eng: eng, gen: gen})
+	var path int64
+	if incremental {
+		s.incrementalSwaps.Inc()
+		path = 1
+	} else {
+		s.swaps.Inc()
+	}
 	s.journal.Append(obsv.EventGenerationRetired, retired, 0, 0, 0)
-	s.journal.Append(obsv.EventSwapCommitted, gen, int64(next.Len()), 0, 0)
+	s.journal.Append(obsv.EventSwapCommitted, gen, int64(next.Len()), path, 0)
 	elapsed := time.Since(start)
 	s.swapLatency.Observe(elapsed)
 	if s.obs != nil {
 		s.obs.SwapTotal.Observe(elapsed)
 	}
-	return nil
 }
 
 // Registry returns the metrics registry the service's counters live in:
@@ -793,7 +794,7 @@ func (s *Service) ImbalanceIndex() float64 {
 
 // maybeRebalanceEvent journals one EventRebalanceCandidate per threshold
 // excursion of the skew score (top-K flow share x imbalance index): the
-// signal ROADMAP item 5's adaptive steering will consume, recorded today
+// signal ROADMAP item 8's adaptive steering will consume, recorded today
 // so the condition is observable before the mechanism exists.
 func (s *Service) maybeRebalanceEvent(idx float64) {
 	det := s.det

@@ -69,7 +69,7 @@ func (s *Service) getSteerScratch() *steerScratch {
 	if sc, ok := s.steerPool.Get().(*steerScratch); ok {
 		return sc
 	}
-	//pclass:allow-alloc cold pool miss; the steady state always hits the pool (gated by BenchmarkSteeredScaling's 0 allocs/op)
+	//pclass:allow-alloc cold pool miss; the steady state always hits the pool (gated by BenchmarkSteeredSubmit's 0 allocs/op)
 	sc := &steerScratch{s: s, tasks: make([]steerTask, len(s.shards))}
 	for i := range sc.tasks {
 		sc.tasks[i].sc = sc

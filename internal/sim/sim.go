@@ -33,8 +33,8 @@ type BatchResult struct {
 // interface dispatch or allocator traffic. The engine's Classify must be
 // safe for concurrent use; every engine in this repository is, because
 // classification only reads the built structures. A core.Cached engine
-// routes every worker through the shared flow cache the same way (its
-// sharded batch probe is concurrency-safe), so flow-cached throughput is
+// routes every worker through its one flow cache the same way (the
+// cache's locked batch path is concurrency-safe), so flow-cached throughput is
 // measured by wrapping the engine before the call.
 func ClassifyBatch(eng core.Engine, trace []packet.Header, workers int) BatchResult {
 	if len(trace) == 0 {

@@ -63,7 +63,7 @@ type (
 	Report = fpga.Report
 	// Comparison is the head-to-head result of both engines on one ruleset.
 	Comparison = core.Comparison
-	// FlowCache is the sharded, generation-tagged exact-match flow cache.
+	// FlowCache is the generation-tagged exact-match flow cache.
 	FlowCache = flowcache.Cache
 	// FlowCacheConfig sizes a FlowCache.
 	FlowCacheConfig = flowcache.Config
@@ -138,8 +138,8 @@ func NewRangeStrideBV(rs *RuleSet, stride int) (*stridebv.RangeEngine, error) {
 // (default-deny on miss).
 func ActionOf(rs *RuleSet, rule int) Action { return core.Action(rs, rule) }
 
-// NewFlowCache builds the sharded exact-match flow cache (the zero Config
-// selects 1<<16 entries across 8 shards).
+// NewFlowCache builds the exact-match flow cache (the zero Config selects
+// 1<<16 entries).
 func NewFlowCache(cfg FlowCacheConfig) *FlowCache { return flowcache.New(cfg) }
 
 // NewCached fronts an engine with the flow cache under a freshly allocated
