@@ -56,23 +56,27 @@ type Engine struct {
 // New builds a stride-k engine over Ne ternary entries of wBits bits. An
 // entry must be ceil(wBits/8) bytes and care about no bit past wBits.
 func New(entries []Ternary, wBits, k int) (*Engine, error) {
-	m, err := stridebv.NewMemory(wBits, k, len(entries))
+	wantBytes := (wBits + 7) / 8
+	// The first malformed entry; it and everything after it program nothing.
+	var bad error
+	m, err := stridebv.BuildMemory(wBits, k, len(entries), func(i int) ([]byte, []byte, bool) {
+		t := entries[i]
+		switch {
+		case bad != nil:
+		case len(t.Value) != wantBytes || len(t.Mask) != wantBytes:
+			bad = fmt.Errorf("genbv: entry %d has %d bytes, want %d", i, len(t.Value), wantBytes)
+		case t.Mask[wantBytes-1]&(byte(1)<<uint(wantBytes*8-wBits)-1) != 0:
+			bad = fmt.Errorf("genbv: entry %d cares about bits past width %d", i, wBits)
+		}
+		return t.Value, t.Mask, bad == nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("genbv: %w", err)
 	}
-	e := &Engine{m}
-	wantBytes := (wBits + 7) / 8
-	for i, t := range entries {
-		if len(t.Value) != wantBytes || len(t.Mask) != wantBytes {
-			return nil, fmt.Errorf("genbv: entry %d has %d bytes, want %d", i, len(t.Value), wantBytes)
-		}
-		if pad := byte(1)<<uint(wantBytes*8-wBits) - 1; t.Mask[wantBytes-1]&pad != 0 {
-			return nil, fmt.Errorf("genbv: entry %d cares about bits past width %d", i, wBits)
-		}
-		e.WriteEntry(i, t.Value, t.Mask, true)
+	if bad != nil {
+		return nil, bad
 	}
-	e.Reorder()
-	return e, nil
+	return &Engine{m}, nil
 }
 
 // checkKey rejects a key that is not ceil(W/8) bytes.

@@ -86,6 +86,38 @@ type Grid struct {
 	Cells [][]uint64
 }
 
+// makeCells allocates rows zeroed rows of words words.
+func makeCells(rows, words int) [][]uint64 {
+	cells := make([][]uint64, rows)
+	for r := range cells {
+		cells[r] = make([]uint64, words)
+	}
+	return cells
+}
+
+// buildGrid is the bulk-constructor shape (stridebv.BuildMemory): it fills
+// rows a call just returned and attaches them afterwards. Clean without an
+// escape: until the field is assigned no snapshot can hold the rows.
+func buildGrid(rows, words int, fill uint64) *Grid {
+	cells := makeCells(rows, words)
+	for r := range cells {
+		cells[r][0] = fill
+	}
+	g := new(Grid)
+	g.Cells = cells
+	return g
+}
+
+// buildGridAttached is the same loop storing through the field: attached
+// first, the rows are COW storage like any other and the fill is flagged.
+func buildGridAttached(rows, words int, fill uint64) *Grid {
+	g := &Grid{Cells: makeCells(rows, words)}
+	for r := range g.Cells {
+		g.Cells[r][0] = fill // want `write into //pclass:cow storage Grid.Cells outside a //pclass:cow-mutator`
+	}
+	return g
+}
+
 // Front embeds the COW vector the way stridebv's engines embed their stage
 // memory: Mem and Sum are promoted, and stay COW storage under that name.
 type Front struct {

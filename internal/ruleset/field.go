@@ -93,17 +93,20 @@ func ParseIPv4Prefix(s string) (Prefix, error) {
 			return Prefix{}, fmt.Errorf("ruleset: bad prefix length in %q: %v", s, err)
 		}
 	}
-	parts := strings.Split(addr, ".")
-	if len(parts) != 4 {
+	if strings.Count(addr, ".") != 3 {
 		return Prefix{}, fmt.Errorf("ruleset: bad IPv4 address %q", addr)
 	}
 	var v uint32
-	for _, p := range parts {
-		o, err := strconv.ParseUint(p, 10, 8)
-		if err != nil {
+	for rest, i := addr, 0; i < 4; i++ {
+		p := rest
+		if dot := strings.IndexByte(rest, '.'); dot >= 0 {
+			p, rest = rest[:dot], rest[dot+1:]
+		}
+		o, ok := parseDecimal(p, 0xFF)
+		if !ok {
 			return Prefix{}, fmt.Errorf("ruleset: bad IPv4 octet %q in %q", p, addr)
 		}
-		v = v<<8 | uint32(o)
+		v = v<<8 | o
 	}
 	return NewPrefix(v, 32, length)
 }

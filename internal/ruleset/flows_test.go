@@ -84,13 +84,6 @@ func TestInterleavePreservesCounts(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestFlowHeadersDirectedAndDeterministic(t *testing.T) {
 	rs := Generate(GenConfig{N: 32, Profile: FirewallProfile, Seed: 83, DefaultRule: false})
 	pop := FlowHeaders(rs, 400, 1, 84)

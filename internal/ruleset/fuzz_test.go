@@ -15,6 +15,7 @@ func FuzzParseRule(f *testing.F) {
 	f.Add("@")
 	f.Add("")
 	f.Add("@1.2.3.4 5.6.7.8 0 : 1 2 : 3 icmp")
+	f.Add("@1.2.3.4/32 5.6.7.8/32 0 : 65535 0 : 65535 17")
 	f.Fuzz(func(t *testing.T, line string) {
 		r, err := ParseRule(line)
 		if err != nil {

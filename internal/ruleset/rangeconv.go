@@ -1,5 +1,7 @@
 package ruleset
 
+import mathbits "math/bits"
+
 // Range-to-prefix conversion.
 //
 // An arbitrary inclusive range over a w-bit field splits into at most
@@ -15,35 +17,52 @@ func (r PortRange) Prefixes() []Prefix {
 }
 
 // rangeToPrefixes computes the minimal prefix cover of [lo,hi] over a
-// bits-wide field using the greedy largest-aligned-block construction, which
-// is equivalent to the trie walk but iterative and allocation-friendly.
+// bits-wide field.
 func rangeToPrefixes(lo, hi uint32, bits int) []Prefix {
-	if lo > hi {
-		return nil
-	}
 	var out []Prefix
-	for {
-		// Largest block size aligned at lo: 2^t where t = min(trailing
-		// zeros of lo capped at bits, largest t with lo+2^t-1 <= hi).
-		t := 0
-		for t < bits && lo&(1<<uint(t)) == 0 {
-			// Block of size 2^(t+1) must stay aligned and inside range.
-			if uint64(lo)+(uint64(1)<<uint(t+1))-1 > uint64(hi) {
-				break
-			}
-			t++
-		}
-		p, err := NewPrefix(lo, bits, bits-t)
-		if err != nil {
-			panic("ruleset: internal range conversion error: " + err.Error())
-		}
-		out = append(out, p)
-		next := uint64(lo) + (uint64(1) << uint(t))
-		if next > uint64(hi) {
-			return out
-		}
-		lo = uint32(next)
+	for c := newPrefixCover(lo, hi, bits); c.next(); {
+		out = append(out, c.prefix)
 	}
+	return out
+}
+
+// prefixCover walks the minimal prefix cover of an inclusive range in
+// address order without storing it, using the greedy largest-aligned-block
+// construction, which is equivalent to the trie walk: after each successful
+// next, prefix is the next block of the cover.
+type prefixCover struct {
+	prefix Prefix
+	lo, hi uint64 // what is left to cover; nothing once lo > hi
+}
+
+// newPrefixCover starts the cover of [lo,hi] over a bits-wide field; an
+// inverted range has an empty cover.
+func newPrefixCover(lo, hi uint32, bits int) prefixCover {
+	return prefixCover{prefix: Prefix{Bits: bits}, lo: uint64(lo), hi: uint64(hi)}
+}
+
+// cover starts the walk over the port range's prefix cover (see Prefixes).
+func (r PortRange) cover() prefixCover { return newPrefixCover(uint32(r.Lo), uint32(r.Hi), 16) }
+
+func (c *prefixCover) next() bool {
+	if c.lo > c.hi {
+		return false
+	}
+	// The largest block 2^t that is aligned at lo, no wider than the field
+	// and still inside the range.
+	t := min(c.prefix.Bits, mathbits.TrailingZeros64(c.lo), mathbits.Len64(c.hi-c.lo+1)-1)
+	c.prefix.Value, c.prefix.Len = uint32(c.lo), c.prefix.Bits-t
+	c.lo += 1 << uint(t)
+	return true
+}
+
+// len counts the blocks of the cover c has not walked yet.
+func (c prefixCover) len() int {
+	n := 0
+	for c.next() {
+		n++
+	}
+	return n
 }
 
 // MaxRangePrefixes is the worst-case number of prefixes a single w-bit range

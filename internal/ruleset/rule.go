@@ -86,6 +86,9 @@ func (r Rule) Validate() error {
 	if r.DP.Lo > r.DP.Hi {
 		return fmt.Errorf("ruleset: inverted DP range [%d,%d]", r.DP.Lo, r.DP.Hi)
 	}
+	if r.Action.Port < 0 {
+		return fmt.Errorf("ruleset: negative action port %d", r.Action.Port)
+	}
 	return nil
 }
 
@@ -96,20 +99,23 @@ func (r Rule) Validate() error {
 // semantics: any header matching the rule matches at least one entry, and
 // every entry implies the rule.
 func (r Rule) TernaryEntries() []Ternary {
-	sps := r.SP.Prefixes()
-	dps := r.DP.Prefixes()
-	out := make([]Ternary, 0, len(sps)*len(dps))
-	for _, sp := range sps {
-		for _, dp := range dps {
-			out = append(out, ternaryFromPrefixes(r.SIP, r.DIP, sp, dp, r.Proto))
+	return r.appendTernaryEntries(make([]Ternary, 0, r.ExpansionFactor()))
+}
+
+// appendTernaryEntries appends the rule's ternary words (see
+// TernaryEntries) to dst.
+func (r Rule) appendTernaryEntries(dst []Ternary) []Ternary {
+	for sp := r.SP.cover(); sp.next(); {
+		for dp := r.DP.cover(); dp.next(); {
+			dst = append(dst, ternaryFromPrefixes(r.SIP, r.DIP, sp.prefix, dp.prefix, r.Proto))
 		}
 	}
-	return out
+	return dst
 }
 
 // ExpansionFactor returns how many ternary entries the rule needs.
 func (r Rule) ExpansionFactor() int {
-	return len(r.SP.Prefixes()) * len(r.DP.Prefixes())
+	return r.SP.cover().len() * r.DP.cover().len()
 }
 
 // String renders the rule in the text ruleset format (parse.go).

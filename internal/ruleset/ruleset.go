@@ -86,10 +86,14 @@ type Expanded struct {
 
 // Expand lowers the ruleset to ternary entries.
 func (rs *RuleSet) Expand() *Expanded {
-	ex := &Expanded{NumRules: len(rs.Rules)}
+	ne := 0
+	for _, r := range rs.Rules {
+		ne += r.ExpansionFactor()
+	}
+	ex := &Expanded{Entries: make([]Ternary, 0, ne), Parent: make([]int, 0, ne), NumRules: len(rs.Rules)}
 	for i, r := range rs.Rules {
-		for _, t := range r.TernaryEntries() {
-			ex.Entries = append(ex.Entries, t)
+		ex.Entries = r.appendTernaryEntries(ex.Entries)
+		for len(ex.Parent) < len(ex.Entries) {
 			ex.Parent = append(ex.Parent, i)
 		}
 	}

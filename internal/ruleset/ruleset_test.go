@@ -156,3 +156,31 @@ func TestExpansionFactor(t *testing.T) {
 		t.Fatal("empty ExpansionFactor != 0")
 	}
 }
+
+// Expand sizes its tables once: the expansion, its two slices, and no
+// per-rule slice, whatever N.
+func TestExpandAllocs(t *testing.T) {
+	for _, n := range []int{64, 4096} {
+		rs := Generate(GenConfig{N: n, Profile: PrefixOnly, Seed: 2, DefaultRule: true})
+		if allocs := testing.AllocsPerRun(5, func() { rs.Expand() }); allocs > 4 {
+			t.Fatalf("N=%d: Expand allocates %v times", n, allocs)
+		}
+	}
+}
+
+func BenchmarkExpand(b *testing.B) {
+	for _, p := range []struct {
+		name    string
+		profile Profile
+	}{{"prefix", PrefixOnly}, {"fw", FirewallProfile}} {
+		rs := Generate(GenConfig{N: 32768, Profile: p.profile, Seed: 1, DefaultRule: true})
+		b.Run(p.name+"/N32768", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if rs.Expand().Len() < rs.Len() {
+					b.Fatal("expansion lost rules")
+				}
+			}
+		})
+	}
+}

@@ -101,29 +101,16 @@ func ParseTernary(s string) (Ternary, error) {
 	return t, nil
 }
 
-// setFieldBits writes the (value, mask) pair of a field into the ternary
-// word at the given bit offset, MSB of the field first.
-func (t *Ternary) setFieldBits(off, bits int, value, mask uint32) {
-	for b := 0; b < bits; b++ {
-		i := off + b
-		bit := uint(7 - i&7)
-		if mask>>uint(bits-1-b)&1 == 1 {
-			t.Mask[i>>3] |= 1 << bit
-			if value>>uint(bits-1-b)&1 == 1 {
-				t.Value[i>>3] |= 1 << bit
-			}
-		}
-	}
-}
-
 // ternaryFromPrefixes assembles a full ternary word from per-field
-// prefix/mask forms.
+// prefix/mask forms, a field at a time through the packed-key layout's one
+// writer (packet.Header.Key): the care masks pack like a header, and so do
+// the values with their don't-care bits cleared.
 func ternaryFromPrefixes(sip, dip Prefix, sp, dp Prefix, proto Protocol) Ternary {
-	var t Ternary
-	t.setFieldBits(packet.SIPOff, packet.SIPBits, sip.Value, sip.Mask())
-	t.setFieldBits(packet.DIPOff, packet.DIPBits, dip.Value, dip.Mask())
-	t.setFieldBits(packet.SPOff, packet.SPBits, sp.Value, sp.Mask())
-	t.setFieldBits(packet.DPOff, packet.DPBits, dp.Value, dp.Mask())
-	t.setFieldBits(packet.ProtoOff, packet.ProtoBits, uint32(proto.Value), uint32(proto.Mask))
-	return t
+	mask := packet.Header{SIP: sip.Mask(), DIP: dip.Mask(), SP: uint16(sp.Mask()), DP: uint16(dp.Mask()), Proto: proto.Mask}
+	value := packet.Header{
+		SIP: sip.Value & mask.SIP, DIP: dip.Value & mask.DIP,
+		SP: uint16(sp.Value) & mask.SP, DP: uint16(dp.Value) & mask.DP,
+		Proto: proto.Value & mask.Proto,
+	}
+	return Ternary{Value: value.Key(), Mask: mask.Key()}
 }

@@ -126,3 +126,71 @@ func mustPfx(t *testing.T, s string) Prefix {
 	}
 	return p
 }
+
+// setFieldBitsRef is the bit-at-a-time packer ternaryFromPrefixes replaced,
+// kept as its reference: it writes the (value, mask) pair of a field into
+// the ternary word at the given bit offset, MSB of the field first.
+func setFieldBitsRef(t *Ternary, off, bits int, value, mask uint32) {
+	for b := 0; b < bits; b++ {
+		i := off + b
+		bit := uint(7 - i&7)
+		if mask>>uint(bits-1-b)&1 == 1 {
+			t.Mask[i>>3] |= 1 << bit
+			if value>>uint(bits-1-b)&1 == 1 {
+				t.Value[i>>3] |= 1 << bit
+			}
+		}
+	}
+}
+
+// The field-at-a-time packer writes the word the bit-at-a-time one wrote,
+// for every prefix length of every field, with junk below the prefix (and,
+// for the ports, above the field) and for masked protocols.
+func TestTernaryFromPrefixesEqualsBitPacker(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	check := func(sip, dip, sp, dp Prefix, proto Protocol) {
+		t.Helper()
+		var want Ternary
+		setFieldBitsRef(&want, packet.SIPOff, packet.SIPBits, sip.Value, sip.Mask())
+		setFieldBitsRef(&want, packet.DIPOff, packet.DIPBits, dip.Value, dip.Mask())
+		setFieldBitsRef(&want, packet.SPOff, packet.SPBits, sp.Value, sp.Mask())
+		setFieldBitsRef(&want, packet.DPOff, packet.DPBits, dp.Value, dp.Mask())
+		setFieldBitsRef(&want, packet.ProtoOff, packet.ProtoBits, uint32(proto.Value), uint32(proto.Mask))
+		if got := ternaryFromPrefixes(sip, dip, sp, dp, proto); got != want {
+			t.Fatalf("%v %v %v %v %v:\n got %s\nwant %s", sip, dip, sp, dp, proto, got, want)
+		}
+	}
+	protos := []Protocol{AnyProtocol, ExactProtocol(ProtoTCP), {Value: 0xFF, Mask: 0xF0}, {Value: 0xA5, Mask: 0x5A}, {Value: 0xFF, Mask: 0}}
+	for ipLen := 0; ipLen <= 32; ipLen++ {
+		for portLen := 0; portLen <= 16; portLen++ {
+			// Raw values: bits below the prefix length stay set, which
+			// NewPrefix would have cleared.
+			sip := Prefix{Value: rng.Uint32(), Bits: 32, Len: ipLen}
+			dip := Prefix{Value: rng.Uint32(), Bits: 32, Len: 32 - ipLen}
+			sp := Prefix{Value: rng.Uint32(), Bits: 16, Len: portLen}
+			dp := Prefix{Value: rng.Uint32(), Bits: 16, Len: 16 - portLen}
+			check(sip, dip, sp, dp, protos[rng.Intn(len(protos))])
+			check(dip, sip, dp, sp, Protocol{Value: uint8(rng.Intn(256)), Mask: uint8(rng.Intn(256))})
+		}
+	}
+}
+
+// ExpansionFactor counts what TernaryEntries builds, without building it.
+func TestExpansionFactorCountsEntries(t *testing.T) {
+	for _, profile := range []Profile{FirewallProfile, FeatureFree} {
+		rs := Generate(GenConfig{N: 300, Profile: profile, Seed: 21, DefaultRule: true})
+		total := 0
+		for i, r := range rs.Rules {
+			if got, want := r.ExpansionFactor(), len(r.TernaryEntries()); got != want {
+				t.Fatalf("%v rule %d (%s): ExpansionFactor %d, %d entries", profile, i, r, got, want)
+			}
+			total += r.ExpansionFactor()
+		}
+		if total == rs.Len() {
+			t.Fatalf("%v: no rule expands", profile)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { rs.ExpansionFactor() }); allocs != 0 {
+			t.Fatalf("%v: ExpansionFactor allocates %v times", profile, allocs)
+		}
+	}
+}

@@ -65,9 +65,9 @@ func (e *Engine) ApplyDeltas(rules []int, entries []ruleset.Ternary) (*Engine, e
 		n.shared[s] = true
 	}
 	for i, j := range rules {
-		//pclass:allow-mutate the entry table is a private copy made above
-		n.ex.Entries[j] = entries[i]
-		n.writeEntry(j, entries[i])
+		if err := n.UpdateEntry(j, entries[i]); err != nil {
+			return nil, err
+		}
 	}
 	n.Reorder()
 	return &n, nil

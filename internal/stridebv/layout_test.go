@@ -1,8 +1,10 @@
 package stridebv_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pktclass/internal/bitvec"
@@ -209,11 +211,7 @@ func layoutGeneric(t *testing.T) {
 			if ne > 1 && hits == 0 {
 				t.Fatalf("W=%d ne=%d: no key matched any entry", w, ne)
 			}
-			strides := []int{1, 3, 4, 7, 8}
-			if ne >= 4096 {
-				strides = []int{1, 3, 4, 8} // the big builds are column-write bound; k=7 adds no boundary there
-			}
-			for _, k := range strides {
+			for _, k := range []int{1, 3, 4, 7, 8} {
 				if skipRaced(ne, k) || stridebv.RaceEnabled && ne >= 4096 && w > 104 {
 					continue
 				}
@@ -235,6 +233,90 @@ func layoutGeneric(t *testing.T) {
 						t.Fatalf("%s: MatchVector %v (%v), Matches %s for key % x", name, vec.SetBits(), err, all[i], key)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestBulkBuildEqualsColumnWrites: memory programmed 64 entries per word by
+// BuildMemory is, block for block, the memory NewMemory and one WriteEntry
+// per entry produce — stage words, summaries, populations and walk order —
+// over widths whose last stage is padded, entry counts either side of the
+// word and summary-word boundaries, values with junk under their don't-care
+// bits and a few invalid entries; and the 5-tuple front end's image is the
+// same bytes.
+func TestBulkBuildEqualsColumnWrites(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, w := range []int{8, 13, 72, 104, 256, 300} {
+		for _, ne := range layoutSizes {
+			entries := randTernaries(rng, w, ne)
+			valid := make([]bool, ne)
+			for j := range valid {
+				valid[j] = ne < 4 || rng.Intn(16) != 0
+			}
+			for _, k := range []int{1, 3, 4, 7, 8} {
+				if stridebv.RaceEnabled && ne >= 4096 && (k > 4 || w > 104) {
+					continue
+				}
+				name := fmt.Sprintf("W=%d ne=%d k=%d", w, ne, k)
+				bulk, err := stridebv.BuildMemory(w, k, ne, func(j int) ([]byte, []byte, bool) {
+					return entries[j].Value, entries[j].Mask, valid[j]
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				col, err := stridebv.NewMemory(w, k, ne)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, entry := range entries {
+					col.WriteEntry(j, entry.Value, entry.Mask, valid[j])
+				}
+				col.Reorder()
+				bBlk, bSum, bOnes, bOrder := bulk.Programmed()
+				cBlk, cSum, cOnes, cOrder := col.Programmed()
+				if !reflect.DeepEqual(bBlk, cBlk) {
+					t.Fatalf("%s: stage blocks differ", name)
+				}
+				if !reflect.DeepEqual(bSum, cSum) {
+					t.Fatalf("%s: summaries differ", name)
+				}
+				if !reflect.DeepEqual(bOnes, cOnes) || !reflect.DeepEqual(bOrder, cOrder) {
+					t.Fatalf("%s: populations %v / %v, order %v / %v", name, bOnes, cOnes, bOrder, cOrder)
+				}
+			}
+		}
+	}
+	for _, ne := range layoutSizes {
+		// A firewall set's expansion (runs of entries per rule, wildcard
+		// port strides) with a few entries invalidated, cut to ne entries.
+		ex := ruleset.Generate(ruleset.GenConfig{N: ne, Profile: ruleset.FirewallProfile, Seed: int64(ne), DefaultRule: true}).Expand()
+		ex = &ruleset.Expanded{Entries: append([]ruleset.Ternary(nil), ex.Entries[:ne]...), Parent: ex.Parent[:ne], NumRules: ex.NumRules}
+		for j := 3; j < ne; j += 17 {
+			//pclass:allow-mutate the fixture's entry table is the private copy made above
+			ex.Entries[j] = ruleset.InvalidTernary()
+		}
+		for _, k := range []int{1, 3, 4, 7, 8} {
+			if skipRaced(ne, k) {
+				continue
+			}
+			bulk, err := stridebv.New(ex, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			col, err := stridebv.NewColumnwise(ex, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bImg, cImg bytes.Buffer
+			if err := bulk.WriteImage(&bImg); err != nil {
+				t.Fatal(err)
+			}
+			if err := col.WriteImage(&cImg); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(bImg.Bytes(), cImg.Bytes()) {
+				t.Fatalf("ne=%d k=%d: images differ", ne, k)
 			}
 		}
 	}

@@ -12,8 +12,11 @@ import (
 // Memory is StrideBV stage memory over a W-bit key: ceil(W/k) stages of 2^k
 // rows of Ne bits, whatever W, k and the key's fields mean — the uniformity
 // the paper's Section III-A3 rests on. It holds the one row-AND walker, the
-// one summary index, the one column build rule and the one copy-on-write
-// mutation point of every bit-vector engine in the tree. The front ends
+// one summary index, the one column rule (columnStrides, strideAgrees) and
+// the two operations that program columns by it: BuildMemory, which fills
+// fresh memory 64 entries per stored word, and WriteEntry, the in-place
+// rewrite of one column through setBit, the one copy-on-write mutation
+// point of every bit-vector engine in the tree. The front ends
 // embed it and differ only in how a lookup's stage addresses are produced
 // and in what a surviving entry means: Engine (the packed 5-tuple, entries
 // resolved through the expansion's parent map), RangeEngine (the 72 prefix
@@ -92,20 +95,106 @@ const (
 // fill the lead; see Reorder.
 const leadStages = 4
 
-// NewMemory returns all-zero stage memory for ne entries of w bits at
-// stride k: no entry matches anything until WriteEntry programs its column.
-func NewMemory(w, k, ne int) (Memory, error) {
+// checkGeometry rejects dimensions no memory can have.
+func checkGeometry(w, k, ne int) error {
 	if k < MinStride || k > MaxStride {
-		return Memory{}, fmt.Errorf("stridebv: stride %d outside [%d,%d]", k, MinStride, MaxStride)
+		return fmt.Errorf("stridebv: stride %d outside [%d,%d]", k, MinStride, MaxStride)
 	}
 	if w < 1 {
-		return Memory{}, fmt.Errorf("stridebv: key width %d", w)
+		return fmt.Errorf("stridebv: key width %d", w)
 	}
 	if ne < 1 {
-		return Memory{}, fmt.Errorf("stridebv: no entries")
+		return fmt.Errorf("stridebv: no entries")
+	}
+	return nil
+}
+
+// NewMemory returns all-zero stage memory for ne entries of w bits at
+// stride k: no entry matches anything until WriteEntry programs its column.
+// A constructor that has every entry in hand uses BuildMemory instead.
+func NewMemory(w, k, ne int) (Memory, error) {
+	if err := checkGeometry(w, k, ne); err != nil {
+		return Memory{}, err
 	}
 	m := newMemory(w, k, ne)
 	m.blk, m.sum, m.ones = m.makeBlocks(m.words), m.makeBlocks(m.sumWords), make([]int, m.stages)
+	m.Reorder()
+	return m, nil
+}
+
+// BuildMemory returns stage memory for ne entries of w bits at stride k with
+// every column programmed, the constructors' bulk form of WriteEntry:
+// entry(j) is called once per entry, in order, and returns entry j's
+// pattern as WriteEntry takes it (the slices are read before the next
+// call, so a caller may reuse them). The result is bit for bit the memory
+// NewMemory followed by WriteEntry for every j produces, but it is
+// programmed 64 entries at a time: per stage, the 2^k row words of a
+// 64-entry group are formed in registers — each entry sets its bit in
+// exactly the rows its stride is compatible with — and every nonzero word
+// is stored once, its summary bit and population taken from the stored
+// word. That is at most stages·2^k·ceil(ne/64) word stores against
+// ne·stages·2^k setBit calls. The blocks are filled before they are
+// attached, so nothing a reader or a delta parent could hold is written.
+func BuildMemory(w, k, ne int, entry func(j int) (value, mask []byte, valid bool)) (Memory, error) {
+	if err := checkGeometry(w, k, ne); err != nil {
+		return Memory{}, err
+	}
+	m := newMemory(w, k, ne)
+	blk, sum, ones := m.makeBlocks(m.words), m.makeBlocks(m.sumWords), make([]int, m.stages)
+	sc := m.getScratch()
+	// strides[s·64+b] is the stage-s stride of the group's entry b: value in
+	// the low byte, care in the high one (k <= 8).
+	strides := make([]uint16, m.stages*64)
+	var rows [1 << MaxStride]uint64
+	nrows := 1 << uint(k)
+	for wi := 0; wi < m.words; wi++ {
+		var live uint64 // the group's valid entries; the others match nothing
+		for b := 0; b < min(64, ne-wi<<6); b++ {
+			value, mask, valid := entry(wi<<6 + b)
+			if !valid {
+				continue
+			}
+			live |= 1 << uint(b)
+			m.columnStrides(sc, value, mask)
+			for s, val := range sc.addrs {
+				strides[s<<6+b] = uint16(val) | uint16(sc.care[s])<<8
+			}
+		}
+		for s := 0; s < m.stages; s++ {
+			group := strides[s<<6:][:64]
+			// A stride that cares about nothing is compatible with every
+			// row: those entries are gathered in wild and ORed in once.
+			var wild uint64
+			for rest := live; rest != 0; rest &= rest - 1 {
+				b := bits.TrailingZeros64(rest)
+				val, care := int(group[b]&0xFF), int(group[b]>>8)
+				if care == 0 {
+					wild |= 1 << uint(b)
+					continue
+				}
+				// The rows strideAgrees(c, val, care) holds for: the cared
+				// bits fixed at the value's, every setting of the rest.
+				base, free := val&care, (nrows-1)&^care
+				for sub := free; ; sub = (sub - 1) & free {
+					rows[base|sub] |= 1 << uint(b)
+					if sub == 0 {
+						break
+					}
+				}
+			}
+			for c := 0; c < nrows; c++ {
+				word := rows[c] | wild
+				rows[c] = 0
+				if word != 0 {
+					blk[s][c*m.words+wi] = word
+					sum[s][c*m.sumWords+wi>>6] |= 1 << uint(wi&63)
+					ones[s] += bits.OnesCount64(word)
+				}
+			}
+		}
+	}
+	m.putScratch(sc)
+	m.blk, m.sum, m.ones = blk, sum, ones
 	m.Reorder()
 	return m, nil
 }
@@ -278,26 +367,38 @@ func (m *Memory) stridesInto(key []byte, dst []int) {
 	}
 }
 
-// WriteEntry rewrites entry j's whole bit column from a W-bit ternary
-// pattern (mask bit 1 = care): in every stage, bit j of row c is set iff
-// stride value c is compatible with the entry there. The entry's care and
-// value strides are derived once per stage, so each row costs one compare:
-// c matches iff it agrees with the value on every cared bit. Bits past W
-// (final-stage padding) are cared about and zero — they only match the zero
-// padding the key side generates — and an entry that is not valid is
-// compatible with nothing. Rewriting from scratch is what makes this double
-// as the fault-scrub repair primitive; bits that are already right are left
-// alone, so a stage the write does not change is never detached from a
-// delta parent. Not safe concurrently with lookups on the same memory.
-func (m *Memory) WriteEntry(j int, value, mask []byte, valid bool) {
-	sc := m.getScratch()
+// columnStrides derives an entry's per-stage value (sc.addrs) and care
+// (sc.care) strides from its W-bit ternary pattern (mask bit 1 = care) —
+// once per entry, so that each row costs one compare. Bits past W
+// (final-stage padding) are cared about and zero: they only match the zero
+// padding the key side generates.
+func (m *Memory) columnStrides(sc *scratchState, value, mask []byte) {
 	m.stridesInto(value, sc.addrs)
 	m.stridesInto(mask, sc.care)
 	sc.care[m.stages-1] |= 1<<uint(m.stages*m.k-m.w) - 1
+}
+
+// strideAgrees is the column rule both BuildMemory and WriteEntry program
+// by: in every stage, bit j of row c is set iff entry j is valid and
+// stride value c agrees with its value stride on every cared bit.
+func strideAgrees(c, val, care int) bool { return (c^val)&care == 0 }
+
+// WriteEntry rewrites entry j's whole bit column in place from a W-bit
+// ternary pattern, by the rule of columnStrides and strideAgrees; an entry
+// that is not valid is compatible with nothing. It is the one column write
+// behind UpdateEntry, InvalidateEntry, ApplyDeltas and scrub — BuildMemory
+// is how a constructor programs fresh memory. Rewriting from scratch is
+// what makes this double as the fault-scrub repair primitive; bits that are
+// already right are left alone, so a stage the write does not change is
+// never detached from a delta parent. Not safe concurrently with lookups on
+// the same memory.
+func (m *Memory) WriteEntry(j int, value, mask []byte, valid bool) {
+	sc := m.getScratch()
+	m.columnStrides(sc, value, mask)
 	for s, val := range sc.addrs {
 		care := sc.care[s]
 		for c := 0; c < 1<<uint(m.k); c++ {
-			m.setBit(s, c, j, valid && (c^val)&care == 0)
+			m.setBit(s, c, j, valid && strideAgrees(c, val, care))
 		}
 	}
 	m.putScratch(sc)

@@ -43,18 +43,20 @@ func packPrefix(sip, dip uint32, proto uint8) (k [prefixBits / 8]byte) {
 
 // NewRange builds a range-module StrideBV engine with stride k.
 func NewRange(rs *ruleset.RuleSet, k int) (*RangeEngine, error) {
-	m, err := NewMemory(prefixBits, k, rs.Len())
+	var val, mask [prefixBits / 8]byte
+	m, err := BuildMemory(prefixBits, k, rs.Len(), func(j int) ([]byte, []byte, bool) {
+		r := &rs.Rules[j]
+		val = packPrefix(r.SIP.Value, r.DIP.Value, r.Proto.Value)
+		mask = packPrefix(r.SIP.Mask(), r.DIP.Mask(), r.Proto.Mask)
+		return val[:], mask[:], true
+	})
 	if err != nil {
 		return nil, err
 	}
 	e := &RangeEngine{Memory: m, ports: make([][2]ruleset.PortRange, rs.Len())}
 	for j, r := range rs.Rules {
 		e.ports[j] = [2]ruleset.PortRange{r.SP, r.DP}
-		val := packPrefix(r.SIP.Value, r.DIP.Value, r.Proto.Value)
-		mask := packPrefix(r.SIP.Mask(), r.DIP.Mask(), r.Proto.Mask)
-		e.WriteEntry(j, val[:], mask[:], true)
 	}
-	e.Reorder()
 	return e, nil
 }
 

@@ -106,3 +106,15 @@ func BenchmarkRangeClassifyN512(b *testing.B) {
 		e.Classify(trace[i%len(trace)])
 	}
 }
+
+func BenchmarkRangeBVBuild(b *testing.B) {
+	rs := ruleset.Generate(ruleset.GenConfig{N: 2048, Profile: ruleset.FirewallProfile, Seed: 1, DefaultRule: true})
+	b.Run("k4/N2048", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewRange(rs, 4); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -40,26 +40,18 @@ type Engine struct {
 
 // New builds a StrideBV engine with stride k over the expanded ruleset.
 func New(ex *ruleset.Expanded, k int) (*Engine, error) {
-	m, err := NewMemory(packet.W, k, ex.Len())
+	m, err := BuildMemory(packet.W, k, ex.Len(), func(j int) ([]byte, []byte, bool) {
+		entry := &ex.Entries[j]
+		return entry.Value[:], entry.Mask[:], !entry.Invalid
+	})
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{Memory: m, ex: ex}
-	for j, entry := range ex.Entries {
-		e.writeEntry(j, entry)
-	}
-	e.Reorder()
-	return e, nil
+	return &Engine{Memory: m, ex: ex}, nil
 }
 
 // NewFSBV builds the k=1 Field-Split Bit Vector engine.
 func NewFSBV(ex *ruleset.Expanded) (*Engine, error) { return New(ex, 1) }
-
-// writeEntry programs entry j's column (see Memory.WriteEntry); an
-// invalidated entry is compatible with nothing.
-func (e *Engine) writeEntry(j int, entry ruleset.Ternary) {
-	e.WriteEntry(j, entry.Value[:], entry.Mask[:], !entry.Invalid)
-}
 
 // Name identifies the engine, including its stride.
 func (e *Engine) Name() string { return fmt.Sprintf("stridebv-k%d", e.k) }
@@ -158,7 +150,7 @@ func (e *Engine) UpdateEntry(j int, entry ruleset.Ternary) error {
 	e.ensureOwnedEntries()
 	//pclass:allow-mutate the entry table is owned post copy-on-write
 	e.ex.Entries[j] = entry
-	e.writeEntry(j, entry)
+	e.WriteEntry(j, entry.Value[:], entry.Mask[:], !entry.Invalid)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package stridebv
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -341,5 +342,26 @@ func BenchmarkClassifyK3N2048(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Classify(trace[i%len(trace)])
+	}
+}
+
+// BenchmarkStrideBVBuild is the cold-start cost of the flat engine: one
+// New over an expanded ruleset (firewall: Ne ≈ 1.8 N; prefix-only: Ne = N).
+func BenchmarkStrideBVBuild(b *testing.B) {
+	for _, p := range []struct {
+		name    string
+		profile ruleset.Profile
+	}{{"fw", ruleset.FirewallProfile}, {"prefix", ruleset.PrefixOnly}} {
+		_, ex := genSet(b, 2048, p.profile, 1)
+		for _, k := range []int{3, 4} {
+			b.Run(fmt.Sprintf("%s/k%d/N2048", p.name, k), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := New(ex, k); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
