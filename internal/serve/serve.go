@@ -25,7 +25,9 @@
 // fronts the engine with its own single-writer flowcache.Private. The
 // per-worker queues are bounded and backpressure is blocking: a sub-batch
 // cannot spill to another worker without breaking flow affinity, so a full
-// target queue delays the submitter instead of dropping the batch.
+// target queue delays the submitter instead of dropping the batch. A small
+// ClassifySteered share whose worker is idle skips the queue: the
+// submitter runs it on that worker's state, under the worker's claim.
 package serve
 
 import (
@@ -69,7 +71,9 @@ type Config struct {
 	Workers int
 	// QueueDepth bounds the total number of buffered sub-batches across all
 	// worker shards (0 selects 4 per worker). A submitter whose target
-	// shard is full blocks until the worker drains a slot.
+	// shard is full blocks until the worker drains a slot. Shares that a
+	// ClassifySteered caller runs inline (small, idle worker) are never
+	// queued and take no slot.
 	QueueDepth int
 	// VerifyPackets is the directed-trace length used to differentially
 	// verify every candidate engine against core.NewLinear before it is
@@ -287,8 +291,9 @@ type Service struct {
 	obs *obsv.Obs
 
 	// det is the heavy-hitter detector (nil unless observed and
-	// TopFlows >= 0). Each worker observes its own stripe
-	// after classifying, so the detector never sees concurrent writers.
+	// TopFlows >= 0). The holder of each worker's claim observes that
+	// worker's stripe after classifying, so the detector never sees
+	// concurrent writers.
 	det *flowstats.Detector
 	// journal is Obs.Journal (nil unobserved): the control-plane event
 	// ring every swap/rollback/fallback/retirement is appended to.
@@ -305,9 +310,10 @@ type Service struct {
 	rebalanceHot atomic.Bool
 
 	// testObserveSteer, when set by tests before any Submit, is called by
-	// each worker with its id and the sub-batch it is about to classify —
-	// the probe the flow-affinity proof uses to see which worker touched
-	// which flow. Nil in production; the hot path carries one nil check.
+	// the holder of a worker's claim with the worker's id and the
+	// sub-batch it is about to classify — the probe the flow-affinity and
+	// flow-order proofs use to see which worker touched which flow, and
+	// when. Nil in production; the hot path carries one nil check.
 	testObserveSteer func(worker int, hdrs []packet.Header)
 
 	// testCorruptDelta, when set by tests, mangles the lowered delta batch
@@ -406,16 +412,27 @@ func New(rs *ruleset.RuleSet, build BuildFunc, cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// worker is one classification goroutine's private state. eng and the
-// miss fallback are only ever touched by the owning goroutine; cache
-// statistics are atomic so scrapes never race the owner.
+// worker is one classification goroutine's private state. The private
+// cache, the detector stripe, eng and the miss fallback are only ever
+// touched by the holder of the worker's claim — the worker goroutine
+// running a handed-off task, or a synchronous submitter running a small
+// share inline; cache statistics are atomic so scrapes never race it.
 type worker struct {
 	s  *Service
 	id int
+	// claim makes its holder the single writer of this worker's state. The
+	// worker goroutine holds it around each runSteered; a submitter takes
+	// it only with tryClaim, and never across a blocking operation.
+	claim sync.Mutex
+	// inflight counts tasks handed to this worker and not yet finished:
+	// incremented before the send, decremented after runSteered. Zero
+	// means nothing for this worker is queued or running, so a share run
+	// inline cannot overtake an earlier batch of the same flow.
+	inflight atomic.Int32
 	// cache is the worker-private flow cache (nil when uncached).
 	cache *flowcache.Private
-	// eng is the batch-scoped engine target of missFn, set by the owner
-	// before each private-cache batch call.
+	// eng is the batch-scoped engine target of missFn, set by the claim
+	// holder before each private-cache batch call.
 	eng core.Engine
 	// missFn is the pre-bound cache-miss fallback, built once so the hot
 	// path never constructs a closure.
@@ -427,7 +444,10 @@ type worker struct {
 	batches    atomic.Int64
 }
 
-// run drains one shard queue: each task is this worker's share of a batch.
+// run drains one shard queue: each task is this worker's share of a
+// batch, run under the worker's claim so that a submitter running a
+// share inline and this goroutine are never both writing the worker's
+// state.
 //
 //pclass:hotpath
 func (w *worker) run(shard chan *steerTask) {
@@ -437,13 +457,28 @@ func (w *worker) run(shard chan *steerTask) {
 	// them.
 	for t := range shard {
 		w.s.noteQueued(-1)
+		w.claim.Lock()
 		w.runSteered(t)
+		w.claim.Unlock()
+		w.inflight.Add(-1)
 	}
+}
+
+// tryClaim takes w's claim for a synchronous submitter if w is idle:
+// nothing handed to it is queued or running, and nobody holds the claim.
+// It never blocks. An in-flight count of zero is what keeps per-flow
+// FIFO: a task the worker has received but not yet started still counts,
+// where the shard's length would already read zero.
+//
+//pclass:hotpath
+func (w *worker) tryClaim() bool {
+	return w.inflight.Load() == 0 && w.claim.TryLock()
 }
 
 // noteQueued moves the queued-task count by d and publishes it to the
 // serve.queue_depth gauge. Submitters count a task before sending it and
-// workers uncount it after receiving it, so the count is never negative.
+// workers uncount it after receiving it, so the count is never negative;
+// a share run inline is never sent, so it never shows in the gauge.
 // Publishing repeats until the count read back equals the value just
 // stored: whichever goroutine stores last has seen the latest count, so
 // two racing publishers cannot leave a stale value behind and a drained

@@ -6,6 +6,12 @@
 // on the classify path. The cost is a gather/scatter hop per batch, paid
 // on the submitter's core from pooled scratch so the steady state
 // allocates nothing.
+//
+// The cross-goroutine hand-off is not paid by every batch. A synchronous
+// ClassifySteered share of at most inlineShare packets whose worker is
+// idle runs on the submitter itself, under that worker's claim and on
+// that worker's state. Larger shares, shares of a busy worker and every
+// asynchronous Submit share still go through the worker's queue.
 package serve
 
 import (
@@ -18,11 +24,21 @@ import (
 	"pktclass/internal/packet"
 )
 
+// inlineShare is the largest synchronous share the submitter classifies
+// itself instead of handing it to an idle worker. One hand-off — two
+// channel operations, two wake-ups and a WaitGroup park — costs about as
+// much as classifying 32–64 cached packets, and far less than a
+// 128-packet engine share, which is worth a core of its own: at 32 every
+// share of a 32-packet batch qualifies and no share of a 256-packet batch
+// on two workers comes close.
+const inlineShare = 32
+
 // steerTask is one worker's share of a steered batch: the gathered
 // headers, their positions in the original batch, and a private result
 // buffer the worker fills before scattering back into the batch output.
-// A task is written by the submitter, sent by value-pointer through the
-// worker's shard channel, mutated only by that worker, and reset when the
+// A task is written by the submitter, then either sent by value-pointer
+// through the worker's shard channel or run inline by the submitter,
+// mutated only by the holder of that worker's claim, and reset when the
 // batch completes — there is no concurrent access to any field. Tasks
 // live inside the pooled scratch, so a task's lifetime ends with its
 // batch: after finish drops the worker's reference the scratch — tasks
@@ -47,9 +63,9 @@ type steerTask struct {
 // steerScratch is the per-batch scatter state, pooled on the Service. One
 // task per worker; wg completes synchronous batches, pending completes
 // asynchronous ones. Both counts include one reference held by dispatch
-// itself for the duration of the send loop, so whoever drops the last
-// reference — a finishing worker or the dispatching submitter — closes the
-// Pending and returns the scratch to the pool.
+// itself for the duration of the send loop and the inline runs, so
+// whoever drops the last reference — a finishing worker or the dispatching
+// submitter — closes the Pending and returns the scratch to the pool.
 //
 //pclass:pooled
 type steerScratch struct {
@@ -97,16 +113,26 @@ func (sc *steerScratch) release() {
 }
 
 // dispatch gathers hdrs into per-worker tasks by flow hash and sends each
-// non-empty task to its owner's shard. Sends block on a full shard: a
-// sub-batch cannot spill to another worker without breaking flow
-// affinity, so backpressure is latency, never a dropped batch. The
-// completion count (wg for synchronous, pending for asynchronous) is
-// armed before the first send — a worker may finish its task before the
-// submitter has sent the next one — and includes one extra reference that
-// dispatch holds until it stops touching sc. Without it, the workers
-// could finish every sent task and recycle the scratch while this loop is
-// still reading trailing sc.tasks entries, and a concurrent Submit could
-// be gathering into the reused scratch under the stale iteration.
+// non-empty task to its owner's shard — except, for a synchronous batch
+// (p nil), the shares of at most inlineShare packets, which it runs itself
+// on every worker it finds idle and hands off to the others. Sends block
+// on a full shard: a sub-batch cannot spill to another worker without
+// breaking flow affinity, so backpressure is latency, never a dropped
+// batch. The completion count (wg for synchronous, pending for
+// asynchronous) is armed before the first send — a worker may finish its
+// task before the submitter has sent the next one — and includes one
+// extra reference that dispatch holds until it stops touching sc. Without
+// it, the workers could finish every sent task and recycle the scratch
+// while this loop is still reading trailing sc.tasks entries, and a
+// concurrent Submit could be gathering into the reused scratch under the
+// stale iteration.
+//
+// Every large share is sent before the first claim is taken, and a claim
+// is released before the next share is looked at, so dispatch never
+// blocks on a send while holding a claim. Taking a claim inside the send
+// loop instead lets two submitters close a cycle: one holds worker 0's
+// claim and waits on worker 1's full shard, worker 1 waits for its claim,
+// which the other submitter holds while it waits on worker 0's full shard.
 //
 // Callers hold s.lifecycle shared with s.closed false, which pins every
 // shard open; the blocking sends cannot deadlock against Close because
@@ -164,10 +190,9 @@ func (s *Service) dispatch(sc *steerScratch, hdrs []packet.Header, out []int, p 
 		t.out = out
 		t.p = p
 		t.l = l
-		// Counted before the send: the worker uncounts on receive, so the
-		// other order could publish a negative depth.
-		s.noteQueued(1)
-		s.shards[w] <- t
+		if p != nil || n > inlineShare {
+			s.handOff(w, t)
+		}
 	}
 	// The scatter histogram closes here: hashing, gather, and the queue
 	// sends are all dispatch overhead (the Observe touches only the
@@ -175,20 +200,50 @@ func (s *Service) dispatch(sc *steerScratch, hdrs []packet.Header, out []int, p 
 	if obs != nil {
 		obs.SteerScatter.Observe(time.Since(scatterStart))
 	}
-	// Last touch of sc: drop dispatch's reference. If every worker already
-	// finished, the submitter is the one completing the batch.
-	if p == nil {
-		sc.wg.Done()
+	if p != nil {
+		// Last touch of sc: drop dispatch's reference. If every worker
+		// already finished, the submitter is the one completing the batch.
+		sc.completeAsync(p)
 		return
 	}
-	sc.completeAsync(p)
+	// The small synchronous shares, after every large one is sent: each
+	// runs here under its worker's claim when the worker is idle, and goes
+	// to the worker's queue otherwise.
+	for w := range sc.tasks {
+		t := &sc.tasks[w]
+		if n := len(t.hdrs); n == 0 || n > inlineShare {
+			continue
+		}
+		if wk := s.workers[w]; wk.tryClaim() {
+			wk.runSteered(t)
+			wk.claim.Unlock()
+			continue
+		}
+		s.handOff(w, t)
+	}
+	// Last touch of sc: drop dispatch's reference.
+	sc.wg.Done()
 }
 
-// ClassifySteered classifies hdrs into out synchronously: scatter, wait
-// for every flow-owning worker, return. len(out) must equal len(hdrs).
-// Unlike Classify it allocates no Pending and no channel — the steady
-// state is zero allocations per call, which is what the scaling benchmark
-// and the CI allocation gate measure.
+// handOff queues t on worker w's shard. The worker's in-flight count and
+// the queue depth are both counted before the send: the worker uncounts
+// the depth on receive, so the other order could publish a negative
+// depth, and a submitter that sees the in-flight count at zero must be
+// able to conclude that nothing for w is queued or running.
+//
+//pclass:hotpath
+func (s *Service) handOff(w int, t *steerTask) {
+	s.workers[w].inflight.Add(1)
+	s.noteQueued(1)
+	s.shards[w] <- t
+}
+
+// ClassifySteered classifies hdrs into out synchronously: scatter, run the
+// small shares of idle workers on this goroutine, wait for every worker
+// the rest went to, return. len(out) must equal len(hdrs). Unlike
+// Classify it allocates no Pending and no channel — the steady state is
+// zero allocations per call, which is what the scaling benchmark and the
+// CI allocation gate measure.
 //
 //pclass:hotpath
 func (s *Service) ClassifySteered(hdrs []packet.Header, out []int) error {
@@ -216,8 +271,8 @@ func (s *Service) ClassifySteered(hdrs []packet.Header, out []int) error {
 // classify runs one sub-batch through this worker's private cache
 // (misses fall through to the live engine via the pre-bound missFn) or,
 // uncached, straight through the engine. The dispatch-computed flow
-// hashes ride along so the cache skips its per-packet rehash. Owner
-// goroutine only.
+// hashes ride along so the cache skips its per-packet rehash. Holder of
+// w's claim only.
 //
 //pclass:hotpath
 func (w *worker) classify(l *live, hdrs []packet.Header, hashes []uint64, res []int) {
@@ -238,10 +293,12 @@ func (w *worker) classify(l *live, hdrs []packet.Header, hashes []uint64, res []
 
 // runSteered processes one task against the (engine, generation)
 // pair the submitter pinned, classifies this worker's sub-batch, scatters
-// the results into the batch output, and completes. Owner goroutine only.
-// Interleaved generations across tasks (a swap landing mid-batch-stream)
-// only cost private-cache churn, never correctness: a probe's generation
-// always names the exact build that classifies its misses.
+// the results into the batch output, and completes. Holder of w's claim
+// only: the worker goroutine for a handed-off task, the submitter for an
+// inline one. Interleaved generations across tasks (a swap landing
+// mid-batch-stream) only cost private-cache churn, never correctness: a
+// probe's generation always names the exact build that classifies its
+// misses.
 //
 //pclass:hotpath
 func (w *worker) runSteered(t *steerTask) {
@@ -251,8 +308,8 @@ func (w *worker) runSteered(t *steerTask) {
 		f(w.id, t.hdrs)
 	}
 	// The heavy-hitter sketch observes this worker's own stripe with the
-	// hashes dispatch already computed — single writer per stripe, no
-	// rehash, one branch when detection is off.
+	// hashes dispatch already computed — single writer per stripe (the
+	// claim holder), no rehash, one branch when detection is off.
 	if d := s.det; d != nil {
 		d.ObserveBatch(w.id, t.hdrs, t.hashes)
 	}

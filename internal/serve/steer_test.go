@@ -45,13 +45,49 @@ func TestSteeredMatchesUnsteered(t *testing.T) {
 	}
 }
 
+// submitForm is one way a batch reaches the workers, for the raced
+// proofs. On 4 workers the asynchronous path always hands off, a 16-packet
+// synchronous batch leaves shares of ~4 packets that the submitter runs
+// inline, and a 256-packet one leaves shares of ~64 that it hands off.
+type submitForm struct {
+	name  string
+	n     int
+	async bool
+}
+
+var submitForms = []submitForm{
+	{"async-64", 64, true},
+	{"steered-16-inline", 16, false},
+	{"steered-256-handoff", 256, false},
+}
+
+// classify runs hdrs through svc the way the form submits.
+func (f submitForm) classify(svc *Service, hdrs []packet.Header) ([]int, error) {
+	if f.async {
+		return svc.Classify(context.Background(), hdrs)
+	}
+	out := make([]int, len(hdrs))
+	return out, svc.ClassifySteered(hdrs, out)
+}
+
 // Flow affinity is the steering contract: across concurrent submitters
 // AND engine hot-swaps, every packet of a flow must be observed by
-// exactly one worker. Run under -race this also proves the scatter path
-// publishes tasks safely.
+// exactly one worker, whichever goroutine holds the worker's claim. Run
+// under -race on an observed service this also proves the scatter path
+// publishes tasks safely and that each worker's private cache and
+// detector stripe have one writer at a time, inline shares included.
 func TestRacedSteeredFlowAffinity(t *testing.T) {
+	for _, form := range submitForms {
+		t.Run(form.name, func(t *testing.T) { testSteeredFlowAffinity(t, form) })
+	}
+}
+
+func testSteeredFlowAffinity(t *testing.T, form submitForm) {
 	rs := prefixSet(t, 48, 73)
-	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 4, CacheEntries: 1 << 10, Incremental: true, Seed: 73})
+	svc, err := New(rs.Clone(), strideBuild, Config{
+		Workers: 4, CacheEntries: 1 << 10, Incremental: true, Seed: 73,
+		Obs: newTelemetryObs(0), TopFlows: 16,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +135,9 @@ func TestRacedSteeredFlowAffinity(t *testing.T) {
 		wg.Add(1)
 		go func(off int) {
 			defer wg.Done()
-			ctx := context.Background()
 			for round := 0; round < 30; round++ {
-				lo := ((off + round) * 48) % (len(trace) - 64)
-				if _, err := svc.Classify(ctx, trace[lo:lo+64]); err != nil {
+				lo := ((off + round) * 48) % (len(trace) - form.n)
+				if _, err := form.classify(svc, trace[lo:lo+form.n]); err != nil {
 					t.Error(err)
 					return
 				}
@@ -115,6 +150,9 @@ func TestRacedSteeredFlowAffinity(t *testing.T) {
 	}
 	if len(violated) > 0 {
 		t.Fatalf("flows observed by more than one worker: %v", violated)
+	}
+	if got, want := svc.FlowStats().Packets(), uint64(3*30*form.n); got != want {
+		t.Fatalf("detector saw %d packets, want %d", got, want)
 	}
 	spread := 0
 	seen := map[int]bool{}
@@ -208,13 +246,193 @@ func TestSteeredWorkerUnbindsEngine(t *testing.T) {
 	}
 }
 
+// Which path a share takes: a small synchronous share on an idle worker
+// runs on the submitter and is never queued, a share above inlineShare is
+// handed off, and an asynchronous Submit hands off however small it is —
+// a caller that pipelines batches relies on the queue for per-flow FIFO.
+func TestSteeredInlineOnlySmallSyncShares(t *testing.T) {
+	rs := prefixSet(t, 32, 115)
+	ref := core.NewLinear(rs)
+	trace := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 512, MatchFraction: 0.8, Seed: 116})
+	for _, tc := range []struct {
+		form   submitForm
+		queued bool
+	}{
+		{submitForm{"steered-8", 8, false}, false},
+		{submitForm{"steered-32", inlineShare, false}, false},
+		{submitForm{"steered-512", 512, false}, true},
+		{submitForm{"async-8", 8, true}, true},
+	} {
+		t.Run(tc.form.name, func(t *testing.T) {
+			svc, err := New(rs.Clone(), strideBuild, Config{Workers: 2, CacheEntries: 1 << 10, Seed: 115})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mustClose(t, svc)
+			hdrs := trace[:tc.form.n]
+			got, err := tc.form.classify(svc, hdrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainst(t, tc.form.name, ref)(0, hdrs, got)
+			if hw := svc.Counters().QueueHighWater; (hw > 0) != tc.queued {
+				t.Fatalf("queue high-water %d after one %d-packet batch, want queued=%v", hw, len(hdrs), tc.queued)
+			}
+		})
+	}
+}
+
+// Regression: no goroutine may block on a send while holding a worker's
+// claim. Small batches run inline, large ones hand off through one-slot
+// shards, and eight submitters mix the two: had dispatch taken a claim
+// inside its send loop, one submitter would hold worker 0's claim while
+// blocked on worker 1's full shard, worker 1 would wait for its claim,
+// held by a second submitter blocked on worker 0's full shard — and
+// every goroutine here would park for good.
+func TestSteeredInlineNoDeadlock(t *testing.T) {
+	const workers, submitters = 2, 8
+	rs := prefixSet(t, 48, 113)
+	svc, err := New(rs.Clone(), strideBuild, Config{Workers: workers, QueueDepth: workers, CacheEntries: 1 << 10, Seed: 113})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := core.NewLinear(rs)
+	trace := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 1024, MatchFraction: 0.7, Seed: 114})
+	want := make([]int, len(trace))
+	for i, h := range trace {
+		want[i] = ref.Classify(h)
+	}
+	stop := time.Now().Add(2 * time.Second)
+	errs := make(chan string, submitters)
+	var wg sync.WaitGroup
+	for c := 0; c < submitters; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			out := make([]int, 512)
+			for i := 0; time.Now().Before(stop); i++ {
+				n := 8
+				if (c+i)%2 == 1 {
+					n = 512
+				}
+				lo := (c*131 + i*8) % (len(trace) - n)
+				if err := svc.ClassifySteered(trace[lo:lo+n], out[:n]); err != nil {
+					errs <- err.Error()
+					return
+				}
+				for j, got := range out[:n] {
+					if got != want[lo+j] {
+						errs <- fmt.Sprintf("packet %d: got %d want %d", lo+j, got, want[lo+j])
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		// Close would wait on the parked submitters too: fail without it.
+		t.Fatal("submitters still parked 8 s past the deadline: a claim is held across a blocking send")
+	}
+	mustClose(t, svc)
+	select {
+	case msg := <-errs:
+		t.Fatal(msg)
+	default:
+	}
+}
+
+// Per-flow FIFO across the two submit forms: a ClassifySteered batch that
+// starts after an asynchronous Submit of the same flow returned must be
+// classified after it, even when its share is small enough to run inline.
+// The hook stalls worker 0 on the Submit batch; the synchronous batch must
+// not reach the hook first. A worker that has received a task but not yet
+// taken its claim leaves its shard empty and its claim free, so an
+// idleness test on the shard's length alone lets the small share jump
+// ahead; the in-flight count (raised before the send, lowered after
+// runSteered) closes that window.
+func TestSteeredInlineKeepsFlowOrder(t *testing.T) {
+	rs := prefixSet(t, 16, 111)
+	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 2, Seed: 111})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustClose(t, svc)
+	f := headerForWorker(t, 0, 2)
+	stalled := make([]packet.Header, 8)
+	small := make([]packet.Header, 4)
+	for i := range stalled {
+		stalled[i] = f
+	}
+	for i := range small {
+		small[i] = f
+	}
+	var (
+		mu      sync.Mutex
+		seen    []int // sub-batch lengths, in the order worker 0's claim holders classified them
+		release chan struct{}
+	)
+	svc.testObserveSteer = func(w int, hdrs []packet.Header) {
+		if w != 0 {
+			return
+		}
+		mu.Lock()
+		seen = append(seen, len(hdrs))
+		rel := release
+		mu.Unlock()
+		if len(hdrs) == len(stalled) {
+			<-rel
+		}
+	}
+	out := make([]int, len(small))
+	for round := 0; round < 30; round++ {
+		rel := make(chan struct{})
+		mu.Lock()
+		seen, release = seen[:0], rel
+		mu.Unlock()
+		p, err := svc.Submit(stalled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Released on a timer: an in-order synchronous call waits behind
+		// the stalled batch, an out-of-order one returns before the release.
+		time.AfterFunc(2*time.Millisecond, func() { close(rel) })
+		if err := svc.ClassifySteered(small, out); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		order := fmt.Sprint(seen)
+		mu.Unlock()
+		if order != fmt.Sprint([]int{len(stalled), len(small)}) {
+			t.Fatalf("round %d: worker 0 classified sub-batches of %s, want the stalled Submit's %d first", round, order, len(stalled))
+		}
+	}
+}
+
 // The steered version-window differential proof, the private-cache
 // analogue of TestRacedIncrementalRebuildInterleaving: readers race an
 // updater alternating incremental applies with rebuild reloads, and every
 // batch must match SOME committed version in its in-flight window. A
 // private cache serving a retired generation would surface results from a
-// version BEFORE the window — exactly what this check rejects.
+// version BEFORE the window — exactly what this check rejects. Inline
+// shares classify against the same pinned pair as handed-off ones, so the
+// check holds for every submit form.
 func TestRacedSteeredVersionWindow(t *testing.T) {
+	for _, form := range submitForms {
+		t.Run(form.name, func(t *testing.T) { testSteeredVersionWindow(t, form) })
+	}
+}
+
+func testSteeredVersionWindow(t *testing.T, form submitForm) {
 	const swaps = 20
 	rs := prefixSet(t, 48, 75)
 	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 4, CacheEntries: 1 << 10, Incremental: true, Seed: 75})
@@ -282,12 +500,11 @@ func TestRacedSteeredVersionWindow(t *testing.T) {
 		wg.Add(1)
 		go func(off int) {
 			defer wg.Done()
-			ctx := context.Background()
 			for round := 0; round < 30; round++ {
-				lo := ((off + round) * 32) % (len(trace) - 32)
-				hdrs := trace[lo : lo+32]
+				lo := ((off + round) * 32) % (len(trace) - form.n)
+				hdrs := trace[lo : lo+form.n]
 				loIdx := snapshotLen() - 1
-				got, err := svc.Classify(ctx, hdrs)
+				got, err := form.classify(svc, hdrs)
 				if err != nil {
 					readerErrs <- err.Error()
 					return
@@ -389,17 +606,39 @@ func TestClassifySteeredErrors(t *testing.T) {
 	}
 }
 
+// steeredBenchShapes are the two paths a synchronous steered batch takes:
+// large, a 512-packet batch on 4 workers whose ~128-packet shares are all
+// handed off; small, a 32-packet batch on 2 workers whose shares the
+// submitter runs inline.
+var steeredBenchShapes = []struct {
+	name       string
+	workers, n int
+}{
+	{"large", 4, 512},
+	{"small", 2, inlineShare},
+}
+
 // BenchmarkSteeredSubmit is the CI allocation gate for the steered hot
 // path: one op = one synchronous steered batch (scatter, per-worker
-// private-cache probe, gather). Steady state must not allocate.
+// private-cache probe — handed off or inline — gather). Steady state must
+// not allocate on either path.
 func BenchmarkSteeredSubmit(b *testing.B) {
-	rs := prefixSet(b, 64, 85)
-	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 4, CacheEntries: 1 << 12, Seed: 85})
-	if err != nil {
-		b.Fatal(err)
+	for _, shape := range steeredBenchShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			rs := prefixSet(b, 64, 85)
+			svc, err := New(rs.Clone(), strideBuild, Config{Workers: shape.workers, CacheEntries: 1 << 12, Seed: 85})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer mustClose(b, svc)
+			benchSteered(b, svc, ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: shape.n, MatchFraction: 0.9, Seed: 86}))
+		})
 	}
-	defer mustClose(b, svc)
-	trace := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 512, MatchFraction: 0.9, Seed: 86})
+}
+
+// benchSteered warms svc on trace, then times one ClassifySteered of the
+// whole trace per op.
+func benchSteered(b *testing.B, svc *Service, trace []packet.Header) {
 	out := make([]int, len(trace))
 	for warm := 0; warm < 4; warm++ {
 		if err := svc.ClassifySteered(trace, out); err != nil {
@@ -413,4 +652,5 @@ func BenchmarkSteeredSubmit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
 }

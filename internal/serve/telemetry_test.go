@@ -390,33 +390,24 @@ func TestImbalanceAndRebalanceCandidateEvent(t *testing.T) {
 // BenchmarkSteeredSubmitObserved is the CI allocation gate for the
 // instrumented steered hot path: scatter histogram, prehashed private
 // caches, and the heavy-hitter detector all riding one synchronous
-// steered batch. Steady state must not allocate.
+// steered batch, on the hand-off and the inline path (steeredBenchShapes).
+// Steady state must not allocate.
 func BenchmarkSteeredSubmitObserved(b *testing.B) {
-	rs := prefixSet(b, 64, 103)
-	obs := obsv.NewObs(obsv.NewRegistry(nil), nil)
-	svc, err := New(rs.Clone(), strideBuild, Config{
-		Workers: 4, CacheEntries: 1 << 12, Seed: 103, Obs: obs,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer mustClose(b, svc)
-	trace := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 512, MatchFraction: 0.9, Seed: 104})
-	out := make([]int, len(trace))
-	for warm := 0; warm < 4; warm++ {
-		if err := svc.ClassifySteered(trace, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := svc.ClassifySteered(trace, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if svc.FlowStats().Packets() == 0 {
-		b.Fatal("detector observed nothing on the instrumented path")
+	for _, shape := range steeredBenchShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			rs := prefixSet(b, 64, 103)
+			obs := obsv.NewObs(obsv.NewRegistry(nil), nil)
+			svc, err := New(rs.Clone(), strideBuild, Config{
+				Workers: shape.workers, CacheEntries: 1 << 12, Seed: 103, Obs: obs,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer mustClose(b, svc)
+			benchSteered(b, svc, ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: shape.n, MatchFraction: 0.9, Seed: 104}))
+			if svc.FlowStats().Packets() == 0 {
+				b.Fatal("detector observed nothing on the instrumented path")
+			}
+		})
 	}
 }
