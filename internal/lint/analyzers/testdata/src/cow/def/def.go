@@ -95,7 +95,7 @@ func makeCells(rows, words int) [][]uint64 {
 	return cells
 }
 
-// buildGrid is the bulk-constructor shape (stridebv.BuildMemory): it fills
+// buildGrid is the image-loader shape (stridebv.ReadImage): it fills
 // rows a call just returned and attaches them afterwards. Clean without an
 // escape: until the field is assigned no snapshot can hold the rows.
 func buildGrid(rows, words int, fill uint64) *Grid {

@@ -263,7 +263,7 @@ func checkWalkOrder(t *testing.T, e *Engine, sorted bool) {
 	}
 }
 
-// The walk order is derived from per-stage populations that setBit keeps
+// The walk order is derived from per-stage populations that rewrite keeps
 // current: exact after a build, after a delta batch (with the parent's left
 // alone), after in-place updates and after an image round trip.
 func TestWalkOrderTracksStagePopulations(t *testing.T) {

@@ -1,7 +1,6 @@
 package stridebv_test
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -238,14 +237,15 @@ func layoutGeneric(t *testing.T) {
 	}
 }
 
-// TestBulkBuildEqualsColumnWrites: memory programmed 64 entries per word by
-// BuildMemory is, block for block, the memory NewMemory and one WriteEntry
-// per entry produce — stage words, summaries, populations and walk order —
+// TestBuildMemoryMatchesBitProbeOracle: memory programmed 64 entries per
+// word by BuildMemory holds, bit for bit, what the bit-probe oracle says —
 // over widths whose last stage is padded, entry counts either side of the
 // word and summary-word boundaries, values with junk under their don't-care
-// bits and a few invalid entries; and the 5-tuple front end's image is the
-// same bytes.
-func TestBulkBuildEqualsColumnWrites(t *testing.T) {
+// bits and a few invalid entries — with no bit set past Ne, and with the
+// summaries, populations and walk order RefreshSummaries derives from the
+// stored words. Past 4096 entries the oracle probes every seventh entry and
+// the whole last word.
+func TestBuildMemoryMatchesBitProbeOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, w := range []int{8, 13, 72, 104, 256, 300} {
 		for _, ne := range layoutSizes {
@@ -254,69 +254,45 @@ func TestBulkBuildEqualsColumnWrites(t *testing.T) {
 			for j := range valid {
 				valid[j] = ne < 4 || rng.Intn(16) != 0
 			}
+			words := (ne + 63) / 64
 			for _, k := range []int{1, 3, 4, 7, 8} {
 				if stridebv.RaceEnabled && ne >= 4096 && (k > 4 || w > 104) {
 					continue
 				}
 				name := fmt.Sprintf("W=%d ne=%d k=%d", w, ne, k)
-				bulk, err := stridebv.BuildMemory(w, k, ne, func(j int) ([]byte, []byte, bool) {
+				m, err := stridebv.BuildMemory(w, k, ne, func(j int) ([]byte, []byte, bool) {
 					return entries[j].Value, entries[j].Mask, valid[j]
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				col, err := stridebv.NewMemory(w, k, ne)
-				if err != nil {
-					t.Fatal(err)
+				ref := m
+				ref.RefreshSummaries()
+				blk, sum, ones, order := m.Programmed()
+				_, rSum, rOnes, rOrder := ref.Programmed()
+				if !reflect.DeepEqual(sum, rSum) {
+					t.Fatalf("%s: summaries differ from the stored words'", name)
 				}
-				for j, entry := range entries {
-					col.WriteEntry(j, entry.Value, entry.Mask, valid[j])
+				if !reflect.DeepEqual(ones, rOnes) || !reflect.DeepEqual(order, rOrder) {
+					t.Fatalf("%s: populations %v / %v, order %v / %v", name, ones, rOnes, order, rOrder)
 				}
-				col.Reorder()
-				bBlk, bSum, bOnes, bOrder := bulk.Programmed()
-				cBlk, cSum, cOnes, cOrder := col.Programmed()
-				if !reflect.DeepEqual(bBlk, cBlk) {
-					t.Fatalf("%s: stage blocks differ", name)
+				for s := range blk {
+					for c := 0; c < 1<<uint(k); c++ {
+						row := blk[s][c*words:][:words]
+						if ne%64 != 0 && row[words-1]>>uint(ne%64) != 0 {
+							t.Fatalf("%s: stage %d row %d has bits past Ne", name, s, c)
+						}
+						for j := range entries {
+							if ne >= 4096 && j%7 != 0 && j < ne-64 {
+								continue
+							}
+							got := row[j>>6]>>uint(j&63)&1 == 1
+							if want := stridebv.Compatible(entries[j].Value, entries[j].Mask, valid[j], w, k, s, c); got != want {
+								t.Fatalf("%s: stage %d row %d entry %d: stored %v, oracle %v", name, s, c, j, got, want)
+							}
+						}
+					}
 				}
-				if !reflect.DeepEqual(bSum, cSum) {
-					t.Fatalf("%s: summaries differ", name)
-				}
-				if !reflect.DeepEqual(bOnes, cOnes) || !reflect.DeepEqual(bOrder, cOrder) {
-					t.Fatalf("%s: populations %v / %v, order %v / %v", name, bOnes, cOnes, bOrder, cOrder)
-				}
-			}
-		}
-	}
-	for _, ne := range layoutSizes {
-		// A firewall set's expansion (runs of entries per rule, wildcard
-		// port strides) with a few entries invalidated, cut to ne entries.
-		ex := ruleset.Generate(ruleset.GenConfig{N: ne, Profile: ruleset.FirewallProfile, Seed: int64(ne), DefaultRule: true}).Expand()
-		ex = &ruleset.Expanded{Entries: append([]ruleset.Ternary(nil), ex.Entries[:ne]...), Parent: ex.Parent[:ne], NumRules: ex.NumRules}
-		for j := 3; j < ne; j += 17 {
-			//pclass:allow-mutate the fixture's entry table is the private copy made above
-			ex.Entries[j] = ruleset.InvalidTernary()
-		}
-		for _, k := range []int{1, 3, 4, 7, 8} {
-			if skipRaced(ne, k) {
-				continue
-			}
-			bulk, err := stridebv.New(ex, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			col, err := stridebv.NewColumnwise(ex, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var bImg, cImg bytes.Buffer
-			if err := bulk.WriteImage(&bImg); err != nil {
-				t.Fatal(err)
-			}
-			if err := col.WriteImage(&cImg); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(bImg.Bytes(), cImg.Bytes()) {
-				t.Fatalf("ne=%d k=%d: images differ", ne, k)
 			}
 		}
 	}

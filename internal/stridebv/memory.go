@@ -12,16 +12,16 @@ import (
 // Memory is StrideBV stage memory over a W-bit key: ceil(W/k) stages of 2^k
 // rows of Ne bits, whatever W, k and the key's fields mean — the uniformity
 // the paper's Section III-A3 rests on. It holds the one row-AND walker, the
-// one summary index, the one column rule (columnStrides, strideAgrees) and
-// the two operations that program columns by it: BuildMemory, which fills
-// fresh memory 64 entries per stored word, and WriteEntry, the in-place
-// rewrite of one column through setBit, the one copy-on-write mutation
-// point of every bit-vector engine in the tree. The front ends
-// embed it and differ only in how a lookup's stage addresses are produced
-// and in what a surviving entry means: Engine (the packed 5-tuple, entries
-// resolved through the expansion's parent map), RangeEngine (the 72 prefix
-// bits, port bounds tested on the survivors) and genbv.Engine (any width,
-// byte-string keys, which is why the type is exported).
+// one summary index and the one writer, rewrite, which reprograms the
+// columns of a 64-entry group one stored word at a time and is the one
+// copy-on-write mutation point of every bit-vector engine in the tree:
+// BuildMemory is rewrite over fresh blocks, every in-place update is
+// rewrite over the touched groups. The front ends embed it and differ only
+// in how a lookup's stage addresses are produced and in what a surviving
+// entry means: Engine (the packed 5-tuple, entries resolved through the
+// expansion's parent map), RangeEngine (the 72 prefix bits, port bounds
+// tested on the survivors) and genbv.Engine (any width, byte-string keys,
+// which is why the type is exported).
 type Memory struct {
 	w, k, stages, ne int
 	// words is the length of one stage row — the Ne-bit vector one stride
@@ -31,7 +31,7 @@ type Memory struct {
 	// blk[s][c·words+w] is word w of the vector for stride value c. Rows are
 	// contiguous, so the words a lookup reads from one stage stream
 	// sequentially. A delta-derived engine (ApplyDeltas) shares a stage's
-	// block with its parent until setBit detaches it.
+	// block with its parent until rewrite stores a word that differs in it.
 	//
 	//pclass:cow
 	blk [][]uint64
@@ -46,11 +46,11 @@ type Memory struct {
 	sum [][]uint64
 	// shared[s] means blk[s] and sum[s] still alias the engine this one was
 	// delta-derived from (ApplyDeltas); nil for memories built from scratch.
-	// setBit clones the stage's blocks before the first in-place write, so a
-	// delta child can never mutate state a concurrent reader of the parent
-	// still holds.
+	// rewrite clones the stage's blocks before it stores the first word that
+	// differs, so a delta child can never mutate state a concurrent reader of
+	// the parent still holds.
 	shared []bool
-	// ones[s] counts the set bits of blk[s], kept current by setBit; order
+	// ones[s] counts the set bits of blk[s], kept current by rewrite; order
 	// lists the stages sparsest first — the order the lookup ANDs them in.
 	// AND commutes, so any order gives the same answer; probing the most
 	// selective stages first is what lets a candidate word die after a load
@@ -69,14 +69,17 @@ type Memory struct {
 // scratchState is one goroutine's reusable workspace, recycled through the
 // memory's pool: a key's stage addresses (an entry write's value strides),
 // an entry write's care strides, the candidate words left to walk (the AND
-// of the addressed rows' summaries) and, for matchInto only, the full
-// result vector.
+// of the addressed rows' summaries), for matchInto only the full result
+// vector, and for rewrite only the group's stride table, made on a
+// workspace's first write — strides[s·64+b] is the stage-s stride of the
+// group's entry b, value in the low byte and care in the high one (k <= 8).
 //
 //pclass:pooled
 type scratchState struct {
 	addrs, care []int
 	sum         []uint64
 	acc         bitvec.Vector
+	strides     []uint16
 }
 
 // MinStride and MaxStride bound supported stride lengths. The paper uses 3
@@ -109,92 +112,21 @@ func checkGeometry(w, k, ne int) error {
 	return nil
 }
 
-// NewMemory returns all-zero stage memory for ne entries of w bits at
-// stride k: no entry matches anything until WriteEntry programs its column.
-// A constructor that has every entry in hand uses BuildMemory instead.
-func NewMemory(w, k, ne int) (Memory, error) {
-	if err := checkGeometry(w, k, ne); err != nil {
-		return Memory{}, err
-	}
-	m := newMemory(w, k, ne)
-	m.blk, m.sum, m.ones = m.makeBlocks(m.words), m.makeBlocks(m.sumWords), make([]int, m.stages)
-	m.Reorder()
-	return m, nil
-}
-
 // BuildMemory returns stage memory for ne entries of w bits at stride k with
-// every column programmed, the constructors' bulk form of WriteEntry:
-// entry(j) is called once per entry, in order, and returns entry j's
-// pattern as WriteEntry takes it (the slices are read before the next
-// call, so a caller may reuse them). The result is bit for bit the memory
-// NewMemory followed by WriteEntry for every j produces, but it is
-// programmed 64 entries at a time: per stage, the 2^k row words of a
-// 64-entry group are formed in registers — each entry sets its bit in
-// exactly the rows its stride is compatible with — and every nonzero word
-// is stored once, its summary bit and population taken from the stored
-// word. That is at most stages·2^k·ceil(ne/64) word stores against
-// ne·stages·2^k setBit calls. The blocks are filled before they are
-// attached, so nothing a reader or a delta parent could hold is written.
+// every column programmed: entry(j) returns entry j's W-bit ternary pattern
+// (mask bit 1 = care; an entry that is not valid matches nothing), and the
+// slices are read before the next call, so a caller may reuse them. The
+// memory is rewrite of every 64-entry group over freshly made blocks — at
+// most stages·2^k·ceil(ne/64) word stores, only the nonzero words stored.
 func BuildMemory(w, k, ne int, entry func(j int) (value, mask []byte, valid bool)) (Memory, error) {
 	if err := checkGeometry(w, k, ne); err != nil {
 		return Memory{}, err
 	}
 	m := newMemory(w, k, ne)
-	blk, sum, ones := m.makeBlocks(m.words), m.makeBlocks(m.sumWords), make([]int, m.stages)
-	sc := m.getScratch()
-	// strides[s·64+b] is the stage-s stride of the group's entry b: value in
-	// the low byte, care in the high one (k <= 8).
-	strides := make([]uint16, m.stages*64)
-	var rows [1 << MaxStride]uint64
-	nrows := 1 << uint(k)
+	m.blk, m.sum, m.ones = m.makeBlocks(m.words), m.makeBlocks(m.sumWords), make([]int, m.stages)
 	for wi := 0; wi < m.words; wi++ {
-		var live uint64 // the group's valid entries; the others match nothing
-		for b := 0; b < min(64, ne-wi<<6); b++ {
-			value, mask, valid := entry(wi<<6 + b)
-			if !valid {
-				continue
-			}
-			live |= 1 << uint(b)
-			m.columnStrides(sc, value, mask)
-			for s, val := range sc.addrs {
-				strides[s<<6+b] = uint16(val) | uint16(sc.care[s])<<8
-			}
-		}
-		for s := 0; s < m.stages; s++ {
-			group := strides[s<<6:][:64]
-			// A stride that cares about nothing is compatible with every
-			// row: those entries are gathered in wild and ORed in once.
-			var wild uint64
-			for rest := live; rest != 0; rest &= rest - 1 {
-				b := bits.TrailingZeros64(rest)
-				val, care := int(group[b]&0xFF), int(group[b]>>8)
-				if care == 0 {
-					wild |= 1 << uint(b)
-					continue
-				}
-				// The rows strideAgrees(c, val, care) holds for: the cared
-				// bits fixed at the value's, every setting of the rest.
-				base, free := val&care, (nrows-1)&^care
-				for sub := free; ; sub = (sub - 1) & free {
-					rows[base|sub] |= 1 << uint(b)
-					if sub == 0 {
-						break
-					}
-				}
-			}
-			for c := 0; c < nrows; c++ {
-				word := rows[c] | wild
-				rows[c] = 0
-				if word != 0 {
-					blk[s][c*m.words+wi] = word
-					sum[s][c*m.sumWords+wi>>6] |= 1 << uint(wi&63)
-					ones[s] += bits.OnesCount64(word)
-				}
-			}
-		}
+		m.rewrite(wi, ^uint64(0)>>uint(64-min(64, ne-wi<<6)), entry)
 	}
-	m.putScratch(sc)
-	m.blk, m.sum, m.ones = blk, sum, ones
 	m.Reorder()
 	return m, nil
 }
@@ -265,10 +197,10 @@ func (m *Memory) MemoryBits() int { return m.stages * (1 << uint(m.k)) * m.ne }
 // the word-level summary index, the stage populations and the walk order.
 // None of it exists in hardware, so code that mutates stage memory directly
 // through StageVector (fault injection, scrub tooling) must refresh before
-// classifying; the supported mutation paths (WriteEntry and the front ends'
-// UpdateEntry, InvalidateEntry, ApplyDeltas) maintain it incrementally. The
-// summaries are rebuilt into fresh blocks, never in place, so a delta
-// parent's are left alone.
+// classifying; the supported mutation paths (rewrite, behind BuildMemory and
+// the front ends' UpdateEntry, InvalidateEntry, ApplyDeltas) maintain it
+// from the words they store. The summaries are rebuilt into fresh blocks,
+// never in place, so a delta parent's are left alone.
 func (m *Memory) RefreshSummaries() {
 	sum, ones := m.makeBlocks(m.sumWords), make([]int, m.stages)
 	for s, blk := range m.blk {
@@ -286,11 +218,11 @@ func (m *Memory) RefreshSummaries() {
 
 // Reorder re-sorts the walk order by the current stage populations. The
 // constructors, RefreshSummaries (so ReadImage) and ApplyDeltas end with it;
-// an in-place WriteEntry does not — a stale order costs a few extra loads
-// per lookup, never a wrong answer, and one entry cannot move a stage's
-// population far. A key with fewer than leadStages stages repeats its
-// sparsest one until the walker's unconditional lead is full: AND is
-// idempotent, so the duplicate loads change nothing.
+// an in-place UpdateEntry or InvalidateEntry does not — a stale order costs
+// a few extra loads per lookup, never a wrong answer, and one entry cannot
+// move a stage's population far. A key with fewer than leadStages stages
+// repeats its sparsest one until the walker's unconditional lead is full:
+// AND is idempotent, so the duplicate loads change nothing.
 func (m *Memory) Reorder() {
 	order := make([]int, m.stages, max(m.stages, leadStages))
 	for s := range order {
@@ -303,37 +235,99 @@ func (m *Memory) Reorder() {
 	m.order = order
 }
 
-// setBit is the single mutation point for stage memory: it un-aliases a
-// stage's blocks while they are still shared with a delta parent before
-// writing, and keeps the word-level summary and the stage population
-// consistent with the written word. This is the function the PR-7
-// aliased-write fix funnelled every write through — cowwrite enforces that
-// nothing grows a second write path.
+// rewrite is the one writer of stage memory. It reprograms the columns of
+// the dirty entries of 64-entry group wi — entry(j) returns entry j's
+// pattern as BuildMemory takes it — and leaves every other bit as stored.
+// Per stage, the 2^k row words of the group are formed in registers for the
+// dirty entries, each setting its bit in exactly the rows its stride is
+// compatible with, and merged as old &^ dirty | formed: bits of entries
+// that are not dirty always come from the stored words, never from an entry
+// table (a ReadImage-loaded engine has none). Only words that change are
+// stored, and the summary bits and stage population follow the stored
+// words. A stage block still shared with a delta parent is detached on the
+// first word that differs and never otherwise, so a stage the rewrite does
+// not change stays shared. cowwrite keeps this the only write path. Not
+// safe concurrently with lookups on the same memory.
 //
 //pclass:cow-mutator
-func (m *Memory) setBit(s, c, j int, want bool) {
-	w := j >> 6
-	i, bit := c*m.words+w, uint64(1)<<uint(j&63)
-	if (m.blk[s][i]&bit != 0) == want {
-		return
+func (m *Memory) rewrite(wi int, dirty uint64, entry func(j int) (value, mask []byte, valid bool)) {
+	sc := m.getScratch()
+	if sc.strides == nil {
+		sc.strides = make([]uint16, m.stages*64)
 	}
-	if m.shared != nil && m.shared[s] {
-		m.blk[s] = append([]uint64(nil), m.blk[s]...)
-		m.sum[s] = append([]uint64(nil), m.sum[s]...)
-		m.shared[s] = false
+	strides := sc.strides
+	var live uint64 // the dirty entries that are valid; the others match nothing
+	for rest := dirty; rest != 0; rest &= rest - 1 {
+		b := bits.TrailingZeros64(rest)
+		value, mask, valid := entry(wi<<6 + b)
+		if !valid {
+			continue
+		}
+		live |= 1 << uint(b)
+		m.columnStrides(sc, value, mask)
+		for s, val := range sc.addrs {
+			strides[s<<6+b] = uint16(val) | uint16(sc.care[s])<<8
+		}
 	}
-	m.blk[s][i] ^= bit
-	if want {
-		m.ones[s]++
-	} else {
-		m.ones[s]--
+	var rows [1 << MaxStride]uint64
+	nrows, words, sumWords := 1<<uint(m.k), m.words, m.sumWords
+	sbit := uint64(1) << uint(wi&63)
+	for s := 0; s < m.stages; s++ {
+		wild := formRows(&rows, strides[s<<6:][:64], live, nrows)
+		blk, sum := m.blk[s], m.sum[s]
+		shared := m.shared != nil && m.shared[s]
+		ones := 0
+		for c := 0; c < nrows; c++ {
+			i := c*words + wi
+			old := blk[i]
+			word := old&^dirty | rows[c] | wild
+			rows[c] = 0
+			if word == old {
+				continue
+			}
+			if shared {
+				blk, sum = append([]uint64(nil), blk...), append([]uint64(nil), sum...)
+				m.blk[s], m.sum[s], m.shared[s] = blk, sum, false
+				shared = false
+			}
+			blk[i] = word
+			ones += bits.OnesCount64(word) - bits.OnesCount64(old)
+			if si := c*sumWords + wi>>6; word != 0 {
+				sum[si] |= sbit
+			} else {
+				sum[si] &^= sbit
+			}
+		}
+		m.ones[s] += ones
 	}
-	si, sbit := c*m.sumWords+w>>6, uint64(1)<<uint(w&63)
-	if m.blk[s][i] != 0 {
-		m.sum[s][si] |= sbit
-	} else {
-		m.sum[s][si] &^= sbit
+	m.putScratch(sc)
+}
+
+// formRows forms one stage's row words for the live entries of a group:
+// each sets its bit in exactly the rows its stride group[b] is compatible
+// with. A stride that cares about nothing is compatible with every row;
+// those entries are returned in wild, to be ORed into every row once. It is
+// a function of its own so that its loop keeps its variables in registers:
+// written inline in rewrite, they spill and a bulk build runs ~7 % slower.
+func formRows(rows *[1 << MaxStride]uint64, group []uint16, live uint64, nrows int) (wild uint64) {
+	for rest := live; rest != 0; rest &= rest - 1 {
+		b := bits.TrailingZeros64(rest)
+		val, care := int(group[b]&0xFF), int(group[b]>>8)
+		if care == 0 {
+			wild |= 1 << uint(b)
+			continue
+		}
+		// The rows that agree with the value on every cared bit: those bits
+		// fixed at the value's, every setting of the rest.
+		base, free := val&care, (nrows-1)&^care
+		for sub := free; ; sub = (sub - 1) & free {
+			rows[base|sub] |= 1 << uint(b)
+			if sub == 0 {
+				break
+			}
+		}
 	}
+	return wild
 }
 
 // stridesInto is the one generic stride extractor: dst[s] becomes bits
@@ -376,32 +370,6 @@ func (m *Memory) columnStrides(sc *scratchState, value, mask []byte) {
 	m.stridesInto(value, sc.addrs)
 	m.stridesInto(mask, sc.care)
 	sc.care[m.stages-1] |= 1<<uint(m.stages*m.k-m.w) - 1
-}
-
-// strideAgrees is the column rule both BuildMemory and WriteEntry program
-// by: in every stage, bit j of row c is set iff entry j is valid and
-// stride value c agrees with its value stride on every cared bit.
-func strideAgrees(c, val, care int) bool { return (c^val)&care == 0 }
-
-// WriteEntry rewrites entry j's whole bit column in place from a W-bit
-// ternary pattern, by the rule of columnStrides and strideAgrees; an entry
-// that is not valid is compatible with nothing. It is the one column write
-// behind UpdateEntry, InvalidateEntry, ApplyDeltas and scrub — BuildMemory
-// is how a constructor programs fresh memory. Rewriting from scratch is
-// what makes this double as the fault-scrub repair primitive; bits that are
-// already right are left alone, so a stage the write does not change is
-// never detached from a delta parent. Not safe concurrently with lookups on
-// the same memory.
-func (m *Memory) WriteEntry(j int, value, mask []byte, valid bool) {
-	sc := m.getScratch()
-	m.columnStrides(sc, value, mask)
-	for s, val := range sc.addrs {
-		care := sc.care[s]
-		for c := 0; c < 1<<uint(m.k); c++ {
-			m.setBit(s, c, j, valid && strideAgrees(c, val, care))
-		}
-	}
-	m.putScratch(sc)
 }
 
 // candidates ANDs the summaries of the rows sc.addrs selects into sc.sum:

@@ -58,8 +58,9 @@ func (e *Engine) WriteImage(w io.Writer) error {
 
 // ReadImage reconstructs an engine from a serialized image. The loaded
 // engine classifies identically to the original; the ternary entry list is
-// not retained (UpdateEntry still works — it rewrites stage bits directly —
-// but the entry passed in becomes the stored truth).
+// not retained (the table is zero-filled). UpdateEntry and ApplyDeltas still
+// work: a rewrite re-derives only the dirty entries' bits and keeps every
+// other bit as stored, and the entry passed in becomes the stored truth.
 func ReadImage(r io.Reader) (*Engine, error) {
 	hdr := make([]byte, 16)
 	if _, err := io.ReadFull(r, hdr); err != nil {

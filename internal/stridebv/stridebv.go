@@ -40,14 +40,19 @@ type Engine struct {
 
 // New builds a StrideBV engine with stride k over the expanded ruleset.
 func New(ex *ruleset.Expanded, k int) (*Engine, error) {
-	m, err := BuildMemory(packet.W, k, ex.Len(), func(j int) ([]byte, []byte, bool) {
-		entry := &ex.Entries[j]
-		return entry.Value[:], entry.Mask[:], !entry.Invalid
-	})
+	e := &Engine{ex: ex}
+	m, err := BuildMemory(packet.W, k, ex.Len(), e.pattern)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{Memory: m, ex: ex}, nil
+	e.Memory = m
+	return e, nil
+}
+
+// pattern returns entry j of the engine's table as rewrite takes it.
+func (e *Engine) pattern(j int) (value, mask []byte, valid bool) {
+	entry := &e.ex.Entries[j]
+	return entry.Value[:], entry.Mask[:], !entry.Invalid
 }
 
 // NewFSBV builds the k=1 Field-Split Bit Vector engine.
@@ -128,13 +133,15 @@ func (e *Engine) MultiMatch(h packet.Header) []int {
 	return rules
 }
 
-// UpdateEntry reprograms ternary entry j in place: one bit-slice write per
-// stage memory, the incremental-update property of the bit-vector approach
-// (no global rebuild required). The write restores entry j's column from
-// scratch — the fault-scrub repair primitive — and allocates nothing in
-// steady state on an engine that owns its storage. On a delta-derived
-// engine (ApplyDeltas) the touched stages are un-aliased first, so the
-// parent engine that concurrent readers may still hold is never mutated.
+// UpdateEntry reprograms ternary entry j in place, the incremental-update
+// property of the bit-vector approach (no global rebuild required): it
+// records the entry in the engine's table and rewrites j's 64-entry group
+// with j alone dirty, so every stage stores only the words whose bit j
+// changes. The write restores entry j's column from scratch — the
+// fault-scrub repair primitive — and allocates nothing in steady state on an
+// engine that owns its storage. On a delta-derived engine (ApplyDeltas) a
+// stage is un-aliased before the first stored word that differs in it, so
+// the parent engine that concurrent readers may still hold is never mutated.
 // The engine copies its entry table on the first update, so the caller's
 // Expanded — possibly shared with a reference engine for differential
 // verification — is never mutated; Expanded() reflects the engine's own
@@ -150,7 +157,7 @@ func (e *Engine) UpdateEntry(j int, entry ruleset.Ternary) error {
 	e.ensureOwnedEntries()
 	//pclass:allow-mutate the entry table is owned post copy-on-write
 	e.ex.Entries[j] = entry
-	e.WriteEntry(j, entry.Value[:], entry.Mask[:], !entry.Invalid)
+	e.rewrite(j>>6, 1<<uint(j&63), e.pattern)
 	return nil
 }
 

@@ -20,19 +20,26 @@ func genSet(t testing.TB, n int, profile ruleset.Profile, seed int64) (*ruleset.
 // entry. Bits past W (final-stage padding) only match the zero padding the
 // header side generates; an invalidated entry is compatible with nothing.
 func compatible(entry ruleset.Ternary, k, s, c int) bool {
-	if entry.Invalid {
+	return compatibleBits(entry.Value[:], entry.Mask[:], !entry.Invalid, packet.W, k, s, c)
+}
+
+// compatibleBits is compatible for a w-bit pattern of any width, MSB first
+// like packet.Key (bit i is bit 7-i%8 of byte i/8).
+func compatibleBits(value, mask []byte, valid bool, w, k, s, c int) bool {
+	if !valid {
 		return false
 	}
 	for b := 0; b < k; b++ {
 		i := s*k + b
 		cbit := c >> uint(k-1-b) & 1
-		if i >= packet.W {
+		if i >= w {
 			if cbit != 0 {
 				return false
 			}
 			continue
 		}
-		if entry.Mask.Bit(i) == 1 && entry.Value.Bit(i) != cbit {
+		shift := 7 - uint(i&7)
+		if mask[i>>3]>>shift&1 == 1 && int(value[i>>3]>>shift&1) != cbit {
 			return false
 		}
 	}
