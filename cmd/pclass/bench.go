@@ -95,7 +95,7 @@ func runBench(args []string) {
 		maxRegress = fs.Float64("max-regress", 0, "with -compare: exit non-zero when a gated config's ns/pkt regresses by more than this percent (0 disables the gate)")
 		gateCSV    = fs.String("gate", "stridebv,tcam,cached", "with -compare: engine names subject to -max-regress ('cached' gates every cache-fronted series)")
 		splitter   = fs.String("splitter", "", "partitioned engines: splitting policy, prefix | band (empty = engine default)")
-		partsFlag  = fs.Int("partitions", 0, "partitioned engines: band count (0 = 2)")
+		partsFlag  = fs.Int("partitions", 0, "partitioned engines: band count (0 = 1)")
 		prefixBits = fs.Int("prefix-bits", 0, "partitioned engines: prefix pre-decoder width (0 = size from N)")
 		diffVerify = fs.Int("verify-diff", 0, "differentially verify each engine against the linear reference over this many headers before measuring (0 disables)")
 		churnFlag  = fs.Bool("churn", false, "measure sustained rule-update throughput (incremental vs rebuild) instead of classification rate")

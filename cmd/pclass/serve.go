@@ -30,7 +30,7 @@ func runServe(args []string) {
 		engine      = fs.String("engine", "stridebv", "engine: "+strings.Join(cli.EngineNames(), " | "))
 		stride      = fs.Int("stride", 4, "stride length for stridebv/rangebv")
 		splitter    = fs.String("splitter", "", "partitioned engines: splitting policy, prefix | band (empty = engine default; band keeps every hot-swap on the O(delta) path)")
-		partsN      = fs.Int("partitions", 0, "partitioned engines: band count (0 = 2)")
+		partsN      = fs.Int("partitions", 0, "partitioned engines: band count (0 = 1)")
 		prefixBits  = fs.Int("prefix-bits", 0, "partitioned engines: prefix pre-decoder width (0 = size from N)")
 		workers     = fs.Int("workers", 0, "classification workers (0 = GOMAXPROCS)")
 		queue       = fs.Int("queue", 0, "submission queue depth in sub-batches; a full queue blocks the submitter (0 = 4 per worker)")

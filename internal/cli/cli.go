@@ -75,7 +75,7 @@ type Options struct {
 	// Stride is the k parameter of the stride-parameterized engines.
 	Stride int
 	// Partitions is the band count for the partitioned engine (0 = the
-	// partition package's fixed default of 2).
+	// partition package's fixed default of 1).
 	Partitions int
 	// Splitter selects the partitioning policy ("prefix" or "band";
 	// "" = prefix).

@@ -9,16 +9,22 @@ import (
 
 // The batch path runs on the calling goroutine and owns no threads: the
 // serving layer above already gives every worker a core, so the partition
-// layer's job is only to hand each sub-engine one contiguous sub-batch and
-// merge the winners. The hardware searches the P sub-engines in parallel;
-// in software that parallelism is the caller's (internal/serve steers
-// batches across workers), not this package's.
+// layer's job is only to search the parts each packet steers to and merge
+// the winners. The hardware searches the P sub-engines in parallel; in
+// software that parallelism is the caller's (internal/serve steers batches
+// across workers), not this package's.
 
-// batchScratch is one ClassifyBatch invocation's reusable workspace,
-// recycled through the engine's pool.
+// batchScratch is one lookup's reusable workspace, recycled through the
+// engine's pool.
 //
 //pclass:pooled
 type batchScratch struct {
+	// addrs holds a packet's stage addresses and cand a part's candidate
+	// words, for the strided lookup. addrs has room for any stride's
+	// stages (k >= 1), so a workspace fits every engine sharing the pool.
+	addrs [packet.W]int
+	cand  []uint64
+	// The rest serves the generic batch lookup.
 	// hdrs/idx hold the batch counting-sorted by bucket part: part pi's
 	// headers and their positions in the caller's batch occupy
 	// [start[pi], start[pi+1]). A header steers to at most one DIP and one
@@ -33,8 +39,9 @@ type batchScratch struct {
 	best        []int32
 }
 
-// getBatchScratch fetches (or, on a cold pool miss, builds) the batch
-// workspace and sizes it for this batch.
+// getBatchScratch fetches (or, on a cold pool miss, builds) the workspace
+// and sizes it for this engine's lookup and a batch of batch packets on the
+// generic one (0 on the strided one, which needs no per-batch arrays).
 //
 //pclass:pooled
 //pclass:hotpath
@@ -43,8 +50,8 @@ func (e *Engine) getBatchScratch(batch int) *batchScratch {
 	if !ok {
 		sc = e.newBatchScratch()
 	}
-	if cap(sc.best) < batch {
-		sc.grow(batch)
+	if cap(sc.best) < batch || len(sc.cand) < e.candWords {
+		sc.grow(batch, e.candWords)
 	}
 	sc.best = sc.best[:batch]
 	return sc
@@ -60,18 +67,26 @@ func (e *Engine) newBatchScratch() *batchScratch {
 	}
 }
 
-// grow resizes the per-batch arrays to the largest batch seen; they are
-// reused forever after.
-func (sc *batchScratch) grow(batch int) {
-	sc.hdrs = make([]packet.Header, 2*batch)
-	sc.idx = make([]int32, 2*batch)
-	sc.res = make([]int, 2*batch)
-	sc.best = make([]int32, batch)
+// grow resizes the per-batch arrays to the largest batch seen and the
+// candidate workspace to the largest part walk; they are reused forever
+// after.
+func (sc *batchScratch) grow(batch, candWords int) {
+	if cap(sc.best) < batch {
+		sc.hdrs = make([]packet.Header, 2*batch)
+		sc.idx = make([]int32, 2*batch)
+		sc.res = make([]int, 2*batch)
+		sc.best = make([]int32, batch)
+	}
+	if len(sc.cand) < candWords {
+		sc.cand = make([]uint64, candWords)
+	}
 }
 
 // ClassifyBatch classifies hdrs into out (the core.BatchClassifier fast
-// path): the batch is counting-sorted by bucket part, each non-empty part
-// searches its contiguous share as one sub-batch, the always-searched
+// path). On the strided lookup each packet runs first: one stride
+// extraction, then a priority-bounded walk of every part it steers to.
+// Otherwise the batch is counting-sorted by bucket part, each non-empty
+// part searches its contiguous share as one sub-batch, the always-searched
 // parts take the whole batch, and every part's winners are min-merged by
 // global rule index as soon as it returns. Partitions hold disjoint rule
 // subsets with order-preserving local-to-global maps, so the lowest
@@ -84,6 +99,14 @@ func (e *Engine) ClassifyBatch(hdrs []packet.Header, out []int) {
 	if len(e.parts) == 1 {
 		// One part holds every rule in order: local index == global index.
 		core.ClassifyBatchInto(e.parts[0].eng, hdrs, out)
+		return
+	}
+	if e.stride > 0 {
+		sc := e.getBatchScratch(0)
+		for i, h := range hdrs {
+			out[i] = result(e.first(h, sc))
+		}
+		e.scratch.Put(sc)
 		return
 	}
 	sc := e.getBatchScratch(len(hdrs))
@@ -146,10 +169,7 @@ func (e *Engine) ClassifyBatch(hdrs []packet.Header, out []int) {
 	}
 
 	for i, g := range best {
-		if g == math.MaxInt32 {
-			g = -1
-		}
-		out[i] = int(g)
+		out[i] = result(g)
 	}
 	e.scratch.Put(sc)
 }

@@ -5,6 +5,7 @@ import (
 
 	"pktclass/internal/core"
 	"pktclass/internal/ruleset"
+	"pktclass/internal/stridebv"
 )
 
 // ApplyDeltas routes a batch of single-entry rule replacements to the one
@@ -86,6 +87,8 @@ func (e *Engine) ApplyDeltas(rules []int, entries []ruleset.Ternary,
 			return nil, fmt.Errorf("partition: part %d delta: %w", pi, err)
 		}
 		n.parts[pi].eng = sub
+		n.parts[pi].sbv, _ = sub.(*stridebv.Engine)
 	}
+	n.bindStrided()
 	return n, nil
 }

@@ -31,7 +31,10 @@
 // Build hook over the partition's sub-ruleset. Results are identical to a
 // flat engine over the whole ruleset: every rule lives in exactly one
 // partition, and the cross-partition merge takes the minimum surviving
-// global rule index.
+// global rule index. When every part is a bare StrideBV engine of one
+// stride, a lookup extracts the packet's strides once and walks the parts'
+// stage memories itself, each only as far as it can still beat the winner
+// so far; any other part family is searched through its own batch path.
 //
 // The package starts no goroutines: a lookup, single or batched, runs to
 // completion on its caller, and callers that want cores (internal/serve)
@@ -46,6 +49,7 @@ import (
 	"pktclass/internal/core"
 	"pktclass/internal/packet"
 	"pktclass/internal/ruleset"
+	"pktclass/internal/stridebv"
 )
 
 // Splitter selects the rule-to-partition assignment policy.
@@ -87,6 +91,12 @@ type part struct {
 	// minGlobal = global[0]; a searched part whose best possible result
 	// already loses to the current winner is skipped.
 	minGlobal int32
+	// sbv is eng when it is a bare StrideBV engine, whose stage memory the
+	// strided lookup walks itself. entryGlobal[j] = global[Parent[j]] is the
+	// global rule of its entry j, non-decreasing in j; a delta child shares
+	// it, since single-entry deltas leave Parent alone.
+	sbv         *stridebv.Engine
+	entryGlobal []int32
 	// kind/bucket record the steering identity the part was built under,
 	// so the incremental-update path can verify a replacement entry still
 	// steers to the same part.
@@ -113,9 +123,13 @@ type Engine struct {
 	// bands under PrefixSplit, every band under BandSplit.
 	always []int32
 	// loc[g] locates global rule g for the incremental-update path.
-	loc     []partLoc
-	scratch *sync.Pool
-	subName string
+	loc []partLoc
+	// stride is the k every part shares when each one is a bare StrideBV
+	// engine, and the lookup is the strided one; 0 otherwise. candWords is
+	// then the largest candidate workspace a part's walk needs.
+	stride, candWords int
+	scratch           *sync.Pool
+	subName           string
 }
 
 // New partitions rs under cfg and builds every sub-engine.
@@ -217,19 +231,46 @@ func New(rs *ruleset.RuleSet, cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("partition: building part %d (%d rules): %w", pi, len(g.idx), err)
 		}
-		e.parts[pi] = part{eng: eng, global: g.idx, minGlobal: g.idx[0], kind: g.kind, bucket: g.bucket}
+		p := part{eng: eng, global: g.idx, minGlobal: g.idx[0], kind: g.kind, bucket: g.bucket}
+		if p.sbv, _ = eng.(*stridebv.Engine); p.sbv != nil {
+			parent := p.sbv.Expanded().Parent
+			p.entryGlobal = make([]int32, len(parent))
+			for j, l := range parent {
+				p.entryGlobal[j] = g.idx[l]
+			}
+		}
+		e.parts[pi] = p
 	}
 	if len(e.parts) == 0 {
 		return nil, fmt.Errorf("partition: no partitions produced")
 	}
+	e.bindStrided()
 	e.subName = e.parts[0].eng.Name()
 	return e, nil
 }
 
+// bindStrided selects the lookup: the strided one when every part is a bare
+// StrideBV engine of one stride with its entry table in place, the generic
+// one otherwise.
+func (e *Engine) bindStrided() {
+	k, cand := 0, 0
+	for i := range e.parts {
+		p := &e.parts[i]
+		if p.sbv == nil || len(p.entryGlobal) != p.sbv.NumEntries() || (k != 0 && p.sbv.Stride() != k) {
+			k, cand = 0, 0
+			break
+		}
+		k, cand = p.sbv.Stride(), max(cand, p.sbv.SummaryWords())
+	}
+	e.stride, e.candWords = k, cand
+}
+
 // defaultBands is the residual/band count when Config.Parts is 0. It is a
 // constant so geometry (and therefore speed) never depends on the machine:
-// every always-searched band is one more sub-engine call per packet.
-const defaultBands = 2
+// every always-searched band is one more walk per packet. One band per
+// 2048 entries, the flat engine's ceiling, was measured slower
+// (EXPERIMENTS.md, "One stride extraction per packet").
+const defaultBands = 1
 
 // autoPrefixBits sizes the pre-decoder so the average DIP bucket holds
 // about 2048 rules — the flat engines' proven operating point.
@@ -364,41 +405,89 @@ func (e *Engine) steer(h packet.Header) (dip, sip int32) {
 	return e.dipPart[h.DIP>>s], e.sipPart[h.SIP>>s]
 }
 
-// classifyPart searches one partition and merges its winner into best by
-// priority (minimum global rule index).
-func (e *Engine) classifyPart(pi int32, h packet.Header, best int32) int32 {
+// first returns h's winner, the minimum global rule index over every part
+// h steers to (math.MaxInt32 for none), visiting the DIP part, the SIP part
+// and the always-searched parts in that order. On the strided lookup it
+// extracts h's strides once, into sc, for every part it visits; the
+// generic lookup reads no workspace, and sc may be nil.
+//
+//pclass:hotpath
+func (e *Engine) first(h packet.Header, sc *batchScratch) int32 {
+	if e.stride > 0 {
+		h.StridesInto(e.stride, sc.addrs[:])
+	}
+	best := int32(math.MaxInt32)
+	dip, sip := e.steer(h)
+	if dip >= 0 {
+		best = e.search(dip, h, sc, best)
+	}
+	if sip >= 0 {
+		best = e.search(sip, h, sc, best)
+	}
+	for _, pi := range e.always {
+		best = e.search(pi, h, sc, best)
+	}
+	return best
+}
+
+// search searches part pi for h and merges its winner into best by
+// priority (minimum global rule index). A strided search walks the part's
+// stage memory over the strides first extracted, and only over the words
+// whose first entry beats best: entryGlobal is non-decreasing, so those
+// words are a prefix, found by binary search, and a survivor in the last
+// of them that does not beat best is dropped.
+//
+//pclass:hotpath
+func (e *Engine) search(pi int32, h packet.Header, sc *batchScratch, best int32) int32 {
 	p := &e.parts[pi]
 	if p.minGlobal >= best {
 		// Even the part's highest-priority rule loses to the current
 		// winner.
 		return best
 	}
-	if l := p.eng.Classify(h); l >= 0 {
-		if g := p.global[l]; g < best {
-			return g
+	if e.stride == 0 {
+		if l := p.eng.Classify(h); l >= 0 && p.global[l] < best {
+			return p.global[l]
 		}
+		return best
+	}
+	limit := p.sbv.Words()
+	if best != math.MaxInt32 {
+		lo := 0
+		for lo < limit {
+			if mid := int(uint(lo+limit) >> 1); p.entryGlobal[mid<<6] < best {
+				lo = mid + 1
+			} else {
+				limit = mid
+			}
+		}
+	}
+	if j := p.sbv.FirstInWords(sc.addrs[:], limit, sc.cand); j >= 0 && p.entryGlobal[j] < best {
+		return p.entryGlobal[j]
 	}
 	return best
 }
 
-// Classify returns the highest-priority matching rule index, or -1: the
-// minimum surviving global rule index over every partition h steers to.
-func (e *Engine) Classify(h packet.Header) int {
-	best := int32(math.MaxInt32)
-	dip, sip := e.steer(h)
-	if dip >= 0 {
-		best = e.classifyPart(dip, h, best)
-	}
-	if sip >= 0 {
-		best = e.classifyPart(sip, h, best)
-	}
-	for _, pi := range e.always {
-		best = e.classifyPart(pi, h, best)
-	}
+// result maps a winner from first to a rule index, -1 for none.
+func result(best int32) int {
 	if best == math.MaxInt32 {
 		return -1
 	}
 	return int(best)
+}
+
+// Classify returns the highest-priority matching rule index, or -1: the
+// minimum surviving global rule index over every partition h steers to.
+//
+//pclass:hotpath
+func (e *Engine) Classify(h packet.Header) int {
+	if e.stride == 0 {
+		return result(e.first(h, nil))
+	}
+	sc := e.getBatchScratch(0)
+	best := e.first(h, sc)
+	e.scratch.Put(sc)
+	return result(best)
 }
 
 // MultiMatch returns every matching rule index in priority order: the

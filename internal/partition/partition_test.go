@@ -47,25 +47,58 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// opaque hides a sub-engine's concrete type, which forces the partitioned
+// engine's generic counting-sort lookup even over StrideBV parts.
+type opaque struct{ core.Engine }
+
+func (o opaque) ClassifyBatch(hdrs []packet.Header, out []int) {
+	core.ClassifyBatchInto(o.Engine, hdrs, out)
+}
+
+func hide(build func(*ruleset.RuleSet) (core.Engine, error)) func(*ruleset.RuleSet) (core.Engine, error) {
+	return func(rs *ruleset.RuleSet) (core.Engine, error) {
+		eng, err := build(rs)
+		return opaque{eng}, err
+	}
+}
+
 // Differential property: for every profile, splitter and geometry, the
 // partitioned engine must agree with the linear reference on Classify
 // (single-packet and batch) and with a flat engine on MultiMatch, over
-// directed and uniform-random headers.
-func TestPartitionDifferential(t *testing.T) {
+// directed and uniform-random headers. Bare StrideBV parts run the strided
+// lookup; TestPartitionDifferentialGeneric runs the same table through the
+// generic one.
+func TestPartitionDifferential(t *testing.T) { testDifferential(t, false) }
+
+func TestPartitionDifferentialGeneric(t *testing.T) { testDifferential(t, true) }
+
+func testDifferential(t *testing.T, hidden bool) {
 	configs := []partition.Config{
 		{Splitter: partition.PrefixSplit},
 		{Splitter: partition.PrefixSplit, Parts: 2, PrefixBits: 2},
 		{Splitter: partition.PrefixSplit, Parts: 7, PrefixBits: 6},
+		// On the feature-free profile about a tenth of the rules are
+		// residual, and their range-expanded ternary entries outnumber 2048:
+		// one band past the flat engine's ceiling, beside 2^10 buckets.
+		{Splitter: partition.PrefixSplit, PrefixBits: partition.MaxPrefixBits},
 		{Splitter: partition.BandSplit, Parts: 3},
 		{Splitter: partition.BandSplit, Parts: 16},
 	}
+	const wideResidual = 3
 	seed := int64(90)
 	for _, profile := range []ruleset.Profile{ruleset.FirewallProfile, ruleset.FeatureFree, ruleset.PrefixOnly} {
 		for ci, cfg := range configs {
 			for _, builder := range []func(*ruleset.RuleSet) (core.Engine, error){buildStride, buildLinear} {
 				seed++
 				cfg.Build = builder
-				rs := genSet(t, 128, profile, seed)
+				if hidden {
+					cfg.Build = hide(builder)
+				}
+				n := 128
+				if ci == wideResidual {
+					n = 1024
+				}
+				rs := genSet(t, n, profile, seed)
 				lin := core.NewLinear(rs)
 				flat, err := stridebv.New(rs.Expand(), 4)
 				if err != nil {
@@ -78,35 +111,77 @@ func TestPartitionDifferential(t *testing.T) {
 				if part.NumRules() != rs.Len() {
 					t.Fatalf("NumRules = %d want %d", part.NumRules(), rs.Len())
 				}
+				if ci == wideResidual && profile == ruleset.FeatureFree {
+					if entries := residualEntries(rs, part.PrefixBits()); entries <= 2048 || alwaysParts(t, part) != 1 {
+						t.Fatalf("%v cfg %d: %s over %d residual entries, want one band over more than 2048", profile, ci, part, entries)
+					}
+				}
 				var hdrs []packet.Header
 				hdrs = append(hdrs, ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 300, MatchFraction: 0.8, Seed: seed * 3})...)
 				rng := rand.New(rand.NewSource(seed * 5))
 				for i := 0; i < 100; i++ {
 					hdrs = append(hdrs, ruleset.RandomHeader(rng))
 				}
-				batch := make([]int, len(hdrs))
-				core.ClassifyBatchInto(part, hdrs, batch)
-				for i, h := range hdrs {
+				hdrs = append(hdrs, dipWinners(rs, part.PrefixBits(), rng)...)
+				label := fmt.Sprintf("%v cfg %d", profile, ci)
+				checkBatches(t, label, part, lin, hdrs, 0, 1, 3, 256, 400)
+				for _, h := range hdrs {
 					want := lin.Classify(h)
 					if got := part.Classify(h); got != want {
-						t.Fatalf("%v cfg %d: Classify=%d linear=%d for %s", profile, ci, got, want, h)
-					}
-					if batch[i] != want {
-						t.Fatalf("%v cfg %d: batch=%d linear=%d for %s", profile, ci, batch[i], want, h)
+						t.Fatalf("%s: Classify=%d linear=%d for %s", label, got, want, h)
 					}
 					gm, wm := part.MultiMatch(h), flat.MultiMatch(h)
 					if len(gm) != len(wm) {
-						t.Fatalf("%v cfg %d: MultiMatch %v != %v for %s", profile, ci, gm, wm, h)
+						t.Fatalf("%s: MultiMatch %v != %v for %s", label, gm, wm, h)
 					}
 					for j := range wm {
 						if gm[j] != wm[j] {
-							t.Fatalf("%v cfg %d: MultiMatch %v != %v for %s", profile, ci, gm, wm, h)
+							t.Fatalf("%s: MultiMatch %v != %v for %s", label, gm, wm, h)
 						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// dipWinners returns a header inside every rule a DIP bucket holds (b
+// steering bits; none under BandSplit). Each such header's DIP part yields
+// a winner at or before that rule, and the residual parts searched after it
+// hold the trailing default rule, which matches every header: wherever a
+// residual part's entries straddle that winner inside one 64-entry word,
+// the strided lookup's walk of the part ends in that word and must drop
+// the default rule's survivor.
+func dipWinners(rs *ruleset.RuleSet, b int, rng *rand.Rand) []packet.Header {
+	var hdrs []packet.Header
+	for _, r := range rs.Rules {
+		if b > 0 && r.DIP.Len >= b {
+			hdrs = append(hdrs, ruleset.HeaderInRule(r, rng))
+		}
+	}
+	return hdrs
+}
+
+// alwaysParts reads the always-searched part count out of String.
+func alwaysParts(t *testing.T, part *partition.Engine) int {
+	t.Helper()
+	var parts, always int
+	if _, err := fmt.Sscanf(part.String()[len(part.Name()):], "{parts=%d always=%d", &parts, &always); err != nil {
+		t.Fatalf("String = %q: %v", part.String(), err)
+	}
+	return always
+}
+
+// residualEntries counts the ternary entries of the rules PrefixSplit with
+// b steering bits leaves to the residual bands.
+func residualEntries(rs *ruleset.RuleSet, b int) int {
+	n := 0
+	for _, r := range rs.Rules {
+		if r.DIP.Len < b && r.SIP.Len < b {
+			n += r.ExpansionFactor()
+		}
+	}
+	return n
 }
 
 // A wildcard-heavy ruleset must still partition correctly: most rules land
@@ -158,8 +233,8 @@ func TestPartitionGeometry(t *testing.T) {
 	if _, err := fmt.Sscanf(geom, "{parts=%d always=%d largest=%d mean=%f B=%d}", &parts, &always, &largest, &mean, &b); err != nil {
 		t.Fatalf("String = %q: %v", part.String(), err)
 	}
-	if parts != part.NumParts() || b != part.PrefixBits() || always < 1 || always > 2 {
-		t.Fatalf("String = %q, want parts=%d always=1..2 B=%d", part.String(), part.NumParts(), part.PrefixBits())
+	if parts != part.NumParts() || b != part.PrefixBits() || always != 1 {
+		t.Fatalf("String = %q, want parts=%d always=1 B=%d", part.String(), part.NumParts(), part.PrefixBits())
 	}
 	if want := float64(rs.Len()) / float64(parts); mean < want-0.05 || mean > want+0.05 {
 		t.Fatalf("String = %q, want mean %.1f", part.String(), want)
@@ -176,6 +251,15 @@ func TestPartitionGeometry(t *testing.T) {
 	}
 	if band.NumParts() != 4 {
 		t.Fatalf("band parts = %d want 4", band.NumParts())
+	}
+	// The default is one band under either splitter, however many entries
+	// it holds: 4096 firewall rules expand to more than 4096.
+	one, err := partition.New(rs, partition.Config{Build: buildStride, Splitter: partition.BandSplit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.NumParts() != 1 {
+		t.Fatalf("default band parts = %d want 1", one.NumParts())
 	}
 }
 
@@ -201,14 +285,14 @@ func TestGeometryIgnoresGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// checkBatches drives eng through batches of very different sizes cut from
-// trace and compares every result with ref. The sizes shrink after a large
-// batch so a recycled scratch that kept a stale segment, offset or result
-// would show.
-func checkBatches(t *testing.T, label string, eng, ref core.Engine, trace []packet.Header) {
+// checkBatches drives eng through batches cut from trace in the given
+// sizes, cycling through them until trace is spent, and compares every
+// result with ref. Sizes that shrink after a large batch make a recycled
+// scratch that kept a stale segment, offset or result show.
+func checkBatches(t *testing.T, label string, eng, ref core.Engine, trace []packet.Header, sizes ...int) {
 	t.Helper()
-	off := 0
-	for _, n := range []int{0, 1, 400, 3, 256, 1} {
+	for off, i := 0, 0; off < len(trace); i++ {
+		n := min(sizes[i%len(sizes)], len(trace)-off)
 		hdrs := trace[off : off+n]
 		off += n
 		out := make([]int, n)
@@ -220,6 +304,9 @@ func checkBatches(t *testing.T, label string, eng, ref core.Engine, trace []pack
 		}
 	}
 }
+
+// reuseSizes cut TestBatchScratchReuse's 661-packet trace exactly once.
+var reuseSizes = []int{0, 1, 400, 3, 256, 1}
 
 // The batch scratch is recycled across batches of any size and shared with
 // ApplyDeltas children; neither may leak one batch's state into the next.
@@ -242,7 +329,7 @@ func TestBatchScratchReuse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkBatches(t, label, part, core.NewLinear(rs), trace)
+			checkBatches(t, label, part, core.NewLinear(rs), trace, reuseSizes...)
 
 			// A child shares the parent's scratch pool. StrideBV sub-engines
 			// take a real delta; core.Linear has no delta path, so its child
@@ -266,8 +353,8 @@ func TestBatchScratchReuse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkBatches(t, label+" (child)", child, core.NewLinear(next), trace)
-			checkBatches(t, label+" (parent again)", part, core.NewLinear(rs), trace)
+			checkBatches(t, label+" (child)", child, core.NewLinear(next), trace, reuseSizes...)
+			checkBatches(t, label+" (parent again)", part, core.NewLinear(rs), trace, reuseSizes...)
 		}
 	}
 }
@@ -315,19 +402,34 @@ func (e diffErr) Error() string {
 	return fmt.Sprintf("batch diverged at %d: got %d want %d", e.i, e.got, e.want)
 }
 
+// BenchmarkPartitionedBatch times 256-packet batches under the default
+// config: fw/N2048 at the flat crossover, and prefix/N32768, the ruleset of
+// the part_large serving workload (16 DIP buckets, 16 SIP buckets, one
+// residual band). CI gates both rows at 0 allocs/op.
 func BenchmarkPartitionedBatch(b *testing.B) {
-	rs := ruleset.Generate(ruleset.GenConfig{N: 2048, Profile: ruleset.FirewallProfile, Seed: 1, DefaultRule: true})
-	part, err := partition.New(rs, partition.Config{Build: buildStride})
-	if err != nil {
-		b.Fatal(err)
-	}
-	hdrs := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 256, MatchFraction: 0.9, Seed: 2})
-	out := make([]int, len(hdrs))
-	// Warm the recycled scratch before counting allocs.
-	core.ClassifyBatchInto(part, hdrs, out)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.ClassifyBatchInto(part, hdrs, out)
+	for _, bc := range []struct {
+		name    string
+		profile ruleset.Profile
+		n       int
+	}{
+		{"fw/N2048", ruleset.FirewallProfile, 2048},
+		{"prefix/N32768", ruleset.PrefixOnly, 32768},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rs := ruleset.Generate(ruleset.GenConfig{N: bc.n, Profile: bc.profile, Seed: 1, DefaultRule: true})
+			part, err := partition.New(rs, partition.Config{Build: buildStride})
+			if err != nil {
+				b.Fatal(err)
+			}
+			hdrs := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 256, MatchFraction: 0.9, Seed: 2})
+			out := make([]int, len(hdrs))
+			// Warm the recycled scratch before counting allocs.
+			core.ClassifyBatchInto(part, hdrs, out)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				core.ClassifyBatchInto(part, hdrs, out)
+			}
+		})
 	}
 }

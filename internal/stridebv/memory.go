@@ -37,10 +37,11 @@ type Memory struct {
 	blk [][]uint64
 	// sum[s] is the word-level summary of blk[s], laid out the same way:
 	// bit w of row c (sum[s][c·sumWords+w/64], bit w%64) is set iff word w of
-	// the stage row is nonzero. ANDing the summaries along a key's path
-	// yields the candidate words the full AND can possibly survive in, so
-	// classification skips all-zero words and its cost tracks the population
-	// near the match, not Ne. Aliased with a delta parent exactly like blk.
+	// the stage row is nonzero. ANDing the summaries of the sparsest
+	// addressed rows yields the candidate words the full AND can possibly
+	// survive in, so classification skips all-zero words and its cost tracks
+	// the population near the match, not Ne. Aliased with a delta parent
+	// exactly like blk.
 	//
 	//pclass:cow
 	sum [][]uint64
@@ -68,8 +69,8 @@ type Memory struct {
 
 // scratchState is one goroutine's reusable workspace, recycled through the
 // memory's pool: a key's stage addresses (an entry write's value strides),
-// an entry write's care strides, the candidate words left to walk (the AND
-// of the addressed rows' summaries), for matchInto only the full result
+// an entry write's care strides, the candidate words left to walk (see
+// candidates), for matchInto only the full result
 // vector, and for rewrite only the group's stride table, made on a
 // workspace's first write — strides[s·64+b] is the stage-s stride of the
 // group's entry b, value in the low byte and care in the high one (k <= 8).
@@ -91,11 +92,11 @@ const (
 )
 
 // leadStages is how many stages (the sparsest ones, see Memory.order) the
-// word walker ANDs before it first tests the partial result. Nearly every
-// candidate word dies within them, which turns the "word died" branch from
-// a coin flip per stage into one predictable branch per candidate. A key
-// with fewer stages (W = 8, k = 8 has one) repeats its sparsest stage to
-// fill the lead; see Reorder.
+// candidate summary ANDs, and the word walker ANDs before it first tests
+// the partial result. Nearly every candidate word dies within them, which
+// turns the "word died" branch from a coin flip per stage into one
+// predictable branch per candidate. A key with fewer stages (W = 8, k = 8
+// has one) repeats its sparsest stage to fill the lead; see Reorder.
 const leadStages = 4
 
 // checkGeometry rejects dimensions no memory can have.
@@ -188,6 +189,13 @@ func (m *Memory) Stages() int { return m.stages }
 
 // NumEntries returns the bit-vector width Ne.
 func (m *Memory) NumEntries() int { return m.ne }
+
+// Words returns the length of one stage row in 64-bit words, ceil(Ne/64).
+func (m *Memory) Words() int { return m.words }
+
+// SummaryWords returns the candidate workspace FirstInWords needs, in
+// 64-bit words: one bit per stage-row word.
+func (m *Memory) SummaryWords() int { return m.sumWords }
 
 // MemoryBits returns the total stage-memory requirement in bits:
 // stages × 2^k × Ne.
@@ -372,32 +380,37 @@ func (m *Memory) columnStrides(sc *scratchState, value, mask []byte) {
 	sc.care[m.stages-1] |= 1<<uint(m.stages*m.k-m.w) - 1
 }
 
-// candidates ANDs the summaries of the rows sc.addrs selects into sc.sum:
-// the candidate words, the only ones that can be nonzero in the final
-// result (one summary word covers 4096 entries).
+// candidates fills cand with the AND of the leadStages sparsest addressed
+// rows' summaries: a superset of the words that can be nonzero in the final
+// result (one summary word covers 4096 entries). The walker ANDs every
+// stage of each candidate word anyway, so the other stages' summaries would
+// only thin the set it already thins itself, at one load per stage per
+// summary word. Measured from Ne = 2048 to 30348 (one to eight summary
+// words), the walk reads at most 5.8 % more words than with every stage's
+// summary (EXPERIMENTS.md, "One stride extraction per packet").
 //
 //pclass:hotpath
-func (m *Memory) candidates(sc *scratchState) {
-	sums, sw := m.sum, m.sumWords
-	for i := range sc.sum {
-		cand := ^uint64(0)
-		for s, c := range sc.addrs {
-			cand &= sums[s][c*sw+i]
-		}
-		sc.sum[i] = cand
+func (m *Memory) candidates(addrs []int, cand []uint64) {
+	sums, sw, order := m.sum, m.sumWords, m.order
+	s0 := sums[order[0]][addrs[order[0]]*sw:][:len(cand)]
+	s1 := sums[order[1]][addrs[order[1]]*sw:][:len(s0)]
+	s2 := sums[order[2]][addrs[order[2]]*sw:][:len(s0)]
+	s3 := sums[order[3]][addrs[order[3]]*sw:][:len(s0)]
+	for i := range s0 {
+		cand[i] = s0[i] & s1[i] & s2[i] & s3[i]
 	}
 }
 
 // nextMatch is the one summary-guided word walker every lookup shares. It
-// takes the next candidates off sc.sum, in ascending order, until one
-// survives the AND of every addressed stage row, and returns that word's
+// takes the next candidates off cand, in ascending order, until one
+// survives the AND of every row addrs selects, and returns that word's
 // index and value — or (-1, 0) once the candidates are spent. Only
 // candidate words are ever read, in m.order: the leadStages sparsest rows
 // unconditionally, the rest with an early break the moment the word dies.
 //
 //pclass:hotpath
-func (m *Memory) nextMatch(sc *scratchState) (int, uint64) {
-	blk, addrs, n, order := m.blk, sc.addrs, m.words, m.order
+func (m *Memory) nextMatch(addrs []int, cand []uint64) (int, uint64) {
+	blk, n, order := m.blk, m.words, m.order
 	// The leadStages rows, as equal-length slices: one bounds check on b0
 	// covers all four loads.
 	b0 := blk[order[0]][addrs[order[0]]*n:][:n]
@@ -405,9 +418,9 @@ func (m *Memory) nextMatch(sc *scratchState) (int, uint64) {
 	b2 := blk[order[2]][addrs[order[2]]*n:][:len(b0)]
 	b3 := blk[order[3]][addrs[order[3]]*n:][:len(b0)]
 	order = order[leadStages:]
-	for i, cand := range sc.sum {
-		for ; cand != 0; cand &= cand - 1 {
-			w := i<<6 + bits.TrailingZeros64(cand)
+	for i, c := range cand {
+		for ; c != 0; c &= c - 1 {
+			w := i<<6 + bits.TrailingZeros64(c)
 			word := b0[w] & b1[w] & b2[w] & b3[w]
 			if word == 0 {
 				continue
@@ -417,11 +430,11 @@ func (m *Memory) nextMatch(sc *scratchState) (int, uint64) {
 				word &= blk[s][addrs[s]*n+w]
 			}
 			if word != 0 {
-				sc.sum[i] = cand & (cand - 1)
+				cand[i] = c & (c - 1)
 				return w, word
 			}
 		}
-		sc.sum[i] = 0
+		cand[i] = 0
 	}
 	return -1, 0
 }
@@ -432,15 +445,40 @@ func (m *Memory) nextMatch(sc *scratchState) (int, uint64) {
 //
 //pclass:hotpath
 func (m *Memory) matchInto(sc *scratchState) bitvec.Vector {
-	m.candidates(sc)
+	m.candidates(sc.addrs, sc.sum)
 	accW := sc.acc.Words()
 	for w := range accW {
 		accW[w] = 0
 	}
-	for w, word := m.nextMatch(sc); w >= 0; w, word = m.nextMatch(sc) {
+	for w, word := m.nextMatch(sc.addrs, sc.sum); w >= 0; w, word = m.nextMatch(sc.addrs, sc.sum) {
 		accW[w] = word
 	}
 	return sc.acc
+}
+
+// FirstInWords returns the lowest entry of words [0, limit) — entries
+// [0, 64·limit) — that matches the stage addresses addrs, one per stage as
+// packet.Header.StridesInto or the generic extractor produce them, or -1.
+// cand is the caller's candidate workspace, at least SummaryWords long; its
+// contents are overwritten. It is the one first-match lookup: the front
+// ends pass limit = every word and their pooled workspace, and the
+// partitioned engine passes one stride extraction and one workspace to
+// every part it visits, with limit cut to the words that can still beat
+// its current winner. Allocation-free and safe for concurrent use with
+// other lookups.
+//
+//pclass:hotpath
+func (m *Memory) FirstInWords(addrs []int, limit int, cand []uint64) int {
+	cand = cand[:(limit+63)>>6]
+	m.candidates(addrs, cand)
+	if r := limit & 63; r != 0 {
+		cand[len(cand)-1] &= 1<<uint(r) - 1
+	}
+	w, word := m.nextMatch(addrs, cand)
+	if w < 0 {
+		return -1
+	}
+	return w<<6 + bits.TrailingZeros64(word)
 }
 
 // First returns the lowest entry matching key — ceil(W/8) bytes, MSB
@@ -452,11 +490,7 @@ func (m *Memory) matchInto(sc *scratchState) bitvec.Vector {
 func (m *Memory) First(key []byte) int {
 	sc := m.getScratch()
 	m.stridesInto(key, sc.addrs)
-	m.candidates(sc)
-	j := -1
-	if w, word := m.nextMatch(sc); w >= 0 {
-		j = w<<6 + bits.TrailingZeros64(word)
-	}
+	j := m.FirstInWords(sc.addrs, m.words, sc.sum)
 	m.putScratch(sc)
 	return j
 }

@@ -19,7 +19,6 @@ package stridebv
 
 import (
 	"fmt"
-	"math/bits"
 
 	"pktclass/internal/bitvec"
 	"pktclass/internal/packet"
@@ -84,12 +83,7 @@ func (e *Engine) MatchVector(key packet.Key) bitvec.Vector {
 //pclass:hotpath
 func (e *Engine) firstMatch(h packet.Header, sc *scratchState) int {
 	h.StridesInto(e.k, sc.addrs)
-	e.candidates(sc)
-	w, word := e.nextMatch(sc)
-	if w < 0 {
-		return -1
-	}
-	return w<<6 + bits.TrailingZeros64(word)
+	return e.FirstInWords(sc.addrs, e.words, sc.sum)
 }
 
 // Classify returns the highest-priority matching rule index, or -1.
