@@ -24,7 +24,7 @@ func newObs(sample int) *obsv.Obs {
 	if sample > 0 {
 		tracer = obsv.NewTracer(sample, 128)
 	}
-	return obsv.NewObs(obsv.NewRegistry(nil), tracer)
+	return obsv.NewObs(nil, tracer)
 }
 
 // startObsServer starts the exposition server on addr, wiring the

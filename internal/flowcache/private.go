@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pktclass/internal/metrics"
 	"pktclass/internal/obsv"
 	"pktclass/internal/packet"
 )
@@ -27,10 +26,10 @@ type Private struct {
 	buckets    []bucket
 	bucketMask uint64
 
-	hits       metrics.Counter
-	misses     metrics.Counter
-	evictions  metrics.Counter
-	staleDrops metrics.Counter
+	hits       obsv.Counter
+	misses     obsv.Counter
+	evictions  obsv.Counter
+	staleDrops obsv.Counter
 	lastGen    atomic.Uint64
 
 	probeHist atomic.Pointer[obsv.Histogram]

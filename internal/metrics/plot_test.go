@@ -44,10 +44,10 @@ func TestASCIIPlotEmpty(t *testing.T) {
 	}
 }
 
-// histogramFigure mirrors the shape obsv.HistSnapshot.Figure produces (this
-// package can't import obsv without a cycle): one "count" series whose N
-// axis is log-spaced bucket upper bounds in nanoseconds, spanning the six
-// orders of magnitude between a cache probe and a hot-swap.
+// histogramFigure is a latency histogram drawn as a figure: one "count"
+// series whose N axis is log-spaced bucket upper bounds in nanoseconds,
+// spanning the six orders of magnitude between a cache probe and a
+// hot-swap.
 func histogramFigure() *Figure {
 	f := NewFigure("serve.classify_batch", "samples")
 	s := f.AddSeries("count")

@@ -1,7 +1,8 @@
-// Package obsv is the serving stack's observability layer: lock-free
-// log-bucketed latency histograms, sampled per-stage packet tracing, and a
-// stdlib-only HTTP exposition server (Prometheus text at /metrics, pprof,
-// a JSON /statusz, and the trace ring at /tracez).
+// Package obsv is the serving stack's observability layer: one registry
+// of live instruments (lock-free counters, high-water gauges and
+// log-bucketed latency histograms), sampled per-stage packet tracing, and
+// a stdlib-only HTTP exposition server (Prometheus text at /metrics,
+// pprof, a JSON /statusz, and the trace ring at /tracez).
 //
 // The paper's entire contribution is measurement — throughput, latency,
 // memory, power — but its numbers are offline aggregates. This package
@@ -22,8 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 	"unsafe"
-
-	"pktclass/internal/metrics"
 )
 
 // Bucket layout: values (nanoseconds) 0..7 get exact buckets; larger values
@@ -117,12 +116,7 @@ func (h *Histogram) ObserveNanos(n int64) {
 	s := &h.shards[shardIndex()]
 	s.buckets[bucketOf(n)].Add(1)
 	s.sum.Add(n)
-	for {
-		m := s.max.Load()
-		if n <= m || s.max.CompareAndSwap(m, n) {
-			return
-		}
-	}
+	raiseMax(&s.max, n)
 }
 
 // HistSnapshot is a merged point-in-time view of a histogram.
@@ -131,7 +125,7 @@ type HistSnapshot struct {
 	Sum   int64 // nanoseconds
 	Max   int64 // nanoseconds
 	// Buckets holds the merged per-bucket counts; index b counts samples
-	// with value <= BucketUpper(b) (and > the previous bucket's bound).
+	// with value <= bucketUpper(b) (and > the previous bucket's bound).
 	Buckets []uint64
 }
 
@@ -156,13 +150,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	}
 	return s
 }
-
-// BucketUpper exposes the bucket bound for exposition ( /metrics cumulative
-// le bounds) and reports.
-func BucketUpper(b int) int64 { return bucketUpper(b) }
-
-// NumBuckets is the fixed bucket count of every Histogram.
-func NumBuckets() int { return numBuckets }
 
 // Quantile estimates the p-quantile (0 <= p <= 1) in nanoseconds from the
 // merged buckets: the upper bound of the bucket holding the rank-p sample,
@@ -211,25 +198,4 @@ func (s HistSnapshot) String() string {
 		time.Duration(s.Quantile(0.99)),
 		time.Duration(s.Quantile(0.999)),
 		time.Duration(s.Max))
-}
-
-// Figure renders the distribution as a metrics figure (bucket upper bound
-// in nanoseconds on the N axis, sample count on the Y axis), so histogram
-// shapes flow through the same plot/table pipeline as the paper's figures.
-// Empty buckets are omitted.
-func (s HistSnapshot) Figure(title string) *metrics.Figure {
-	f := metrics.NewFigure(title, "samples")
-	series := f.AddSeries("count")
-	for b, c := range s.Buckets {
-		if c == 0 {
-			continue
-		}
-		u := bucketUpper(b)
-		const maxN = int64(^uint(0) >> 1)
-		if u > maxN {
-			u = maxN
-		}
-		series.Add(int(u), float64(c))
-	}
-	return f
 }

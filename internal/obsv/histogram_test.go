@@ -150,21 +150,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestHistogramFigure(t *testing.T) {
-	var h Histogram
-	h.ObserveNanos(100)
-	h.ObserveNanos(100)
-	h.ObserveNanos(5000)
-	f := h.Snapshot().Figure("probe latency")
-	out := f.String()
-	if !strings.Contains(out, "probe latency") || !strings.Contains(out, "count") {
-		t.Fatalf("figure rendering:\n%s", out)
-	}
-	if len(f.Ns()) != 2 {
-		t.Fatalf("figure has %d points, want 2 non-empty buckets", len(f.Ns()))
-	}
-}
-
 func TestHistogramObserveZeroAlloc(t *testing.T) {
 	var h Histogram
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(1234 * time.Nanosecond) }); n != 0 {

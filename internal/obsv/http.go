@@ -18,8 +18,8 @@ import (
 
 // Server is the stdlib-only exposition surface:
 //
-//	/metrics        Prometheus text format (counters, gauges, latency
-//	                counters, histograms, dynamic engine self-stats)
+//	/metrics        Prometheus text format (counters, gauges, histograms,
+//	                dynamic engine self-stats)
 //	/statusz        JSON snapshot (instruments, quantiles, status
 //	                providers, tracer accounting)
 //	/tracez         the sampled packet-trace ring, text or ?format=json
@@ -48,13 +48,10 @@ type Server struct {
 // tracer (nil disables /tracez content, the endpoint still serves).
 func NewServer(reg *Registry, tracer *Tracer) *Server {
 	if reg == nil {
-		reg = NewRegistry(nil)
+		reg = new(Registry)
 	}
 	return &Server{reg: reg, tracer: tracer, statusFns: make(map[string]func() any), start: time.Now()}
 }
-
-// Registry returns the server's registry.
-func (s *Server) Registry() *Registry { return s.reg }
 
 // AddGaugeFunc registers a dynamic gauge evaluated at scrape time. The
 // name may carry a literal label set: `serve.shard_depth{shard="3"}`.
@@ -153,9 +150,8 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	doc := map[string]any{
 		"uptime_sec": time.Since(s.start).Seconds(),
 		"goroutines": runtime.NumGoroutine(),
-		"counters":   snap.Metrics.Counters,
-		"gauges":     snap.Metrics.Gauges,
-		"latencies":  snap.Metrics.Latencies,
+		"counters":   snap.Counters,
+		"gauges":     snap.Gauges,
 		"histograms": hists,
 		"tracer":     s.tracer.Stats(),
 	}
@@ -184,10 +180,8 @@ type tracezJSON struct {
 
 func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 	traces := s.tracer.Snapshot()
-	if n := r.URL.Query().Get("n"); n != "" {
-		if v, err := strconv.Atoi(n); err == nil && v >= 0 && v < len(traces) {
-			traces = traces[:v]
-		}
+	if n := queryN(r, len(traces)); n < len(traces) {
+		traces = traces[:n]
 	}
 	if r.URL.Query().Get("format") == "json" {
 		out := make([]tracezJSON, len(traces))

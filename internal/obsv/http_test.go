@@ -124,7 +124,7 @@ func findSample(samples []promSample, name string) (promSample, bool) {
 
 func newTestServer(t *testing.T) (*Server, *Obs) {
 	t.Helper()
-	reg := NewRegistry(nil)
+	reg := new(Registry)
 	tracer := NewTracer(1, 8)
 	obs := NewObs(reg, tracer)
 	srv := NewServer(reg, tracer)
@@ -133,9 +133,10 @@ func newTestServer(t *testing.T) (*Server, *Obs) {
 
 func TestMetricsEndpointParses(t *testing.T) {
 	srv, obs := newTestServer(t)
-	obs.Reg.Base().Counter("serve.classified").Add(12345)
-	obs.Reg.Base().Gauge("serve.depth").Set(3)
-	obs.Reg.Base().Latency("serve.swap").Observe(2 * time.Millisecond)
+	obs.Reg.Counter("serve.classified").Add(12345)
+	obs.Reg.Gauge("serve.depth").Set(3)
+	obs.Reg.Counter("serve.swap_ns").Add(int64(2 * time.Millisecond))
+	obs.Reg.Gauge("serve.swap_last_ns").Set(int64(2 * time.Millisecond))
 	for i := 0; i < 100; i++ {
 		obs.ClassifyBatch.ObserveNanos(int64(1000 + i*10))
 	}
@@ -163,8 +164,11 @@ func TestMetricsEndpointParses(t *testing.T) {
 	if g, ok := findSample(samples, "pclass_serve_depth"); !ok || g.value != 3 {
 		t.Fatalf("gauge sample = %+v", g)
 	}
-	if s, ok := findSample(samples, "pclass_serve_swap_seconds_sum"); !ok || s.value != 0.002 {
-		t.Fatalf("latency sum = %+v", s)
+	if s, ok := findSample(samples, "pclass_serve_swap_ns"); !ok || s.value != 2e6 || types["pclass_serve_swap_ns"] != "counter" {
+		t.Fatalf("swap_ns sample = %+v (TYPE %q)", s, types["pclass_serve_swap_ns"])
+	}
+	if s, ok := findSample(samples, "pclass_serve_swap_last_ns_max"); !ok || s.value != 2e6 || types["pclass_serve_swap_last_ns_max"] != "gauge" {
+		t.Fatalf("swap_last_ns_max sample = %+v (TYPE %q)", s, types["pclass_serve_swap_last_ns_max"])
 	}
 	if types["pclass_serve_classify_batch_seconds"] != "histogram" {
 		t.Fatalf("histogram TYPE = %q", types["pclass_serve_classify_batch_seconds"])
@@ -210,7 +214,7 @@ func TestMetricsEndpointParses(t *testing.T) {
 
 func TestStatuszEndpoint(t *testing.T) {
 	srv, obs := newTestServer(t)
-	obs.Reg.Base().Counter("serve.classified").Add(7)
+	obs.Reg.Counter("serve.classified").Add(7)
 	obs.SubmitWait.ObserveNanos(1500)
 	obs.SubmitWait.ObserveNanos(2500)
 	srv.AddStatus("ruleset", func() any { return map[string]int{"rules": 512} })
@@ -277,10 +281,27 @@ func TestTracezEndpoint(t *testing.T) {
 	if len(doc.Traces[0].Hops) != 2 || doc.Traces[0].Hops[0].Kind != HopTCAMSearch {
 		t.Fatalf("trace hops = %+v", doc.Traces[0].Hops)
 	}
+
+	// ?n= parses like /eventz and /topflows: a limit in [0, len) trims, a
+	// larger one or junk serves every trace.
+	for _, tc := range []struct {
+		n    string
+		want int
+	}{{"0", 0}, {"1", 1}, {"junk", 3}, {"-1", 3}, {"3", 3}, {"99", 3}} {
+		rec = httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/tracez?format=json&n="+tc.n, nil))
+		doc.Traces = nil
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatalf("n=%s: tracez json: %v", tc.n, err)
+		}
+		if len(doc.Traces) != tc.want {
+			t.Fatalf("n=%s returned %d traces, want %d", tc.n, len(doc.Traces), tc.want)
+		}
+	}
 }
 
 func TestTracezDisabledMessage(t *testing.T) {
-	srv := NewServer(NewRegistry(nil), nil)
+	srv := NewServer(nil, nil)
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/tracez", nil))
 	if !strings.Contains(rec.Body.String(), "tracing disabled") {
@@ -307,7 +328,7 @@ func TestPprofEndpointsWired(t *testing.T) {
 
 func TestServerStartShutdown(t *testing.T) {
 	srv, obs := newTestServer(t)
-	obs.Reg.Base().Counter("up").Inc()
+	obs.Reg.Counter("up").Inc()
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

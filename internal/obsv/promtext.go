@@ -49,33 +49,21 @@ type GaugeFunc struct {
 // Prometheus text format.
 func WriteProm(w io.Writer, snap Snapshot, funcs []GaugeFunc) {
 	// Counters.
-	names := sortedKeys(snap.Metrics.Counters)
+	names := sortedKeys(snap.Counters)
 	for _, name := range names {
 		pn := promName(name)
 		fmt.Fprintf(w, "# TYPE %s counter\n", pn)
-		fmt.Fprintf(w, "%s %d\n", pn, snap.Metrics.Counters[name])
+		fmt.Fprintf(w, "%s %d\n", pn, snap.Counters[name])
 	}
 	// Gauges: instantaneous value plus the high-water mark.
-	names = sortedKeys(snap.Metrics.Gauges)
+	names = sortedKeys(snap.Gauges)
 	for _, name := range names {
-		g := snap.Metrics.Gauges[name]
+		g := snap.Gauges[name]
 		pn := promName(name)
 		fmt.Fprintf(w, "# TYPE %s gauge\n", pn)
 		fmt.Fprintf(w, "%s %d\n", pn, g.Value)
 		fmt.Fprintf(w, "# TYPE %s_max gauge\n", pn)
 		fmt.Fprintf(w, "%s_max %d\n", pn, g.Max)
-	}
-	// Latency counters: count/sum in the summary convention plus max.
-	names = sortedKeys(snap.Metrics.Latencies)
-	for _, name := range names {
-		l := snap.Metrics.Latencies[name]
-		pn := promName(name) + "_seconds"
-		fmt.Fprintf(w, "# TYPE %s_count counter\n", pn)
-		fmt.Fprintf(w, "%s_count %d\n", pn, l.Count)
-		fmt.Fprintf(w, "# TYPE %s_sum counter\n", pn)
-		fmt.Fprintf(w, "%s_sum %g\n", pn, l.Total.Seconds())
-		fmt.Fprintf(w, "# TYPE %s_max gauge\n", pn)
-		fmt.Fprintf(w, "%s_max %g\n", pn, l.Max.Seconds())
 	}
 	// Histograms: cumulative le buckets in seconds, Prometheus histogram
 	// convention. Only non-empty buckets are emitted (the bound set is

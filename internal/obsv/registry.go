@@ -1,83 +1,135 @@
 package obsv
 
 import (
-	"sort"
 	"sync"
-
-	"pktclass/internal/metrics"
+	"sync/atomic"
 )
 
-// Registry is the exposition root: the base metrics registry's counters,
-// gauges and latency counters plus this package's histograms, all
-// addressable by name. Safe for concurrent registration and lookup; the
-// instruments themselves are lock-free.
-type Registry struct {
-	mu    sync.Mutex
-	base  *metrics.Registry
-	hists map[string]*Histogram
+// Counter is a monotonically increasing atomic counter.
+type Counter struct{ v atomic.Int64 }
+
+// Add increments the counter by n.
+func (c *Counter) Add(n int64) { c.v.Add(n) }
+
+// Inc increments the counter by one.
+func (c *Counter) Inc() { c.v.Add(1) }
+
+// Value returns the current count.
+func (c *Counter) Value() int64 { return c.v.Load() }
+
+// Gauge is an atomic instantaneous value with high-water tracking.
+type Gauge struct {
+	v   atomic.Int64
+	max atomic.Int64
 }
 
-// NewRegistry wraps base (nil allocates a fresh metrics registry).
-func NewRegistry(base *metrics.Registry) *Registry {
-	if base == nil {
-		base = &metrics.Registry{}
+// Set stores the value and raises the high-water mark when exceeded. The
+// mark is raised with a CAS loop *before* the value is stored, so a
+// concurrent snapshot can never observe Value() > Max(): once a value is
+// visible, the mark already covers it.
+func (g *Gauge) Set(v int64) {
+	raiseMax(&g.max, v)
+	g.v.Store(v)
+}
+
+// Value returns the last stored value.
+func (g *Gauge) Value() int64 { return g.v.Load() }
+
+// Max returns the high-water mark across all Set calls.
+func (g *Gauge) Max() int64 { return g.max.Load() }
+
+// raiseMax lifts *max to at least v with a CAS loop, the lock-free
+// high-water update shared by Gauge and Histogram. A plain
+// load-compare-store here would let two racing writers each observe the
+// old mark and the smaller one win the final store — the mark must only
+// ever move up, so losing the CAS means re-reading a mark some other
+// writer raised.
+//
+//pclass:hotpath
+func raiseMax(max *atomic.Int64, v int64) {
+	for {
+		m := max.Load()
+		if v <= m || max.CompareAndSwap(m, v) {
+			return
+		}
 	}
-	return &Registry{base: base}
 }
 
-// Base returns the wrapped metrics registry (counters, gauges, latency
-// counters).
-func (r *Registry) Base() *metrics.Registry { return r.base }
+// Registry is the one registry of live instruments: named counters,
+// gauges and histograms, safe for concurrent registration and lookup. The
+// instruments themselves are lock-free, and the zero value is ready to
+// use. Names are namespaced per instrument kind, so a counter and a gauge
+// may share a name without colliding.
+type Registry struct {
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
+}
 
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
+// instrument returns the named entry of one kind's map, creating the map
+// and the instrument on first use.
+func instrument[T any](r *Registry, m *map[string]*T, name string) *T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.hists == nil {
-		r.hists = make(map[string]*Histogram)
+	if *m == nil {
+		*m = make(map[string]*T)
 	}
-	h, ok := r.hists[name]
+	v, ok := (*m)[name]
 	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
+		v = new(T)
+		(*m)[name] = v
 	}
-	return h
+	return v
 }
 
-// Snapshot is a point-in-time view of every registered instrument.
+// Counter returns the named counter, creating it on first use.
+func (r *Registry) Counter(name string) *Counter { return instrument(r, &r.counters, name) }
+
+// Gauge returns the named gauge, creating it on first use.
+func (r *Registry) Gauge(name string) *Gauge { return instrument(r, &r.gauges, name) }
+
+// Histogram returns the named histogram, creating it on first use.
+func (r *Registry) Histogram(name string) *Histogram { return instrument(r, &r.hists, name) }
+
+// GaugeSnapshot is one gauge's point-in-time reading.
+type GaugeSnapshot struct {
+	Value int64 `json:"value"`
+	Max   int64 `json:"max"`
+}
+
+// Snapshot is a point-in-time view of every registered instrument, read
+// in one pass under the registration lock, so an instrument registered
+// mid-snapshot appears in all of it or none of it.
 type Snapshot struct {
-	Metrics    metrics.RegistrySnapshot `json:"metrics"`
+	Counters   map[string]int64         `json:"counters"`
+	Gauges     map[string]GaugeSnapshot `json:"gauges"`
 	Histograms map[string]HistSnapshot  `json:"histograms"`
 }
 
-// Snapshot captures the base registry and every histogram.
+// Snapshot captures every registered instrument.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
-	hists := make(map[string]*Histogram, len(r.hists))
-	for name, h := range r.hists {
-		hists[name] = h
-	}
-	r.mu.Unlock()
+	defer r.mu.Unlock()
 	s := Snapshot{
-		Metrics:    r.base.Snapshot(),
-		Histograms: make(map[string]HistSnapshot, len(hists)),
+		Counters:   make(map[string]int64, len(r.counters)),
+		Gauges:     make(map[string]GaugeSnapshot, len(r.gauges)),
+		Histograms: make(map[string]HistSnapshot, len(r.hists)),
 	}
-	for name, h := range hists {
+	for name, c := range r.counters {
+		s.Counters[name] = c.Value()
+	}
+	for name, g := range r.gauges {
+		// Value read before Max: Set raises the mark before storing the
+		// value, so any value this read observes is already covered by the
+		// mark, and the snapshot entry always satisfies Max >= Value.
+		v := g.Value()
+		s.Gauges[name] = GaugeSnapshot{Value: v, Max: g.Max()}
+	}
+	for name, h := range r.hists {
 		s.Histograms[name] = h.Snapshot()
 	}
 	return s
-}
-
-// histNames returns the registered histogram names, sorted.
-func (r *Registry) histNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.hists))
-	for name := range r.hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Obs bundles the wired instrument set the serving stack records into: the
@@ -135,7 +187,7 @@ const (
 // registry). tracer may be nil (histograms on, tracing off).
 func NewObs(reg *Registry, tracer *Tracer) *Obs {
 	if reg == nil {
-		reg = NewRegistry(nil)
+		reg = new(Registry)
 	}
 	return &Obs{
 		Reg:           reg,

@@ -84,29 +84,28 @@ func TestObservedServiceEndToEnd(t *testing.T) {
 
 	// The service's counters live in the Obs registry — the exposition layer
 	// and Counters() must read the same instruments.
-	if svc.Registry() != obs.Reg.Base() {
-		t.Fatal("service registry is not the Obs base registry")
+	if svc.Registry() != obs.Reg {
+		t.Fatal("service registry is not the Obs registry")
 	}
 	snap := obs.Reg.Snapshot()
-	if got := snap.Metrics.Counters["serve.classified"]; got != int64(len(trace)) {
+	if got := snap.Counters["serve.classified"]; got != int64(len(trace)) {
 		t.Fatalf("registry serve.classified = %d, want %d", got, len(trace))
 	}
-	if got := snap.Metrics.Counters["serve.batches"]; got != int64(batches) {
+	if got := snap.Counters["serve.batches"]; got != int64(batches) {
 		t.Fatalf("registry serve.batches = %d, want %d", got, batches)
 	}
-	if got := snap.Metrics.Counters["serve.swaps"]; got != 1 {
+	if got := snap.Counters["serve.swaps"]; got != 1 {
 		t.Fatalf("registry serve.swaps = %d, want 1", got)
 	}
-	lat, ok := snap.Metrics.Latencies["serve.swap"]
-	if !ok || lat.Count != 1 {
-		t.Fatalf("registry serve.swap latency = %+v, %v", lat, ok)
+	if got, ok := snap.Gauges["serve.swap_last_ns"]; !ok || got.Max <= 0 || snap.Counters["serve.swap_ns"] != got.Max {
+		t.Fatalf("one swap: serve.swap_last_ns = %+v (ok=%v), serve.swap_ns = %d", got, ok, snap.Counters["serve.swap_ns"])
 	}
 	if _, ok := snap.Histograms[obsv.HistSubmitWait]; !ok {
 		t.Fatalf("registry snapshot missing %s: %v", obsv.HistSubmitWait, snap.Histograms)
 	}
 	c := svc.Counters()
-	if c.Classified != snap.Metrics.Counters["serve.classified"] {
-		t.Fatalf("Counters().Classified %d != registry %d", c.Classified, snap.Metrics.Counters["serve.classified"])
+	if c.Classified != snap.Counters["serve.classified"] {
+		t.Fatalf("Counters().Classified %d != registry %d", c.Classified, snap.Counters["serve.classified"])
 	}
 
 	// With 1-in-1 sampling every sub-batch traced one packet through the
@@ -183,7 +182,7 @@ func TestObservedServiceSwapVerifyFailureStillTimed(t *testing.T) {
 	if got := obs.SwapTotal.Snapshot().Count; got != 0 {
 		t.Fatalf("swap_total must only observe committed swaps, count = %d", got)
 	}
-	if got := obs.Reg.Base().Counter("serve.failed_swaps").Value(); got != 1 {
+	if got := obs.Reg.Counter("serve.failed_swaps").Value(); got != 1 {
 		t.Fatalf("serve.failed_swaps = %d, want 1", got)
 	}
 }
@@ -207,5 +206,72 @@ func TestUnobservedServiceStampsNothing(t *testing.T) {
 	}
 	if got := svc.Registry().Snapshot().Counters["serve.classified"]; got != int64(len(trace)) {
 		t.Fatalf("private registry serve.classified = %d, want %d", got, len(trace))
+	}
+}
+
+// TestUnobservedServiceRegistersNoHistogram guards the unobserved heap: the
+// always-on swap summary is a counter and a gauge, so a Config{} service
+// that has swapped through ApplyOps and Reload still holds no Histogram
+// (each is eight striped shards of bucket counters, about 31.5 KiB).
+func TestUnobservedServiceRegistersNoHistogram(t *testing.T) {
+	rs := prefixSet(t, 32, 48)
+	svc, err := New(rs.Clone(), strideBuild, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustClose(t, svc)
+	cur := svc.RuleSet()
+	if err := svc.ApplyOps([]update.Op{{Index: 0, Rule: cur.Rules[0]}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Reload(rs); err != nil {
+		t.Fatal(err)
+	}
+	if c := svc.Counters(); c.Swaps != 2 || c.SwapLatencyMax == 0 {
+		t.Fatalf("swaps not recorded: %+v", c)
+	}
+	if h := svc.Registry().Snapshot().Histograms; len(h) != 0 {
+		t.Fatalf("unobserved service registered histograms: %v", h)
+	}
+}
+
+// TestSwapSummaryMatchesHistogram pins the always-on swap summary to the
+// observed distribution: over rebuild and incremental commits alike,
+// Counters' max and mean are exactly the serve.swap_total histogram's.
+func TestSwapSummaryMatchesHistogram(t *testing.T) {
+	rs := prefixSet(t, 64, 49)
+	obs := obsv.NewObs(nil, nil)
+	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 2, Incremental: true, VerifyPackets: 64, Seed: 50, Obs: obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustClose(t, svc)
+	for n := 0; n < 6; n++ {
+		if n%2 == 0 {
+			ops, err := update.GenerateOps(svc.RuleSet(), 4, int64(300+n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = svc.ApplyOps(ops)
+		} else {
+			err = svc.Reload(svc.RuleSet())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := svc.Counters()
+	if c.Swaps != 3 || c.IncrementalSwaps != 3 {
+		t.Fatalf("want 3 rebuild and 3 incremental swaps: %+v", c)
+	}
+	h := obs.SwapTotal.Snapshot()
+	if h.Count != c.Swaps+c.IncrementalSwaps {
+		t.Fatalf("swap_total count %d != %d committed swaps", h.Count, c.Swaps+c.IncrementalSwaps)
+	}
+	if int64(c.SwapLatencyMax) != h.Max {
+		t.Fatalf("SwapLatencyMax %d != swap_total max %d", c.SwapLatencyMax, h.Max)
+	}
+	if int64(c.SwapLatencyMean) != h.Sum/h.Count {
+		t.Fatalf("SwapLatencyMean %d != swap_total sum/count %d", c.SwapLatencyMean, h.Sum/h.Count)
 	}
 }

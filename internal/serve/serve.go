@@ -116,7 +116,7 @@ type Config struct {
 	// Seed makes swap-verification traces deterministic.
 	Seed int64
 	// Obs wires the observability layer: the service registers its counters
-	// in Obs.Reg's base registry (so /metrics and Counters read the same
+	// and gauges in Obs.Reg (so /metrics and Counters read the same
 	// instruments), records submit-wait / classify-batch / swap-phase
 	// latencies into Obs's histograms, routes the flow cache's probe phase
 	// into Obs.CacheProbe, and samples packets through Obs.Tracer. Nil runs
@@ -188,8 +188,10 @@ type Counters struct {
 	IncrementalSwaps     int64
 	IncrementalRollbacks int64
 	IncrementalFallbacks int64
-	SwapLatencyMean      time.Duration
-	SwapLatencyMax       time.Duration
+	// SwapLatencyMean is serve.swap_ns over every committed swap, rebuild
+	// and incremental; SwapLatencyMax is serve.swap_last_ns's high-water.
+	SwapLatencyMean time.Duration
+	SwapLatencyMax  time.Duration
 	// CacheEnabled reports whether the flow cache was configured; Cache is
 	// its counter snapshot (zero otherwise).
 	CacheEnabled bool
@@ -269,23 +271,28 @@ type Service struct {
 	// steerPool recycles scatter scratch (see steer.go).
 	steerPool sync.Pool
 
-	// The counters live in reg — the Obs base registry when observability
-	// is wired, a private registry otherwise — so Counters(), /metrics and
+	// The counters live in reg — the Obs registry when observability is
+	// wired, a private registry otherwise — so Counters(), /metrics and
 	// /statusz all read the same instruments. The pointers are bound once
 	// in New; the hot path never goes through the registry's lock.
-	reg           *metrics.Registry
-	classified    *metrics.Counter
-	batches       *metrics.Counter
-	closedSubmits *metrics.Counter
-	depth         *metrics.Gauge
-	swaps         *metrics.Counter
-	failedSwaps   *metrics.Counter
-	invalidOps    *metrics.Counter
-	swapLatency   *metrics.LatencyCounter
+	reg           *obsv.Registry
+	classified    *obsv.Counter
+	batches       *obsv.Counter
+	closedSubmits *obsv.Counter
+	depth         *obsv.Gauge
+	swaps         *obsv.Counter
+	failedSwaps   *obsv.Counter
+	invalidOps    *obsv.Counter
+	// swapNanos sums the commit latency of every committed swap, rebuild
+	// or incremental; swapLast holds the latest one, its high-water mark
+	// the worst. Together they are the always-on swap latency summary,
+	// which costs no Histogram on an unobserved service.
+	swapNanos *obsv.Counter
+	swapLast  *obsv.Gauge
 
-	incrementalSwaps     *metrics.Counter
-	incrementalRollbacks *metrics.Counter
-	incrementalFallbacks *metrics.Counter
+	incrementalSwaps     *obsv.Counter
+	incrementalRollbacks *obsv.Counter
+	incrementalFallbacks *obsv.Counter
 
 	// obs is Config.Obs; nil disables every observability branch.
 	obs *obsv.Obs
@@ -303,7 +310,7 @@ type Service struct {
 	// imbalance index; imbalance mirrors the latest index (in 1/1000ths)
 	// into the registry so /metrics and Counters read the same number.
 	load      *flowstats.LoadTracker
-	imbalance *metrics.Gauge
+	imbalance *obsv.Gauge
 	// rebalanceHot is the hysteresis latch of the rebalance-candidate
 	// check: set when the score crosses the threshold (one journal event
 	// per excursion), cleared when it decays below 80% of it.
@@ -345,9 +352,9 @@ func New(rs *ruleset.RuleSet, build BuildFunc, cfg Config) (*Service, error) {
 		shards:   make([]chan *steerTask, cfg.Workers),
 		obs:      cfg.Obs,
 	}
-	s.reg = &metrics.Registry{}
+	s.reg = new(obsv.Registry)
 	if cfg.Obs != nil {
-		s.reg = cfg.Obs.Reg.Base()
+		s.reg = cfg.Obs.Reg
 	}
 	s.classified = s.reg.Counter("serve.classified")
 	s.batches = s.reg.Counter("serve.batches")
@@ -356,7 +363,8 @@ func New(rs *ruleset.RuleSet, build BuildFunc, cfg Config) (*Service, error) {
 	s.swaps = s.reg.Counter("serve.swaps")
 	s.failedSwaps = s.reg.Counter("serve.failed_swaps")
 	s.invalidOps = s.reg.Counter("serve.invalid_ops")
-	s.swapLatency = s.reg.Latency("serve.swap")
+	s.swapNanos = s.reg.Counter("serve.swap_ns")
+	s.swapLast = s.reg.Gauge("serve.swap_last_ns")
 	s.incrementalSwaps = s.reg.Counter("serve.incremental_swaps")
 	s.incrementalRollbacks = s.reg.Counter("serve.incremental_rollbacks")
 	s.incrementalFallbacks = s.reg.Counter("serve.incremental_fallbacks")
@@ -704,16 +712,16 @@ func (s *Service) commitLocked(eng core.Engine, next *ruleset.RuleSet, start tim
 	s.journal.Append(obsv.EventGenerationRetired, retired, 0, 0, 0)
 	s.journal.Append(obsv.EventSwapCommitted, gen, int64(next.Len()), path, 0)
 	elapsed := time.Since(start)
-	s.swapLatency.Observe(elapsed)
+	s.swapNanos.Add(int64(elapsed))
+	s.swapLast.Set(int64(elapsed))
 	if s.obs != nil {
 		s.obs.SwapTotal.Observe(elapsed)
 	}
 }
 
-// Registry returns the metrics registry the service's counters live in:
-// the Obs base registry when observability is wired, a private one
-// otherwise.
-func (s *Service) Registry() *metrics.Registry { return s.reg }
+// Registry returns the registry the service's instruments live in: the
+// Obs registry when observability is wired, a private one otherwise.
+func (s *Service) Registry() *obsv.Registry { return s.reg }
 
 // ShardDepths reports each worker shard's currently queued batch count,
 // for per-shard exposition gauges. The reads are instantaneous channel
@@ -872,8 +880,10 @@ func (s *Service) Counters() Counters {
 		IncrementalSwaps:     s.incrementalSwaps.Value(),
 		IncrementalRollbacks: s.incrementalRollbacks.Value(),
 		IncrementalFallbacks: s.incrementalFallbacks.Value(),
-		SwapLatencyMean:      s.swapLatency.Mean(),
-		SwapLatencyMax:       s.swapLatency.Max(),
+		SwapLatencyMax:       time.Duration(s.swapLast.Max()),
+	}
+	if n := c.Swaps + c.IncrementalSwaps; n > 0 {
+		c.SwapLatencyMean = time.Duration(s.swapNanos.Value() / n)
 	}
 	if st, ok := s.CacheStats(); ok {
 		c.CacheEnabled = true

@@ -17,7 +17,7 @@ func newTelemetryObs(sample int) *obsv.Obs {
 	if sample > 0 {
 		tracer = obsv.NewTracer(sample, 128)
 	}
-	return obsv.NewObs(obsv.NewRegistry(nil), tracer)
+	return obsv.NewObs(nil, tracer)
 }
 
 // journalKinds counts the journal's events by kind.
@@ -396,7 +396,7 @@ func BenchmarkSteeredSubmitObserved(b *testing.B) {
 	for _, shape := range steeredBenchShapes {
 		b.Run(shape.name, func(b *testing.B) {
 			rs := prefixSet(b, 64, 103)
-			obs := obsv.NewObs(obsv.NewRegistry(nil), nil)
+			obs := obsv.NewObs(nil, nil)
 			svc, err := New(rs.Clone(), strideBuild, Config{
 				Workers: shape.workers, CacheEntries: 1 << 12, Seed: 103, Obs: obs,
 			})
