@@ -76,6 +76,7 @@ func (e *Engine) ApplyDeltas(rules []int, entries []ruleset.Ternary,
 		sipPart:    e.sipPart,
 		always:     e.always,
 		loc:        e.loc,
+		candWords:  e.candWords,
 		// Same geometry, so the recycled batch workspaces stay valid;
 		// sharing the pool keeps them warm across swaps.
 		scratch: e.scratch,
@@ -86,9 +87,15 @@ func (e *Engine) ApplyDeltas(rules []int, entries []ruleset.Ternary,
 		if err != nil {
 			return nil, fmt.Errorf("partition: part %d delta: %w", pi, err)
 		}
-		n.parts[pi].eng = sub
-		n.parts[pi].sbv, _ = sub.(*stridebv.Engine)
+		// The child walks a StrideBV part only while the shared entry
+		// table still covers it.
+		np := &n.parts[pi]
+		np.eng = sub
+		if np.sbv, _ = sub.(*stridebv.Engine); np.sbv != nil && np.sbv.NumEntries() == len(np.entryGlobal) {
+			n.candWords = max(n.candWords, np.sbv.SummaryWords())
+		} else {
+			np.sbv = nil
+		}
 	}
-	n.bindStrided()
 	return n, nil
 }

@@ -31,10 +31,12 @@
 // Build hook over the partition's sub-ruleset. Results are identical to a
 // flat engine over the whole ruleset: every rule lives in exactly one
 // partition, and the cross-partition merge takes the minimum surviving
-// global rule index. When every part is a bare StrideBV engine of one
-// stride, a lookup extracts the packet's strides once and walks the parts'
-// stage memories itself, each only as far as it can still beat the winner
-// so far; any other part family is searched through its own batch path.
+// global rule index. A lookup, single or batched, visits the parts one
+// packet at a time in one loop and skips a part whose first rule cannot
+// beat the winner so far. It walks a bare StrideBV part's stage memory
+// itself, only as far as the winner can still be beaten, over strides
+// extracted once per packet and again only for a part of another stride;
+// every other part answers through its own Classify.
 //
 // The package starts no goroutines: a lookup, single or batched, runs to
 // completion on its caller, and callers that want cores (internal/serve)
@@ -91,10 +93,12 @@ type part struct {
 	// minGlobal = global[0]; a searched part whose best possible result
 	// already loses to the current winner is skipped.
 	minGlobal int32
-	// sbv is eng when it is a bare StrideBV engine, whose stage memory the
-	// strided lookup walks itself. entryGlobal[j] = global[Parent[j]] is the
-	// global rule of its entry j, non-decreasing in j; a delta child shares
-	// it, since single-entry deltas leave Parent alone.
+	// sbv is eng when it is a bare StrideBV engine whose entries
+	// entryGlobal covers, and the lookup walks its stage memory itself;
+	// otherwise sbv is nil and the lookup calls eng.Classify.
+	// entryGlobal[j] = global[Parent[j]] is the global rule of its entry j,
+	// non-decreasing in j; a delta child shares it, since single-entry
+	// deltas leave Parent alone.
 	sbv         *stridebv.Engine
 	entryGlobal []int32
 	// kind/bucket record the steering identity the part was built under,
@@ -108,8 +112,8 @@ type part struct {
 type partLoc struct{ part, local int32 }
 
 // Engine is the partitioned classifier. It implements core.Engine and
-// core.BatchClassifier; the batch path sorts the batch by partition, searches
-// each sub-engine inline and min-merges the winners.
+// core.BatchClassifier; both run each packet through first, which searches
+// the parts the packet steers to in turn and min-merges their winners.
 type Engine struct {
 	rs         *ruleset.RuleSet
 	splitter   Splitter
@@ -124,12 +128,11 @@ type Engine struct {
 	always []int32
 	// loc[g] locates global rule g for the incremental-update path.
 	loc []partLoc
-	// stride is the k every part shares when each one is a bare StrideBV
-	// engine, and the lookup is the strided one; 0 otherwise. candWords is
-	// then the largest candidate workspace a part's walk needs.
-	stride, candWords int
-	scratch           *sync.Pool
-	subName           string
+	// candWords is the largest candidate workspace a StrideBV part's walk
+	// needs.
+	candWords int
+	scratch   *sync.Pool
+	subName   string
 }
 
 // New partitions rs under cfg and builds every sub-engine.
@@ -238,31 +241,15 @@ func New(rs *ruleset.RuleSet, cfg Config) (*Engine, error) {
 			for j, l := range parent {
 				p.entryGlobal[j] = g.idx[l]
 			}
+			e.candWords = max(e.candWords, p.sbv.SummaryWords())
 		}
 		e.parts[pi] = p
 	}
 	if len(e.parts) == 0 {
 		return nil, fmt.Errorf("partition: no partitions produced")
 	}
-	e.bindStrided()
 	e.subName = e.parts[0].eng.Name()
 	return e, nil
-}
-
-// bindStrided selects the lookup: the strided one when every part is a bare
-// StrideBV engine of one stride with its entry table in place, the generic
-// one otherwise.
-func (e *Engine) bindStrided() {
-	k, cand := 0, 0
-	for i := range e.parts {
-		p := &e.parts[i]
-		if p.sbv == nil || len(p.entryGlobal) != p.sbv.NumEntries() || (k != 0 && p.sbv.Stride() != k) {
-			k, cand = 0, 0
-			break
-		}
-		k, cand = p.sbv.Stride(), max(cand, p.sbv.SummaryWords())
-	}
-	e.stride, e.candWords = k, cand
 }
 
 // defaultBands is the residual/band count when Config.Parts is 0. It is a
@@ -407,14 +394,15 @@ func (e *Engine) steer(h packet.Header) (dip, sip int32) {
 
 // first returns h's winner, the minimum global rule index over every part
 // h steers to (math.MaxInt32 for none), visiting the DIP part, the SIP part
-// and the always-searched parts in that order. On the strided lookup it
-// extracts h's strides once, into sc, for every part it visits; the
-// generic lookup reads no workspace, and sc may be nil.
+// and the always-searched parts in that order. Before steering, it
+// extracts h's strides at sc.k, the last stride walked: over parts of one
+// k this is the packet's only extraction, and extracting up front measured
+// faster than extracting at the first walked part.
 //
 //pclass:hotpath
 func (e *Engine) first(h packet.Header, sc *batchScratch) int32 {
-	if e.stride > 0 {
-		h.StridesInto(e.stride, sc.addrs[:])
+	if sc.k != 0 {
+		h.StridesInto(sc.k, sc.addrs[:])
 	}
 	best := int32(math.MaxInt32)
 	dip, sip := e.steer(h)
@@ -431,11 +419,13 @@ func (e *Engine) first(h packet.Header, sc *batchScratch) int32 {
 }
 
 // search searches part pi for h and merges its winner into best by
-// priority (minimum global rule index). A strided search walks the part's
-// stage memory over the strides first extracted, and only over the words
-// whose first entry beats best: entryGlobal is non-decreasing, so those
-// words are a prefix, found by binary search, and a survivor in the last
-// of them that does not beat best is dropped.
+// priority (minimum global rule index). A part without a StrideBV memory
+// answers through Classify. A StrideBV part's stage memory is walked over
+// h's strides at the part's k, extracted into sc unless sc already holds
+// that k, and only over the words whose first entry beats best:
+// entryGlobal is non-decreasing, so those words are a prefix, found by
+// binary search, and a survivor in the last of them that does not beat
+// best is dropped.
 //
 //pclass:hotpath
 func (e *Engine) search(pi int32, h packet.Header, sc *batchScratch, best int32) int32 {
@@ -445,11 +435,15 @@ func (e *Engine) search(pi int32, h packet.Header, sc *batchScratch, best int32)
 		// winner.
 		return best
 	}
-	if e.stride == 0 {
+	if p.sbv == nil {
 		if l := p.eng.Classify(h); l >= 0 && p.global[l] < best {
 			return p.global[l]
 		}
 		return best
+	}
+	if k := p.sbv.Stride(); k != sc.k {
+		h.StridesInto(k, sc.addrs[:])
+		sc.k = k
 	}
 	limit := p.sbv.Words()
 	if best != math.MaxInt32 {
@@ -481,10 +475,7 @@ func result(best int32) int {
 //
 //pclass:hotpath
 func (e *Engine) Classify(h packet.Header) int {
-	if e.stride == 0 {
-		return result(e.first(h, nil))
-	}
-	sc := e.getBatchScratch(0)
+	sc := e.getBatchScratch()
 	best := e.first(h, sc)
 	e.scratch.Put(sc)
 	return result(best)

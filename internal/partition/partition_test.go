@@ -12,6 +12,7 @@ import (
 	"pktclass/internal/partition"
 	"pktclass/internal/ruleset"
 	"pktclass/internal/stridebv"
+	"pktclass/internal/tcam"
 	"pktclass/internal/update"
 )
 
@@ -21,6 +22,24 @@ func buildStride(rs *ruleset.RuleSet) (core.Engine, error) {
 
 func buildLinear(rs *ruleset.RuleSet) (core.Engine, error) {
 	return core.NewLinear(rs), nil
+}
+
+func buildTCAM(rs *ruleset.RuleSet) (core.Engine, error) {
+	return tcam.NewBehavioral(rs.Expand()), nil
+}
+
+func buildRange(rs *ruleset.RuleSet) (core.Engine, error) {
+	return stridebv.NewRange(rs, 4)
+}
+
+// buildMixedK returns a Build hook for one engine whose StrideBV parts
+// alternate k = 3 and k = 4.
+func buildMixedK() func(*ruleset.RuleSet) (core.Engine, error) {
+	n := 0
+	return func(rs *ruleset.RuleSet) (core.Engine, error) {
+		n++
+		return stridebv.New(rs.Expand(), 3+n%2)
+	}
 }
 
 func genSet(t testing.TB, n int, profile ruleset.Profile, seed int64) *ruleset.RuleSet {
@@ -47,8 +66,8 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// opaque hides a sub-engine's concrete type, which forces the partitioned
-// engine's generic counting-sort lookup even over StrideBV parts.
+// opaque hides a sub-engine's concrete type, so that every part, StrideBV
+// ones too, answers the partitioned engine through its own Classify.
 type opaque struct{ core.Engine }
 
 func (o opaque) ClassifyBatch(hdrs []packet.Header, out []int) {
@@ -65,9 +84,10 @@ func hide(build func(*ruleset.RuleSet) (core.Engine, error)) func(*ruleset.RuleS
 // Differential property: for every profile, splitter and geometry, the
 // partitioned engine must agree with the linear reference on Classify
 // (single-packet and batch) and with a flat engine on MultiMatch, over
-// directed and uniform-random headers. Bare StrideBV parts run the strided
-// lookup; TestPartitionDifferentialGeneric runs the same table through the
-// generic one.
+// directed and uniform-random headers, over StrideBV (one k and mixed k),
+// RangeBV, TCAM and linear parts. Bare StrideBV parts are walked;
+// TestPartitionDifferentialGeneric hides every part's type, so that each
+// answers through Classify.
 func TestPartitionDifferential(t *testing.T) { testDifferential(t, false) }
 
 func TestPartitionDifferentialGeneric(t *testing.T) { testDifferential(t, true) }
@@ -88,7 +108,9 @@ func testDifferential(t *testing.T, hidden bool) {
 	seed := int64(90)
 	for _, profile := range []ruleset.Profile{ruleset.FirewallProfile, ruleset.FeatureFree, ruleset.PrefixOnly} {
 		for ci, cfg := range configs {
-			for _, builder := range []func(*ruleset.RuleSet) (core.Engine, error){buildStride, buildLinear} {
+			for _, builder := range []func(*ruleset.RuleSet) (core.Engine, error){
+				buildStride, buildLinear, buildTCAM, buildRange, buildMixedK(),
+			} {
 				seed++
 				cfg.Build = builder
 				if hidden {
@@ -405,19 +427,29 @@ func (e diffErr) Error() string {
 // BenchmarkPartitionedBatch times 256-packet batches under the default
 // config: fw/N2048 at the flat crossover, and prefix/N32768, the ruleset of
 // the part_large serving workload (16 DIP buckets, 16 SIP buckets, one
-// residual band). CI gates both rows at 0 allocs/op.
+// residual band), over StrideBV parts at k = 4, and the latter also over
+// TCAM parts and over StrideBV parts alternating k = 3 and k = 4. CI gates
+// every row at 0 allocs/op.
 func BenchmarkPartitionedBatch(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
 		profile ruleset.Profile
 		n       int
+		build   func(*ruleset.RuleSet) (core.Engine, error)
 	}{
-		{"fw/N2048", ruleset.FirewallProfile, 2048},
-		{"prefix/N32768", ruleset.PrefixOnly, 32768},
+		{"fw/N2048", ruleset.FirewallProfile, 2048, buildStride},
+		{"prefix/N32768", ruleset.PrefixOnly, 32768, buildStride},
+		{"tcam/prefix/N32768", ruleset.PrefixOnly, 32768, buildTCAM},
+		{"mixedk/prefix/N32768", ruleset.PrefixOnly, 32768, nil},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			build := bc.build
+			if build == nil {
+				// A fresh hook per run, so every run alternates from k = 4.
+				build = buildMixedK()
+			}
 			rs := ruleset.Generate(ruleset.GenConfig{N: bc.n, Profile: bc.profile, Seed: 1, DefaultRule: true})
-			part, err := partition.New(rs, partition.Config{Build: buildStride})
+			part, err := partition.New(rs, partition.Config{Build: build})
 			if err != nil {
 				b.Fatal(err)
 			}
