@@ -1,5 +1,6 @@
 // Package flowcache is a fixed-capacity, zero-allocation exact-match cache
-// on the packed 104-bit packet.Key — the software analogue of the
+// on the 104-bit 5-tuple, held as the two words packet.Header.Words
+// produces and compared whole — the software analogue of the
 // exact-match flow table real datapaths put in front of a full classifier
 // (RVH-style front-ends, OpenFlow microflow caches). Real traffic is
 // flow-dominated: the same 5-tuple arrives in long bursts, so a
@@ -50,13 +51,14 @@ import (
 // candidates before a victim is forced, bounding probe work per lookup.
 const bucketWays = 8
 
-// entry is one cached classification. gen 0 marks an empty slot
+// entry is one cached classification, keyed on the tuple's two words
+// (packet.Header.Words); an entry is 32 bytes. gen 0 marks an empty slot
 // (NextGeneration starts at 1).
 type entry struct {
-	key    packet.Key
-	ref    bool // CLOCK second-chance bit, set on hit
-	result int32
+	hi, lo uint64
 	gen    uint64
+	result int32
+	ref    bool // CLOCK second-chance bit, set on hit
 }
 
 // bucket is one set: bucketWays entries plus the CLOCK hand.
@@ -143,25 +145,25 @@ func (c *Cache) Stats() Stats {
 }
 
 // Hash mixes the 104 key bits into the 64-bit probe hash buckets are
-// addressed by. It is packet.Key.Hash — the same flow hash the serving
-// layer steers workers with — so the bit-budget contract documented there
-// (steering consumes high bits, buckets consume low bits) holds across
-// both consumers by construction.
+// addressed by. It is packet.Key.Hash, which is packet.WordsHash — the
+// same flow hash the serving layer steers workers with — so the bit-budget
+// contract documented there (steering consumes high bits, buckets consume
+// low bits) holds across both consumers by construction.
 //
 //pclass:hotpath
 func Hash(k packet.Key) uint64 { return k.Hash() }
 
-// lookup probes the bucket for key at generation gen. The second return
-// distinguishes a hit from a miss; staleDropped reports that a same-key
-// entry from a retired generation was dropped (a lazy miss whose slot the
-// reinsert will reclaim). The caller supplies the synchronization and owns
-// the counters.
+// lookup probes the bucket for the flow hi:lo at generation gen. The
+// second return distinguishes a hit from a miss; staleDropped reports that
+// a same-flow entry from a retired generation was dropped (a lazy miss
+// whose slot the reinsert will reclaim). The caller supplies the
+// synchronization and owns the counters.
 //
 //pclass:hotpath
-func (b *bucket) lookup(key packet.Key, gen uint64) (result int32, hit, staleDropped bool) {
+func (b *bucket) lookup(hi, lo, gen uint64) (result int32, hit, staleDropped bool) {
 	for i := range b.entries {
 		e := &b.entries[i]
-		if e.gen != 0 && e.key == key {
+		if e.hi == hi && e.lo == lo && e.gen != 0 {
 			if e.gen == gen {
 				e.ref = true
 				return e.result, true, false
@@ -175,15 +177,15 @@ func (b *bucket) lookup(key packet.Key, gen uint64) (result int32, hit, staleDro
 	return 0, false, false
 }
 
-// insert stores (key, gen, result), preferring in place the same key, then
-// an empty or stale slot, then the CLOCK victim. evicted reports a live
+// insert stores (hi:lo, gen, result), preferring in place the same flow,
+// then an empty or stale slot, then the CLOCK victim. evicted reports a live
 // same-generation entry was displaced; staleDropped that a
 // retired-generation entry was overwritten (one left in its slot is not
 // counted: the insert that reclaims it will). Synchronization is the
 // caller's, as with lookup.
 //
 //pclass:hotpath
-func (b *bucket) insert(key packet.Key, gen uint64, result int32) (evicted, staleDropped bool) {
+func (b *bucket) insert(hi, lo, gen uint64, result int32) (evicted, staleDropped bool) {
 	victim := -1
 	for i := range b.entries {
 		e := &b.entries[i]
@@ -192,7 +194,7 @@ func (b *bucket) insert(key packet.Key, gen uint64, result int32) (evicted, stal
 			if victim < 0 {
 				victim = i
 			}
-		case e.key == key:
+		case e.hi == hi && e.lo == lo:
 			// Refresh in place (a concurrent batch may have raced the same
 			// miss, or the flow was re-classified under a newer build). A
 			// cross-generation refresh is effectively a new entry, so it
@@ -230,7 +232,7 @@ func (b *bucket) insert(key packet.Key, gen uint64, result int32) (evicted, stal
 	}
 	// New entries start unreferenced: second chance is earned by a hit,
 	// otherwise a stream of one-shot flows would flush every hot entry.
-	b.entries[victim] = entry{key: key, result: result, gen: gen}
+	b.entries[victim] = entry{hi: hi, lo: lo, gen: gen, result: result}
 	return evicted, staleDropped
 }
 
@@ -278,6 +280,6 @@ func (c *Cache) ClassifyBatchInto(gen uint64, hdrs []packet.Header, out []int, c
 	}
 	classifyMisses(sc.missHdrs[:m], sc.missOut[:m])
 	c.mu.Lock()
-	c.p.fill(sc, gen, nil, m, out)
+	c.p.fill(sc, gen, m, out)
 	c.mu.Unlock()
 }

@@ -23,7 +23,7 @@ func TestPrivatePrehashedMatchesSelfHashing(t *testing.T) {
 	}
 	hashes := make([]uint64, len(trace))
 	for i, h := range trace {
-		hashes[i] = h.Key().Hash()
+		hashes[i] = h.Hash()
 	}
 
 	plain := NewPrivate(4096)
@@ -65,7 +65,7 @@ func TestPrivatePrehashedZeroAllocSteadyState(t *testing.T) {
 	for i := range trace {
 		f := uint32(i % 128)
 		trace[i] = packet.Header{SIP: f * 3, DIP: f * 5, SP: uint16(f), DP: 443, Proto: 6}
-		hashes[i] = trace[i].Key().Hash()
+		hashes[i] = trace[i].Hash()
 	}
 	out := make([]int, len(trace))
 	missFn := func(hdrs []packet.Header, o []int) {

@@ -40,29 +40,30 @@ type Private struct {
 }
 
 // batchScratch is one batch's workspace between the probe and fill phases:
-// keys and hashes for the whole batch and the compacted miss set. Private
-// owns one; Cache pools them, one per in-flight batch.
+// the compacted miss set. Private owns one; Cache pools them, one per
+// in-flight batch.
 //
 //pclass:pooled
 type batchScratch struct {
-	hashes   []uint64
-	keys     []packet.Key
-	missIdx  []int32
+	misses   []miss
 	missHdrs []packet.Header
 	missOut  []int
 }
 
+// miss is one probe miss: the flow words and hash fill inserts it under,
+// written by probe, and its position in the batch.
+type miss struct {
+	hi, lo, hash uint64
+	idx          int32
+}
+
 // grow ensures the scratch holds n packets.
 func (sc *batchScratch) grow(n int) {
-	if cap(sc.hashes) < n {
-		sc.hashes = make([]uint64, n)
-		sc.keys = make([]packet.Key, n)
-		sc.missIdx = make([]int32, n)
+	if len(sc.misses) < n {
+		sc.misses = make([]miss, n)
 		sc.missHdrs = make([]packet.Header, n)
 		sc.missOut = make([]int, n)
 	}
-	sc.hashes = sc.hashes[:n]
-	sc.keys = sc.keys[:n]
 }
 
 // NewPrivate builds a private cache with at least entries capacity,
@@ -111,7 +112,8 @@ func (p *Private) Stats() Stats {
 //
 //pclass:hotpath
 func (p *Private) Lookup(key packet.Key, gen uint64) (int32, bool) {
-	r, hit, stale := p.buckets[Hash(key)&p.bucketMask].lookup(key, gen)
+	hi, lo := key.Words()
+	r, hit, stale := p.buckets[packet.WordsHash(hi, lo)&p.bucketMask].lookup(hi, lo, gen)
 	if stale {
 		p.staleDrops.Inc()
 	}
@@ -128,7 +130,8 @@ func (p *Private) Lookup(key packet.Key, gen uint64) (int32, bool) {
 //
 //pclass:hotpath
 func (p *Private) Insert(key packet.Key, gen uint64, result int32) {
-	evicted, stale := p.buckets[Hash(key)&p.bucketMask].insert(key, gen, result)
+	hi, lo := key.Words()
+	evicted, stale := p.buckets[packet.WordsHash(hi, lo)&p.bucketMask].insert(hi, lo, gen, result)
 	if evicted {
 		p.evictions.Inc()
 	}
@@ -150,8 +153,8 @@ func (p *Private) ClassifyBatchInto(gen uint64, hdrs []packet.Header, out []int,
 }
 
 // ClassifyBatchPrehashedInto is ClassifyBatchInto with the flow hashes
-// already computed: hashes[i] must equal hdrs[i].Key().Hash(). The
-// steered serving path hashes every key once to pick the worker and
+// already computed: hashes[i] must equal hdrs[i].Hash(). The
+// steered serving path hashes every header once to pick the worker and
 // passes the values through, so the private cache never rehashes — one
 // splitmix64 finalizer per packet saved on the hottest path.
 //
@@ -177,7 +180,7 @@ func (p *Private) classifyBatch(gen uint64, hdrs []packet.Header, pre []uint64, 
 		return
 	}
 	classifyMisses(sc.missHdrs[:m], sc.missOut[:m])
-	p.fill(sc, gen, pre, m, out)
+	p.fill(sc, gen, m, out)
 }
 
 // batchLen returns the batch length, rejecting an output slice that does
@@ -192,11 +195,12 @@ func batchLen(hdrs []packet.Header, out []int) int {
 }
 
 // probe is the batch's first phase: it answers every hit into out and
-// compacts the misses into sc (headers in sc.missHdrs[:m], their batch
-// positions in sc.missIdx[:m]), returning the miss count m. pre, when
-// non-nil, carries caller-computed flow hashes; nil computes them into sc.
-// Either way fill is passed the same pre and re-addresses buckets from it,
-// so the caller's hashes are neither copied nor retained.
+// compacts the misses into sc (headers in sc.missHdrs[:m], their flow
+// words, hashes and batch positions in sc.misses[:m]), returning the miss
+// count m. pre, when non-nil, carries caller-computed flow hashes; nil
+// computes them from each header's words. Each header's words are read
+// once, here: fill inserts from sc.misses, whatever the miss callback did
+// to sc.missHdrs, and the caller's hashes are not retained.
 //
 //pclass:hotpath
 func (p *Private) probe(sc *batchScratch, gen uint64, hdrs []packet.Header, pre []uint64, out []int) int {
@@ -212,16 +216,14 @@ func (p *Private) probe(sc *batchScratch, gen uint64, hdrs []packet.Header, pre 
 	}
 	hits, stale, m := 0, 0, 0
 	for i, h := range hdrs {
-		k := h.Key()
-		sc.keys[i] = k
+		hi, lo := h.Words()
 		var hv uint64
 		if pre != nil {
 			hv = pre[i]
 		} else {
-			hv = k.Hash()
-			sc.hashes[i] = hv
+			hv = packet.WordsHash(hi, lo)
 		}
-		r, hit, staleDropped := p.buckets[hv&p.bucketMask].lookup(k, gen)
+		r, hit, staleDropped := p.buckets[hv&p.bucketMask].lookup(hi, lo, gen)
 		if staleDropped {
 			stale++
 		}
@@ -230,7 +232,7 @@ func (p *Private) probe(sc *batchScratch, gen uint64, hdrs []packet.Header, pre 
 			hits++
 			continue
 		}
-		sc.missIdx[m] = int32(i)
+		sc.misses[m] = miss{hi: hi, lo: lo, hash: hv, idx: int32(i)}
 		sc.missHdrs[m] = h
 		m++
 	}
@@ -246,19 +248,17 @@ func (p *Private) probe(sc *batchScratch, gen uint64, hdrs []packet.Header, pre 
 }
 
 // fill is the batch's second phase: it scatters the m engine results in
-// sc.missOut back into out and inserts each under gen.
+// sc.missOut back into out and inserts each under gen, at the flow words
+// and hash probe recorded for it.
 //
 //pclass:hotpath
-func (p *Private) fill(sc *batchScratch, gen uint64, pre []uint64, m int, out []int) {
-	hs := pre
-	if hs == nil {
-		hs = sc.hashes
-	}
+func (p *Private) fill(sc *batchScratch, gen uint64, m int, out []int) {
 	evicted, stale := 0, 0
-	for j, pi := range sc.missIdx[:m] {
+	for j := range sc.misses[:m] {
+		ms := &sc.misses[j]
 		r := sc.missOut[j]
-		out[pi] = r
-		ev, st := p.buckets[hs[pi]&p.bucketMask].insert(sc.keys[pi], gen, int32(r))
+		out[ms.idx] = r
+		ev, st := p.buckets[ms.hash&p.bucketMask].insert(ms.hi, ms.lo, gen, int32(r))
 		if ev {
 			evicted++
 		}

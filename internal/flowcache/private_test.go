@@ -2,9 +2,18 @@ package flowcache
 
 import (
 	"testing"
+	"unsafe"
 
 	"pktclass/internal/packet"
 )
+
+// An entry stays 32 bytes: two tuple words, the generation, the result and
+// the CLOCK bit.
+func TestEntryIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 32 {
+		t.Fatalf("entry is %d bytes, want 32", got)
+	}
+}
 
 // A retired-generation entry is counted as a stale drop when it is
 // overwritten, not each time an insert scans past it: here entry a stays
@@ -56,13 +65,108 @@ func BenchmarkPrivateBatch(b *testing.B) {
 	}
 }
 
-// Hash must be the packet steering hash, byte for byte: steering and cache
-// addressing agree on the flow identity.
+// Hash must be the packet steering hash, bit for bit: the header's hash,
+// its packed key's hash and flowcache.Hash agree on random headers and on
+// every field extreme, and are pinned to the values the byte-level key
+// hash gave, which worker steering and bucket placement were built on.
 func TestHashIsPacketKeyHash(t *testing.T) {
-	for i := 0; i < 1000; i++ {
-		k := packet.Header{SIP: uint32(i) * 2654435761, DIP: uint32(i) * 40503, SP: uint16(i), DP: uint16(i * 3), Proto: uint8(i)}.Key()
-		if Hash(k) != k.Hash() {
-			t.Fatalf("flowcache.Hash diverges from packet.Key.Hash on %v", k)
+	pinned := []struct {
+		h    packet.Header
+		want uint64
+	}{
+		{packet.Header{}, 0},
+		{packet.Header{Proto: 1}, 0x5692161d100b05e5},
+		{packet.Header{SIP: 0xc0a80101, DIP: 0x0a000001, SP: 12345, DP: 80, Proto: 6}, 0x29cf677cd84578b6},
+		{packet.Header{SIP: ^uint32(0), DIP: ^uint32(0), SP: 65535, DP: 65535, Proto: 255}, 0x4fa8e9bd8fd663a7},
+	}
+	for _, p := range pinned {
+		if got := p.h.Hash(); got != p.want {
+			t.Fatalf("%v: hash %#x, want %#x", p.h, got, p.want)
 		}
+	}
+	hdrs := testHeaders(1000, 11)
+	for _, proto := range []uint8{0, 255} {
+		for _, port := range []uint16{0, 65535} {
+			hdrs = append(hdrs,
+				packet.Header{Proto: proto, SP: port},
+				packet.Header{Proto: proto, DP: port},
+				packet.Header{SIP: ^uint32(0), DIP: ^uint32(0), SP: port, DP: port, Proto: proto})
+		}
+	}
+	for _, h := range hdrs {
+		k := h.Key()
+		if hh, kh, fh := h.Hash(), k.Hash(), Hash(k); hh != kh || kh != fh {
+			t.Fatalf("%v: Header.Hash %#x, Key.Hash %#x, flowcache.Hash %#x", h, hh, kh, fh)
+		}
+	}
+}
+
+// The cache compares all 104 tuple bits. In a one-bucket cache every flow
+// shares the bucket whatever its hash, so for each bit a header differing
+// from a cached one in that bit alone must miss, be stored beside it, and
+// leave the cached one hitting with its own result — through the
+// prehashed batch path, Cache's batch path, and Lookup on both. Each bit
+// runs under its own generation, so the previous bits' entries are stale
+// and the two live entries are never CLOCK victims.
+func TestExactMatchOverAll104Bits(t *testing.T) {
+	p := NewPrivate(bucketWays)
+	c := New(Config{Entries: bucketWays})
+	var hashes [2]uint64
+	paths := []struct {
+		name   string
+		batch  func(gen uint64, hdrs []packet.Header, out []int, miss func([]packet.Header, []int))
+		lookup func(packet.Key, uint64) (int32, bool)
+	}{
+		{"PrivatePrehashed", func(gen uint64, hdrs []packet.Header, out []int, miss func([]packet.Header, []int)) {
+			for i, h := range hdrs {
+				hashes[i] = h.Hash()
+			}
+			p.ClassifyBatchPrehashedInto(gen, hdrs, hashes[:len(hdrs)], out, miss)
+		}, p.Lookup},
+		{"Cache", c.ClassifyBatchInto, c.Lookup},
+	}
+	orig := packet.Header{SIP: 0xc0a80101, DIP: 0x0a000001, SP: 12345, DP: 80, Proto: 6}
+	const origResult = 7
+	for _, pt := range paths {
+		t.Run(pt.name, func(t *testing.T) {
+			var missed []packet.Header
+			flipResult := 0
+			miss := func(hdrs []packet.Header, out []int) {
+				missed = append(missed, hdrs...)
+				for i, h := range hdrs {
+					out[i] = flipResult
+					if h == orig {
+						out[i] = origResult
+					}
+				}
+			}
+			out := make([]int, 2)
+			for bit := 0; bit < packet.W; bit++ {
+				gen := uint64(1 + bit)
+				pt.batch(gen, []packet.Header{orig}, out[:1], miss)
+				k := orig.Key()
+				k[bit>>3] ^= 1 << (7 - bit&7)
+				flipped := packet.HeaderFromKey(k)
+				flipResult = 1000 + bit
+				if r, ok := pt.lookup(k, gen); ok {
+					t.Fatalf("bit %d: Lookup of the flipped header hit (%d)", bit, r)
+				}
+				if r, ok := pt.lookup(orig.Key(), gen); !ok || r != origResult {
+					t.Fatalf("bit %d: Lookup of the cached header = (%d,%v), want (%d,true)", bit, r, ok, origResult)
+				}
+				missed = missed[:0]
+				pt.batch(gen, []packet.Header{orig, flipped}, out, miss)
+				if len(missed) != 1 || missed[0] != flipped || out[0] != origResult || out[1] != flipResult {
+					t.Fatalf("bit %d: batch missed %v, out %v; want only the flipped header missed, out [%d %d]",
+						bit, missed, out, origResult, flipResult)
+				}
+				missed = missed[:0]
+				pt.batch(gen, []packet.Header{flipped, orig}, out, miss)
+				if len(missed) != 0 || out[0] != flipResult || out[1] != origResult {
+					t.Fatalf("bit %d: second batch missed %v, out %v; want no misses, out [%d %d]",
+						bit, missed, out, flipResult, origResult)
+				}
+			}
+		})
 	}
 }

@@ -9,7 +9,7 @@
 // cells, so a snapshot never blocks a worker and a worker never blocks a
 // snapshot.
 //
-// The detector is keyed on the packed 104-bit packet.Key hash the steered
+// The detector is keyed on the flow hash (packet.Header.Hash) the steered
 // dispatch already computes for worker selection, so observing a batch
 // costs no extra hashing. Like the tracer, a nil *Detector is the valid
 // "off" state: every method is nil-safe and the hot path carries exactly
@@ -44,8 +44,8 @@ const defaultK = 16
 // untouched by readers.
 type topEntry struct {
 	hash  atomic.Uint64
-	keyHi atomic.Uint64 // packed key bytes 0..7, big-endian
-	keyLo atomic.Uint64 // packed key bytes 8..12 in the low 40 bits
+	keyHi atomic.Uint64 // the flow's packet.Header.Words, high word
+	keyLo atomic.Uint64 // and low word
 	count atomic.Uint64 // sketch estimate; 0 marks empty or mid-replacement
 }
 
@@ -122,7 +122,7 @@ func (d *Detector) Packets() uint64 {
 }
 
 // ObserveBatch feeds one steered sub-batch into worker's stripe.
-// hashes[i] must be hdrs[i].Key().Hash() — the steered dispatch computes
+// hashes[i] must be hdrs[i].Hash() — the steered dispatch computes
 // exactly this for worker selection and passes it through, so the
 // detector never rehashes. Consecutive packets of the same flow (the
 // common case under bursty traffic) are coalesced into one sketch update.
@@ -195,35 +195,14 @@ func (st *stripe) observe(hdr packet.Header, h uint64, n uint64) {
 		return
 	}
 	e := &st.top[minIdx]
-	k := hdr.Key()
+	hi, lo := hdr.Words()
 	// Zero the count first and restore it last so a concurrent reader
 	// sees the slot as empty while hash and key change underneath.
 	e.count.Store(0)
 	e.hash.Store(h)
-	e.keyHi.Store(uint64(k[0])<<56 | uint64(k[1])<<48 | uint64(k[2])<<40 | uint64(k[3])<<32 |
-		uint64(k[4])<<24 | uint64(k[5])<<16 | uint64(k[6])<<8 | uint64(k[7]))
-	e.keyLo.Store(uint64(k[8])<<32 | uint64(k[9])<<24 | uint64(k[10])<<16 | uint64(k[11])<<8 |
-		uint64(k[12]))
+	e.keyHi.Store(hi)
+	e.keyLo.Store(lo)
 	e.count.Store(est)
-}
-
-// entryKey reassembles the packed key from a top entry's two words.
-func entryKey(hi, lo uint64) packet.Key {
-	var k packet.Key
-	k[0] = byte(hi >> 56)
-	k[1] = byte(hi >> 48)
-	k[2] = byte(hi >> 40)
-	k[3] = byte(hi >> 32)
-	k[4] = byte(hi >> 24)
-	k[5] = byte(hi >> 16)
-	k[6] = byte(hi >> 8)
-	k[7] = byte(hi)
-	k[8] = byte(lo >> 32)
-	k[9] = byte(lo >> 24)
-	k[10] = byte(lo >> 16)
-	k[11] = byte(lo >> 8)
-	k[12] = byte(lo)
-	return k
 }
 
 // FlowCount is one detected heavy hitter: the flow's steering hash, its
@@ -260,7 +239,7 @@ func (d *Detector) TopK(n int) []FlowCount {
 			}
 			fc := FlowCount{
 				Hash:   e.hash.Load(),
-				Hdr:    packet.HeaderFromKey(entryKey(e.keyHi.Load(), e.keyLo.Load())),
+				Hdr:    packet.HeaderFromWords(e.keyHi.Load(), e.keyLo.Load()),
 				Count:  c,
 				Worker: w,
 			}

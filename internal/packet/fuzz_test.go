@@ -3,10 +3,11 @@ package packet
 import "testing"
 
 // Fuzz targets for the packed-key invariants every engine builds on: the
-// Header <-> Key round trip must be lossless in both directions, and the
+// Header <-> Key round trip must be lossless in both directions, the
 // word-at-a-time StridesInto datapath — from a packed Key or straight from
 // the Header — must agree with the bit-by-bit Stride reference at every
-// stage for every stride width. Run ad hoc with
+// stage for every stride width, and the flow hash and identity taken from
+// the Header's two words must be those of its packed Key. Run ad hoc with
 //
 //	go test ./internal/packet -fuzz FuzzKeyRoundTrip
 //
@@ -24,6 +25,9 @@ func FuzzKeyRoundTrip(f *testing.F) {
 		}
 		if k2 := HeaderFromKey(k).Key(); k2 != k {
 			t.Fatalf("key not canonical: %v -> %v", k, k2)
+		}
+		if got := HeaderFromWords(h.Words()); got != h {
+			t.Fatalf("word round trip: %+v -> %+v", h, got)
 		}
 		checkWords(t, h, k)
 		// Bit must agree with the documented field layout: walking the 104
@@ -111,6 +115,50 @@ func FuzzStridesInto(f *testing.F) {
 						kbits, s, fromKey[s], fromHeader[s], want, k)
 				}
 			}
+		}
+	})
+}
+
+// keyHashRef is the byte-level flow hash every steering decision and cache
+// bucket was placed by before the hash moved onto Header.Words: the key's
+// bytes 0..7 as the high word, bytes 8..12 as a right-aligned 40-bit low
+// word. WordsHash must reproduce it bit for bit.
+func keyHashRef(k Key) uint64 {
+	hi := uint64(k[0])<<56 | uint64(k[1])<<48 | uint64(k[2])<<40 | uint64(k[3])<<32 |
+		uint64(k[4])<<24 | uint64(k[5])<<16 | uint64(k[6])<<8 | uint64(k[7])
+	lo := uint64(k[8])<<32 | uint64(k[9])<<24 | uint64(k[10])<<16 | uint64(k[11])<<8 |
+		uint64(k[12])
+	h := hi*0x9e3779b97f4a7c15 ^ lo
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return h
+}
+
+// FuzzHeaderHash checks the flow identity the serving path keys on: a
+// header's hash is its packed key's hash and the byte-level reference, and
+// two headers have equal words exactly when they have equal keys.
+func FuzzHeaderHash(f *testing.F) {
+	f.Add(uint32(0), uint32(0), uint16(0), uint16(0), uint8(0), uint32(0), uint32(0), uint16(0), uint16(0), uint8(0))
+	f.Add(^uint32(0), ^uint32(0), ^uint16(0), ^uint16(0), ^uint8(0), ^uint32(0), ^uint32(0), ^uint16(0), ^uint16(0), ^uint8(0))
+	f.Add(uint32(0xc0a80101), uint32(0x0a000001), uint16(12345), uint16(80), uint8(6),
+		uint32(0xc0a80101), uint32(0x0a000001), uint16(12345), uint16(80), uint8(7))
+	f.Add(uint32(1), uint32(2), uint16(3), uint16(4), uint8(255), uint32(1), uint32(2), uint16(3), uint16(0x8004), uint8(255))
+	f.Fuzz(func(t *testing.T, sip1, dip1 uint32, sp1, dp1 uint16, proto1 uint8, sip2, dip2 uint32, sp2, dp2 uint16, proto2 uint8) {
+		h1 := Header{SIP: sip1, DIP: dip1, SP: sp1, DP: dp1, Proto: proto1}
+		h2 := Header{SIP: sip2, DIP: dip2, SP: sp2, DP: dp2, Proto: proto2}
+		for _, h := range []Header{h1, h2} {
+			k := h.Key()
+			if got, key, ref := h.Hash(), k.Hash(), keyHashRef(k); got != key || key != ref {
+				t.Fatalf("%v: Header.Hash %#x, Key.Hash %#x, byte-level reference %#x", h, got, key, ref)
+			}
+		}
+		hi1, lo1 := h1.Words()
+		hi2, lo2 := h2.Words()
+		if words, keys := hi1 == hi2 && lo1 == lo2, h1.Key() == h2.Key(); words != keys {
+			t.Fatalf("%v vs %v: equal words %v, equal keys %v", h1, h2, words, keys)
 		}
 	})
 }

@@ -74,7 +74,7 @@ func TestSteerWorkerDistribution(t *testing.T) {
 
 // Steering and bucket addressing must consume disjoint hash bits: all keys
 // steered to one worker still cover the low-bit space a private cache
-// addresses buckets with (see the Hash bit-budget comment).
+// addresses buckets with (see the WordsHash bit-budget comment).
 func TestSteerWorkerIndependentOfLowBits(t *testing.T) {
 	const workers = 8
 	const lowMask = 1<<14 - 1 // larger than any realistic bucket array

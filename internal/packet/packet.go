@@ -17,6 +17,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 )
@@ -79,15 +80,7 @@ func (h Header) Key() Key {
 }
 
 // HeaderFromKey unpacks a key back into a Header.
-func HeaderFromKey(k Key) Header {
-	return Header{
-		SIP:   uint32(k[0])<<24 | uint32(k[1])<<16 | uint32(k[2])<<8 | uint32(k[3]),
-		DIP:   uint32(k[4])<<24 | uint32(k[5])<<16 | uint32(k[6])<<8 | uint32(k[7]),
-		SP:    uint16(k[8])<<8 | uint16(k[9]),
-		DP:    uint16(k[10])<<8 | uint16(k[11]),
-		Proto: k[12],
-	}
-}
+func HeaderFromKey(k Key) Header { return HeaderFromWords(k.Words()) }
 
 // Bit returns bit i of the key (0 or 1). Bit 0 is the SIP MSB.
 func (k Key) Bit(i int) int {
@@ -123,15 +116,19 @@ func (h Header) Words() (hi, lo uint64) {
 		uint64(h.SP)<<48 | uint64(h.DP)<<32 | uint64(h.Proto)<<24
 }
 
-// Words is Header.Words for an already packed key.
+// HeaderFromWords is the inverse of Header.Words; lo's padding bits are
+// ignored.
+func HeaderFromWords(hi, lo uint64) Header {
+	return Header{SIP: uint32(hi >> 32), DIP: uint32(hi), SP: uint16(lo >> 48), DP: uint16(lo >> 32), Proto: uint8(lo >> 24)}
+}
+
+// Words is Header.Words for an already packed key: two 8-byte loads, the
+// second over bytes 5..12 and shifted so bytes 8..12 lead. Small enough to
+// inline, so Key.Hash does not copy the key into a call.
 //
 //pclass:hotpath
 func (k Key) Words() (hi, lo uint64) {
-	hi = uint64(k[0])<<56 | uint64(k[1])<<48 | uint64(k[2])<<40 | uint64(k[3])<<32 |
-		uint64(k[4])<<24 | uint64(k[5])<<16 | uint64(k[6])<<8 | uint64(k[7])
-	lo = uint64(k[8])<<56 | uint64(k[9])<<48 | uint64(k[10])<<40 | uint64(k[11])<<32 |
-		uint64(k[12])<<24
-	return hi, lo
+	return binary.BigEndian.Uint64(k[:8]), binary.BigEndian.Uint64(k[5:]) << 24
 }
 
 // StridesInto fills dst[s] with the k-bit stride value at stage s for every

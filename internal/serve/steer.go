@@ -155,7 +155,7 @@ func (s *Service) dispatch(sc *steerScratch, hdrs []packet.Header, out []int, p 
 		// private cache's bucket index — see packet.SteerWorker. The hash
 		// travels with the task: the private cache and the heavy-hitter
 		// detector reuse it instead of rehashing.
-		h := hdrs[i].Key().Hash()
+		h := hdrs[i].Hash()
 		w := packet.SteerWorker(h, nw)
 		t := &sc.tasks[w]
 		//pclass:allow-alloc appends into scratch capacity retained across batches; amortized to 0 allocs/op
