@@ -97,6 +97,11 @@ func TestObservedServiceEndToEnd(t *testing.T) {
 	if got := snap.Counters["serve.swaps"]; got != 1 {
 		t.Fatalf("registry serve.swaps = %d, want 1", got)
 	}
+	// Every share of an asynchronous batch is handed off, and each hand-off
+	// counts once, warm or cold.
+	if w, c := snap.Counters["serve.handoffs_warm"], snap.Counters["serve.handoffs_cold"]; w+c != subBatches {
+		t.Fatalf("registry serve.handoffs_warm %d + serve.handoffs_cold %d, want %d sub-batches", w, c, subBatches)
+	}
 	if got, ok := snap.Gauges["serve.swap_last_ns"]; !ok || got.Max <= 0 || snap.Counters["serve.swap_ns"] != got.Max {
 		t.Fatalf("one swap: serve.swap_last_ns = %+v (ok=%v), serve.swap_ns = %d", got, ok, snap.Counters["serve.swap_ns"])
 	}

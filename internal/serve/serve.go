@@ -27,7 +27,10 @@
 // cannot spill to another worker without breaking flow affinity, so a full
 // target queue delays the submitter instead of dropping the batch. A small
 // ClassifySteered share whose worker is idle skips the queue: the
-// submitter runs it on that worker's state, under the worker's claim.
+// submitter runs it on that worker's state, under the worker's claim. A
+// worker that has just run a larger share polls its shard for one bounded
+// spell before it parks, so a closed-loop client's next large share is a
+// buffered put, not a wake-up; an idle service still parks every worker.
 package serve
 
 import (
@@ -294,6 +297,11 @@ type Service struct {
 	incrementalRollbacks *obsv.Counter
 	incrementalFallbacks *obsv.Counter
 
+	// handoffsWarm counts tasks a worker received during its warm spell,
+	// handoffsCold tasks it received from the blocking receive.
+	handoffsWarm *obsv.Counter
+	handoffsCold *obsv.Counter
+
 	// obs is Config.Obs; nil disables every observability branch.
 	obs *obsv.Obs
 
@@ -368,6 +376,8 @@ func New(rs *ruleset.RuleSet, build BuildFunc, cfg Config) (*Service, error) {
 	s.incrementalSwaps = s.reg.Counter("serve.incremental_swaps")
 	s.incrementalRollbacks = s.reg.Counter("serve.incremental_rollbacks")
 	s.incrementalFallbacks = s.reg.Counter("serve.incremental_fallbacks")
+	s.handoffsWarm = s.reg.Counter("serve.handoffs_warm")
+	s.handoffsCold = s.reg.Counter("serve.handoffs_cold")
 	s.load = flowstats.NewLoadTracker(0)
 	s.imbalance = s.reg.Gauge("serve.imbalance_milli")
 	if cfg.Obs != nil {
@@ -425,12 +435,17 @@ func New(rs *ruleset.RuleSet, build BuildFunc, cfg Config) (*Service, error) {
 // touched by the holder of the worker's claim — the worker goroutine
 // running a handed-off task, or a synchronous submitter running a small
 // share inline; cache statistics are atomic so scrapes never race it.
+// Between tasks the goroutine is parked in its shard's receive or, after
+// a large share, polling the shard for one spell; it holds no claim in
+// either.
 type worker struct {
 	s  *Service
 	id int
 	// claim makes its holder the single writer of this worker's state. The
-	// worker goroutine holds it around each runSteered; a submitter takes
-	// it only with tryClaim, and never across a blocking operation.
+	// worker goroutine holds it around each runSteered, never while it
+	// waits for a task, so a worker in its spell is idle to tryClaim; a
+	// submitter takes it only with tryClaim, and never across a blocking
+	// operation.
 	claim sync.Mutex
 	// inflight counts tasks handed to this worker and not yet finished:
 	// incremented before the send, decremented after runSteered. Zero
@@ -452,24 +467,75 @@ type worker struct {
 	batches    atomic.Int64
 }
 
+// spellPolls bounds the warm spell: how many times a worker that has just
+// run a share of more than inlineShare packets polls its shard, yielding
+// between polls, before it parks in a blocking receive. A closed-loop
+// client sends its next batch about one scatter (≈5 µs) after its last one
+// returned, so a worker that parks at once pays a futex wake on nearly
+// every large share. On a 2-vCPU Xeon 200 polls last about 25 µs. In a
+// sweep of 25–800 polls on cache_pressure, 25 kept about a quarter of the
+// gain and 50–800 all of it within the noise: 200 sits on that plateau,
+// and an idle worker still parks within tens of µs (EXPERIMENTS.md, "Warm
+// hand-off").
+const spellPolls = 200
+
 // run drains one shard queue: each task is this worker's share of a
 // batch, run under the worker's claim so that a submitter running a
 // share inline and this goroutine are never both writing the worker's
-// state.
+// state. After a share of more than inlineShare packets the worker
+// stays warm for one spell (see receive); after a small share, and at
+// start-up, it parks at once.
 //
 //pclass:hotpath
 func (w *worker) run(shard chan *steerTask) {
 	defer w.s.wg.Done()
-	// range drains everything still queued after Close closes the shard:
-	// graceful shutdown completes in-flight batches rather than dropping
-	// them.
-	for t := range shard {
+	warm := false
+	// receive reports ok=false only once Close has closed the shard and
+	// every task still queued in it has run: graceful shutdown completes
+	// in-flight batches rather than dropping them.
+	for {
+		t, ok := w.receive(shard, warm)
+		if !ok {
+			return
+		}
+		// Read before runSteered: once the task finishes, its scratch may
+		// already be gathering another batch.
+		warm = len(t.hdrs) > inlineShare
 		w.s.noteQueued(-1)
 		w.claim.Lock()
 		w.runSteered(t)
 		w.claim.Unlock()
 		w.inflight.Add(-1)
 	}
+}
+
+// receive takes the next task from shard. With warm set it first polls
+// the shard up to spellPolls times, yielding the processor between polls,
+// so a share handed off while the worker is still warm costs a buffered
+// put and no wake-up; a closed shard ends the spell at once. Then, or
+// without warm, it parks in a blocking receive. Each task received counts
+// once, in serve.handoffs_warm or serve.handoffs_cold.
+//
+//pclass:hotpath
+func (w *worker) receive(shard chan *steerTask, warm bool) (*steerTask, bool) {
+	if warm {
+		for i := 0; i < spellPolls; i++ {
+			select {
+			case t, ok := <-shard:
+				if ok {
+					w.s.handoffsWarm.Inc()
+				}
+				return t, ok
+			default:
+			}
+			runtime.Gosched()
+		}
+	}
+	t, ok := <-shard
+	if ok {
+		w.s.handoffsCold.Inc()
+	}
+	return t, ok
 }
 
 // tryClaim takes w's claim for a synchronous submitter if w is idle:

@@ -11,7 +11,9 @@
 // ClassifySteered share of at most inlineShare packets whose worker is
 // idle runs on the submitter itself, under that worker's claim and on
 // that worker's state. Larger shares, shares of a busy worker and every
-// asynchronous Submit share still go through the worker's queue.
+// asynchronous Submit share still go through the worker's queue; a worker
+// that has just run a larger share polls that queue for one spell before
+// it parks (worker.receive), so the next large share finds it awake.
 package serve
 
 import (
@@ -25,12 +27,17 @@ import (
 )
 
 // inlineShare is the largest synchronous share the submitter classifies
-// itself instead of handing it to an idle worker. One hand-off — two
-// channel operations, two wake-ups and a WaitGroup park — costs about as
-// much as classifying 32–64 cached packets, and far less than a
-// 128-packet engine share, which is worth a core of its own: at 32 every
-// share of a 32-packet batch qualifies and no share of a 256-packet batch
-// on two workers comes close.
+// itself instead of handing it to an idle worker, and the share size above
+// which a worker stays warm for one spell (spellPolls) after running it.
+// A hand-off to a parked worker — two channel operations, two wake-ups and
+// a WaitGroup park — costs about as much as classifying 32–64 cached
+// packets, and far less than a 128-packet engine share, which is worth a
+// core of its own: at 32 every share of a 32-packet batch qualifies and no
+// share of a 256-packet batch on two workers comes close. A hand-off into
+// a worker still in its spell costs a buffered put instead of the
+// worker's wake-up. Small shares start no spell: their cheapest path is
+// inline, and a spell after them would put a polling worker beside every
+// small batch.
 const inlineShare = 32
 
 // steerTask is one worker's share of a steered batch: the gathered

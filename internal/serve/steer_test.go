@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -603,6 +604,128 @@ func TestClassifySteeredErrors(t *testing.T) {
 	mustClose(t, svc)
 	if err := svc.ClassifySteered(hdrs, make([]int, 8)); err != ErrClosed {
 		t.Fatalf("after close: %v, want ErrClosed", err)
+	}
+}
+
+// A worker stays warm for one bounded spell after a share of more than
+// inlineShare packets, and only then. Back-to-back large batches find their
+// workers warm; after an idle period far longer than the spell, the next
+// large batch finds both parked; and traffic made only of small
+// asynchronous shares never starts a spell at all.
+func TestSteeredSpellEndsInPark(t *testing.T) {
+	rs := prefixSet(t, 32, 117)
+	ref := core.NewLinear(rs)
+	trace := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 512, MatchFraction: 0.8, Seed: 118})
+	t.Run("large", func(t *testing.T) {
+		svc, err := New(rs.Clone(), strideBuild, Config{Workers: 2, Seed: 117})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mustClose(t, svc)
+		out := make([]int, len(trace))
+		for i := 0; i < 200; i++ {
+			if err := svc.ClassifySteered(trace, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkAgainst(t, "back to back", ref)(0, trace, out)
+		if svc.handoffsWarm.Value() == 0 {
+			t.Fatal("200 back-to-back 512-packet batches on 2 workers: no share reached a warm worker")
+		}
+		// Each longer idle period is a retry for a starved box, not a
+		// tolerance: a spell that never ends fails every one of them.
+		for idle := 20 * time.Millisecond; ; idle *= 4 {
+			time.Sleep(idle)
+			warm, cold := svc.handoffsWarm.Value(), svc.handoffsCold.Value()
+			if err := svc.ClassifySteered(trace, out); err != nil {
+				t.Fatal(err)
+			}
+			dw, dc := svc.handoffsWarm.Value()-warm, svc.handoffsCold.Value()-cold
+			if dw == 0 && dc == 2 {
+				break
+			}
+			if idle > time.Second {
+				t.Fatalf("after %v idle: %d warm and %d cold hand-offs, want 0 and 2", idle, dw, dc)
+			}
+		}
+	})
+	t.Run("small-async", func(t *testing.T) {
+		svc, err := New(rs.Clone(), strideBuild, Config{Workers: 2, Seed: 117})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mustClose(t, svc)
+		pending := make([]*Pending, 4)
+		for round := 0; round < 100; round++ {
+			for i := range pending {
+				lo := (round*4 + i) * 8 % (len(trace) - inlineShare)
+				p, err := svc.Submit(trace[lo : lo+inlineShare])
+				if err != nil {
+					t.Fatal(err)
+				}
+				pending[i] = p
+			}
+			for _, p := range pending {
+				if _, err := p.Wait(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var shares int64
+		for _, wl := range svc.WorkerLoads() {
+			shares += wl.Batches
+		}
+		if warm, cold := svc.handoffsWarm.Value(), svc.handoffsCold.Value(); warm != 0 || cold != shares {
+			t.Fatalf("%d shares of ≤ %d packets: %d warm and %d cold hand-offs, want 0 and %d", shares, inlineShare, warm, cold, shares)
+		}
+	})
+}
+
+// Close issued while the workers are in their warm spell returns at once:
+// the closed shard ends the spell, every task queued before Close is still
+// answered, and no worker goroutine outlives the service.
+func TestSteeredCloseDuringSpell(t *testing.T) {
+	base := runtime.NumGoroutine()
+	rs := prefixSet(t, 32, 119)
+	ref := core.NewLinear(rs)
+	trace := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 512, MatchFraction: 0.8, Seed: 120})
+	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 4, CacheEntries: 1 << 10, Seed: 119})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.ClassifySteered(trace, make([]int, len(trace))); err != nil {
+		t.Fatal(err)
+	}
+	// The workers that ran those shares are in their spell now: queue more
+	// large batches behind them and close at once.
+	pending := make([]*Pending, 4)
+	for i := range pending {
+		p, err := svc.Submit(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending[i] = p
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := svc.Close(ctx); err != nil {
+		t.Fatalf("close during the spell: %v", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("close during the spell took %v", took)
+	}
+	for i, p := range pending {
+		got, err := p.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainst(t, fmt.Sprint("batch queued before close ", i), ref)(0, trace, got)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), base)
+		}
 	}
 }
 
