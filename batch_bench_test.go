@@ -42,18 +42,27 @@ func batchBenchTrace(b *testing.B, rs *RuleSet) []Header {
 	return GenerateTrace(rs, batchBenchSize, 0.9, 2)
 }
 
+// BenchmarkStrideBVBatch sweeps prefix-only sets, plus two firewall sets at
+// k = 4: N = 2048, the serving benchmark's engine shape, and N = 16384, where
+// the lead summaries' pairwise index thins the most.
 func BenchmarkStrideBVBatch(b *testing.B) {
+	run := func(name, profile string, n, k int) {
+		b.Run(name, func(b *testing.B) {
+			rs := GenerateRuleSet(n, profile, 1)
+			eng, err := NewStrideBV(rs, k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchBatch(b, eng, batchBenchTrace(b, rs))
+		})
+	}
 	for _, k := range []int{3, 4} {
 		for _, n := range batchBenchNs {
-			b.Run(fmt.Sprintf("k%d/N%d", k, n), func(b *testing.B) {
-				rs := GenerateRuleSet(n, "prefix-only", 1)
-				eng, err := NewStrideBV(rs, k)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchBatch(b, eng, batchBenchTrace(b, rs))
-			})
+			run(fmt.Sprintf("k%d/N%d", k, n), "prefix-only", n, k)
 		}
+	}
+	for _, n := range []int{2048, 16384} {
+		run(fmt.Sprintf("fw/k4/N%d", n), "firewall", n, 4)
 	}
 }
 

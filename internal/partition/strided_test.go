@@ -233,10 +233,11 @@ func TestStridedLookupCounts(t *testing.T) {
 			t.Fatalf("%s: walked parts got %d Classify and %d ClassifyBatch calls", c.label, n.classify, n.batch)
 		}
 	}
-	// leadStages in stridebv: the summaries the candidate AND reads.
-	const leadStages = 4
+	// The lead summary groups stridebv keys by pairs of lead strides at
+	// k = 3 and 4: the summary rows the candidate AND reads.
+	const leadGroups = 2
 	t.Logf("sub-engine calls per 256-packet batch (two shares): wrapped parts %.1f Classify, 0 ClassifyBatch; bare k = 4 and mixed k: 0",
 		float64(wrappedCalls)/batches)
 	t.Logf("stride extractions per packet: wrapped parts %.2f, bare k = 4 1, mixed k at most 3", float64(wrappedCalls)/float64(len(hdrs)))
-	t.Logf("summary words ANDed per part walk: %d (lead stages)", leadStages*sumWords)
+	t.Logf("summary words ANDed per part walk: %d (lead stride pairs)", leadGroups*sumWords)
 }

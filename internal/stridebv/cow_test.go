@@ -3,6 +3,7 @@ package stridebv
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pktclass/internal/bitvec"
@@ -42,7 +43,7 @@ func diffMem(e *Engine, snap [][]bitvec.Vector) (int, int) {
 // snapshot comparison below fails.
 func TestUpdateOnDeltaChildLeavesParentIntact(t *testing.T) {
 	parent, rs, rules, entries := deltaFixture(t, 256, 4, 401)
-	snap := snapshotMem(parent)
+	snap, lead := snapshotMem(parent), slices.Clone(parent.lead)
 	trace := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 400, MatchFraction: 0.8, Seed: 402})
 	want := make([]int, len(trace))
 	for i, h := range trace {
@@ -90,6 +91,9 @@ func TestUpdateOnDeltaChildLeavesParentIntact(t *testing.T) {
 	if s, c := diffMem(parent, snap); s >= 0 {
 		t.Fatalf("child write leaked into parent stage memory at (stage=%d, value=%d)", s, c)
 	}
+	if &child.lead[0] == &parent.lead[0] || !slices.Equal(parent.lead, lead) {
+		t.Fatal("the child shares or wrote the parent's lead summaries")
+	}
 	for i, h := range trace {
 		if got := parent.Classify(h); got != want[i] {
 			t.Fatalf("parent classify changed after child writes: header %d got %d want %d", i, got, want[i])
@@ -102,12 +106,12 @@ func TestUpdateOnDeltaChildLeavesParentIntact(t *testing.T) {
 // (the grandparent and parent both stay intact and correct).
 func TestApplyDeltasOnDeltaChild(t *testing.T) {
 	parent, rs, rules, entries := deltaFixture(t, 128, 3, 411)
-	snapParent := snapshotMem(parent)
+	snapParent, leadParent := snapshotMem(parent), slices.Clone(parent.lead)
 	child, err := parent.ApplyDeltas(rules, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapChild := snapshotMem(child)
+	snapChild, leadChild := snapshotMem(child), slices.Clone(child.lead)
 
 	donor := ruleset.Generate(ruleset.GenConfig{N: 3, Profile: ruleset.PrefixOnly, Seed: 412})
 	rng := rand.New(rand.NewSource(413))
@@ -129,6 +133,9 @@ func TestApplyDeltasOnDeltaChild(t *testing.T) {
 	}
 	if s, c := diffMem(child, snapChild); s >= 0 {
 		t.Fatalf("grandchild write leaked into parent at (stage=%d, value=%d)", s, c)
+	}
+	if !slices.Equal(parent.lead, leadParent) || !slices.Equal(child.lead, leadChild) {
+		t.Fatal("grandchild writes leaked into an ancestor's lead summaries")
 	}
 }
 

@@ -59,9 +59,10 @@ func (e *Engine) ApplyDeltas(rules []int, entries []ruleset.Ternary) (*Engine, e
 	n.ownsEntries = true
 	// Every stage starts shared: the child gets its own block headers (so
 	// rewrite can repoint one stage without the parent seeing it) over the
-	// parent's blocks, which stay read-only until rewrite detaches them.
+	// parent's blocks, which stay read-only until rewrite detaches them, and
+	// its own copy of the lead summaries, which the rewrites keep current.
 	n.blk = append([][]uint64(nil), e.blk...)
-	n.sum = append([][]uint64(nil), e.sum...)
+	n.lead = append([]uint64(nil), e.lead...)
 	n.ones = append([]int(nil), e.ones...)
 	n.shared = make([]bool, n.stages)
 	for s := range n.shared {

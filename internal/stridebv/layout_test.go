@@ -210,7 +210,7 @@ func layoutGeneric(t *testing.T) {
 			if ne > 1 && hits == 0 {
 				t.Fatalf("W=%d ne=%d: no key matched any entry", w, ne)
 			}
-			for _, k := range []int{1, 3, 4, 7, 8} {
+			for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
 				if skipRaced(ne, k) || stridebv.RaceEnabled && ne >= 4096 && w > 104 {
 					continue
 				}
@@ -242,8 +242,11 @@ func layoutGeneric(t *testing.T) {
 // over widths whose last stage is padded, entry counts either side of the
 // word and summary-word boundaries, values with junk under their don't-care
 // bits and a few invalid entries — with no bit set past Ne, and with the
-// summaries, populations and walk order RefreshSummaries derives from the
-// stored words. Past 4096 entries the oracle probes every seventh entry and
+// populations, walk order and lead summaries RefreshSummaries derives from
+// the stored words, the lead summaries also equal to a derivation of their
+// own from the stored vectors. The strides cover every lead grouping: one
+// group of four stages (k = 1, 2), pairs (k = 3, 4) and single stages
+// (k >= 5). Past 4096 entries the oracle probes every seventh entry and
 // the whole last word.
 func TestBuildMemoryMatchesBitProbeOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -255,7 +258,7 @@ func TestBuildMemoryMatchesBitProbeOracle(t *testing.T) {
 				valid[j] = ne < 4 || rng.Intn(16) != 0
 			}
 			words := (ne + 63) / 64
-			for _, k := range []int{1, 3, 4, 7, 8} {
+			for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
 				if stridebv.RaceEnabled && ne >= 4096 && (k > 4 || w > 104) {
 					continue
 				}
@@ -268,13 +271,16 @@ func TestBuildMemoryMatchesBitProbeOracle(t *testing.T) {
 				}
 				ref := m
 				ref.RefreshSummaries()
-				blk, sum, ones, order := m.Programmed()
-				_, rSum, rOnes, rOrder := ref.Programmed()
-				if !reflect.DeepEqual(sum, rSum) {
-					t.Fatalf("%s: summaries differ from the stored words'", name)
-				}
+				blk, lead, ones, order := m.Programmed()
+				_, rLead, rOnes, rOrder := ref.Programmed()
 				if !reflect.DeepEqual(ones, rOnes) || !reflect.DeepEqual(order, rOrder) {
 					t.Fatalf("%s: populations %v / %v, order %v / %v", name, ones, rOnes, order, rOrder)
+				}
+				if !reflect.DeepEqual(lead, rLead) {
+					t.Fatalf("%s: lead summaries differ from the stored words'", name)
+				}
+				if !reflect.DeepEqual(lead, m.DeriveLead()) {
+					t.Fatalf("%s: lead summaries differ from a derivation from the stored vectors", name)
 				}
 				for s := range blk {
 					for c := 0; c < 1<<uint(k); c++ {

@@ -3,6 +3,7 @@ package stridebv
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -25,7 +26,7 @@ import (
 type Memory struct {
 	w, k, stages, ne int
 	// words is the length of one stage row — the Ne-bit vector one stride
-	// value addresses — in 64-bit words, sumWords the length of its summary.
+	// value addresses — in 64-bit words, sumWords that of a lead summary row.
 	words, sumWords int
 	// blk[s] is stage s's whole memory, 2^k rows of words words each:
 	// blk[s][c·words+w] is word w of the vector for stride value c. Rows are
@@ -35,19 +36,9 @@ type Memory struct {
 	//
 	//pclass:cow
 	blk [][]uint64
-	// sum[s] is the word-level summary of blk[s], laid out the same way:
-	// bit w of row c (sum[s][c·sumWords+w/64], bit w%64) is set iff word w of
-	// the stage row is nonzero. ANDing the summaries of the sparsest
-	// addressed rows yields the candidate words the full AND can possibly
-	// survive in, so classification skips all-zero words and its cost tracks
-	// the population near the match, not Ne. Aliased with a delta parent
-	// exactly like blk.
-	//
-	//pclass:cow
-	sum [][]uint64
-	// shared[s] means blk[s] and sum[s] still alias the engine this one was
+	// shared[s] means blk[s] still aliases the engine this one was
 	// delta-derived from (ApplyDeltas); nil for memories built from scratch.
-	// rewrite clones the stage's blocks before it stores the first word that
+	// rewrite clones the stage's block before it stores the first word that
 	// differs, so a delta child can never mutate state a concurrent reader of
 	// the parent still holds.
 	shared []bool
@@ -60,6 +51,15 @@ type Memory struct {
 	// prefix-only one). A delta child copies ones; order is replaced whole
 	// by Reorder and never written in place, so it can stay shared.
 	ones, order []int
+	// lead holds the lead summaries, the summary index: the lead stages
+	// order[0..3] in groups of span (leadSpan), each 2^(span·k) rows of
+	// sumWords words. Bit w of row g·2^(span·k) + a₀‖a₁… (group g's strides,
+	// its first stage's most significant) is set iff the AND of the group's
+	// stage rows is nonzero at word w. Reorder derives it for the current
+	// lead, rewrite keeps the groups it stores in current, and a delta child
+	// gets its own copy.
+	lead []uint64
+	span int
 	// scratch recycles per-goroutine lookup state so the classification fast
 	// path allocates nothing in steady state. It is held by pointer so a
 	// delta-derived engine (ApplyDeltas) shares the pool with its parent:
@@ -78,7 +78,7 @@ type Memory struct {
 //pclass:pooled
 type scratchState struct {
 	addrs, care []int
-	sum         []uint64
+	cand        []uint64
 	acc         bitvec.Vector
 	strides     []uint16
 }
@@ -92,12 +92,19 @@ const (
 )
 
 // leadStages is how many stages (the sparsest ones, see Memory.order) the
-// candidate summary ANDs, and the word walker ANDs before it first tests
+// lead summaries cover, and the word walker ANDs before it first tests
 // the partial result. Nearly every candidate word dies within them, which
 // turns the "word died" branch from a coin flip per stage into one
 // predictable branch per candidate. A key with fewer stages (W = 8, k = 8
 // has one) repeats its sparsest stage to fill the lead; see Reorder.
 const leadStages = 4
+
+// leadBits bounds a lead summary group's address: at most 2^8 rows.
+const leadBits = 8
+
+// leadSpan returns how many lead stages one lead summary group spans at
+// stride k: all four at k = 1 and 2, pairs at k = 3 and 4, one at k >= 5.
+func leadSpan(k int) int { return min(leadStages, leadBits/k) }
 
 // checkGeometry rejects dimensions no memory can have.
 func checkGeometry(w, k, ne int) error {
@@ -124,7 +131,7 @@ func BuildMemory(w, k, ne int, entry func(j int) (value, mask []byte, valid bool
 		return Memory{}, err
 	}
 	m := newMemory(w, k, ne)
-	m.blk, m.sum, m.ones = m.makeBlocks(m.words), m.makeBlocks(m.sumWords), make([]int, m.stages)
+	m.blk, m.ones = m.makeBlocks(), make([]int, m.stages)
 	for wi := 0; wi < m.words; wi++ {
 		m.rewrite(wi, ^uint64(0)>>uint(64-min(64, ne-wi<<6)), entry)
 	}
@@ -143,16 +150,16 @@ func newMemory(w, k, ne int) Memory {
 		ne:       ne,
 		words:    words,
 		sumWords: (words + 63) / 64,
+		span:     leadSpan(k),
 		scratch:  new(sync.Pool),
 	}
 }
 
-// makeBlocks allocates one zeroed block per stage: 2^k rows of rowWords
-// words.
-func (m *Memory) makeBlocks(rowWords int) [][]uint64 {
+// makeBlocks allocates one zeroed block per stage: 2^k rows of words words.
+func (m *Memory) makeBlocks() [][]uint64 {
 	b := make([][]uint64, m.stages)
 	for s := range b {
-		b[s] = make([]uint64, rowWords<<uint(m.k))
+		b[s] = make([]uint64, m.words<<uint(m.k))
 	}
 	return b
 }
@@ -168,7 +175,7 @@ func (m *Memory) getScratch() *scratchState {
 	return &scratchState{
 		addrs: make([]int, m.stages),
 		care:  make([]int, m.stages),
-		sum:   make([]uint64, m.sumWords),
+		cand:  make([]uint64, m.sumWords),
 		acc:   bitvec.New(m.ne),
 	}
 }
@@ -202,29 +209,27 @@ func (m *Memory) SummaryWords() int { return m.sumWords }
 func (m *Memory) MemoryBits() int { return m.stages * (1 << uint(m.k)) * m.ne }
 
 // RefreshSummaries recomputes the state derived from the stage memories:
-// the word-level summary index, the stage populations and the walk order.
-// None of it exists in hardware, so code that mutates stage memory directly
-// through StageVector (fault injection, scrub tooling) must refresh before
+// the stage populations, the walk order and the lead summaries. None of it
+// exists in hardware, so code that mutates stage memory directly through
+// StageVector (fault injection, scrub tooling) must refresh before
 // classifying; the supported mutation paths (rewrite, behind BuildMemory and
 // the front ends' UpdateEntry, InvalidateEntry, ApplyDeltas) maintain it
-// from the words they store. The summaries are rebuilt into fresh blocks,
-// never in place, so a delta parent's are left alone.
+// from the words they store. The lead summaries are rebuilt into a fresh
+// block, never in place, so a memory copied by value keeps its own.
 func (m *Memory) RefreshSummaries() {
-	sum, ones := m.makeBlocks(m.sumWords), make([]int, m.stages)
+	ones := make([]int, m.stages)
 	for s, blk := range m.blk {
-		for i, word := range blk {
-			if word != 0 {
-				c, w := i/m.words, i%m.words
-				sum[s][c*m.sumWords+w>>6] |= 1 << uint(w&63)
-				ones[s] += bits.OnesCount64(word)
-			}
+		for _, word := range blk {
+			ones[s] += bits.OnesCount64(word)
 		}
 	}
-	m.sum, m.ones = sum, ones
+	m.ones, m.lead = ones, nil
 	m.Reorder()
 }
 
-// Reorder re-sorts the walk order by the current stage populations. The
+// Reorder re-sorts the walk order by the current stage populations and, when
+// that changes the lead stages (or there are no lead summaries yet),
+// derives the lead summaries for the new lead into a fresh block. The
 // constructors, RefreshSummaries (so ReadImage) and ApplyDeltas end with it;
 // an in-place UpdateEntry or InvalidateEntry does not — a stale order costs
 // a few extra loads per lookup, never a wrong answer, and one entry cannot
@@ -240,7 +245,41 @@ func (m *Memory) Reorder() {
 	for len(order) < leadStages {
 		order = append(order, order[0])
 	}
+	old := m.order
 	m.order = order
+	if m.lead != nil && slices.Equal(old[:leadStages], order[:leadStages]) {
+		return
+	}
+	m.lead = make([]uint64, leadStages/m.span*m.sumWords<<uint(m.span*m.k))
+	for wi := 0; wi < m.words; wi++ {
+		for g := 0; g*m.span < leadStages; g++ {
+			m.refreshLead(g, wi)
+		}
+	}
+}
+
+// refreshLead derives word wi's bit in every row of lead summary group g
+// from the stored words. Each stage expands the ANDs of the stages before
+// it in place, last prefix first so none is overwritten before it is read.
+func (m *Memory) refreshLead(g, wi int) {
+	var and [1 << leadBits]uint64
+	and[0] = ^uint64(0)
+	k, rows := uint(m.k), 1
+	for _, s := range m.order[g*m.span:][:m.span] {
+		col := m.blk[s][wi:]
+		for a := rows - 1; a >= 0; a-- {
+			x := and[a]
+			for c := 1<<k - 1; c >= 0; c-- {
+				and[a<<k|c] = x & col[c*m.words]
+			}
+		}
+		rows <<= k
+	}
+	lead, b := m.lead[g*rows*m.sumWords+wi>>6:], uint(wi&63)
+	for a, x := range and[:rows] {
+		i := a * m.sumWords
+		lead[i] = lead[i]&^(1<<b) | (x|-x)>>63<<b // (x|-x)>>63: x != 0
+	}
 }
 
 // rewrite is the one writer of stage memory. It reprograms the columns of
@@ -251,11 +290,11 @@ func (m *Memory) Reorder() {
 // compatible with, and merged as old &^ dirty | formed: bits of entries
 // that are not dirty always come from the stored words, never from an entry
 // table (a ReadImage-loaded engine has none). Only words that change are
-// stored, and the summary bits and stage population follow the stored
-// words. A stage block still shared with a delta parent is detached on the
-// first word that differs and never otherwise, so a stage the rewrite does
-// not change stays shared. cowwrite keeps this the only write path. Not
-// safe concurrently with lookups on the same memory.
+// stored, and the stage population and the lead summary groups follow the
+// stored words. A stage block still shared with a delta parent is detached
+// on the first word that differs and never otherwise, so a stage the
+// rewrite does not change stays shared. cowwrite keeps this the only write
+// path. Not safe concurrently with lookups on the same memory.
 //
 //pclass:cow-mutator
 func (m *Memory) rewrite(wi int, dirty uint64, entry func(j int) (value, mask []byte, valid bool)) {
@@ -278,13 +317,13 @@ func (m *Memory) rewrite(wi int, dirty uint64, entry func(j int) (value, mask []
 		}
 	}
 	var rows [1 << MaxStride]uint64
-	nrows, words, sumWords := 1<<uint(m.k), m.words, m.sumWords
-	sbit := uint64(1) << uint(wi&63)
+	var stale uint // bit g: a stage of lead summary group g stored a word
+	nrows, words := 1<<uint(m.k), m.words
 	for s := 0; s < m.stages; s++ {
 		wild := formRows(&rows, strides[s<<6:][:64], live, nrows)
-		blk, sum := m.blk[s], m.sum[s]
+		blk := m.blk[s]
 		shared := m.shared != nil && m.shared[s]
-		ones := 0
+		ones, stored := 0, false
 		for c := 0; c < nrows; c++ {
 			i := c*words + wi
 			old := blk[i]
@@ -294,19 +333,25 @@ func (m *Memory) rewrite(wi int, dirty uint64, entry func(j int) (value, mask []
 				continue
 			}
 			if shared {
-				blk, sum = append([]uint64(nil), blk...), append([]uint64(nil), sum...)
-				m.blk[s], m.sum[s], m.shared[s] = blk, sum, false
+				blk = append([]uint64(nil), blk...)
+				m.blk[s], m.shared[s] = blk, false
 				shared = false
 			}
 			blk[i] = word
 			ones += bits.OnesCount64(word) - bits.OnesCount64(old)
-			if si := c*sumWords + wi>>6; word != 0 {
-				sum[si] |= sbit
-			} else {
-				sum[si] &^= sbit
-			}
+			stored = true
 		}
 		m.ones[s] += ones
+		for p := 0; stored && m.lead != nil && p < leadStages; p++ {
+			if m.order[p] == s {
+				stale |= 1 << uint(p/m.span)
+			}
+		}
+	}
+	for g := 0; stale != 0; g, stale = g+1, stale>>1 {
+		if stale&1 != 0 {
+			m.refreshLead(g, wi)
+		}
 	}
 	m.putScratch(sc)
 }
@@ -380,24 +425,26 @@ func (m *Memory) columnStrides(sc *scratchState, value, mask []byte) {
 	sc.care[m.stages-1] |= 1<<uint(m.stages*m.k-m.w) - 1
 }
 
-// candidates fills cand with the AND of the leadStages sparsest addressed
-// rows' summaries: a superset of the words that can be nonzero in the final
-// result (one summary word covers 4096 entries). The walker ANDs every
-// stage of each candidate word anyway, so the other stages' summaries would
-// only thin the set it already thins itself, at one load per stage per
-// summary word. Measured from Ne = 2048 to 30348 (one to eight summary
-// words), the walk reads at most 5.8 % more words than with every stage's
-// summary (EXPERIMENTS.md, "One stride extraction per packet").
+// candidates fills cand with the AND of the lead summary rows the stage
+// addresses select, one per group: a superset of the words that can be
+// nonzero in the final result (one summary word covers 4096 entries), and
+// only words whose lead AND can survive: 1.5 per packet on a 2048-rule
+// firewall set (EXPERIMENTS.md, "Lead summaries").
 //
 //pclass:hotpath
 func (m *Memory) candidates(addrs []int, cand []uint64) {
-	sums, sw, order := m.sum, m.sumWords, m.order
-	s0 := sums[order[0]][addrs[order[0]]*sw:][:len(cand)]
-	s1 := sums[order[1]][addrs[order[1]]*sw:][:len(s0)]
-	s2 := sums[order[2]][addrs[order[2]]*sw:][:len(s0)]
-	s3 := sums[order[3]][addrs[order[3]]*sw:][:len(s0)]
-	for i := range s0 {
-		cand[i] = s0[i] & s1[i] & s2[i] & s3[i]
+	order, k, sw, span := m.order, uint(m.k), m.sumWords, m.span
+	for i := range cand {
+		cand[i] = ^uint64(0)
+	}
+	for g := 0; g*span < leadStages; g++ {
+		r := g
+		for _, s := range order[g*span:][:span] {
+			r = r<<k | addrs[s]
+		}
+		for i, x := range m.lead[r*sw:][:len(cand)] {
+			cand[i] &= x
+		}
 	}
 }
 
@@ -406,7 +453,7 @@ func (m *Memory) candidates(addrs []int, cand []uint64) {
 // survives the AND of every row addrs selects, and returns that word's
 // index and value — or (-1, 0) once the candidates are spent. Only
 // candidate words are ever read, in m.order: the leadStages sparsest rows
-// unconditionally, the rest with an early break the moment the word dies.
+// unconditionally, the rest through confirm.
 //
 //pclass:hotpath
 func (m *Memory) nextMatch(addrs []int, cand []uint64) (int, uint64) {
@@ -425,11 +472,7 @@ func (m *Memory) nextMatch(addrs []int, cand []uint64) (int, uint64) {
 			if word == 0 {
 				continue
 			}
-			for p := 0; word != 0 && p < len(order); p++ {
-				s := order[p]
-				word &= blk[s][addrs[s]*n+w]
-			}
-			if word != 0 {
+			if word = confirm(blk, order, addrs, n, w, word); word != 0 {
 				cand[i] = c & (c - 1)
 				return w, word
 			}
@@ -439,18 +482,33 @@ func (m *Memory) nextMatch(addrs []int, cand []uint64) (int, uint64) {
 	return -1, 0
 }
 
+// confirm ANDs word w of the rows addrs selects in the stages order lists
+// into word until it dies. Out of line, its loop keeps its variables in
+// registers; inline in nextMatch, about six spill and reload every stage.
+//
+//go:noinline
+func confirm(blk [][]uint64, order, addrs []int, n, w int, word uint64) uint64 {
+	for _, s := range order {
+		word &= blk[s][addrs[s]*n+w]
+		if word == 0 {
+			break
+		}
+	}
+	return word
+}
+
 // matchInto computes the full match vector for the strides in sc.addrs into
 // sc.acc and returns it: surviving words come from the walker, everything
 // else is zero-filled without touching stage memory.
 //
 //pclass:hotpath
 func (m *Memory) matchInto(sc *scratchState) bitvec.Vector {
-	m.candidates(sc.addrs, sc.sum)
+	m.candidates(sc.addrs, sc.cand)
 	accW := sc.acc.Words()
 	for w := range accW {
 		accW[w] = 0
 	}
-	for w, word := m.nextMatch(sc.addrs, sc.sum); w >= 0; w, word = m.nextMatch(sc.addrs, sc.sum) {
+	for w, word := m.nextMatch(sc.addrs, sc.cand); w >= 0; w, word = m.nextMatch(sc.addrs, sc.cand) {
 		accW[w] = word
 	}
 	return sc.acc
@@ -490,7 +548,7 @@ func (m *Memory) FirstInWords(addrs []int, limit int, cand []uint64) int {
 func (m *Memory) First(key []byte) int {
 	sc := m.getScratch()
 	m.stridesInto(key, sc.addrs)
-	j := m.FirstInWords(sc.addrs, m.words, sc.sum)
+	j := m.FirstInWords(sc.addrs, m.words, sc.cand)
 	m.putScratch(sc)
 	return j
 }

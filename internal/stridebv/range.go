@@ -97,8 +97,8 @@ func (e *RangeEngine) inRange(w int, word uint64, h packet.Header) uint64 {
 func (e *RangeEngine) firstMatch(h packet.Header, sc *scratchState) int {
 	key := packPrefix(h.SIP, h.DIP, h.Proto)
 	e.stridesInto(key[:], sc.addrs)
-	e.candidates(sc.addrs, sc.sum)
-	for w, word := e.nextMatch(sc.addrs, sc.sum); w >= 0; w, word = e.nextMatch(sc.addrs, sc.sum) {
+	e.candidates(sc.addrs, sc.cand)
+	for w, word := e.nextMatch(sc.addrs, sc.cand); w >= 0; w, word = e.nextMatch(sc.addrs, sc.cand) {
 		if word = e.inRange(w, word, h); word != 0 {
 			return w<<6 + bits.TrailingZeros64(word)
 		}

@@ -12,8 +12,10 @@ import (
 )
 
 // checkFresh fails unless e's stage memory is exactly that of a fresh New
-// over want: stage blocks, summaries, populations, the walk order once e is
-// reordered (in-place updates leave it stale) and the image bytes.
+// over want: stage blocks, lead summaries (those of e's own walk order
+// derived from its stored words, and after the reorder those of a fresh
+// build), populations, the walk order once e is reordered (in-place updates
+// leave it stale) and the image bytes.
 func checkFresh(t *testing.T, name string, e *Engine, want []ruleset.Ternary) {
 	t.Helper()
 	fresh, err := New(&ruleset.Expanded{
@@ -32,12 +34,15 @@ func checkFresh(t *testing.T, name string, e *Engine, want []ruleset.Ternary) {
 			}
 		}
 	}
-	if !reflect.DeepEqual(e.sum, fresh.sum) {
-		t.Fatalf("%s: summaries differ from a fresh build's", name)
+	if !reflect.DeepEqual(e.lead, e.DeriveLead()) {
+		t.Fatalf("%s: lead summaries differ from those of the stored words under order %v", name, e.order)
 	}
 	e.Reorder()
 	if !reflect.DeepEqual(e.ones, fresh.ones) || !reflect.DeepEqual(e.order, fresh.order) {
 		t.Fatalf("%s: populations %v / %v, order %v / %v", name, e.ones, fresh.ones, e.order, fresh.order)
+	}
+	if !reflect.DeepEqual(e.lead, fresh.lead) {
+		t.Fatalf("%s: lead summaries differ from a fresh build's", name)
 	}
 	var got, ref bytes.Buffer
 	if err := e.WriteImage(&got); err != nil {

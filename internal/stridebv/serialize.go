@@ -105,7 +105,7 @@ func ReadImage(r io.Reader) (*Engine, error) {
 	// corrupt tail would let the walker return an out-of-range entry).
 	tail := uint(ne % 64)
 	row := make([]byte, 8*e.words)
-	blks := e.makeBlocks(e.words)
+	blks := e.makeBlocks()
 	for _, blk := range blks {
 		for ; len(blk) > 0; blk = blk[e.words:] {
 			if _, err := io.ReadFull(r, row); err != nil {

@@ -83,7 +83,7 @@ func (e *Engine) MatchVector(key packet.Key) bitvec.Vector {
 //pclass:hotpath
 func (e *Engine) firstMatch(h packet.Header, sc *scratchState) int {
 	h.StridesInto(e.k, sc.addrs)
-	return e.FirstInWords(sc.addrs, e.words, sc.sum)
+	return e.FirstInWords(sc.addrs, e.words, sc.cand)
 }
 
 // Classify returns the highest-priority matching rule index, or -1.
