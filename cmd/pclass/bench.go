@@ -136,6 +136,11 @@ func runBench(args []string) {
 	if err != nil {
 		log.Fatalf("-skew: %v", err)
 	}
+	prof, err := ruleset.ParseProfile(*profile)
+	if err != nil {
+		log.Fatalf("-profile: %v", err)
+	}
+	tr := traffic{count: *packets, zipfS: zipfS, flows: *flows, burst: *burst, match: 0.9}
 
 	snap := benchSnapshot{
 		Date:       time.Now().UTC().Format("2006-01-02"),
@@ -151,8 +156,7 @@ func runBench(args []string) {
 			log.Fatalf("-scale-workers: %v", err)
 		}
 		scfg := scalingConfig{
-			packets: *packets, profile: *profile, skew: *skew, zipfS: zipfS,
-			flows: *flows, burst: *burst, seed: *seedFlag, stride: 4, dur: *scaleDur,
+			traffic: tr, profile: prof, skew: *skew, seed: *seedFlag, stride: 4, dur: *scaleDur,
 		}
 		if len(ks) > 0 {
 			scfg.stride = ks[0]
@@ -230,8 +234,7 @@ func runBench(args []string) {
 				for _, n := range ns {
 					for _, cacheN := range caches {
 						cfg := benchConfig{
-							packets: *packets, profile: *profile, cache: cacheN,
-							skew: *skew, zipfS: zipfS, flows: *flows, burst: *burst, seed: *seedFlag,
+							traffic: tr, profile: prof, cache: cacheN, skew: *skew, seed: *seedFlag,
 							splitter: *splitter, partitions: *partsFlag, prefixBits: *prefixBits,
 							verify: *diffVerify,
 						}
@@ -267,13 +270,10 @@ func runBench(args []string) {
 }
 
 type benchConfig struct {
-	packets    int
-	profile    string
+	traffic    traffic
+	profile    ruleset.Profile
 	cache      int
 	skew       string
-	zipfS      float64 // < 0 means uniform
-	flows      int
-	burst      float64
 	seed       int64
 	splitter   string
 	partitions int
@@ -288,14 +288,7 @@ type benchConfig struct {
 // engine's native ClassifyBatch path (or the generic fallback), with the
 // flow cache in front when -cache is set.
 func benchOne(name string, stride, rules int, cfg benchConfig) (benchResult, error) {
-	p := ruleset.FirewallProfile
-	switch cfg.profile {
-	case "feature-free":
-		p = ruleset.FeatureFree
-	case "prefix-only":
-		p = ruleset.PrefixOnly
-	}
-	rs := ruleset.Generate(ruleset.GenConfig{N: rules, Profile: p, Seed: cfg.seed, DefaultRule: true})
+	rs := ruleset.Generate(ruleset.GenConfig{N: rules, Profile: cfg.profile, Seed: cfg.seed, DefaultRule: true})
 	buildStride := stride
 	if buildStride == 0 {
 		buildStride = 4
@@ -314,19 +307,9 @@ func benchOne(name string, stride, rules int, cfg benchConfig) (benchResult, err
 			return benchResult{}, err
 		}
 	}
-	var trace []packet.Header
-	if cfg.zipfS >= 0 {
-		pop := ruleset.FlowHeaders(rs, cfg.flows, 0.9, cfg.seed+1)
-		trace, err = packet.ZipfTrace(pop, packet.ZipfTraceConfig{
-			Count: cfg.packets, S: cfg.zipfS, MeanBurst: cfg.burst, Seed: cfg.seed + 2,
-		})
-		if err != nil {
-			return benchResult{}, err
-		}
-	} else {
-		trace = ruleset.GenerateTrace(rs, ruleset.TraceConfig{
-			Count: cfg.packets, MatchFraction: 0.9, Locality: 0.3, Seed: cfg.seed + 1,
-		})
+	trace, err := cfg.traffic.generate(rs, cfg.seed+1)
+	if err != nil {
+		return benchResult{}, err
 	}
 	var cache *flowcache.Cache
 	if cfg.cache > 0 {
@@ -350,12 +333,12 @@ func benchOne(name string, stride, rules int, cfg benchConfig) (benchResult, err
 		Engine:       name,
 		Rules:        rules,
 		Stride:       stride,
-		BatchSize:    cfg.packets,
+		BatchSize:    cfg.traffic.count,
 		CacheEntries: cfg.cache,
 		NsPerPkt:     nsPerPkt,
 		AllocsPerPkt: float64(br.AllocsPerOp()) / float64(len(trace)),
 	}
-	if cfg.zipfS >= 0 || cfg.cache > 0 {
+	if cfg.traffic.zipfS >= 0 || cfg.cache > 0 {
 		r.Skew = cfg.skew
 	}
 	// Partition knobs only describe the partitioned engines; recording them
@@ -445,6 +428,31 @@ func parseCacheList(csv string) ([]int, error) {
 		return nil, fmt.Errorf("empty list")
 	}
 	return out, nil
+}
+
+// traffic is generated load: count packets of a directed trace (zipfS <
+// 0) or of Zipf flow-burst traffic over a population of flows, with match
+// of them aimed into rule match regions.
+type traffic struct {
+	count int
+	zipfS float64
+	flows int
+	burst float64
+	match float64
+}
+
+// generate draws the traffic against rs. The directed trace and the flow
+// population are seeded with seed, the Zipf burst stream with seed+1.
+func (t traffic) generate(rs *ruleset.RuleSet, seed int64) ([]packet.Header, error) {
+	if t.zipfS < 0 {
+		return ruleset.GenerateTrace(rs, ruleset.TraceConfig{
+			Count: t.count, MatchFraction: t.match, Locality: 0.3, Seed: seed,
+		}), nil
+	}
+	pop := ruleset.FlowHeaders(rs, t.flows, t.match, seed)
+	return packet.ZipfTrace(pop, packet.ZipfTraceConfig{
+		Count: t.count, S: t.zipfS, MeanBurst: t.burst, Seed: seed + 1,
+	})
 }
 
 // parseSkew maps the -skew flag to a Zipf exponent; a negative return

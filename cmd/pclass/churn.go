@@ -9,7 +9,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"time"
@@ -20,7 +19,7 @@ import (
 	"pktclass/internal/packet"
 	"pktclass/internal/ruleset"
 	"pktclass/internal/serve"
-	"pktclass/internal/update"
+	"pktclass/internal/sim"
 )
 
 // churnResult is one (engine, size, mode) churn measurement.
@@ -64,26 +63,48 @@ type churnConfig struct {
 }
 
 // churnOne measures one engine at one size in one mode: a churn-free
-// baseline phase fixes the classify p99 reference, then the churn phase
-// runs a dedicated updater flat out against the same serving setup.
+// phase fixes the classify p99 reference, then the churn phase runs an
+// updater flat out beside the same classify load on a fresh service.
 func churnOne(name string, n int, incremental bool, cfg churnConfig) (churnResult, error) {
 	rs := ruleset.Generate(ruleset.GenConfig{N: n, Profile: ruleset.PrefixOnly, Seed: cfg.seed, DefaultRule: true})
-	if rs.ExpansionFactor() != 1 {
-		return churnResult{}, fmt.Errorf("churn requires a prefix-only ruleset (expansion factor %.2f)", rs.ExpansionFactor())
-	}
 	build := func(r *ruleset.RuleSet) (core.Engine, error) {
 		return cli.BuildEngine(r, name, cfg.stride)
 	}
-	trace := ruleset.GenerateTrace(rs, ruleset.TraceConfig{
-		Count: 4096, MatchFraction: 0.9, Locality: 0.3, Seed: cfg.seed + 1,
-	})
-	baseP99, _, _, _, err := churnPhase(rs, build, trace, cfg, false, incremental)
+	trace, err := traffic{count: 4096, zipfS: -1, match: 0.9}.generate(rs, cfg.seed+1)
 	if err != nil {
 		return churnResult{}, err
 	}
-	p99, counters, ruleOps, elapsed, err := churnPhase(rs, build, trace, cfg, true, incremental)
-	if err != nil {
-		return churnResult{}, err
+	var (
+		p99      [2]int64
+		counters serve.Counters
+		out      sim.Outcome
+	)
+	for phase, ops := range []int{0, cfg.opsPerSwap} {
+		// Collect garbage left by the previous phase so its heap does not
+		// bill GC pauses to this one's latency histogram.
+		runtime.GC()
+		obs := obsv.NewObs(nil, nil)
+		svc, err := serve.New(rs.Clone(), build, serve.Config{
+			Workers:       cfg.workers,
+			Incremental:   incremental,
+			VerifyPackets: cfg.verify,
+			Seed:          cfg.seed,
+			Obs:           obs,
+		})
+		if err != nil {
+			return churnResult{}, err
+		}
+		out, err = sim.Drive(svc, sim.Load{
+			Feeds: [][]packet.Header{trace}, Batch: cfg.batch, For: cfg.dur,
+			OpsPerSwap: ops, Seed: cfg.seed + 100,
+		})
+		if cerr := svc.Close(context.Background()); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return churnResult{}, err
+		}
+		p99[phase], counters = obs.ClassifyBatch.Snapshot().Quantile(0.99), svc.Counters()
 	}
 	mode := "rebuild"
 	if incremental {
@@ -93,107 +114,20 @@ func churnOne(name string, n int, incremental bool, cfg churnConfig) (churnResul
 		Engine:           name,
 		Rules:            n,
 		Mode:             mode,
-		RuleOps:          ruleOps,
-		ClassifyP99Ns:    p99,
-		BaselineP99Ns:    baseP99,
+		RuleOps:          out.RuleOps,
+		RuleOpsPerSec:    float64(out.RuleOps) / out.Elapsed.Seconds(),
+		ClassifyP99Ns:    p99[1],
+		BaselineP99Ns:    p99[0],
 		Swaps:            counters.Swaps,
 		IncrementalSwaps: counters.IncrementalSwaps,
 		Rollbacks:        counters.IncrementalRollbacks,
 		Fallbacks:        counters.IncrementalFallbacks,
 	}
-	if elapsed > 0 {
-		r.RuleOpsPerSec = float64(ruleOps) / elapsed.Seconds()
-	}
-	if baseP99 > 0 {
-		r.P99DeltaPct = 100 * float64(p99-baseP99) / float64(baseP99)
+	if p99[0] > 0 {
+		r.P99DeltaPct = 100 * float64(p99[1]-p99[0]) / float64(p99[0])
 	}
 	return r, nil
 }
-
-// churnPhase runs one service with a continuous classify load for cfg.dur
-// and, when churn is set, an updater applying cfg.opsPerSwap-rule batches
-// as fast as the swap path commits them. It reports the classify-batch p99
-// from the service's own histogram, the final counters, and the committed
-// rule-op count over the churn phase's measured wall time.
-func churnPhase(rs *ruleset.RuleSet, build serve.BuildFunc, trace []packet.Header, cfg churnConfig, churn, incremental bool) (p99 int64, counters serve.Counters, ruleOps int64, elapsed time.Duration, err error) {
-	// Collect garbage left by the previous configuration so one phase's
-	// heap does not bill GC pauses to the next one's latency histogram.
-	runtime.GC()
-	obs := obsv.NewObs(nil, nil)
-	svc, err := serve.New(rs.Clone(), build, serve.Config{
-		Workers:       cfg.workers,
-		Incremental:   incremental,
-		VerifyPackets: cfg.verify,
-		Seed:          cfg.seed,
-		Obs:           obs,
-	})
-	if err != nil {
-		return 0, serve.Counters{}, 0, 0, err
-	}
-	defer svc.Close(context.Background())
-
-	stop := make(chan struct{})
-	classifierDone := make(chan error, 1)
-	go func() {
-		lo := 0
-		for {
-			select {
-			case <-stop:
-				classifierDone <- nil
-				return
-			default:
-			}
-			hi := lo + cfg.batch
-			if hi > len(trace) {
-				lo, hi = 0, cfg.batch
-			}
-			if _, err := svc.Classify(context.Background(), trace[lo:hi]); err != nil {
-				classifierDone <- err
-				return
-			}
-			lo = hi
-		}
-	}()
-
-	start := time.Now()
-	deadline := start.Add(cfg.dur)
-	seed := cfg.seed + 100
-	for time.Now().Before(deadline) {
-		if !churn {
-			time.Sleep(time.Millisecond)
-			continue
-		}
-		ops, err := update.GenerateOps(svc.RuleSet(), cfg.opsPerSwap, seed)
-		if err != nil {
-			close(stop)
-			<-classifierDone
-			return 0, serve.Counters{}, 0, 0, err
-		}
-		seed++
-		if err := svc.ApplyOps(ops); err != nil {
-			// A rolled-back swap is a measured outcome, not a harness error;
-			// its ops did not commit and are not counted.
-			if !isRollback(err) {
-				close(stop)
-				<-classifierDone
-				return 0, serve.Counters{}, 0, 0, err
-			}
-			continue
-		}
-		ruleOps += int64(len(ops))
-	}
-	elapsed = time.Since(start)
-	close(stop)
-	if err := <-classifierDone; err != nil {
-		return 0, serve.Counters{}, 0, 0, err
-	}
-	if err := svc.Close(context.Background()); err != nil {
-		return 0, serve.Counters{}, 0, 0, err
-	}
-	return obs.ClassifyBatch.Snapshot().Quantile(0.99), svc.Counters(), ruleOps, elapsed, nil
-}
-
-func isRollback(err error) bool { return errors.Is(err, serve.ErrRolledBack) }
 
 func printChurnRow(r churnResult) {
 	fmt.Printf("%-12s N=%-6d %-12s %10.0f ops/s  p99 %8s (baseline %8s, %+5.1f%%)  swaps=%d inc=%d rb=%d fb=%d\n",

@@ -10,14 +10,13 @@ package main
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pktclass/internal/cli"
 	"pktclass/internal/packet"
 	"pktclass/internal/ruleset"
 	"pktclass/internal/serve"
+	"pktclass/internal/sim"
 )
 
 // scalingResult is one (engine, ruleset size, worker count) point of the
@@ -47,47 +46,23 @@ type scalingResult struct {
 // scalingConfig carries the sweep knobs shared with the classification
 // bench plus the per-point measurement duration.
 type scalingConfig struct {
-	packets int
-	profile string
+	traffic traffic
+	profile ruleset.Profile
 	cache   int
 	skew    string
-	zipfS   float64
-	flows   int
-	burst   float64
 	seed    int64
 	stride  int
 	dur     time.Duration
 }
 
-// scalingTrace builds one feeder's submission batch. Each feeder gets its
-// own flow population slice (distinct seed): feeders model independent
-// NIC queues, and sharing one flow set would let the private caches of a
-// W-worker point serve another feeder's warm-up.
-func scalingTrace(rs *ruleset.RuleSet, cfg scalingConfig, feeder int) ([]packet.Header, error) {
-	seed := cfg.seed + int64(feeder)*101
-	if cfg.zipfS >= 0 {
-		pop := ruleset.FlowHeaders(rs, cfg.flows, 0.9, seed+1)
-		return packet.ZipfTrace(pop, packet.ZipfTraceConfig{
-			Count: cfg.packets, S: cfg.zipfS, MeanBurst: cfg.burst, Seed: seed + 2,
-		})
-	}
-	return ruleset.GenerateTrace(rs, ruleset.TraceConfig{
-		Count: cfg.packets, MatchFraction: 0.9, Locality: 0.3, Seed: seed + 1,
-	}), nil
-}
-
 // scalingPoint measures one worker count: W feeders hammer a W-worker
 // steered service for cfg.dur and the aggregate completed-packet rate is
-// the point's throughput.
+// the point's throughput. Each feeder gets its own flow population
+// (distinct seed): feeders model independent NIC queues, and sharing one
+// flow set would let the private caches of a W-worker point serve another
+// feeder's warm-up.
 func scalingPoint(name string, rules, workers int, cfg scalingConfig) (scalingResult, error) {
-	p := ruleset.FirewallProfile
-	switch cfg.profile {
-	case "feature-free":
-		p = ruleset.FeatureFree
-	case "prefix-only":
-		p = ruleset.PrefixOnly
-	}
-	rs := ruleset.Generate(ruleset.GenConfig{N: rules, Profile: p, Seed: cfg.seed, DefaultRule: true})
+	rs := ruleset.Generate(ruleset.GenConfig{N: rules, Profile: cfg.profile, Seed: cfg.seed, DefaultRule: true})
 	build := cli.EngineBuilderOpts(name, cli.Options{Stride: cfg.stride})
 	svc, err := serve.New(rs, build, serve.Config{
 		Workers:      workers,
@@ -97,64 +72,41 @@ func scalingPoint(name string, rules, workers int, cfg scalingConfig) (scalingRe
 	if err != nil {
 		return scalingResult{}, err
 	}
+	defer svc.Close(context.Background())
 
-	traces := make([][]packet.Header, workers)
-	outs := make([][]int, workers)
-	for f := 0; f < workers; f++ {
-		if traces[f], err = scalingTrace(rs, cfg, f); err != nil {
+	load := sim.Load{Feeds: make([][]packet.Header, workers), Batch: cfg.traffic.count}
+	for f := range load.Feeds {
+		if load.Feeds[f], err = cfg.traffic.generate(rs, cfg.seed+int64(f)*101+1); err != nil {
 			return scalingResult{}, err
 		}
-		outs[f] = make([]int, len(traces[f]))
-		// Warm-up: grow the steer scratch pool and fill the private caches
-		// so the timed window measures steady state, not cold misses.
-		if err := svc.ClassifySteered(traces[f], outs[f]); err != nil {
-			return scalingResult{}, err
-		}
+	}
+	// Warm-up: grow the steer scratch pool and fill the private caches so
+	// the timed window measures steady state, not cold misses.
+	if _, err := sim.Drive(svc, load); err != nil {
+		return scalingResult{}, err
 	}
 	warm, _ := svc.CacheStats()
 	// Baseline load sample: the measured window's imbalance index is the
 	// delta between this sample and the end-of-window one, so warm-up
 	// traffic never pollutes it.
 	svc.ImbalanceIndex()
-
-	var classified atomic.Int64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	start := time.Now()
-	for f := 0; f < workers; f++ {
-		wg.Add(1)
-		go func(trace []packet.Header, out []int) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := svc.ClassifySteered(trace, out); err != nil {
-					return
-				}
-				classified.Add(int64(len(trace)))
-			}
-		}(traces[f], outs[f])
+	load.For = cfg.dur
+	out, err := sim.Drive(svc, load)
+	if err != nil {
+		return scalingResult{}, err
 	}
-	time.Sleep(cfg.dur)
-	close(stop)
-	wg.Wait()
-	elapsed := time.Since(start)
-	imbalance := svc.ImbalanceIndex()
 
 	r := scalingResult{
 		Engine:       name,
 		Rules:        rules,
 		Workers:      workers,
-		BatchSize:    cfg.packets,
+		BatchSize:    cfg.traffic.count,
 		CacheEntries: cfg.cache,
-		PktsPerSec:   float64(classified.Load()) / elapsed.Seconds(),
+		PktsPerSec:   float64(out.Packets) / out.Elapsed.Seconds(),
+		Imbalance:    svc.ImbalanceIndex(),
 	}
 	r.Mpps = r.PktsPerSec / 1e6
-	r.Imbalance = imbalance
-	if cfg.zipfS >= 0 || cfg.cache > 0 {
+	if cfg.traffic.zipfS >= 0 || cfg.cache > 0 {
 		r.Skew = cfg.skew
 	}
 	if st, ok := svc.CacheStats(); ok {

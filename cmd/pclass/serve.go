@@ -10,8 +10,6 @@ import (
 	"log"
 	"os"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pktclass/internal/cli"
@@ -20,7 +18,6 @@ import (
 	"pktclass/internal/ruleset"
 	"pktclass/internal/serve"
 	"pktclass/internal/sim"
-	"pktclass/internal/update"
 )
 
 func runServe(args []string) {
@@ -63,9 +60,8 @@ func runServe(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hdrs, err := loadOrGenerateTrace(*tracePath, rs, traceSpec{
-		packets: *packets, skew: *skew, flows: *flows, burst: *burst, seed: *seed,
-	})
+	hdrs, err := loadOrGenerateTrace(*tracePath, rs, *skew,
+		traffic{count: *packets, flows: *flows, burst: *burst, match: 0.8}, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,35 +76,6 @@ func runServe(args []string) {
 	if *obsvAddr != "" || *sample > 0 || *top > 0 {
 		obs = newObs(*sample)
 	}
-
-	if *measure {
-		res, err := sim.ServeTrace(rs, build, hdrs, sim.ServeConfig{
-			Workers:      *workers,
-			QueueDepth:   *queue,
-			BatchSize:    *batch,
-			Swaps:        *swaps,
-			OpsPerSwap:   *opsPerSwap,
-			CacheEntries: *cacheN,
-			Churn:        true,
-			Incremental:  *incremental,
-			Seed:         *seed,
-			Obs:          obs,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("packets          %d\n", res.Packets)
-		fmt.Printf("elapsed          %s\n", res.Elapsed)
-		fmt.Printf("throughput       %.0f pkt/s under churn\n", res.PacketsPerSec)
-		fmt.Printf("baseline         %.0f pkt/s churn-free\n", res.BaselinePacketsPerSec)
-		fmt.Printf("degradation      %.1f%%\n", res.DegradationPct)
-		fmt.Print(res.Counters.Table())
-		if obs != nil {
-			printObsSummary(obs)
-		}
-		return
-	}
-
 	svc, err := serve.New(rs, build, serve.Config{
 		Workers:      *workers,
 		QueueDepth:   *queue,
@@ -133,68 +100,48 @@ func runServe(args []string) {
 			obsSrv.Shutdown(shCtx)
 		}()
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), *duration)
-	defer cancel()
-
-	var wg sync.WaitGroup
-	var total atomic.Int64
-	for c := 0; c < *clients; c++ {
-		wg.Add(1)
-		go func(off int) {
-			defer wg.Done()
-			lo := (off * *batch) % len(hdrs)
-			for ctx.Err() == nil {
-				hi := lo + *batch
-				if hi > len(hdrs) {
-					hi = len(hdrs)
-				}
-				res, err := svc.Classify(ctx, hdrs[lo:hi])
-				if err != nil {
-					return
-				}
-				total.Add(int64(len(res)))
-				lo = hi % len(hdrs)
-			}
-		}(c)
+	// -measure replays the trace once, one contiguous feed per worker, and
+	// sets it against ClassifyBatch on a churn-free engine with the same
+	// shares; otherwise -clients feeders cycle the trace for -duration.
+	load := sim.Load{Batch: *batch, Seed: *seed + 1}
+	var baseline sim.BatchResult
+	if *measure {
+		eng, err := build(rs)
+		if err != nil {
+			log.Fatalf("baseline build: %v", err)
+		}
+		baseline = sim.ClassifyBatch(eng, hdrs, svc.Workers())
+		load.Feeds, load.OpsPerSwap, load.Swaps = sim.Split(hdrs, svc.Workers()), *opsPerSwap, *swaps
+	} else {
+		load.Feeds, load.For = sim.Split(hdrs, *clients), *duration
+		if *updateEvery > 0 {
+			load.OpsPerSwap, load.Every = *opsPerSwap, *updateEvery
+		}
 	}
-	if *updateEvery > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tick := time.NewTicker(*updateEvery)
-			defer tick.Stop()
-			s := *seed + 1
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					ops, err := update.GenerateOps(svc.RuleSet(), *opsPerSwap, s)
-					if err != nil {
-						log.Print(err)
-						return
-					}
-					s++
-					if err := svc.ApplyOps(ops); err != nil {
-						log.Print(err)
-						return
-					}
-				}
-			}
-		}()
+	out, err := sim.Drive(svc, load)
+	if err != nil {
+		log.Fatal(err)
 	}
-	wg.Wait()
 	closeCtx, closeCancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer closeCancel()
 	if err := svc.Close(closeCtx); err != nil {
 		log.Fatalf("shutdown: %v", err)
 	}
 
-	fmt.Printf("engine           %s\n", svc.Engine().Name())
-	fmt.Printf("clients          %d over %s\n", *clients, *duration)
-	fmt.Printf("throughput       %.0f pkt/s\n", float64(total.Load())/duration.Seconds())
-	fmt.Printf("steered workers  %v packets each\n", svc.WorkerClassified())
-	fmt.Printf("imbalance index  %.3f (max/mean worker load; 1.0 = balanced)\n", svc.ImbalanceIndex())
+	pps := float64(out.Packets) / out.Elapsed.Seconds()
+	if *measure {
+		fmt.Printf("packets          %d\n", out.Packets)
+		fmt.Printf("elapsed          %s\n", out.Elapsed)
+		fmt.Printf("throughput       %.0f pkt/s under churn\n", pps)
+		fmt.Printf("baseline         %.0f pkt/s churn-free\n", baseline.PacketsPerSec)
+		fmt.Printf("degradation      %.1f%%\n", 100*(baseline.PacketsPerSec-pps)/baseline.PacketsPerSec)
+	} else {
+		fmt.Printf("engine           %s\n", svc.Engine().Name())
+		fmt.Printf("clients          %d over %s\n", len(load.Feeds), *duration)
+		fmt.Printf("throughput       %.0f pkt/s\n", pps)
+		fmt.Printf("steered workers  %v packets each\n", svc.WorkerClassified())
+		fmt.Printf("imbalance index  %.3f (max/mean worker load; 1.0 = balanced)\n", svc.ImbalanceIndex())
+	}
 	fmt.Print(svc.Counters().Table())
 	if *top > 0 {
 		printTopFlows(svc, *top)
@@ -233,37 +180,19 @@ func printJournalTail(j *obsv.Journal, n int) {
 	}
 }
 
-// traceSpec parameterizes generated load: packet count plus the skew knobs
-// of the Zipf flow-burst generator.
-type traceSpec struct {
-	packets int
-	skew    string
-	flows   int
-	burst   float64
-	seed    int64
-}
-
-// loadOrGenerateTrace reads the trace file when given, or generates load
-// from the ruleset: a directed trace for -skew uniform, a Zipf flow-burst
-// trace for -skew zipf:S.
-func loadOrGenerateTrace(path string, rs *ruleset.RuleSet, spec traceSpec) ([]packet.Header, error) {
+// loadOrGenerateTrace reads the trace file when given, or generates t
+// against the ruleset: a directed trace for -skew uniform, a Zipf
+// flow-burst trace for -skew zipf:S.
+func loadOrGenerateTrace(path string, rs *ruleset.RuleSet, skew string, t traffic, seed int64) ([]packet.Header, error) {
 	if path != "" {
 		return cli.LoadTrace(path)
 	}
-	if spec.packets <= 0 {
+	if t.count <= 0 {
 		return nil, fmt.Errorf("pclass serve: -packets must be positive when no -trace is given")
 	}
-	zipfS, err := parseSkew(spec.skew)
-	if err != nil {
+	var err error
+	if t.zipfS, err = parseSkew(skew); err != nil {
 		return nil, fmt.Errorf("pclass serve: -skew: %w", err)
 	}
-	if zipfS < 0 {
-		return ruleset.GenerateTrace(rs, ruleset.TraceConfig{
-			Count: spec.packets, MatchFraction: 0.8, Locality: 0.3, Seed: spec.seed,
-		}), nil
-	}
-	pop := ruleset.FlowHeaders(rs, spec.flows, 0.8, spec.seed)
-	return packet.ZipfTrace(pop, packet.ZipfTraceConfig{
-		Count: spec.packets, S: zipfS, MeanBurst: spec.burst, Seed: spec.seed + 1,
-	})
+	return t.generate(rs, seed)
 }

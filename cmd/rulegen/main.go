@@ -40,20 +40,9 @@ func main() {
 
 	var rs *ruleset.RuleSet
 	switch *profile {
-	case "firewall", "feature-free", "prefix-only":
-		p := ruleset.FirewallProfile
-		switch *profile {
-		case "feature-free":
-			p = ruleset.FeatureFree
-		case "prefix-only":
-			p = ruleset.PrefixOnly
-		}
-		rs = ruleset.Generate(ruleset.GenConfig{N: *n, Profile: p, Seed: *seed, DefaultRule: *defRule})
 	case "acl", "fw", "ipc":
-		var sd *ruleset.Seed
+		sd := ruleset.ACLSeed()
 		switch *profile {
-		case "acl":
-			sd = ruleset.ACLSeed()
 		case "fw":
 			sd = ruleset.FWSeed()
 		case "ipc":
@@ -69,7 +58,11 @@ func main() {
 			rs.Rules = append(rs.Rules[:len(rs.Rules)-1], ruleset.NewWildcardRule(ruleset.Action{Kind: ruleset.Drop}))
 		}
 	default:
-		log.Fatalf("unknown profile %q", *profile)
+		p, err := ruleset.ParseProfile(*profile)
+		if err != nil {
+			log.Fatal(err)
+		}
+		rs = ruleset.Generate(ruleset.GenConfig{N: *n, Profile: p, Seed: *seed, DefaultRule: *defRule})
 	}
 
 	w := os.Stdout

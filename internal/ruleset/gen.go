@@ -24,7 +24,8 @@ const (
 	FeatureFree
 	// PrefixOnly emits rules whose port fields are single prefixes, so the
 	// ternary expansion factor is exactly 1 (Ne == N). The paper's hardware
-	// sizing is in TCAM entries; this profile makes N the entry count.
+	// sizing is in TCAM entries; this profile makes N the entry count. It
+	// stays last: ParseProfile stops at it.
 	PrefixOnly
 )
 
@@ -38,6 +39,16 @@ func (p Profile) String() string {
 		return "prefix-only"
 	}
 	return fmt.Sprintf("Profile(%d)", int(p))
+}
+
+// ParseProfile is the inverse of Profile.String.
+func ParseProfile(name string) (Profile, error) {
+	for p := FirewallProfile; p <= PrefixOnly; p++ {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("ruleset: unknown profile %q", name)
 }
 
 // GenConfig parameterizes synthetic ruleset generation.

@@ -175,3 +175,17 @@ func TestHeaderInMaskedProtocolRule(t *testing.T) {
 		t.Fatal("don't-care protocol bits never varied")
 	}
 }
+
+func TestParseProfileRoundTrips(t *testing.T) {
+	for _, p := range []Profile{FirewallProfile, FeatureFree, PrefixOnly} {
+		got, err := ParseProfile(p.String())
+		if err != nil || got != p {
+			t.Fatalf("ParseProfile(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	for _, name := range []string{"", "prefixonly", "Firewall", "acl", "Profile(3)"} {
+		if p, err := ParseProfile(name); err == nil {
+			t.Fatalf("ParseProfile(%q) = %v, want an error", name, p)
+		}
+	}
+}

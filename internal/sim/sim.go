@@ -1,8 +1,8 @@
 // Package sim drives classification engines over packet traces: a
-// goroutine-parallel batch harness for software throughput, and
-// cycle-accounted runs of the hardware-accurate models (the StrideBV
-// dual-port pipeline and the SRL16E TCAM), from which hardware throughput
-// at a given clock follows directly.
+// goroutine-parallel batch harness for software throughput, Drive, the one
+// load driver for the serving layer, and cycle-accounted runs of the
+// hardware-accurate models (the StrideBV dual-port pipeline and the SRL16E
+// TCAM), from which hardware throughput at a given clock follows directly.
 package sim
 
 import (
@@ -51,21 +51,14 @@ func ClassifyBatch(eng core.Engine, trace []packet.Header, workers int) BatchRes
 	results := make([]int, len(trace))
 	start := time.Now()
 	var wg sync.WaitGroup
-	chunk := (len(trace) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(trace) {
-			hi = len(trace)
-		}
-		if lo >= hi {
-			break
-		}
+	off := 0
+	for _, c := range Split(trace, workers) {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(c []packet.Header, res []int) {
 			defer wg.Done()
-			core.ClassifyBatchInto(eng, trace[lo:hi], results[lo:hi])
-		}(lo, hi)
+			core.ClassifyBatchInto(eng, c, res)
+		}(c, results[off:off+len(c)])
+		off += len(c)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
@@ -74,6 +67,21 @@ func ClassifyBatch(eng core.Engine, trace []packet.Header, workers int) BatchRes
 		r.PacketsPerSec = float64(len(trace)) / elapsed.Seconds()
 	}
 	return r
+}
+
+// Split cuts trace into contiguous chunks of ceil(len/n) packets, at most
+// n of them: ClassifyBatch's per-worker shares, and the feeds of a Drive
+// replay measured against it.
+func Split(trace []packet.Header, n int) [][]packet.Header {
+	if n < 1 {
+		return nil
+	}
+	var chunks [][]packet.Header
+	chunk := (len(trace) + n - 1) / n
+	for lo := 0; lo < len(trace); lo += chunk {
+		chunks = append(chunks, trace[lo:min(lo+chunk, len(trace))])
+	}
+	return chunks
 }
 
 // HardwareRun is the outcome of a cycle-accurate engine simulation.

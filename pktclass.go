@@ -86,12 +86,9 @@ func ParseRuleSetString(s string) (*RuleSet, error) { return ruleset.ParseString
 // GenerateRuleSet produces a deterministic synthetic ruleset with n rules.
 // Profile strings: "firewall" (default), "feature-free", "prefix-only".
 func GenerateRuleSet(n int, profile string, seed int64) *RuleSet {
-	p := ruleset.FirewallProfile
-	switch profile {
-	case "feature-free":
-		p = ruleset.FeatureFree
-	case "prefix-only":
-		p = ruleset.PrefixOnly
+	p, err := ruleset.ParseProfile(profile)
+	if err != nil {
+		p = ruleset.FirewallProfile
 	}
 	return ruleset.Generate(ruleset.GenConfig{N: n, Profile: p, Seed: seed, DefaultRule: true})
 }
