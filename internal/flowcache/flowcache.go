@@ -11,35 +11,44 @@
 // # Structure
 //
 // There is one table type, Private: a power-of-two array of
-// set-associative buckets (hash low bits) of bucketWays entries with a
-// per-bucket CLOCK hand giving second-chance eviction, owned by a single
-// goroutine. Capacity is fixed at construction: the steady state allocates
-// nothing, inserts into a full bucket evict in place, and the whole
-// structure is one flat slice. The serving layer gives every steered
-// worker its own Private. Cache is the same table behind one mutex, for
-// callers that share a cache between goroutines; its batch path takes the
-// lock once to probe and once to insert, never across the engine call.
+// set-associative buckets (hash low bits) of bucketWays 16-byte slots —
+// the tuple's two words, the result riding in the low bits the tuple
+// leaves zero — under one 16-byte header holding the generation, the
+// valid and CLOCK reference bits and the hand for second-chance eviction,
+// 18 bytes an entry; a Private is owned by a single goroutine. Capacity is
+// fixed at construction: the steady state allocates nothing, inserts into
+// a full bucket evict in place, and the whole structure is one flat slice.
+// The serving layer gives every steered worker its own Private. Cache is
+// the same table behind one mutex, for callers that share a cache between
+// goroutines; its batch path takes the lock once to probe and once to
+// insert, never across the engine call.
 //
 // # Generations
 //
 // Correctness under the serving layer's atomic engine hot-swap is the
-// point of the design. Every entry is tagged with the generation of the
-// engine build that produced its result, and generations are allocated —
-// never reused — by NextGeneration. A lookup only hits when the entry's
-// tag equals the generation the caller is serving; after a swap installs a
-// build with a fresh generation, every entry written by retired builds
-// becomes a lazy miss (counted as a stale drop when its slot is reclaimed).
-// There is no stop-the-world flush and readers never block: a batch still
-// in flight on the previous build keeps hitting that build's entries —
-// exactly the batch-on-one-engine-version semantics the serving layer
-// already guarantees — while batches on the new build repopulate slots as
-// they miss. Because a generation names one immutable engine build, a hit
-// can never return a decision from any other build, regardless of how
-// loads and swaps interleave.
+// point of the design. Generations are allocated — never reused — by
+// NextGeneration, one per engine build, and each bucket records the one
+// generation all its entries were stored under. A lookup only hits when
+// the bucket's generation equals the generation the caller is serving.
+// After a swap installs a build with a fresh generation, every bucket
+// written by retired builds becomes a lazy miss; the first insert under
+// the new generation retires the bucket, emptying it, and the valid
+// entries it empties are counted as stale drops. An insert under a
+// generation older than the bucket's is answered to its caller but not
+// stored, and so is a result of 2^24−1 or above (rule indices past 16M)
+// or below −1, which a slot has no room for. There is no stop-the-world
+// flush and readers never block: a batch still in flight on the previous
+// build misses where the new build has retired a bucket and reaches that
+// build's engine — exactly the batch-on-one-engine-version semantics the
+// serving layer already guarantees — while batches on the new build
+// repopulate buckets as they miss. Because a generation names one immutable engine
+// build, a hit can never return a decision from any other build,
+// regardless of how loads and swaps interleave.
 package flowcache
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -48,23 +57,34 @@ import (
 )
 
 // bucketWays is the set associativity: the CLOCK hand sweeps this many
-// candidates before a victim is forced, bounding probe work per lookup.
+// candidates before a victim is forced, bounding probe work per lookup. A
+// bucket's valid and reference bits are one byte each, so it is at most 8.
 const bucketWays = 8
 
-// entry is one cached classification, keyed on the tuple's two words
-// (packet.Header.Words); an entry is 32 bytes. gen 0 marks an empty slot
-// (NextGeneration starts at 1).
-type entry struct {
-	hi, lo uint64
-	gen    uint64
-	result int32
-	ref    bool // CLOCK second-chance bit, set on hit
-}
+// A slot's result rides in the low resultBits bits of its lo word, which
+// packet.Header.Words and packet.Key.Words always leave zero, stored as
+// result+1 so that the no-match result -1 is 0. Results outside
+// [-1, maxResult] are answered but never stored.
+const (
+	resultBits = 24
+	resultMask = 1<<resultBits - 1
+	maxResult  = resultMask - 1
+)
 
-// bucket is one set: bucketWays entries plus the CLOCK hand.
+// slot is one cached classification: the tuple's two words
+// (packet.Header.Words), lo carrying result+1 in its resultBits low bits.
+// A slot is 16 bytes; whether it holds anything is its bucket's business.
+type slot struct{ hi, lo uint64 }
+
+// bucket is one set: bucketWays slots under one header — the generation
+// every valid slot was stored under, the valid and CLOCK reference bits
+// (bit i for slot i) and the CLOCK hand. A bucket is 144 bytes, 18 per
+// entry.
 type bucket struct {
-	hand    uint8
-	entries [bucketWays]entry
+	gen        uint64
+	valid, ref uint8
+	hand       uint8
+	slots      [bucketWays]slot
 }
 
 // Config sizes a Cache.
@@ -79,7 +99,7 @@ type Stats struct {
 	Hits       int64  // lookups answered from the cache
 	Misses     int64  // lookups that fell through to the engine
 	Evictions  int64  // live same-generation entries displaced by CLOCK
-	StaleDrops int64  // retired-generation entries dropped or overwritten
+	StaleDrops int64  // entries emptied when a newer generation retired their bucket
 	Entries    int    // fixed capacity
 	Shards     int    // tables behind the snapshot (1, or serve's worker count)
 	Generation uint64 // newest generation handed out (0 before any build)
@@ -153,87 +173,85 @@ func (c *Cache) Stats() Stats {
 //pclass:hotpath
 func Hash(k packet.Key) uint64 { return k.Hash() }
 
-// lookup probes the bucket for the flow hi:lo at generation gen. The
-// second return distinguishes a hit from a miss; staleDropped reports that
-// a same-flow entry from a retired generation was dropped (a lazy miss
-// whose slot the reinsert will reclaim). The caller supplies the
-// synchronization and owns the counters.
+// lookup probes the bucket for the flow hi:lo at generation gen. It hits
+// only when the bucket holds generation gen, and writes nothing but the
+// hit slot's reference bit. The caller supplies the synchronization and
+// owns the counters.
 //
 //pclass:hotpath
-func (b *bucket) lookup(hi, lo, gen uint64) (result int32, hit, staleDropped bool) {
-	for i := range b.entries {
-		e := &b.entries[i]
-		if e.hi == hi && e.lo == lo && e.gen != 0 {
-			if e.gen == gen {
-				e.ref = true
-				return e.result, true, false
-			}
-			// Same flow, retired build: a lazy miss. Drop it now so the
-			// reinsert reclaims this slot instead of evicting a live entry.
-			e.gen = 0
-			return 0, false, true
+func (b *bucket) lookup(hi, lo, gen uint64) (result int32, hit bool) {
+	if b.gen != gen {
+		return 0, false
+	}
+	for i := range b.slots {
+		s := &b.slots[i]
+		if s.hi == hi && s.lo&^resultMask == lo && b.valid&(1<<i) != 0 {
+			b.ref |= 1 << i
+			return int32(s.lo&resultMask) - 1, true
 		}
 	}
-	return 0, false, false
+	return 0, false
 }
 
-// insert stores (hi:lo, gen, result), preferring in place the same flow,
-// then an empty or stale slot, then the CLOCK victim. evicted reports a live
-// same-generation entry was displaced; staleDropped that a
-// retired-generation entry was overwritten (one left in its slot is not
-// counted: the insert that reclaims it will). Synchronization is the
-// caller's, as with lookup.
+// insert stores (hi:lo, result) under gen. Under a generation newer than
+// the bucket's it first retires the bucket — empties every slot, the valid
+// ones being its staleDrops — and under an older one it stores nothing:
+// that build has been replaced, and no lookup of the bucket's generation
+// may see its result. A result outside [-1, maxResult] is not stored either,
+// and drops the flow's slot if it has one, so no hit returns a result this
+// insert superseded. Otherwise the flow's slot is refreshed in place, or
+// the first empty slot taken, or the CLOCK victim evicted (evicted reports
+// it). Synchronization is the caller's, as with lookup.
 //
 //pclass:hotpath
-func (b *bucket) insert(hi, lo, gen uint64, result int32) (evicted, staleDropped bool) {
+func (b *bucket) insert(hi, lo, gen uint64, result int32) (evicted bool, staleDrops int) {
+	if gen < b.gen {
+		return false, 0
+	}
+	if gen != b.gen {
+		staleDrops = bits.OnesCount8(b.valid)
+		b.gen, b.valid, b.ref = gen, 0, 0
+	}
+	keep := uint32(result+1) <= resultMask
 	victim := -1
-	for i := range b.entries {
-		e := &b.entries[i]
+	for i := range b.slots {
+		s := &b.slots[i]
 		switch {
-		case e.gen == 0:
+		case b.valid&(1<<i) == 0:
 			if victim < 0 {
 				victim = i
 			}
-		case e.hi == hi && e.lo == lo:
-			// Refresh in place (a concurrent batch may have raced the same
-			// miss, or the flow was re-classified under a newer build). A
-			// cross-generation refresh is effectively a new entry, so it
-			// also loses any accumulated second chance.
-			staleDropped = e.gen != gen
-			if staleDropped {
-				e.ref = false
+		case s.hi == hi && s.lo&^resultMask == lo:
+			// Refresh in place: a concurrent batch raced the same miss.
+			if keep {
+				s.lo = lo | uint64(result+1)
+			} else {
+				b.valid &^= 1 << i
 			}
-			e.gen, e.result = gen, result
-			return false, staleDropped
-		case e.gen != gen && victim < 0:
-			// Retired-generation entries are dead weight; reclaim before
-			// touching any live entry.
-			victim, staleDropped = i, true
+			return false, staleDrops
 		}
+	}
+	if !keep {
+		return false, staleDrops
 	}
 	if victim < 0 {
-		// Second chance: sweep the hand, clearing ref bits, and evict the
-		// first entry that was not hit since the last sweep. Bounded at two
-		// laps, after which the hand's entry is taken unconditionally.
-		for sweep := 0; sweep < 2*bucketWays; sweep++ {
-			e := &b.entries[b.hand]
-			if !e.ref {
-				victim = int(b.hand)
-				b.hand = (b.hand + 1) % bucketWays
-				break
-			}
-			e.ref = false
+		// Second chance: sweep the hand, clearing reference bits, and evict
+		// the first slot not hit since the last sweep. Within one lap every
+		// bit is clear, so the loop ends by the hand's second visit.
+		for b.ref&(1<<b.hand) != 0 {
+			b.ref &^= 1 << b.hand
 			b.hand = (b.hand + 1) % bucketWays
 		}
-		if victim < 0 {
-			victim = int(b.hand)
-		}
+		victim = int(b.hand)
+		b.hand = (b.hand + 1) % bucketWays
 		evicted = true
 	}
-	// New entries start unreferenced: second chance is earned by a hit,
+	// New slots start unreferenced: second chance is earned by a hit,
 	// otherwise a stream of one-shot flows would flush every hot entry.
-	b.entries[victim] = entry{hi: hi, lo: lo, gen: gen, result: result}
-	return evicted, staleDropped
+	b.slots[victim] = slot{hi: hi, lo: lo | uint64(result+1)}
+	b.valid |= 1 << victim
+	b.ref &^= 1 << victim
+	return evicted, staleDrops
 }
 
 // Lookup probes the cache for one key at generation gen.

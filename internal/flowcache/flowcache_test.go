@@ -93,17 +93,78 @@ func TestGenerationMismatchIsMiss(t *testing.T) {
 		if _, ok := tb.Lookup(h.Key(), g2); ok {
 			t.Fatal("hit on a retired generation's entry")
 		}
-		if sd := tb.Stats().StaleDrops; sd != 1 {
-			t.Fatalf("stale drops = %d, want 1", sd)
+		// The lookup writes nothing: the drop is counted when the reinsert
+		// under g2 retires the bucket and empties the g1 entry.
+		if sd := tb.Stats().StaleDrops; sd != 0 {
+			t.Fatalf("stale drops after the lookup = %d, want 0", sd)
 		}
-		// The stale slot was reclaimed; reinsert and hit under g2.
 		tb.Insert(h.Key(), g2, 9)
+		if sd := tb.Stats().StaleDrops; sd != 1 {
+			t.Fatalf("stale drops after the reinsert = %d, want 1", sd)
+		}
 		if got, ok := tb.Lookup(h.Key(), g2); !ok || got != 9 {
 			t.Fatalf("after reinsert: got (%d,%v), want (9,true)", got, ok)
 		}
 		// The old generation never becomes visible again.
 		if _, ok := tb.Lookup(h.Key(), g1); ok {
 			t.Fatal("hit under retired generation after overwrite")
+		}
+	})
+}
+
+// An insert under a generation older than the bucket's is not stored: a
+// batch still finishing on a retired build must neither evict nor retire
+// the entries the live build has cached, and its result is unreachable.
+func TestOlderGenerationInsertNotStored(t *testing.T) {
+	forEachTable(t, bucketWays, func(t *testing.T, tb table, nextGen func() uint64) {
+		g1, g2 := nextGen(), nextGen()
+		hdrs := testHeaders(2, 12)
+		a, b := hdrs[0].Key(), hdrs[1].Key()
+		tb.Insert(a, g2, 5)
+		tb.Insert(b, g1, 6)
+		if r, ok := tb.Lookup(a, g2); !ok || r != 5 {
+			t.Fatalf("live entry after an older insert: (%d,%v), want (5,true)", r, ok)
+		}
+		if _, ok := tb.Lookup(b, g1); ok {
+			t.Fatal("an insert under a retired generation was stored")
+		}
+		if st := tb.Stats(); st.StaleDrops != 0 || st.Evictions != 0 {
+			t.Fatalf("older insert dropped or evicted: %+v", st)
+		}
+	})
+}
+
+// A slot stores results in [-1, maxResult]; a larger one is answered but
+// not cached, and it drops the result the flow had stored, so no later hit
+// returns the value it superseded.
+func TestResultRange(t *testing.T) {
+	forEachTable(t, bucketWays, func(t *testing.T, tb table, nextGen func() uint64) {
+		gen := nextGen()
+		k := testHeaders(1, 13)[0].Key()
+		for _, r := range []int32{-1, 0, maxResult} {
+			tb.Insert(k, gen, r)
+			if got, ok := tb.Lookup(k, gen); !ok || got != r {
+				t.Fatalf("result %d: got (%d,%v)", r, got, ok)
+			}
+		}
+		for _, r := range []int32{maxResult + 1, -2} {
+			tb.Insert(k, gen, maxResult)
+			tb.Insert(k, gen, r)
+			if got, ok := tb.Lookup(k, gen); ok {
+				t.Fatalf("result %d was cached, or left %d behind", r, got)
+			}
+		}
+		hdrs := testHeaders(1, 13)
+		out := make([]int, 1)
+		var calls int
+		for i := 0; i < 2; i++ {
+			tb.ClassifyBatchInto(gen, hdrs, out, func(_ []packet.Header, o []int) { calls++; o[0] = maxResult + 1 })
+			if out[0] != maxResult+1 {
+				t.Fatalf("batch answered %d, want %d", out[0], maxResult+1)
+			}
+		}
+		if calls != 2 {
+			t.Fatalf("an unstorable result was served from the cache (%d engine calls, want 2)", calls)
 		}
 	})
 }

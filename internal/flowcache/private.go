@@ -113,10 +113,7 @@ func (p *Private) Stats() Stats {
 //pclass:hotpath
 func (p *Private) Lookup(key packet.Key, gen uint64) (int32, bool) {
 	hi, lo := key.Words()
-	r, hit, stale := p.buckets[packet.WordsHash(hi, lo)&p.bucketMask].lookup(hi, lo, gen)
-	if stale {
-		p.staleDrops.Inc()
-	}
+	r, hit := p.buckets[packet.WordsHash(hi, lo)&p.bucketMask].lookup(hi, lo, gen)
 	if hit {
 		p.hits.Inc()
 	} else {
@@ -135,8 +132,8 @@ func (p *Private) Insert(key packet.Key, gen uint64, result int32) {
 	if evicted {
 		p.evictions.Inc()
 	}
-	if stale {
-		p.staleDrops.Inc()
+	if stale > 0 {
+		p.staleDrops.Add(int64(stale))
 	}
 }
 
@@ -214,7 +211,7 @@ func (p *Private) probe(sc *batchScratch, gen uint64, hdrs []packet.Header, pre 
 	if probeHist != nil {
 		probeStart = time.Now()
 	}
-	hits, stale, m := 0, 0, 0
+	hits, m := 0, 0
 	for i, h := range hdrs {
 		hi, lo := h.Words()
 		var hv uint64
@@ -223,10 +220,7 @@ func (p *Private) probe(sc *batchScratch, gen uint64, hdrs []packet.Header, pre 
 		} else {
 			hv = packet.WordsHash(hi, lo)
 		}
-		r, hit, staleDropped := p.buckets[hv&p.bucketMask].lookup(hi, lo, gen)
-		if staleDropped {
-			stale++
-		}
+		r, hit := p.buckets[hv&p.bucketMask].lookup(hi, lo, gen)
 		if hit {
 			out[i] = int(r)
 			hits++
@@ -241,9 +235,6 @@ func (p *Private) probe(sc *batchScratch, gen uint64, hdrs []packet.Header, pre 
 	}
 	p.hits.Add(int64(hits))
 	p.misses.Add(int64(m))
-	if stale > 0 {
-		p.staleDrops.Add(int64(stale))
-	}
 	return m
 }
 
@@ -262,9 +253,7 @@ func (p *Private) fill(sc *batchScratch, gen uint64, m int, out []int) {
 		if ev {
 			evicted++
 		}
-		if st {
-			stale++
-		}
+		stale += st
 	}
 	if evicted > 0 {
 		p.evictions.Add(int64(evicted))

@@ -1,43 +1,79 @@
 package flowcache
 
 import (
+	"math"
+	"runtime"
 	"testing"
 	"unsafe"
 
 	"pktclass/internal/packet"
 )
 
-// An entry stays 32 bytes: two tuple words, the generation, the result and
-// the CLOCK bit.
-func TestEntryIs32Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(entry{}); got != 32 {
-		t.Fatalf("entry is %d bytes, want 32", got)
+// A bucket is 144 bytes: eight 16-byte slots (two tuple words, the result
+// in the low bits of the second) under one 16-byte header — 18 bytes an
+// entry.
+func TestBucketIs144Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got != 16 {
+		t.Fatalf("slot is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(bucket{}); got != 144 {
+		t.Fatalf("bucket is %d bytes, want 144", got)
 	}
 }
 
-// A retired-generation entry is counted as a stale drop when it is
-// overwritten, not each time an insert scans past it: here entry a stays
-// in its slot throughout, and only b's own entry is refreshed across the
-// generation change.
+// NewPrivate allocates 18 bytes per entry, measured as the TotalAlloc delta
+// of one construction — the way the serving benchmark reports
+// flowcache.bytes_per_entry. The Private header itself rounds away.
+func TestPrivateAllocates18BytesPerEntry(t *testing.T) {
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	p := NewPrivate(1 << 16)
+	runtime.ReadMemStats(&m1)
+	n := p.Entries()
+	runtime.KeepAlive(p)
+	if n != 1<<16 {
+		t.Fatalf("capacity %d, want %d", n, 1<<16)
+	}
+	if per := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(n); math.Abs(per-18) > 0.01 {
+		t.Fatalf("NewPrivate(1<<16) allocates %.4f B per entry, want 18", per)
+	}
+}
+
+// Stale drops are the valid entries a bucket empties when an insert under
+// a newer generation retires it — counted once, at the retirement, not
+// per lookup that misses on the old generation and not again when the new
+// generation refreshes its own entries.
 func TestStaleDropCountedOnlyWhenOverwritten(t *testing.T) {
 	p := NewPrivate(bucketWays) // one bucket
 	a := packet.Header{SIP: 1, DIP: 9, SP: 9, DP: 9, Proto: 9}.Key()
 	b := packet.Header{SIP: 2, DIP: 9, SP: 9, DP: 9, Proto: 9}.Key()
+	c := packet.Header{SIP: 3, DIP: 9, SP: 9, DP: 9, Proto: 9}.Key()
 	p.Insert(a, 1, 10)
 	p.Insert(b, 1, 20)
-	p.Insert(b, 2, 21)
-	p.Insert(b, 2, 22)
-	if got := p.Stats().StaleDrops; got != 1 {
-		t.Fatalf("stale drops = %d, want 1 (only b's retired entry was overwritten)", got)
+	if _, ok := p.Lookup(a, 2); ok {
+		t.Fatal("generation 2 hit generation 1's entry")
 	}
-	// a's retired entry is reclaimed, and counted, by the next new key.
-	c := packet.Header{SIP: 3, DIP: 9, SP: 9, DP: 9, Proto: 9}.Key()
+	if got := p.Stats().StaleDrops; got != 0 {
+		t.Fatalf("stale drops after a lookup = %d, want 0: only a retirement counts", got)
+	}
+	p.Insert(b, 2, 21)
+	if got := p.Stats().StaleDrops; got != 2 {
+		t.Fatalf("stale drops after the retiring insert = %d, want 2 (a and b emptied)", got)
+	}
+	p.Insert(b, 2, 22)
 	p.Insert(c, 2, 30)
 	if got := p.Stats().StaleDrops; got != 2 {
-		t.Fatalf("stale drops after reclaiming a = %d, want 2", got)
+		t.Fatalf("stale drops after a refresh and a new key = %d, want still 2", got)
+	}
+	if _, ok := p.Lookup(a, 2); ok {
+		t.Fatal("a survived its bucket's retirement")
 	}
 	if r, ok := p.Lookup(b, 2); !ok || r != 22 {
 		t.Fatalf("b under generation 2: got (%d,%v), want (22,true)", r, ok)
+	}
+	if got := p.Stats().Evictions; got != 0 {
+		t.Fatalf("evictions = %d, want 0", got)
 	}
 }
 

@@ -236,7 +236,7 @@ func New(rs *ruleset.RuleSet, cfg Config) (*Engine, error) {
 		}
 		p := part{eng: eng, global: g.idx, minGlobal: g.idx[0], kind: g.kind, bucket: g.bucket}
 		if p.sbv, _ = eng.(*stridebv.Engine); p.sbv != nil {
-			parent := p.sbv.Expanded().Parent
+			parent := p.sbv.Parents()
 			p.entryGlobal = make([]int32, len(parent))
 			for j, l := range parent {
 				p.entryGlobal[j] = g.idx[l]

@@ -34,7 +34,8 @@ type Load struct {
 	// must be prefix-only). It waits Every between swaps (0: back to
 	// back), attempts at most Swaps of them (0: no bound), seeds the first
 	// batch with Seed and each later one with the next seed, and stops
-	// with the feeders.
+	// with the feeders. It always attempts at least one swap: the first,
+	// drawn before any traffic, goes in at once, however short the feeds.
 	OpsPerSwap int
 	Every      time.Duration
 	Swaps      int
@@ -180,7 +181,9 @@ func feed(svc *serve.Service, hdrs []packet.Header, out []int, batch int, cycle 
 }
 
 // churn is the updater: it applies ops, then each next batch of l's swaps,
-// until stop closes or l.Swaps have been attempted.
+// until stop closes or l.Swaps have been attempted. The first batch is
+// attempted before stop is first checked, so a replay that drains before
+// the updater is scheduled still churns once.
 func churn(svc *serve.Service, l Load, ops []update.Op, stop <-chan struct{}) (ruleOps, rollbacks int64, err error) {
 	var tick <-chan time.Time
 	if l.Every > 0 {
@@ -189,19 +192,6 @@ func churn(svc *serve.Service, l Load, ops []update.Op, stop <-chan struct{}) (r
 		tick = t.C
 	}
 	for n := 1; ; n++ {
-		if tick == nil {
-			select {
-			case <-stop:
-				return ruleOps, rollbacks, nil
-			default:
-			}
-		} else {
-			select {
-			case <-stop:
-				return ruleOps, rollbacks, nil
-			case <-tick:
-			}
-		}
 		switch err := svc.ApplyOps(ops); {
 		case err == nil:
 			ruleOps += int64(len(ops))
@@ -215,6 +205,19 @@ func churn(svc *serve.Service, l Load, ops []update.Op, stop <-chan struct{}) (r
 		}
 		if ops, err = update.GenerateOps(svc.RuleSet(), l.OpsPerSwap, l.Seed+int64(n)); err != nil {
 			return ruleOps, rollbacks, fmt.Errorf("sim: updater: %w", err)
+		}
+		if tick == nil {
+			select {
+			case <-stop:
+				return ruleOps, rollbacks, nil
+			default:
+			}
+		} else {
+			select {
+			case <-stop:
+				return ruleOps, rollbacks, nil
+			case <-tick:
+			}
 		}
 	}
 }

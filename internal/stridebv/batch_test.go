@@ -179,19 +179,29 @@ func TestUpdateEntryDoesNotMutateSharedExpanded(t *testing.T) {
 	if ex.Entries[victim] != before {
 		t.Fatal("caller's Expanded was mutated by UpdateEntry")
 	}
-	if e.Expanded().Entries[victim] != repl {
-		t.Fatal("engine's own view does not reflect the update")
-	}
 	if got := e.Classify(hit); got == victim {
 		t.Fatal("engine still matches the replaced entry")
 	}
-
-	// A second update must not re-copy (the engine now owns its table).
-	own := e.Expanded()
+	// The engine agrees with a build over the test's own expansion with the
+	// update applied, and writing the old entry back restores the original.
+	checkMatchVectors(t, e, applied(ex, []int{victim}, []ruleset.Ternary{repl}), trace)
 	if err := e.UpdateEntry(victim, before); err != nil {
 		t.Fatal(err)
 	}
-	if e.Expanded() != own {
-		t.Fatal("second update re-copied the entry table")
+	checkMatchVectors(t, e, ex, trace)
+}
+
+// checkMatchVectors fails unless e's match vector equals that of a fresh
+// build over want for every header of trace.
+func checkMatchVectors(t *testing.T, e *Engine, want *ruleset.Expanded, trace []packet.Header) {
+	t.Helper()
+	fresh, err := New(want, e.Stride())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range trace {
+		if !e.MatchVector(h.Key()).Equal(fresh.MatchVector(h.Key())) {
+			t.Fatalf("engine and a fresh build disagree for %s", h)
+		}
 	}
 }

@@ -141,17 +141,18 @@ func TestApplyDeltasOnDeltaChild(t *testing.T) {
 
 // TestInvalidateEntryRecorded is the regression test for the resurrection
 // bug: InvalidateEntry used to clear stage memory but leave the entry table
-// untouched, so a rebuild from Expanded() (or any path that re-expands the
-// engine's view) brought the entry back to life. The invalidation must be
-// recorded in the owned entry table and survive both a rebuild and a
-// serialize round-trip.
+// untouched, so a rebuild from the engine's view brought the entry back to
+// life. The engine keeps no entry table now — its stage memory is the
+// record — so the invalidation must agree with a rebuild over the test's
+// own expansion with the invalidation applied, survive a serialize round
+// trip, and survive a rewrite of its group on the loaded engine, which
+// takes every entry but the dirty one from the stored words.
 func TestInvalidateEntryRecorded(t *testing.T) {
 	rs, ex := genSet(t, 96, ruleset.PrefixOnly, 421)
 	e, err := New(ex, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(422))
 	// Pick an entry that actually wins for some header so resurrection is
 	// observable.
 	var victim int = -1
@@ -168,9 +169,6 @@ func TestInvalidateEntryRecorded(t *testing.T) {
 	if err := e.InvalidateEntry(victim); err != nil {
 		t.Fatal(err)
 	}
-	if !e.Expanded().Entries[victim].Invalid {
-		t.Fatal("invalidation not recorded in the entry table")
-	}
 	if ex.Entries[victim].Invalid {
 		t.Fatal("invalidation leaked into the caller's shared Expanded")
 	}
@@ -180,18 +178,15 @@ func TestInvalidateEntryRecorded(t *testing.T) {
 		}
 	}
 
-	// Rebuild from the engine's own expanded view: the entry must stay dead.
-	rebuilt, err := New(e.Expanded(), 4)
+	// A rebuild over the test's own expansion with the invalidation applied
+	// agrees with the engine.
+	rebuilt, err := New(applied(ex, []int{victim}, []ruleset.Ternary{ruleset.InvalidTernary()}), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = rng
 	for _, h := range trace {
-		if rebuilt.MatchVector(h.Key()).Get(victim) {
-			t.Fatalf("rebuild resurrected invalidated entry %d", victim)
-		}
-		if got, want := rebuilt.Classify(h), e.Classify(h); got != want {
-			t.Fatalf("rebuilt engine diverges: got %d want %d for %s", got, want, h)
+		if !rebuilt.MatchVector(h.Key()).Equal(e.MatchVector(h.Key())) {
+			t.Fatalf("engine and rebuild disagree for %s", h)
 		}
 	}
 
@@ -212,6 +207,29 @@ func TestInvalidateEntryRecorded(t *testing.T) {
 			t.Fatalf("loaded engine diverges: got %d want %d for %s", got, want, h)
 		}
 	}
+	// Rewriting the victim's neighbour re-derives only the neighbour.
+	nb := victim ^ 1
+	if err := loaded.UpdateEntry(nb, ex.Entries[nb]); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range trace {
+		if loaded.MatchVector(h.Key()).Get(victim) {
+			t.Fatalf("a rewrite of its group resurrected invalidated entry %d", victim)
+		}
+		if got, want := loaded.Classify(h), e.Classify(h); got != want {
+			t.Fatalf("loaded engine diverges after the rewrite: got %d want %d for %s", got, want, h)
+		}
+	}
+}
+
+// applied returns a copy of ex with entries[i] written at rules[i], in
+// order: the expansion a test keeps beside an engine it updates.
+func applied(ex *ruleset.Expanded, rules []int, entries []ruleset.Ternary) *ruleset.Expanded {
+	table := slices.Clone(ex.Entries)
+	for i, j := range rules {
+		table[j] = entries[i]
+	}
+	return &ruleset.Expanded{Entries: table, Parent: ex.Parent, NumRules: ex.NumRules}
 }
 
 // TestInvalidTernarySemantics pins down the never-match entry across the

@@ -2,6 +2,7 @@ package stridebv
 
 import (
 	"fmt"
+	"slices"
 
 	"pktclass/internal/ruleset"
 )
@@ -12,9 +13,11 @@ import (
 // (Section III-A: reprogramming an entry rewrites its slice of each stage
 // memory), made safe for a live serving engine.
 //
-// Every delta is written into the child's entry table first, so the last
-// one wins when indices repeat; then each touched 64-entry group is
-// rewritten once, with one dirty bit per touched entry. The returned engine
+// The deltas are grouped by 64-entry group, and each touched group is
+// rewritten once, with one dirty bit per touched entry and the last delta
+// for an index as its pattern, so the last one wins when indices repeat.
+// The receiver's entry→rule map is shared, and no entry table exists to
+// copy: every other entry keeps the bits it has stored. The returned engine
 // shares every stage block the deltas did not change with the receiver — a
 // stage is copied, once and whole (2^k·ceil(Ne/64) words), only when a word
 // the rewrite stores in it differs from the stored one; a stage whose
@@ -38,25 +41,26 @@ func (e *Engine) ApplyDeltas(rules []int, entries []ruleset.Ternary) (*Engine, e
 	if len(rules) != len(entries) {
 		return nil, fmt.Errorf("stridebv: %d delta indices but %d entries", len(rules), len(entries))
 	}
-	if e.ne != e.ex.NumRules {
-		return nil, fmt.Errorf("stridebv: delta update needs a 1:1 rule/entry mapping (%d rules expand to %d entries)", e.ex.NumRules, e.ne)
+	if e.ne != e.numRules {
+		return nil, fmt.Errorf("stridebv: delta update needs a 1:1 rule/entry mapping (%d rules expand to %d entries)", e.numRules, e.ne)
 	}
-	table := append([]ruleset.Ternary(nil), e.ex.Entries...)
-	dirty := make([]uint64, e.words)
-	for i, j := range rules {
+	for _, j := range rules {
 		if j < 0 || j >= e.ne {
 			return nil, fmt.Errorf("stridebv: delta entry %d out of range [0,%d)", j, e.ne)
 		}
-		table[j] = entries[i]
-		dirty[j>>6] |= 1 << uint(j&63)
 	}
+	// byEntry orders the deltas by entry, stably: each group's deltas form
+	// one run, and the last delta for an index comes last, so it wins.
+	byEntry := make([]int32, len(rules))
+	for i := range byEntry {
+		byEntry[i] = int32(i)
+	}
+	slices.SortStableFunc(byEntry, func(a, b int32) int { return rules[a] - rules[b] })
 	// The child starts as a copy of the receiver: same geometry, same walk
-	// order until Reorder below, and the same scratch pool — the recycled
-	// lookup workspaces are interchangeable, so sharing keeps them warm
-	// across swaps.
+	// order until Reorder below, the same entry→rule map and the same
+	// scratch pool — the recycled lookup workspaces are interchangeable, so
+	// sharing keeps them warm across swaps.
 	n := *e
-	n.ex = &ruleset.Expanded{Entries: table, Parent: e.ex.Parent, NumRules: e.ex.NumRules}
-	n.ownsEntries = true
 	// Every stage starts shared: the child gets its own block headers (so
 	// rewrite can repoint one stage without the parent seeing it) over the
 	// parent's blocks, which stay read-only until rewrite detaches them, and
@@ -68,10 +72,16 @@ func (e *Engine) ApplyDeltas(rules []int, entries []ruleset.Ternary) (*Engine, e
 	for s := range n.shared {
 		n.shared[s] = true
 	}
-	for wi, d := range dirty {
-		if d != 0 {
-			n.rewrite(wi, d, n.pattern)
+	var at [64]int32 // at[b]: the delta that writes entry b of the group
+	for lo := 0; lo < len(byEntry); {
+		wi := rules[byEntry[lo]] >> 6
+		var dirty uint64
+		for ; lo < len(byEntry) && rules[byEntry[lo]]>>6 == wi; lo++ {
+			b := rules[byEntry[lo]] & 63
+			dirty |= 1 << uint(b)
+			at[b] = byEntry[lo]
 		}
+		n.rewrite(wi, dirty, func(j int) (value, mask []byte, valid bool) { return pattern(&entries[at[j&63]]) })
 	}
 	n.Reorder()
 	return &n, nil

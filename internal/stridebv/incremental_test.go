@@ -106,13 +106,17 @@ func rewriteByte(entry ruleset.Ternary, i int) ruleset.Ternary {
 // copied whole, a stage the deltas leave alone still aliases the parent's
 // block, and nothing a descendant writes ever shows in an ancestor.
 func TestApplyDeltasSharesUntouchedStages(t *testing.T) {
-	e, _, _, _ := deltaFixture(t, 64, 4, 17)
+	_, ex := genSet(t, 64, ruleset.PrefixOnly, 17)
+	e, err := New(ex, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	k := e.Stride()
 	covers := func(s, keyByte int) bool { return s*k < 8*keyByte+8 && s*k+k > 8*keyByte }
 	snapE := snapshotMem(e)
 
 	// Child: entry 7's protocol byte (key byte 12, the last two stages).
-	child, err := e.ApplyDeltas([]int{7}, []ruleset.Ternary{rewriteByte(e.Expanded().Entries[7], 12)})
+	child, err := e.ApplyDeltas([]int{7}, []ruleset.Ternary{rewriteByte(ex.Entries[7], 12)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +131,7 @@ func TestApplyDeltasSharesUntouchedStages(t *testing.T) {
 	// detach those from the child, keep the child's own protocol stages
 	// shared with the child (not the grandparent), and keep the rest shared
 	// all the way up.
-	grand, err := child.ApplyDeltas([]int{9}, []ruleset.Ternary{rewriteByte(child.Expanded().Entries[9], 0)})
+	grand, err := child.ApplyDeltas([]int{9}, []ruleset.Ternary{rewriteByte(ex.Entries[9], 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +164,7 @@ func TestApplyDeltasSharesUntouchedStages(t *testing.T) {
 
 	// The degenerate delta — replace an entry with its current value —
 	// flips no bits anywhere, so every stage must stay shared.
-	self, err := e.ApplyDeltas([]int{3}, []ruleset.Ternary{e.Expanded().Entries[3]})
+	self, err := e.ApplyDeltas([]int{3}, []ruleset.Ternary{ex.Entries[3]})
 	if err != nil {
 		t.Fatal(err)
 	}

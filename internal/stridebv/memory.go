@@ -19,8 +19,8 @@ import (
 // BuildMemory is rewrite over fresh blocks, every in-place update is
 // rewrite over the touched groups. The front ends embed it and differ only
 // in how a lookup's stage addresses are produced and in what a surviving
-// entry means: Engine (the packed 5-tuple, entries resolved through the
-// expansion's parent map), RangeEngine (the 72 prefix bits, port bounds
+// entry means: Engine (the packed 5-tuple, entries resolved through its
+// entry→rule map), RangeEngine (the 72 prefix bits, port bounds
 // tested on the survivors) and genbv.Engine (any width, byte-string keys,
 // which is why the type is exported).
 type Memory struct {

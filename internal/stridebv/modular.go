@@ -22,8 +22,6 @@ import (
 type Modular struct {
 	modules []*Engine
 	width   int
-	ne      int
-	parent  []int
 	rules   int
 	k       int
 }
@@ -37,7 +35,7 @@ func NewModular(ex *ruleset.Expanded, k, moduleWidth int) (*Modular, error) {
 	if ex.Len() == 0 {
 		return nil, fmt.Errorf("stridebv: empty ruleset")
 	}
-	m := &Modular{width: moduleWidth, ne: ex.Len(), parent: ex.Parent, rules: ex.NumRules, k: k}
+	m := &Modular{width: moduleWidth, rules: ex.NumRules, k: k}
 	for lo := 0; lo < ex.Len(); lo += moduleWidth {
 		hi := lo + moduleWidth
 		if hi > ex.Len() {
@@ -101,7 +99,7 @@ func (m *Modular) MultiMatch(h packet.Header) []int {
 	last := -1
 	for _, e := range m.modules {
 		for _, idx := range e.MatchVector(key).SetBits() {
-			p := e.ex.Parent[idx]
+			p := int(e.parent[idx])
 			if p != last {
 				out = append(out, p)
 				last = p

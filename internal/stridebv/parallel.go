@@ -57,7 +57,7 @@ func (p *Parallel) Run(keys []packet.Key) (results []int, cycles int64) {
 			if o.Rule < 0 {
 				results[idx] = -1
 			} else {
-				results[idx] = p.eng.ex.Parent[o.Rule]
+				results[idx] = int(p.eng.parent[o.Rule])
 			}
 		}
 	}

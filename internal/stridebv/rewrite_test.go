@@ -18,10 +18,14 @@ import (
 // leave it stale) and the image bytes.
 func checkFresh(t *testing.T, name string, e *Engine, want []ruleset.Ternary) {
 	t.Helper()
+	parent := make([]int, len(e.parent))
+	for j, p := range e.parent {
+		parent[j] = int(p)
+	}
 	fresh, err := New(&ruleset.Expanded{
 		Entries:  append([]ruleset.Ternary(nil), want...),
-		Parent:   e.ex.Parent,
-		NumRules: e.ex.NumRules,
+		Parent:   parent,
+		NumRules: e.numRules,
 	}, e.k)
 	if err != nil {
 		t.Fatal(err)

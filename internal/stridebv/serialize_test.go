@@ -3,9 +3,12 @@ package stridebv
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"runtime"
 	"testing"
 
+	"pktclass/internal/packet"
 	"pktclass/internal/ruleset"
 )
 
@@ -161,4 +164,102 @@ func TestImageErrors(t *testing.T) {
 	if _, err := ReadImage(bytes.NewReader(bad)); err == nil {
 		t.Fatal("accepted tail garbage")
 	}
+}
+
+// imageHeader returns the 16-byte header of an image of ne entries and
+// numRules rules at stride k.
+func imageHeader(k, ne, numRules int) []byte {
+	hdr := make([]byte, 16)
+	copy(hdr, imageMagic)
+	binary.LittleEndian.PutUint16(hdr[4:6], uint16(k))
+	binary.LittleEndian.PutUint16(hdr[6:8], uint16(packet.NumStrides(k)))
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(ne))
+	binary.LittleEndian.PutUint32(hdr[12:16], uint32(numRules))
+	return hdr
+}
+
+// readAllocs returns the bytes ReadImage allocates failing on img, which
+// must be rejected.
+func readAllocs(t *testing.T, img []byte) uint64 {
+	t.Helper()
+	r := bytes.NewReader(img)
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	_, err := ReadImage(r)
+	runtime.ReadMemStats(&m1)
+	if err == nil {
+		t.Fatal("a cut image was accepted")
+	}
+	return m1.TotalAlloc - m0.TotalAlloc
+}
+
+// ReadImage allocates for what it has read, not for what the header
+// declares: a header alone that claims 2^20 entries costs well under a
+// megabyte, and an image cut after its parent table costs at most three
+// times the bytes it delivered, however large the stage blocks it declares
+// (13× the parent table at k = 4, 104× at k = 8).
+func TestReadImageAllocatesForBytesRead(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations blur TotalAlloc deltas; the gate runs in normal builds")
+	}
+	if got := readAllocs(t, imageHeader(4, 1<<20, 1)); got >= 1<<20 {
+		t.Fatalf("header-only image at ne = 2^20 allocated %d bytes, want < 1 MB", got)
+	}
+	for _, k := range []int{4, 8} {
+		for _, ne := range []int{1024, 1 << 16} {
+			img := append(imageHeader(k, ne, 1), make([]byte, 4*ne)...)
+			if got := readAllocs(t, img); got > 3*uint64(len(img)) {
+				t.Fatalf("k=%d ne=%d: image cut after its parent table (%d bytes) allocated %d bytes, want at most 3×",
+					k, ne, len(img), got)
+			}
+		}
+	}
+}
+
+// FuzzReadImage feeds ReadImage arbitrary bytes. It either rejects them,
+// or returns an engine that classifies into [-1, NumRules) and whose image
+// is exactly the bytes it consumed.
+func FuzzReadImage(f *testing.F) {
+	for _, k := range []int{3, 4} {
+		for _, profile := range []ruleset.Profile{ruleset.PrefixOnly, ruleset.FirewallProfile} {
+			_, ex := genSet(f, 6, profile, int64(40+k))
+			e, err := New(ex, k)
+			if err != nil {
+				f.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := e.WriteImage(&buf); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		e, err := ReadImage(r)
+		if err != nil {
+			return
+		}
+		consumed := data[:len(data)-r.Len()]
+		var out bytes.Buffer
+		if err := e.WriteImage(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), consumed) {
+			t.Fatalf("WriteImage gave %d bytes that differ from the %d consumed", out.Len(), len(consumed))
+		}
+		// Headers from the image's own bytes reach its stage memory's set
+		// bits more often than random ones.
+		hdrs := []packet.Header{{}, {SIP: ^uint32(0), DIP: ^uint32(0), SP: 65535, DP: 65535, Proto: 255}}
+		for i := 0; i+8 <= len(consumed); i += 97 {
+			w := binary.LittleEndian.Uint64(consumed[i:])
+			hdrs = append(hdrs, packet.HeaderFromWords(w, w<<24))
+		}
+		for _, h := range hdrs {
+			if got := e.Classify(h); got < -1 || got >= e.NumRules() {
+				t.Fatalf("Classify(%v) = %d, outside [-1, %d)", h, got, e.NumRules())
+			}
+		}
+	})
 }

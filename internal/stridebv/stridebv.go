@@ -28,30 +28,40 @@ import (
 // Engine is a functional StrideBV classifier over a ternary-expanded
 // ruleset: the 5-tuple front end of Memory. Stage addresses come from
 // packet.Header.StridesInto and a surviving entry resolves to its rule
-// through the expansion's parent map.
+// through the entry→rule map. Stage memory, its summaries and that map are
+// the engine's whole state: the expansion it was built from is not kept,
+// and every update supplies the patterns it writes.
 type Engine struct {
 	Memory
-	ex *ruleset.Expanded
-	// ownsEntries is set once the engine has copied ex away from the
-	// caller's Expanded (copy-on-first-update; see UpdateEntry).
-	ownsEntries bool
+	// parent[j] is the rule entry j was expanded from. Never written after
+	// construction, so delta children share it.
+	parent   []int32
+	numRules int
+	// pending is the pattern UpdateEntry is writing. rewrite reads entries
+	// through a callback, and one held here reaches it without a heap copy
+	// per write.
+	pending ruleset.Ternary
 }
 
 // New builds a StrideBV engine with stride k over the expanded ruleset.
+// ex is read during the build and not retained.
 func New(ex *ruleset.Expanded, k int) (*Engine, error) {
-	e := &Engine{ex: ex}
-	m, err := BuildMemory(packet.W, k, ex.Len(), e.pattern)
+	m, err := BuildMemory(packet.W, k, ex.Len(), func(j int) (value, mask []byte, valid bool) {
+		return pattern(&ex.Entries[j])
+	})
 	if err != nil {
 		return nil, err
 	}
-	e.Memory = m
-	return e, nil
+	parent := make([]int32, len(ex.Parent))
+	for j, p := range ex.Parent {
+		parent[j] = int32(p)
+	}
+	return &Engine{Memory: m, parent: parent, numRules: ex.NumRules}, nil
 }
 
-// pattern returns entry j of the engine's table as rewrite takes it.
-func (e *Engine) pattern(j int) (value, mask []byte, valid bool) {
-	entry := &e.ex.Entries[j]
-	return entry.Value[:], entry.Mask[:], !entry.Invalid
+// pattern returns a ternary entry as rewrite takes it.
+func pattern(t *ruleset.Ternary) (value, mask []byte, valid bool) {
+	return t.Value[:], t.Mask[:], !t.Invalid
 }
 
 // NewFSBV builds the k=1 Field-Split Bit Vector engine.
@@ -61,7 +71,23 @@ func NewFSBV(ex *ruleset.Expanded) (*Engine, error) { return New(ex, 1) }
 func (e *Engine) Name() string { return fmt.Sprintf("stridebv-k%d", e.k) }
 
 // NumRules returns the original rule count N.
-func (e *Engine) NumRules() int { return e.ex.NumRules }
+func (e *Engine) NumRules() int { return e.numRules }
+
+// Parents returns the entry→rule map: element j is the rule entry j was
+// expanded from. The slice is the engine's own and must not be written.
+func (e *Engine) Parents() []int32 { return e.parent }
+
+// rules maps ascending entry indices to their deduplicated rules, in
+// priority order: one rule's entries are contiguous.
+func (e *Engine) rules(entries []int) []int {
+	out := make([]int, 0, len(entries))
+	for _, j := range entries {
+		if p := int(e.parent[j]); len(out) == 0 || out[len(out)-1] != p {
+			out = append(out, p)
+		}
+	}
+	return out
+}
 
 // MatchVector computes the final multi-match bit vector for a packed
 // header: the AND of every stage's addressed vector. The returned vector is
@@ -96,7 +122,7 @@ func (e *Engine) Classify(h packet.Header) int {
 	if entry < 0 {
 		return -1
 	}
-	return e.ex.Parent[entry]
+	return int(e.parent[entry])
 }
 
 // ClassifyBatch classifies hdrs into out (the core.BatchClassifier fast
@@ -112,7 +138,7 @@ func (e *Engine) ClassifyBatch(hdrs []packet.Header, out []int) {
 		if entry < 0 {
 			out[i] = -1
 		} else {
-			out[i] = e.ex.Parent[entry]
+			out[i] = int(e.parent[entry])
 		}
 	}
 	e.putScratch(sc)
@@ -122,24 +148,21 @@ func (e *Engine) ClassifyBatch(hdrs []packet.Header, out []int) {
 func (e *Engine) MultiMatch(h packet.Header) []int {
 	sc := e.getScratch()
 	h.StridesInto(e.k, sc.addrs)
-	rules := e.ex.ParentRules(e.matchInto(sc).SetBits())
+	rules := e.rules(e.matchInto(sc).SetBits())
 	e.putScratch(sc)
 	return rules
 }
 
 // UpdateEntry reprograms ternary entry j in place, the incremental-update
 // property of the bit-vector approach (no global rebuild required): it
-// records the entry in the engine's table and rewrites j's 64-entry group
-// with j alone dirty, so every stage stores only the words whose bit j
-// changes. The write restores entry j's column from scratch — the
-// fault-scrub repair primitive — and allocates nothing in steady state on an
-// engine that owns its storage. On a delta-derived engine (ApplyDeltas) a
-// stage is un-aliased before the first stored word that differs in it, so
-// the parent engine that concurrent readers may still hold is never mutated.
-// The engine copies its entry table on the first update, so the caller's
-// Expanded — possibly shared with a reference engine for differential
-// verification — is never mutated; Expanded() reflects the engine's own
-// post-update view.
+// rewrites j's 64-entry group with j alone dirty and entry as its pattern,
+// so every stage stores only the words whose bit j changes. The write
+// restores entry j's column from scratch — the fault-scrub repair
+// primitive — and allocates nothing in steady state on an engine that owns
+// its storage. On a delta-derived engine (ApplyDeltas) a stage is
+// un-aliased before the first stored word that differs in it, so the
+// parent engine that concurrent readers may still hold is never mutated.
+// The Expanded the engine was built from is never read or written.
 //
 // UpdateEntry mutates live stage memory and must not run concurrently with
 // classification; for the publish-after-write variant that is safe under
@@ -148,42 +171,18 @@ func (e *Engine) UpdateEntry(j int, entry ruleset.Ternary) error {
 	if j < 0 || j >= e.ne {
 		return fmt.Errorf("stridebv: entry %d out of range [0,%d)", j, e.ne)
 	}
-	e.ensureOwnedEntries()
-	//pclass:allow-mutate the entry table is owned post copy-on-write
-	e.ex.Entries[j] = entry
-	e.rewrite(j>>6, 1<<uint(j&63), e.pattern)
+	e.pending = entry
+	e.rewrite(j>>6, 1<<uint(j&63), func(int) (value, mask []byte, valid bool) { return pattern(&e.pending) })
 	return nil
 }
 
-// ensureOwnedEntries detaches the engine's entry table from the Expanded it
-// was built over (copy-on-first-update). Parent is never mutated and stays
-// shared.
-func (e *Engine) ensureOwnedEntries() {
-	if e.ownsEntries {
-		return
-	}
-	e.ex = &ruleset.Expanded{
-		Entries:  append([]ruleset.Ternary(nil), e.ex.Entries...),
-		Parent:   e.ex.Parent,
-		NumRules: e.ex.NumRules,
-	}
-	e.ownsEntries = true
-}
-
 // InvalidateEntry disables entry j: its bit is cleared in every stage
-// vector, so it can never survive the pipeline AND. The invalidation is
-// recorded in the engine's owned entry table (as ruleset.InvalidTernary),
-// so rebuilding from Expanded() or serializing does not resurrect the
-// entry, and — like UpdateEntry — the write is copy-on-write safe on a
+// vector, so it can never survive the pipeline AND, and a serialized image
+// keeps it dead. Like UpdateEntry, the write is copy-on-write safe on a
 // delta-derived engine.
 func (e *Engine) InvalidateEntry(j int) error {
 	return e.UpdateEntry(j, ruleset.InvalidTernary())
 }
-
-// Expanded returns the engine's view of the expanded ruleset. Until the
-// first UpdateEntry this is the Expanded the engine was built over; after
-// it, the engine's private copy with updates applied.
-func (e *Engine) Expanded() *ruleset.Expanded { return e.ex }
 
 // String summarises the engine configuration.
 func (e *Engine) String() string {

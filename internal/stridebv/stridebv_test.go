@@ -213,12 +213,12 @@ func TestUpdateEntryEqualsRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Replace entry 5 with entry 20's pattern; a fresh engine over the
-	// engine's own post-update view (UpdateEntry copies the entry table on
-	// first use rather than mutating the caller's ex) must agree everywhere.
+	// test's own expansion with the same update applied must agree
+	// everywhere.
 	if err := e.UpdateEntry(5, ex.Entries[20]); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := New(e.Expanded(), 3)
+	fresh, err := New(applied(ex, []int{5}, []ruleset.Ternary{ex.Entries[20]}), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,5 +33,5 @@ func (e *Engine) ClassifyTraced(h packet.Header, tr *obsv.PacketTrace) int {
 	if entry < 0 {
 		return -1
 	}
-	return e.ex.Parent[entry]
+	return int(e.parent[entry])
 }

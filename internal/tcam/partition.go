@@ -137,7 +137,7 @@ func (p *Partitioned) Classify(h packet.Header) int {
 	if best < 0 {
 		return -1
 	}
-	return p.parent[best]
+	return int(p.parent[best])
 }
 
 // MultiMatch returns every matching rule in priority order. The selected

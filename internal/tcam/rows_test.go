@@ -73,8 +73,8 @@ func TestRowMatchEqualsMatchesKey(t *testing.T) {
 
 // TestBehavioralApplyDeltasCopyOnWrite pins the storage side of ApplyDeltas:
 // the receiver's row table is bit-identical afterwards, the child has its
-// own rows but the receiver's parent map, and exactly the touched rows
-// differ.
+// own rows but the receiver's parent map (the expansion's, as 4-byte rule
+// indices), and exactly the touched rows differ.
 func TestBehavioralApplyDeltasCopyOnWrite(t *testing.T) {
 	_, ex, _, rules, entries := tcamDeltaFixture(t, 64, 10, 43)
 	eng := NewBehavioral(ex)
@@ -89,8 +89,13 @@ func TestBehavioralApplyDeltasCopyOnWrite(t *testing.T) {
 	if &child.rows[0] == &eng.rows[0] {
 		t.Fatal("child shares the receiver's row table")
 	}
-	if &child.parent[0] != &eng.parent[0] || &eng.parent[0] != &ex.Parent[0] {
-		t.Fatal("parent map was copied, want it shared with the receiver and the expansion")
+	if &child.parent[0] != &eng.parent[0] {
+		t.Fatal("parent map was copied, want it shared with the receiver")
+	}
+	for j, p := range eng.parent {
+		if int(p) != ex.Parent[j] {
+			t.Fatalf("parent[%d] = %d, the expansion has %d", j, p, ex.Parent[j])
+		}
 	}
 	touched := map[int]ruleset.Ternary{}
 	for i, j := range rules {

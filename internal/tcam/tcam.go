@@ -21,8 +21,8 @@ type Behavioral struct {
 }
 
 // NewBehavioral builds a behavioral TCAM over an expanded ruleset. It packs
-// the entries into its own row table and keeps ex's parent map; ex itself
-// is not retained.
+// the entries into its own row table and copies ex's parent map as 4-byte
+// rule indices; ex itself is not retained.
 func NewBehavioral(ex *ruleset.Expanded) *Behavioral {
 	return &Behavioral{table: newTable(ex)}
 }
@@ -46,7 +46,7 @@ func (t *Behavioral) Classify(h packet.Header) int {
 	rows := t.rows
 	for i := range rows {
 		if rows[i].matches(hi, lo) {
-			return t.parent[i]
+			return int(t.parent[i])
 		}
 	}
 	return -1

@@ -32,5 +32,5 @@ func (t *Behavioral) ClassifyTraced(h packet.Header, tr *obsv.PacketTrace) int {
 	if first < 0 {
 		return -1
 	}
-	return t.parent[first]
+	return int(t.parent[first])
 }
