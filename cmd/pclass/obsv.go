@@ -11,10 +11,7 @@ import (
 
 	"pktclass/internal/core"
 	"pktclass/internal/obsv"
-	"pktclass/internal/packet"
 	"pktclass/internal/serve"
-	"pktclass/internal/stridebv"
-	"pktclass/internal/tcam"
 )
 
 // newObs builds the serving instrument set: histograms always on, packet
@@ -96,14 +93,14 @@ func startObsServer(addr string, obs *obsv.Obs, svc *serve.Service) (*obsv.Serve
 		})
 	}
 	srv.AddGaugeFunc("engine.memory_bits", func() float64 {
-		return float64(engineMemoryBits(svc.Engine()))
+		return float64(core.MemoryBits(svc.Engine()))
 	})
 	srv.AddStatus("engine", func() any {
 		eng := svc.Engine()
 		return map[string]any{
 			"name":        eng.Name(),
 			"rules":       eng.NumRules(),
-			"memory_bits": engineMemoryBits(eng),
+			"memory_bits": core.MemoryBits(eng),
 		}
 	})
 	bound, err := srv.Start(addr)
@@ -111,23 +108,6 @@ func startObsServer(addr string, obs *obsv.Obs, svc *serve.Service) (*obsv.Serve
 		return nil, "", err
 	}
 	return srv, bound, nil
-}
-
-// engineMemoryBits reports the live engine's memory requirement in bits.
-// Engines without a hardware memory model report 0.
-func engineMemoryBits(eng core.Engine) int {
-	switch e := eng.(type) {
-	case *stridebv.Engine:
-		return e.MemoryBits()
-	case *stridebv.RangeEngine:
-		return e.MemoryBits()
-	case *tcam.Behavioral:
-		return tcam.MemoryBits(e.NumEntries(), packet.W)
-	case *tcam.FPGA:
-		return tcam.MemoryBits(e.NumEntries(), packet.W)
-	default:
-		return 0
-	}
 }
 
 // printObsSummary renders the end-of-run latency distributions and, when

@@ -1,7 +1,8 @@
-// Package core defines the engine abstraction the paper's comparison is
-// built on, the linear-search reference classifier every engine is verified
-// against, and the head-to-head Comparator that produces the paper's metric
-// set for both ruleset-feature-independent engines.
+// Package core defines the engine contract the paper's comparison is built
+// on — the required Engine interface and the optional capabilities an
+// engine declares by implementing BatchClassifier, TracedClassifier,
+// Updater or Footprint — and the linear-search reference classifier every
+// engine is verified against.
 package core
 
 import (
@@ -13,12 +14,10 @@ import (
 
 // Engine is a packet classifier. Implementations in this repository:
 // the linear reference (this package), tcam.Behavioral, tcam.FPGA,
-// stridebv.Engine (any stride, FSBV at k=1) and stridebv.RangeEngine.
-//
-// The implementation set is open, so type switches over Engine must carry
-// a default arm for unknown engines.
-//
-//pclass:exhaustive type switches need a default case
+// stridebv.Engine (any stride, FSBV at k=1), stridebv.RangeEngine,
+// dtree.Tree and partition.Engine. Callers reach an engine's further
+// capabilities by asserting the optional interfaces below, never by
+// switching over concrete engine types.
 type Engine interface {
 	// Name identifies the engine for reports.
 	Name() string
@@ -30,6 +29,33 @@ type Engine interface {
 	MultiMatch(h packet.Header) []int
 	// NumRules returns the rule count N of the loaded classifier.
 	NumRules() int
+}
+
+// Updater is implemented by engines with an O(delta) update path.
+// ApplyDeltas applies single-entry rule replacements — rules[i] names the
+// row entries[i] replaces, and later deltas win when indices repeat — and
+// returns the updated engine without modifying the receiver, which keeps
+// serving concurrent readers until the caller publishes the result. A
+// delta the engine cannot apply in place (a structural one) returns a nil
+// Engine and an error.
+type Updater interface {
+	ApplyDeltas(rules []int, entries []ruleset.Ternary) (Engine, error)
+}
+
+// Footprint is implemented by engines with a hardware memory model.
+// MemoryBits is the paper's stored-bit count (Section V-B): ⌈W/k⌉·2^k·Ne
+// for StrideBV, 2·W·Ne for a TCAM.
+type Footprint interface {
+	MemoryBits() int
+}
+
+// MemoryBits returns the stored bits of eng's memory model, seen through
+// any wrapper, or 0 for an engine without one.
+func MemoryBits(eng Engine) int {
+	if f, ok := Unwrap(eng).(Footprint); ok {
+		return f.MemoryBits()
+	}
+	return 0
 }
 
 // Linear is the brute-force reference engine: a priority-ordered scan of

@@ -10,21 +10,17 @@ import (
 	"pktclass/internal/lint/analysis"
 )
 
-// ExhaustEngine enforces exhaustive dispatch over annotated engine
-// interfaces and enum types.
+// ExhaustEngine enforces exhaustive switches over annotated enum types.
 var ExhaustEngine = &analysis.Analyzer{
 	Name:        "exhaustengine",
 	SuppressKey: "exhaustive",
-	Doc: `require exhaustive switches over //pclass:exhaustive interfaces and enums
+	Doc: `require exhaustive switches over //pclass:exhaustive enums
 
-Engine dispatch is open (core.Engine implementations live in several
-packages), so a type switch over a //pclass:exhaustive interface must
-carry a default case — silently classifying an unknown engine as
-nothing is how a new engine ships half-wired. A switch over a
-//pclass:exhaustive constant enum type (ruleset.Profile,
-fpga.MemoryKind, stride-width style registries) must either cover every
-member — only the exported members when switching outside the defining
-package — or carry a default case that panics. Suppress with
+A switch over a //pclass:exhaustive constant enum type (ruleset.Profile,
+ruleset.Kind, fpga.MemoryKind) must either cover every member — only
+the exported members when switching outside the defining package — or
+carry a default case that panics: silently handling an unknown member
+as nothing is how a new one ships half-wired. Suppress with
 //pclass:allow-exhaustive.`,
 	Run: runExhaustEngine,
 }
@@ -32,57 +28,13 @@ package — or carry a default case that panics. Suppress with
 func runExhaustEngine(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.TypeSwitchStmt:
-				checkTypeSwitch(pass, x)
-			case *ast.SwitchStmt:
+			if x, ok := n.(*ast.SwitchStmt); ok {
 				checkEnumSwitch(pass, x)
 			}
 			return true
 		})
 	}
 	return nil
-}
-
-// typeSwitchSubject extracts the expression whose type drives a type
-// switch (from "v.(type)" in either statement form).
-func typeSwitchSubject(st *ast.TypeSwitchStmt) ast.Expr {
-	var e ast.Expr
-	switch a := st.Assign.(type) {
-	case *ast.ExprStmt:
-		e = a.X
-	case *ast.AssignStmt:
-		if len(a.Rhs) == 1 {
-			e = a.Rhs[0]
-		}
-	}
-	if ta, ok := ast.Unparen(e).(*ast.TypeAssertExpr); ok {
-		return ta.X
-	}
-	return nil
-}
-
-func checkTypeSwitch(pass *analysis.Pass, st *ast.TypeSwitchStmt) {
-	subj := typeSwitchSubject(st)
-	if subj == nil {
-		return
-	}
-	named, ok := types.Unalias(pass.TypesInfo.TypeOf(subj)).(*types.Named)
-	if !ok {
-		return
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || !pass.FactsFor(obj.Pkg()).HasExhaustiveIface(obj.Name()) {
-		return
-	}
-	for _, c := range st.Body.List {
-		if cc, ok := c.(*ast.CaseClause); ok && cc.List == nil {
-			return // has a default case
-		}
-	}
-	pass.Reportf(st.Pos(),
-		"type switch over //pclass:exhaustive interface %s.%s has no default case for unknown implementations",
-		obj.Pkg().Name(), obj.Name())
 }
 
 func checkEnumSwitch(pass *analysis.Pass, st *ast.SwitchStmt) {

@@ -1,14 +1,5 @@
-// Package def declares the exhaustively dispatched engine interface and
-// engine-kind enum.
+// Package def declares the exhaustively switched engine-kind enum.
 package def
-
-// Engine mimics core.Engine: implementations live in other packages, so
-// dispatch over it must handle unknown engines.
-//
-//pclass:exhaustive
-type Engine interface {
-	Name() string
-}
 
 // Kind is a closed engine-kind registry.
 //

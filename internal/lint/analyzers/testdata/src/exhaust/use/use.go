@@ -1,32 +1,8 @@
-// Package use dispatches over def's exhaustive interface and enum from
-// outside the defining package.
+// Package use switches over def's exhaustive enum from outside the
+// defining package.
 package use
 
 import "exhaust/def"
-
-type fake struct{}
-
-func (fake) Name() string { return "fake" }
-
-// describe has no default arm: an engine added next PR would fall
-// through silently.
-func describe(e def.Engine) string {
-	switch e.(type) { // want `type switch over //pclass:exhaustive interface def\.Engine has no default case`
-	case fake:
-		return "fake"
-	}
-	return ""
-}
-
-// describeOK carries the required default.
-func describeOK(e def.Engine) string {
-	switch v := e.(type) {
-	case fake:
-		return v.Name()
-	default:
-		panic("use: unknown engine " + e.Name())
-	}
-}
 
 // width misses an exported member and its default does not panic.
 func width(k def.Kind) int {
@@ -64,8 +40,6 @@ func widthAllowed(k def.Kind) int {
 	return 0
 }
 
-var _ = describe
-var _ = describeOK
 var _ = width
 var _ = widthOK
 var _ = widthAllowed

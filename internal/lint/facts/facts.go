@@ -6,7 +6,6 @@
 //
 //	//pclass:hotpath     on a function: the body may not allocate
 //	//pclass:immutable   on a type: no field writes outside its package
-//	//pclass:exhaustive  on an interface: type switches need a default
 //	//pclass:exhaustive  on a const enum type: switches must cover it
 //	//pclass:pooled      on a function: its result comes from a sync.Pool;
 //	                     on a type: every value of it is pool-managed
@@ -56,9 +55,6 @@ type Member struct {
 type Package struct {
 	// Immutable lists type names declared //pclass:immutable.
 	Immutable []string
-	// ExhaustiveIfaces lists interface type names declared
-	// //pclass:exhaustive.
-	ExhaustiveIfaces []string
 	// ExhaustiveEnums maps a //pclass:exhaustive enum type name to its
 	// package-level constant members.
 	ExhaustiveEnums map[string][]Member
@@ -84,7 +80,7 @@ type Package struct {
 
 // Empty reports whether the package declares no facts.
 func (p *Package) Empty() bool {
-	return p == nil || len(p.Immutable) == 0 && len(p.ExhaustiveIfaces) == 0 && len(p.ExhaustiveEnums) == 0 &&
+	return p == nil || len(p.Immutable) == 0 && len(p.ExhaustiveEnums) == 0 &&
 		len(p.PooledFuncs) == 0 && len(p.PooledTypes) == 0 && len(p.ReleaseFuncs) == 0 &&
 		len(p.PinnedFields) == 0 && len(p.CowFields) == 0 && len(p.MutatorMethods) == 0
 }
@@ -92,12 +88,6 @@ func (p *Package) Empty() bool {
 // HasImmutable reports whether name is an //pclass:immutable type.
 func (p *Package) HasImmutable(name string) bool {
 	return p != nil && contains(p.Immutable, name)
-}
-
-// HasExhaustiveIface reports whether name is a //pclass:exhaustive
-// interface.
-func (p *Package) HasExhaustiveIface(name string) bool {
-	return p != nil && contains(p.ExhaustiveIfaces, name)
 }
 
 // EnumMembers returns the members of a //pclass:exhaustive enum type, or
@@ -255,14 +245,10 @@ func scanTypeSpec(out *Package, pkg *types.Package, info *types.Info, gd *ast.Ge
 		out.PooledTypes = append(out.PooledTypes, obj.Name())
 	}
 	if has("exhaustive") {
-		if types.IsInterface(obj.Type()) {
-			out.ExhaustiveIfaces = append(out.ExhaustiveIfaces, obj.Name())
-		} else {
-			if out.ExhaustiveEnums == nil {
-				out.ExhaustiveEnums = make(map[string][]Member)
-			}
-			out.ExhaustiveEnums[obj.Name()] = enumMembers(pkg, obj)
+		if out.ExhaustiveEnums == nil {
+			out.ExhaustiveEnums = make(map[string][]Member)
 		}
+		out.ExhaustiveEnums[obj.Name()] = enumMembers(pkg, obj)
 	}
 	// Field annotations live on the field's doc comment or its trailing
 	// line comment.

@@ -8,17 +8,30 @@ import (
 	"pktclass/internal/stridebv"
 )
 
+var (
+	_ core.Updater   = (*Engine)(nil)
+	_ core.Footprint = (*Engine)(nil)
+)
+
+// MemoryBits returns the stored bits of the parts' memory models, summed:
+// each part is its own engine over its own entries. A part without a
+// memory model adds 0.
+func (e *Engine) MemoryBits() int {
+	total := 0
+	for i := range e.parts {
+		total += core.MemoryBits(e.parts[i].eng)
+	}
+	return total
+}
+
 // ApplyDeltas routes a batch of single-entry rule replacements to the one
 // partition each touched rule lives in and rebuilds nothing else: the
 // returned engine shares every untouched sub-engine (and all steering
 // tables) with the receiver, which keeps serving concurrent readers
 // unmodified — the same publish-after-write contract as the sub-engines'
-// own delta paths.
-//
-// apply is the recursion hook that updates one sub-engine (the caller
-// passes its engine-family dispatch, e.g. update.ApplyDeltasToEngine);
-// taking it as a parameter keeps this package free of engine-specific
-// imports. rules[i] names the global rule replaced by entries[i].
+// own delta paths, which it reaches through core.Updater, so any sub-engine
+// family with a delta path works. rules[i] names the global rule replaced
+// by entries[i].
 //
 // A replacement that would change a rule's steering — its prefix head now
 // selects a different bucket, or moves between bucket and residual — is a
@@ -27,13 +40,9 @@ import (
 // caller falls back to the shadow-rebuild path. Replacements within the
 // residual bands (and every replacement under BandSplit) are always
 // steering-stable because band membership depends only on the rule index.
-func (e *Engine) ApplyDeltas(rules []int, entries []ruleset.Ternary,
-	apply func(core.Engine, []int, []ruleset.Ternary) (core.Engine, error)) (*Engine, error) {
+func (e *Engine) ApplyDeltas(rules []int, entries []ruleset.Ternary) (core.Engine, error) {
 	if len(rules) != len(entries) {
 		return nil, fmt.Errorf("partition: %d delta indices but %d entries", len(rules), len(entries))
-	}
-	if apply == nil {
-		return nil, fmt.Errorf("partition: apply hook is required")
 	}
 	perPart := make(map[int32]int)
 	for i, g := range rules {
@@ -83,7 +92,11 @@ func (e *Engine) ApplyDeltas(rules []int, entries []ruleset.Ternary,
 		subName: e.subName,
 	}
 	for pi := range localRules {
-		sub, err := apply(e.parts[pi].eng, localRules[pi], localEntries[pi])
+		u, ok := e.parts[pi].eng.(core.Updater)
+		if !ok {
+			return nil, fmt.Errorf("partition: part %d engine %s has no delta path", pi, e.parts[pi].eng.Name())
+		}
+		sub, err := u.ApplyDeltas(localRules[pi], localEntries[pi])
 		if err != nil {
 			return nil, fmt.Errorf("partition: part %d delta: %w", pi, err)
 		}

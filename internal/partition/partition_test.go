@@ -371,7 +371,7 @@ func TestBatchScratchReuse(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			child, err := part.ApplyDeltas(rules, entries, update.ApplyDeltasToEngine)
+			child, err := part.ApplyDeltas(rules, entries)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -30,16 +30,6 @@ func alternate(a, b func(*ruleset.RuleSet) (core.Engine, error)) func(*ruleset.R
 	}
 }
 
-// applyStride is the per-part delta hook for StrideBV parts (the update
-// package's dispatch, which imports this one, cannot be used here).
-func applyStride(eng core.Engine, rules []int, entries []ruleset.Ternary) (core.Engine, error) {
-	sbv, ok := eng.(*stridebv.Engine)
-	if !ok {
-		return nil, fmt.Errorf("part is %T, not StrideBV", eng)
-	}
-	return sbv.ApplyDeltas(rules, entries)
-}
-
 // requireStrided fails unless e walks every bare StrideBV part, each at
 // stride k, and answers every other part through Classify.
 func requireStrided(t *testing.T, label string, e *Engine, k int) {
@@ -111,10 +101,11 @@ func TestDeltaChildKeepsStridedPath(t *testing.T) {
 		//pclass:allow-mutate writing the test's private clone, not the shared input
 		next.Rules[j].DIP = ruleset.Prefix{Value: rs.Rules[j].DIP.Value, Bits: 32, Len: 32}
 		entries := next.Rules[j].TernaryEntries()
-		child, err := parent.ApplyDeltas([]int{j}, entries, applyStride)
+		out, err := parent.ApplyDeltas([]int{j}, entries)
 		if err != nil {
 			t.Fatal(err)
 		}
+		child := out.(*Engine)
 		requireStrided(t, label+" (child)", child, 4)
 		touched := parent.loc[j].part
 		if child.parts[touched].sbv == parent.parts[touched].sbv {

@@ -3,14 +3,52 @@ package serve
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pktclass/internal/core"
 	"pktclass/internal/packet"
 	"pktclass/internal/ruleset"
+	"pktclass/internal/stridebv"
 	"pktclass/internal/update"
 )
+
+// corruptible is a StrideBV engine whose delta path, while armed, applies
+// an entry matching only the all-zero header in place of the first delta:
+// the updated engine diverges from the ruleset the update produced, the
+// failure mode the scoped verify exists to catch. Its children share the
+// flag, so arming it after earlier swaps still takes effect.
+type corruptible struct {
+	*stridebv.Engine
+	armed *atomic.Bool
+}
+
+func (c corruptible) ApplyDeltas(rules []int, entries []ruleset.Ternary) (core.Engine, error) {
+	if c.armed.Load() {
+		var dead ruleset.Ternary
+		for i := range dead.Mask {
+			dead.Mask[i] = 0xFF
+		}
+		entries = append([]ruleset.Ternary{dead}, entries[1:]...)
+	}
+	child, err := c.Engine.ApplyDeltas(rules, entries)
+	if err != nil {
+		return nil, err
+	}
+	return corruptible{child.(*stridebv.Engine), c.armed}, nil
+}
+
+// corruptibleBuild builds StrideBV engines whose delta paths share armed.
+func corruptibleBuild(armed *atomic.Bool) BuildFunc {
+	return func(rs *ruleset.RuleSet) (core.Engine, error) {
+		e, err := stridebv.New(rs.Expand(), 4)
+		if err != nil {
+			return nil, err
+		}
+		return corruptible{e, armed}, nil
+	}
+}
 
 // TestIncrementalApplyClassifiesLikeReference drives real rule
 // replacements through the O(delta) path and checks both sides of the
@@ -54,28 +92,21 @@ func TestIncrementalApplyClassifiesLikeReference(t *testing.T) {
 	}
 }
 
-// TestIncrementalRollbackOnBadDelta injects a corrupted delta through the
-// test hook: the engine applies a different entry than the ruleset
+// TestIncrementalRollbackOnBadDelta injects a corrupted delta through a
+// corruptible engine: the engine applies a different entry than the ruleset
 // records, the scoped verify catches the divergence, the incremental
 // attempt rolls back, and the update still lands through the
 // shadow-rebuild path. This is the acceptance gate for scoped
 // verification.
 func TestIncrementalRollbackOnBadDelta(t *testing.T) {
 	rs := prefixSet(t, 64, 53)
-	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 2, Incremental: true, Seed: 54})
+	var armed atomic.Bool
+	armed.Store(true)
+	svc, err := New(rs.Clone(), corruptibleBuild(&armed), Config{Workers: 2, Incremental: true, Seed: 54})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mustClose(t, svc)
-	// The corrupt hook replaces the engine's view of the delta with an
-	// entry matching only the all-zero header.
-	var dead ruleset.Ternary
-	for i := range dead.Mask {
-		dead.Mask[i] = 0xFF
-	}
-	svc.testCorruptDelta = func(rules []int, entries []ruleset.Ternary) {
-		entries[0] = dead
-	}
 	// Replace rule 0 (highest priority): a directed probe into the new
 	// rule's region must resolve to rule 0 under the linear reference, so
 	// the corrupted engine — whose row 0 can no longer match it —

@@ -330,12 +330,6 @@ type Service struct {
 	// flow-order proofs use to see which worker touched which flow, and
 	// when. Nil in production; the hot path carries one nil check.
 	testObserveSteer func(worker int, hdrs []packet.Header)
-
-	// testCorruptDelta, when set by tests, mangles the lowered delta batch
-	// before it reaches the engine — so the incrementally updated engine
-	// diverges from the ruleset the update actually produced, the exact
-	// failure mode the scoped verify exists to catch.
-	testCorruptDelta func(rules []int, entries []ruleset.Ternary)
 }
 
 // New builds the initial engine from the ruleset and starts the worker
@@ -681,9 +675,6 @@ func (s *Service) applyIncrementalLocked(ops []update.Op, next *ruleset.RuleSet)
 	rules, entries, err := update.Deltas(ops)
 	if err != nil {
 		return err
-	}
-	if s.testCorruptDelta != nil {
-		s.testCorruptDelta(rules, entries)
 	}
 	cur := s.engine.Load().eng
 	eng, err := update.ApplyDeltasToEngine(cur, rules, entries)

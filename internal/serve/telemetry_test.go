@@ -2,6 +2,7 @@ package serve
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pktclass/internal/obsv"
@@ -222,7 +223,8 @@ func TestSteerScatterHistogramRecords(t *testing.T) {
 func TestJournalRecordsSwapLifecycle(t *testing.T) {
 	rs := prefixSet(t, 64, 99)
 	obs := newTelemetryObs(0)
-	svc, err := New(rs.Clone(), strideBuild, Config{Workers: 2, Incremental: true, Seed: 99, Obs: obs})
+	var corrupt atomic.Bool
+	svc, err := New(rs.Clone(), corruptibleBuild(&corrupt), Config{Workers: 2, Incremental: true, Seed: 99, Obs: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,16 +265,12 @@ func TestJournalRecordsSwapLifecycle(t *testing.T) {
 
 	// A corrupted delta rolls back at scoped verify (stage 2) and lands
 	// through the rebuild path instead.
-	var dead ruleset.Ternary
-	for i := range dead.Mask {
-		dead.Mask[i] = 0xFF
-	}
-	svc.testCorruptDelta = func(rules []int, entries []ruleset.Ternary) { entries[0] = dead }
+	corrupt.Store(true)
 	donor := ruleset.Generate(ruleset.GenConfig{N: 1, Profile: ruleset.PrefixOnly, Seed: 991})
 	if err := svc.ApplyOps([]update.Op{{Index: 0, Rule: donor.Rules[0]}}); err != nil {
 		t.Fatal(err)
 	}
-	svc.testCorruptDelta = nil
+	corrupt.Store(false)
 	var rollback *obsv.Event
 	for _, ev := range obs.Journal.Snapshot() {
 		ev := ev

@@ -50,10 +50,7 @@ func TestUpdateOnDeltaChildLeavesParentIntact(t *testing.T) {
 		want[i] = parent.Classify(h)
 	}
 
-	child, err := parent.ApplyDeltas(rules, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
+	child := applyDeltas(t, parent, rules, entries)
 
 	// In-place writes on the child: replace entries the delta batch did not
 	// touch (their vectors all still alias the parent), then invalidate a
@@ -107,10 +104,7 @@ func TestUpdateOnDeltaChildLeavesParentIntact(t *testing.T) {
 func TestApplyDeltasOnDeltaChild(t *testing.T) {
 	parent, rs, rules, entries := deltaFixture(t, 128, 3, 411)
 	snapParent, leadParent := snapshotMem(parent), slices.Clone(parent.lead)
-	child, err := parent.ApplyDeltas(rules, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
+	child := applyDeltas(t, parent, rules, entries)
 	snapChild, leadChild := snapshotMem(child), slices.Clone(child.lead)
 
 	donor := ruleset.Generate(ruleset.GenConfig{N: 3, Profile: ruleset.PrefixOnly, Seed: 412})
@@ -121,10 +115,7 @@ func TestApplyDeltasOnDeltaChild(t *testing.T) {
 		rules2 = append(rules2, rng.Intn(rs.Len()))
 		entries2 = append(entries2, r.TernaryEntries()[0])
 	}
-	grandchild, err := child.ApplyDeltas(rules2, entries2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	grandchild := applyDeltas(t, child, rules2, entries2)
 	if err := grandchild.InvalidateEntry(rng.Intn(rs.Len())); err != nil {
 		t.Fatal(err)
 	}

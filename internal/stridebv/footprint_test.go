@@ -29,10 +29,7 @@ func TestEngineDoesNotRetainExpansion(t *testing.T) {
 		for i, r := range donor.Rules {
 			rules[i], entries[i] = 37*i+5, r.TernaryEntries()[0]
 		}
-		child, err := e.ApplyDeltas(rules, entries)
-		if err != nil {
-			t.Fatal(err)
-		}
+		child := applyDeltas(t, e, rules, entries)
 		return e, child
 	}()
 	for i := 0; i < 50 && collected.Load() < 2; i++ {

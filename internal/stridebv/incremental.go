@@ -4,7 +4,14 @@ import (
 	"fmt"
 	"slices"
 
+	"pktclass/internal/core"
 	"pktclass/internal/ruleset"
+)
+
+var (
+	_ core.Updater   = (*Engine)(nil)
+	_ core.Footprint = (*Engine)(nil)
+	_ core.Footprint = (*RangeEngine)(nil)
 )
 
 // ApplyDeltas applies a batch of single-entry rule replacements in O(delta)
@@ -37,7 +44,7 @@ import (
 // expansion — a ruleset whose rules expand into multiple ternary entries has
 // no stable per-rule bit column to rewrite, and such structural deltas must
 // take the shadow-rebuild path.
-func (e *Engine) ApplyDeltas(rules []int, entries []ruleset.Ternary) (*Engine, error) {
+func (e *Engine) ApplyDeltas(rules []int, entries []ruleset.Ternary) (core.Engine, error) {
 	if len(rules) != len(entries) {
 		return nil, fmt.Errorf("stridebv: %d delta indices but %d entries", len(rules), len(entries))
 	}

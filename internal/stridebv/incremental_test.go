@@ -8,6 +8,16 @@ import (
 	"pktclass/internal/ruleset"
 )
 
+// applyDeltas is ApplyDeltas for tests that inspect the child's internals.
+func applyDeltas(t testing.TB, e *Engine, rules []int, entries []ruleset.Ternary) *Engine {
+	t.Helper()
+	child, err := e.ApplyDeltas(rules, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return child.(*Engine)
+}
+
 // deltaFixture generates a prefix-only set, an engine over it, and a batch
 // of single-entry replacements with the post-delta ruleset they produce.
 func deltaFixture(t testing.TB, n, deltas int, seed int64) (*Engine, *ruleset.RuleSet, []int, []ruleset.Ternary) {
@@ -38,10 +48,7 @@ func deltaFixture(t testing.TB, n, deltas int, seed int64) (*Engine, *ruleset.Ru
 
 func TestApplyDeltasEqualsRebuild(t *testing.T) {
 	e, next, rules, entries := deltaFixture(t, 64, 12, 11)
-	updated, err := e.ApplyDeltas(rules, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
+	updated := applyDeltas(t, e, rules, entries)
 	rebuilt, err := New(next.Expand(), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -116,10 +123,7 @@ func TestApplyDeltasSharesUntouchedStages(t *testing.T) {
 	snapE := snapshotMem(e)
 
 	// Child: entry 7's protocol byte (key byte 12, the last two stages).
-	child, err := e.ApplyDeltas([]int{7}, []ruleset.Ternary{rewriteByte(ex.Entries[7], 12)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	child := applyDeltas(t, e, []int{7}, []ruleset.Ternary{rewriteByte(ex.Entries[7], 12)})
 	for s, shared := range sharedStages(t, child, e) {
 		if want := !covers(s, 12); shared != want {
 			t.Fatalf("child stage %d shared with parent = %v, want %v", s, shared, want)
@@ -131,10 +135,7 @@ func TestApplyDeltasSharesUntouchedStages(t *testing.T) {
 	// detach those from the child, keep the child's own protocol stages
 	// shared with the child (not the grandparent), and keep the rest shared
 	// all the way up.
-	grand, err := child.ApplyDeltas([]int{9}, []ruleset.Ternary{rewriteByte(ex.Entries[9], 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	grand := applyDeltas(t, child, []int{9}, []ruleset.Ternary{rewriteByte(ex.Entries[9], 0)})
 	withChild, withE := sharedStages(t, grand, child), sharedStages(t, grand, e)
 	for s := range withChild {
 		if want := !covers(s, 0); withChild[s] != want {
@@ -164,10 +165,7 @@ func TestApplyDeltasSharesUntouchedStages(t *testing.T) {
 
 	// The degenerate delta — replace an entry with its current value —
 	// flips no bits anywhere, so every stage must stay shared.
-	self, err := e.ApplyDeltas([]int{3}, []ruleset.Ternary{ex.Entries[3]})
-	if err != nil {
-		t.Fatal(err)
-	}
+	self := applyDeltas(t, e, []int{3}, []ruleset.Ternary{ex.Entries[3]})
 	for s, shared := range sharedStages(t, self, e) {
 		if !shared {
 			t.Fatalf("self-replacement cloned stage %d", s)
@@ -274,10 +272,7 @@ func TestWalkOrderTracksStagePopulations(t *testing.T) {
 	e, _, rules, entries := deltaFixture(t, 200, 6, 31)
 	checkWalkOrder(t, e, true)
 	parentOnes := append([]int(nil), e.ones...)
-	child, err := e.ApplyDeltas(rules, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
+	child := applyDeltas(t, e, rules, entries)
 	checkWalkOrder(t, child, true)
 	checkWalkOrder(t, e, true)
 	for s, n := range parentOnes {

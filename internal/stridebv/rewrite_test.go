@@ -132,10 +132,7 @@ func rewriteSequence(t *testing.T, k int, seed int64) {
 		for i, j := range rules {
 			entries[i] = draw(j)
 		}
-		child, err := cur.ApplyDeltas(rules, entries)
-		if err != nil {
-			t.Fatal(err)
-		}
+		child := applyDeltas(t, cur, rules, entries)
 		if halfShared(cur) {
 			halfParents++
 		}
@@ -232,10 +229,7 @@ func TestIncrementalWordsStored(t *testing.T) {
 		for _, j := range rules {
 			groups[j>>6] = true
 		}
-		child, err := e.ApplyDeltas(rules, entries)
-		if err != nil {
-			t.Fatal(err)
-		}
+		child := applyDeltas(t, e, rules, entries)
 		words, flipped := changedWords(e.blk, child)
 		detached := 0
 		for _, sh := range child.shared {

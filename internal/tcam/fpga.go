@@ -34,7 +34,7 @@ const (
 // operation reports the cycles it consumed, and searches issued during a
 // write are rejected, exactly like the hardware.
 type FPGA struct {
-	ex    *ruleset.Expanded
+	ruleMap
 	cells [][]srl.Cell // [entry][cell]
 	// valid marks programmed entries; unprogrammed entries never match.
 	valid []bool
@@ -53,11 +53,13 @@ type FPGA struct {
 
 // NewFPGA builds and programs an SRL16E TCAM from an expanded ruleset.
 // Programming cost (16 cycles/entry, entries written sequentially through
-// the single write port) is reflected in the initial cycle counter.
+// the single write port) is reflected in the initial cycle counter. The
+// TCAM keeps ex's parent map as 4-byte rule indices; ex itself is not
+// retained.
 func NewFPGA(ex *ruleset.Expanded) *FPGA {
 	ne := ex.Len()
 	t := &FPGA{
-		ex:      ex,
+		ruleMap: newRuleMap(ex),
 		cells:   make([][]srl.Cell, ne),
 		valid:   make([]bool, ne),
 		shadow:  make([]ruleset.Ternary, ne),
@@ -87,10 +89,13 @@ func maxInt(a, b int) int {
 func (t *FPGA) Name() string { return "tcam-fpga" }
 
 // NumRules returns the original rule count.
-func (t *FPGA) NumRules() int { return t.ex.NumRules }
+func (t *FPGA) NumRules() int { return t.numRules }
 
 // NumEntries returns the entry capacity.
 func (t *FPGA) NumEntries() int { return len(t.cells) }
+
+// MemoryBits returns the stored bits of the paper's TCAM model, 2·W·Ne.
+func (t *FPGA) MemoryBits() int { return MemoryBits(len(t.cells), packet.W) }
 
 // Cycle returns the current cycle counter.
 func (t *FPGA) Cycle() int64 { return t.cycle }
@@ -193,20 +198,20 @@ func (t *FPGA) Classify(h packet.Header) int {
 	if e < 0 {
 		return -1
 	}
-	return t.ex.Parent[e]
+	return int(t.parent[e])
 }
 
 // MultiMatch returns all matching rules in priority order.
 func (t *FPGA) MultiMatch(h packet.Header) []int {
 	t.cycle++
 	match := t.searchEntries(h.Key())
-	var entries []int
+	var out []int
 	for i, m := range match {
 		if m {
-			entries = append(entries, i)
+			out = t.appendRule(out, i)
 		}
 	}
-	return t.ex.ParentRules(entries)
+	return out
 }
 
 func matchVector(match []bool) bitvec.Vector {

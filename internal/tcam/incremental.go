@@ -3,9 +3,17 @@ package tcam
 import (
 	"fmt"
 
+	"pktclass/internal/core"
 	"pktclass/internal/penc"
 	"pktclass/internal/ruleset"
 	"pktclass/internal/srl"
+)
+
+var (
+	_ core.Updater   = (*Behavioral)(nil)
+	_ core.Footprint = (*Behavioral)(nil)
+	_ core.Updater   = (*FPGA)(nil)
+	_ core.Footprint = (*FPGA)(nil)
 )
 
 // validateDeltas checks a delta batch against a TCAM of ne entries holding
@@ -28,16 +36,6 @@ func validateDeltas(ne, numRules int, rules []int, entries []ruleset.Ternary) er
 	return nil
 }
 
-// cowExpanded copies the FPGA model's entry table (the only field a row
-// write touches) and shares the parent map.
-func cowExpanded(ex *ruleset.Expanded) *ruleset.Expanded {
-	return &ruleset.Expanded{
-		Entries:  append([]ruleset.Ternary(nil), ex.Entries...),
-		Parent:   ex.Parent,
-		NumRules: ex.NumRules,
-	}
-}
-
 // ApplyDeltas applies a batch of single-entry rule replacements and returns
 // the resulting TCAM without touching the receiver, which keeps serving
 // concurrent searches until the caller publishes the result (atomic pointer
@@ -45,7 +43,7 @@ func cowExpanded(ex *ruleset.Expanded) *ruleset.Expanded {
 // touched rows are repacked; the parent map is shared. rules[i] names the
 // row replaced by entries[i]; later deltas win when indices repeat.
 // Requires the 1:1 rule↔entry mapping of a prefix-only expansion.
-func (t *Behavioral) ApplyDeltas(rules []int, entries []ruleset.Ternary) (*Behavioral, error) {
+func (t *Behavioral) ApplyDeltas(rules []int, entries []ruleset.Ternary) (core.Engine, error) {
 	if err := validateDeltas(len(t.rows), t.numRules, rules, entries); err != nil {
 		return nil, err
 	}
@@ -53,7 +51,7 @@ func (t *Behavioral) ApplyDeltas(rules []int, entries []ruleset.Ternary) (*Behav
 	for i, j := range rules {
 		rows[j] = packRow(entries[i])
 	}
-	return &Behavioral{table{rows: rows, parent: t.parent, numRules: t.numRules}}, nil
+	return &Behavioral{table{rows: rows, ruleMap: t.ruleMap}}, nil
 }
 
 // ApplyDeltas applies a batch of single-entry rule replacements through the
@@ -71,12 +69,12 @@ func (t *Behavioral) ApplyDeltas(rules []int, entries []ruleset.Ternary) (*Behav
 // finished shifting. rules[i] names the row replaced by entries[i]; later
 // deltas win when indices repeat. Requires the 1:1 rule↔entry mapping of a
 // prefix-only expansion.
-func (t *FPGA) ApplyDeltas(rules []int, entries []ruleset.Ternary) (*FPGA, error) {
-	if err := validateDeltas(t.ex.Len(), t.ex.NumRules, rules, entries); err != nil {
+func (t *FPGA) ApplyDeltas(rules []int, entries []ruleset.Ternary) (core.Engine, error) {
+	if err := validateDeltas(len(t.cells), t.numRules, rules, entries); err != nil {
 		return nil, err
 	}
 	n := &FPGA{
-		ex:      cowExpanded(t.ex),
+		ruleMap: t.ruleMap,
 		cells:   append([][]srl.Cell(nil), t.cells...),
 		valid:   append([]bool(nil), t.valid...),
 		shadow:  append([]ruleset.Ternary(nil), t.shadow...),
@@ -95,8 +93,6 @@ func (t *FPGA) ApplyDeltas(rules []int, entries []ruleset.Ternary) (*FPGA, error
 		n.cells[idx] = row
 		n.shadow[idx] = entries[i]
 		n.valid[idx] = true
-		//pclass:allow-mutate the entry table is a private copy made above
-		n.ex.Entries[idx] = entries[i]
 		n.cycle += int64(cycles)
 	}
 	n.busyUntil = n.cycle

@@ -3,6 +3,7 @@ package tcam
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pktclass/internal/ruleset"
@@ -68,6 +69,36 @@ func TestFPGAApplyDeltasEqualsRebuild(t *testing.T) {
 	}
 }
 
+// TestFPGAApplyDeltasSharesRuleMap: the FPGA model keeps no entry table
+// beyond its cells and the OpRead shadow, so a delta child reuses its
+// parent's entry→rule map as is and still answers both Classify and
+// MultiMatch like the linear reference, while the parent keeps answering
+// for the pre-delta ruleset.
+func TestFPGAApplyDeltasSharesRuleMap(t *testing.T) {
+	rs, ex, next, rules, entries := tcamDeltaFixture(t, 48, 8, 39)
+	parent := NewFPGA(ex)
+	out, err := parent.ApplyDeltas(rules, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child := out.(*FPGA)
+	if &child.parent[0] != &parent.parent[0] || child.numRules != parent.numRules {
+		t.Fatal("delta child copied the rule map, want it shared with the parent")
+	}
+	trace := ruleset.GenerateTrace(next, ruleset.TraceConfig{Count: 300, MatchFraction: 0.8, Seed: 40})
+	for _, h := range trace {
+		if got, want := child.Classify(h), next.FirstMatch(h); got != want {
+			t.Fatalf("child Classify %d != linear %d for %s", got, want, h)
+		}
+		if got, want := child.MultiMatch(h), next.AllMatches(h); !slices.Equal(got, want) {
+			t.Fatalf("child MultiMatch %v != linear %v for %s", got, want, h)
+		}
+		if got, want := parent.Classify(h), rs.FirstMatch(h); got != want {
+			t.Fatalf("parent changed: %d != %d for %s", got, want, h)
+		}
+	}
+}
+
 // TestFPGAApplyDeltasCycleAccounting pins the SRL16E write-port model: each
 // touched row shifts for WriteCycles on the single serialized port, so a
 // k-row delta advances the derived TCAM's clock by exactly k×WriteCycles
@@ -76,10 +107,11 @@ func TestFPGAApplyDeltasCycleAccounting(t *testing.T) {
 	_, ex, _, rules, entries := tcamDeltaFixture(t, 32, 5, 35)
 	fpga := NewFPGA(ex)
 	before := fpga.Cycle()
-	updated, err := fpga.ApplyDeltas(rules, entries)
+	out, err := fpga.ApplyDeltas(rules, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
+	updated := out.(*FPGA)
 	if fpga.Cycle() != before {
 		t.Fatalf("receiver clock advanced: %d -> %d", before, fpga.Cycle())
 	}

@@ -28,32 +28,45 @@ func (r *row) matches(hi, lo uint64) bool {
 
 // table is an expansion in searchable form, the only copy of the entries a
 // software TCAM keeps: the ruleset.Expanded it was packed from is not
-// retained, and its parent map is kept as 4-byte rule indices.
+// retained.
 type table struct {
 	// rows is shared with nothing until ApplyDeltas, which copies it for
 	// the child before writing the child's rows.
 	//
 	//pclass:cow
-	rows     []row
-	parent   []int32 // parent[i] is the rule entry i expands
-	numRules int
+	rows []row
+	ruleMap
 }
 
 func newTable(ex *ruleset.Expanded) table {
 	rows := make([]row, len(ex.Entries))
-	parent := make([]int32, len(ex.Entries))
 	for i := range rows {
 		rows[i] = packRow(ex.Entries[i])
-		parent[i] = int32(ex.Parent[i])
 	}
-	return table{rows: rows, parent: parent, numRules: ex.NumRules}
+	return table{rows: rows, ruleMap: newRuleMap(ex)}
+}
+
+// ruleMap maps entries to the rules they expand, as 4-byte rule indices.
+// A delta rewrites entries, never the mapping, so a delta child shares its
+// parent's map.
+type ruleMap struct {
+	parent   []int32 // parent[i] is the rule entry i expands
+	numRules int
+}
+
+func newRuleMap(ex *ruleset.Expanded) ruleMap {
+	parent := make([]int32, len(ex.Parent))
+	for i, p := range ex.Parent {
+		parent[i] = int32(p)
+	}
+	return ruleMap{parent: parent, numRules: ex.NumRules}
 }
 
 // appendRule appends entry's parent rule to out unless it is already last:
 // callers visit entries in ascending order and one rule's entries are
 // contiguous, so this collapses matching entries to rules.
-func (t *table) appendRule(out []int, entry int) []int {
-	if p := int(t.parent[entry]); len(out) == 0 || out[len(out)-1] != p {
+func (m *ruleMap) appendRule(out []int, entry int) []int {
+	if p := int(m.parent[entry]); len(out) == 0 || out[len(out)-1] != p {
 		out = append(out, p)
 	}
 	return out

@@ -79,10 +79,11 @@ func TestBehavioralApplyDeltasCopyOnWrite(t *testing.T) {
 	_, ex, _, rules, entries := tcamDeltaFixture(t, 64, 10, 43)
 	eng := NewBehavioral(ex)
 	before := append([]row(nil), eng.rows...)
-	child, err := eng.ApplyDeltas(rules, entries)
+	out, err := eng.ApplyDeltas(rules, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
+	child := out.(*Behavioral)
 	if !slices.Equal(eng.rows, before) {
 		t.Fatal("ApplyDeltas changed the receiver's rows")
 	}
@@ -125,10 +126,11 @@ func TestBehavioralInvalidateThenRevive(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("directed header matched nothing")
 	}
-	dead, err := eng.ApplyDeltas([]int{victim}, []ruleset.Ternary{ruleset.InvalidTernary()})
+	out, err := eng.ApplyDeltas([]int{victim}, []ruleset.Ternary{ruleset.InvalidTernary()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dead := out.(*Behavioral)
 	next := ruleset.New(append(append([]ruleset.Rule(nil), rs.Rules[:victim]...), rs.Rules[victim+1:]...))
 	for _, h := range trace {
 		want := next.FirstMatch(h)
@@ -142,10 +144,11 @@ func TestBehavioralInvalidateThenRevive(t *testing.T) {
 			t.Fatalf("invalidated row %d still raises its match line for %s", victim, h)
 		}
 	}
-	alive, err := dead.ApplyDeltas([]int{victim}, []ruleset.Ternary{ex.Entries[victim]})
+	out, err = dead.ApplyDeltas([]int{victim}, []ruleset.Ternary{ex.Entries[victim]})
 	if err != nil {
 		t.Fatal(err)
 	}
+	alive := out.(*Behavioral)
 	if !slices.Equal(alive.rows, eng.rows) {
 		t.Fatal("revived table differs from the original")
 	}

@@ -36,6 +36,9 @@ func (t *Behavioral) NumRules() int { return t.numRules }
 // NumEntries returns the stored entry count Ne.
 func (t *Behavioral) NumEntries() int { return len(t.rows) }
 
+// MemoryBits returns the stored bits of the paper's TCAM model, 2·W·Ne.
+func (t *Behavioral) MemoryBits() int { return MemoryBits(len(t.rows), packet.W) }
+
 // Classify returns the highest-priority matching rule index, or -1.
 // This is the priority-encoder output of a hardware TCAM: the first row
 // that matches the header's two words, straight from its fields.

@@ -4,11 +4,12 @@ import (
 	"errors"
 	"testing"
 
+	"pktclass/internal/cli"
 	"pktclass/internal/core"
 	"pktclass/internal/flowcache"
+	"pktclass/internal/packet"
 	"pktclass/internal/ruleset"
 	"pktclass/internal/stridebv"
-	"pktclass/internal/tcam"
 )
 
 func TestApplyToRuleSetNoOpReturnsInput(t *testing.T) {
@@ -66,6 +67,12 @@ func TestDeltasLowering(t *testing.T) {
 	}
 }
 
+// TestApplyDeltasToEngineRoutesEveryFamily drives the engine contract over
+// every cli engine plus part-tcam, bare and behind a flow cache: each
+// engine's core.MemoryBits is its family's stored-bit model (a partitioned
+// engine's is the sum over its parts, which hold every entry once), each
+// core.Updater answers like the linear reference after a generated 8-op
+// delta, and every other engine refuses with ErrDeltaUnsupported.
 func TestApplyDeltasToEngineRoutesEveryFamily(t *testing.T) {
 	rs := ruleset.Generate(ruleset.GenConfig{N: 48, Profile: ruleset.PrefixOnly, Seed: 44, DefaultRule: true})
 	ops, err := GenerateOps(rs, 8, 45)
@@ -80,32 +87,65 @@ func TestApplyDeltasToEngineRoutesEveryFamily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sbv, err := stridebv.New(rs.Expand(), 4)
-	if err != nil {
-		t.Fatal(err)
+	const k = 4
+	ne := rs.Expand().Len()
+	strideBits := func(w, k int) int { return (w + k - 1) / k << k * ne }
+	tcamBits := 2 * packet.W * ne
+	want := map[string]struct {
+		bits    int
+		updates bool
+	}{
+		"stridebv":      {strideBits(packet.W, k), true},
+		"fsbv":          {strideBits(packet.W, 1), true},
+		"rangebv":       {strideBits(72, k) + 4*16*ne, false},
+		"tcam":          {tcamBits, true},
+		"tcam-fpga":     {tcamBits, true},
+		"hicuts":        {0, false},
+		"linear":        {0, false},
+		"part-stridebv": {strideBits(packet.W, k), true},
+		"part-tcam":     {tcamBits, true},
 	}
-	engines := []core.Engine{
-		sbv,
-		tcam.NewBehavioral(rs.Expand()),
-		tcam.NewFPGA(rs.Expand()),
-		// A cached wrapper must be peeled before dispatch.
-		core.NewCached(tcam.NewBehavioral(rs.Expand()), flowcache.New(flowcache.Config{Entries: 64})),
+	names := append(cli.EngineNames(), "part-tcam")
+	if len(names) != len(want) {
+		t.Fatalf("engines %v, want a case for each of %d", names, len(want))
 	}
 	trace := ruleset.GenerateTrace(next, ruleset.TraceConfig{Count: 300, MatchFraction: 0.8, Seed: 46})
-	for _, eng := range engines {
-		out, err := ApplyDeltasToEngine(eng, rules, entries)
-		if err != nil {
-			t.Fatalf("%s: %v", eng.Name(), err)
+	for _, name := range names {
+		w, ok := want[name]
+		if !ok {
+			t.Fatalf("no expectation for engine %q", name)
 		}
-		for _, h := range trace {
-			if got, want := out.Classify(h), next.FirstMatch(h); got != want {
-				t.Fatalf("%s: delta engine %d != linear %d for %s", eng.Name(), got, want, h)
+		// Band partitions keep every replacement on its rule's part; under
+		// the prefix splitter a generated delta may move a rule across
+		// parts, which is structural.
+		bare, err := cli.BuildEngineOpts(rs, name, cli.Options{Stride: k, Splitter: "band", Partitions: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A cached wrapper must be seen through.
+		cached := core.NewCached(bare, flowcache.New(flowcache.Config{Entries: 64}))
+		for _, eng := range []core.Engine{bare, cached} {
+			if got := core.MemoryBits(eng); got != w.bits {
+				t.Errorf("%s: MemoryBits = %d, want %d", eng.Name(), got, w.bits)
+			}
+			out, err := ApplyDeltasToEngine(eng, rules, entries)
+			if !w.updates {
+				if !errors.Is(err, ErrDeltaUnsupported) {
+					t.Errorf("%s: error = %v, want ErrDeltaUnsupported", eng.Name(), err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s: %v", eng.Name(), err)
+				continue
+			}
+			for _, h := range trace {
+				if got, want := out.Classify(h), next.FirstMatch(h); got != want {
+					t.Errorf("%s: delta engine %d != linear %d for %s", eng.Name(), got, want, h)
+					break
+				}
 			}
 		}
-	}
-	// The linear engine has no incremental primitive.
-	if _, err := ApplyDeltasToEngine(core.NewLinear(rs), rules, entries); !errors.Is(err, ErrDeltaUnsupported) {
-		t.Fatalf("linear error = %v, want ErrDeltaUnsupported", err)
 	}
 }
 

@@ -16,7 +16,10 @@
 // The package generates deterministic update workloads (rule replacement
 // on a prefix-only ruleset, so the one-entry-per-rule invariant holds),
 // applies them to live engines, and differentially verifies the result
-// against an engine rebuilt from scratch.
+// against an engine rebuilt from scratch. It names no engine family: the
+// in-place cost paths take the write port they drive, and the
+// copy-on-write path (ApplyDeltasToEngine) reaches each engine's own delta
+// path through core.Updater.
 package update
 
 import (
@@ -26,10 +29,7 @@ import (
 
 	"pktclass/internal/core"
 	"pktclass/internal/packet"
-	"pktclass/internal/partition"
 	"pktclass/internal/ruleset"
-	"pktclass/internal/stridebv"
-	"pktclass/internal/tcam"
 )
 
 // Op replaces the rule at Index with Rule.
@@ -73,21 +73,14 @@ func (c Cost) UpdatesPerSecond(clockMHz float64) float64 {
 	return clockMHz * 1e6 * float64(c.Ops) / float64(c.OccupancyCycles)
 }
 
-// ApplyToStrideBV applies the ops in place and returns the cost.
-func ApplyToStrideBV(eng *stridebv.Engine, rs *ruleset.RuleSet, ops []Op) (Cost, error) {
-	for _, op := range ops {
-		if op.Index < 0 || op.Index >= rs.Len() {
-			return Cost{}, fmt.Errorf("update: index %d out of range", op.Index)
-		}
-		entries := op.Rule.TernaryEntries()
-		if len(entries) != 1 {
-			return Cost{}, fmt.Errorf("update: replacement expands to %d entries, want 1", len(entries))
-		}
-		//pclass:allow-mutate in-place update path: the caller owns this ruleset
-		rs.Rules[op.Index] = op.Rule
-		if err := eng.UpdateEntry(op.Index, entries[0]); err != nil {
-			return Cost{}, err
-		}
+// ApplyToStrideBV applies the ops in place to a live StrideBV engine
+// (stridebv.Engine) and returns the cost.
+func ApplyToStrideBV(eng interface {
+	UpdateEntry(j int, e ruleset.Ternary) error
+	Stages() int
+}, rs *ruleset.RuleSet, ops []Op) (Cost, error) {
+	if err := applyInPlace(rs, ops, eng.UpdateEntry); err != nil {
+		return Cost{}, err
 	}
 	return Cost{
 		Ops:             len(ops),
@@ -96,33 +89,50 @@ func ApplyToStrideBV(eng *stridebv.Engine, rs *ruleset.RuleSet, ops []Op) (Cost,
 	}, nil
 }
 
-// ApplyToTCAM applies the ops to a live SRL16E TCAM and returns the cost.
-func ApplyToTCAM(fp *tcam.FPGA, rs *ruleset.RuleSet, ops []Op) (Cost, error) {
-	var occupancy int64
+// ApplyToTCAM applies the ops to a live SRL16E TCAM (tcam.FPGA) and returns
+// the cost. Write reports the cycles a row's shift-in occupies the single
+// write port, which is also one update's latency.
+func ApplyToTCAM(fp interface {
+	Write(idx int, e ruleset.Ternary) (int, error)
+	Advance(n int64)
+}, rs *ruleset.RuleSet, ops []Op) (Cost, error) {
+	c := Cost{Ops: len(ops)}
+	err := applyInPlace(rs, ops, func(j int, e ruleset.Ternary) error {
+		cycles, err := fp.Write(j, e)
+		if err != nil {
+			return err
+		}
+		c.LatencyCycles = cycles
+		c.OccupancyCycles += int64(cycles)
+		// Wait out the shift: the single write port serializes
+		// consecutive updates.
+		fp.Advance(int64(cycles))
+		return nil
+	})
+	if err != nil {
+		return Cost{}, err
+	}
+	return c, nil
+}
+
+// applyInPlace validates each op, applies it to rs and writes its one
+// ternary entry through write.
+func applyInPlace(rs *ruleset.RuleSet, ops []Op, write func(j int, e ruleset.Ternary) error) error {
 	for _, op := range ops {
 		if op.Index < 0 || op.Index >= rs.Len() {
-			return Cost{}, fmt.Errorf("update: index %d out of range", op.Index)
+			return fmt.Errorf("update: index %d out of range", op.Index)
 		}
 		entries := op.Rule.TernaryEntries()
 		if len(entries) != 1 {
-			return Cost{}, fmt.Errorf("update: replacement expands to %d entries, want 1", len(entries))
+			return fmt.Errorf("update: replacement expands to %d entries, want 1", len(entries))
 		}
 		//pclass:allow-mutate in-place update path: the caller owns this ruleset
 		rs.Rules[op.Index] = op.Rule
-		cycles, err := fp.Write(op.Index, entries[0])
-		if err != nil {
-			return Cost{}, err
+		if err := write(op.Index, entries[0]); err != nil {
+			return err
 		}
-		occupancy += int64(cycles)
-		// Wait out the 16-cycle shift: the single write port serializes
-		// consecutive updates.
-		fp.Advance(int64(cycles))
 	}
-	return Cost{
-		Ops:             len(ops),
-		LatencyCycles:   tcam.WriteCycles,
-		OccupancyCycles: occupancy,
-	}, nil
+	return nil
 }
 
 // ApplyToRuleSet returns a new ruleset with the ops applied, leaving the
@@ -171,52 +181,26 @@ func Deltas(ops []Op) (rules []int, entries []ruleset.Ternary, err error) {
 	return rules, entries, nil
 }
 
-// ApplyDeltasToEngine routes a lowered delta batch to the engine family's
-// incremental update primitive: the per-stride stage-memory bit flip for
-// StrideBV, the per-row (SRL16E shift-in on the FPGA model) write for the
-// TCAMs. The receiver engine is never modified — the returned engine
-// shares all untouched state with it and is safe to publish to concurrent
-// readers with an atomic pointer store. Engines without an incremental
-// primitive, and structural deltas (capacity growth, expansion-factor
-// change), report an error wrapping ErrDeltaUnsupported; the caller falls
-// back to shadow rebuild.
+// ApplyDeltasToEngine applies a lowered delta batch through the engine's
+// own O(delta) update path (core.Updater), seen through any wrapper: the
+// per-stride stage-memory write for StrideBV, the per-row (SRL16E shift-in
+// on the FPGA model) write for the TCAMs, and the per-part routing of the
+// partitioned engine. The receiver engine is never modified — the returned
+// engine shares all untouched state with it and is safe to publish to
+// concurrent readers with an atomic pointer store. Engines without a delta
+// path, and structural deltas (capacity growth, expansion-factor change, a
+// rule moving between partitions), report an error wrapping
+// ErrDeltaUnsupported; the caller falls back to shadow rebuild.
 func ApplyDeltasToEngine(eng core.Engine, rules []int, entries []ruleset.Ternary) (core.Engine, error) {
-	switch e := core.Unwrap(eng).(type) {
-	case *stridebv.Engine:
-		out, err := e.ApplyDeltas(rules, entries)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrDeltaUnsupported, err)
-		}
-		return out, nil
-	case *tcam.Behavioral:
-		out, err := e.ApplyDeltas(rules, entries)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrDeltaUnsupported, err)
-		}
-		return out, nil
-	case *tcam.FPGA:
-		out, err := e.ApplyDeltas(rules, entries)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrDeltaUnsupported, err)
-		}
-		return out, nil
-	case *partition.Engine:
-		// The partitioning layer routes each delta to the one sub-engine
-		// holding the touched rule; ApplyDeltasToEngine recurses as the
-		// per-partition apply hook, so any supported sub-engine family
-		// works. Steering-changing deltas (a rule moving between buckets)
-		// surface here as ErrDeltaUnsupported and take the rebuild path.
-		out, err := e.ApplyDeltas(rules, entries, ApplyDeltasToEngine)
-		if err != nil {
-			if errors.Is(err, ErrDeltaUnsupported) {
-				return nil, err
-			}
-			return nil, fmt.Errorf("%w: %w", ErrDeltaUnsupported, err)
-		}
-		return out, nil
-	default:
+	u, ok := core.Unwrap(eng).(core.Updater)
+	if !ok {
 		return nil, fmt.Errorf("update: %s: %w", eng.Name(), ErrDeltaUnsupported)
 	}
+	out, err := u.ApplyDeltas(rules, entries)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrDeltaUnsupported, err)
+	}
+	return out, nil
 }
 
 // VerifyDeltasScoped differentially checks an incrementally updated engine

@@ -26,6 +26,7 @@ import (
 	"io"
 
 	"pktclass/internal/core"
+	"pktclass/internal/experiments"
 	"pktclass/internal/floorplan"
 	"pktclass/internal/flowcache"
 	"pktclass/internal/fpga"
@@ -62,7 +63,7 @@ type (
 	// Report is a full hardware evaluation of one configuration.
 	Report = fpga.Report
 	// Comparison is the head-to-head result of both engines on one ruleset.
-	Comparison = core.Comparison
+	Comparison = experiments.Comparison
 	// FlowCache is the generation-tagged exact-match flow cache.
 	FlowCache = flowcache.Cache
 	// FlowCacheConfig sizes a FlowCache.
@@ -187,7 +188,7 @@ func Virtex7() Device { return fpga.Virtex7() }
 // Compare runs the paper's head-to-head evaluation (StrideBV k∈{3,4} with
 // both memory types vs TCAM) for one ruleset on the device.
 func Compare(rs *RuleSet, d Device, seed int64) (*Comparison, error) {
-	return core.Compare(core.CompareConfig{
+	return experiments.Compare(experiments.CompareConfig{
 		RuleSet: rs,
 		Device:  d,
 		Mode:    floorplan.Automatic,
