@@ -104,8 +104,6 @@ func SmallestFitting(r Resources) *Device {
 }
 
 // MemoryKind selects the StrideBV stage-memory implementation.
-//
-//pclass:exhaustive resource/power models must cover every memory kind
 type MemoryKind int
 
 const (

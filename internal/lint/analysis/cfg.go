@@ -44,9 +44,6 @@ type CFG struct {
 	Blocks []*Block
 }
 
-// Entry returns the function's entry block.
-func (c *CFG) Entry() *Block { return c.Blocks[0] }
-
 // BuildCFG constructs the control-flow graph of one function body.
 func BuildCFG(body *ast.BlockStmt) *CFG {
 	b := &cfgBuilder{cfg: &CFG{}, labels: make(map[string]*labelTarget)}

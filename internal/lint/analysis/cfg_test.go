@@ -174,15 +174,37 @@ outer:
 }
 `
 
-// defNodesReaching is shorthand: the definition nodes of variable name
-// that may reach the marker call.
+// defNodesReaching returns the assignments to local name that may reach
+// the marker call: reaching definitions of one variable, solved with
+// Forward over the CFG under test, so every shape test below checks the
+// edges the flow-sensitive analyzers depend on.
 func defNodesReaching(t *testing.T, l *loadedFunc, marker, name string) []ast.Node {
 	t.Helper()
-	r := SolveReachingDefs(l.cfg, l.info)
+	v := l.localVar(t, name)
+	transfer := func(n ast.Node, state FlowSet) {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return
+		}
+		for _, lhs := range as.Lhs {
+			if id, ok := lhs.(*ast.Ident); ok && (l.info.Defs[id] == v || l.info.Uses[id] == v) {
+				clear(state) // a new definition of v kills every other one
+				state.Add(n)
+			}
+		}
+	}
+	in := Forward(l.cfg, transfer)
 	blk, node := l.callNode(t, marker)
+	state := in[blk].Clone()
+	for _, n := range blk.Nodes {
+		if n == node {
+			break
+		}
+		transfer(n, state)
+	}
 	var nodes []ast.Node
-	for _, d := range r.DefsReaching(blk, node, l.localVar(t, name)) {
-		nodes = append(nodes, d.Node)
+	for k := range state {
+		nodes = append(nodes, k.(ast.Node))
 	}
 	return nodes
 }

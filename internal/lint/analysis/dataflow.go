@@ -1,5 +1,5 @@
-// Dataflow passes over the function-local CFG: a generic forward
-// may-analysis solver, and a reaching-definitions pass built on it.
+// Dataflow over the function-local CFG: a generic forward may-analysis
+// solver and the replay that analyzers report from.
 //
 // Everything here is a *may* analysis — joins are set unions — because the
 // analyzers built on top report protocol violations that are possible on
@@ -9,11 +9,7 @@
 // path-insensitive in exactly the conservative direction.
 package analysis
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-)
+import "go/ast"
 
 // FlowSet is a dataflow state: a set of analysis-chosen keys (typically
 // *types.Var locals or "Type.Field" strings).
@@ -49,18 +45,15 @@ func (s FlowSet) union(o FlowSet) bool {
 	return grew
 }
 
-// Forward solves a forward may-analysis to fixpoint and returns each
-// block's entry state. transfer applies one node's gen/kill effects to
-// state in place; it must be deterministic in state (called repeatedly
-// during iteration and again by clients replaying a block). entry seeds
-// the function-entry state (parameters, receiver); nil means empty.
-func Forward(c *CFG, entry FlowSet, transfer func(n ast.Node, state FlowSet)) map[*Block]FlowSet {
+// Forward solves a forward may-analysis to fixpoint from an empty
+// function-entry state and returns each block's entry state. transfer
+// applies one node's gen/kill effects to state in place; it must be
+// deterministic in state (called repeatedly during iteration and again by
+// clients replaying a block).
+func Forward(c *CFG, transfer func(n ast.Node, state FlowSet)) map[*Block]FlowSet {
 	in := make(map[*Block]FlowSet, len(c.Blocks))
 	for _, b := range c.Blocks {
 		in[b] = make(FlowSet)
-	}
-	if entry != nil {
-		in[c.Entry()].union(entry)
 	}
 	// Worklist iteration; union joins guarantee monotone growth, so this
 	// terminates once every block's in-state is stable.
@@ -86,127 +79,6 @@ func Forward(c *CFG, entry FlowSet, transfer func(n ast.Node, state FlowSet)) ma
 		}
 	}
 	return in
-}
-
-// Definition is one assignment that may reach a use: the identifier being
-// defined and the syntax that defines it (an *ast.AssignStmt, *ast.ValueSpec,
-// *ast.IncDecStmt, or *ast.RangeStmt header).
-type Definition struct {
-	Var  *types.Var
-	Node ast.Node
-}
-
-// ReachingDefs answers, for each identifier use of a function-local
-// variable, which definitions may reach it. It is the classic
-// reaching-definitions problem over the function CFG; the cowwrite
-// analyzer uses it to track aliases of copy-on-write storage, and it
-// doubles as a last-use oracle (a definition none of whose uses follow a
-// given node is dead past it).
-type ReachingDefs struct {
-	info *types.Info
-	// defs lists every definition site per variable; reach maps each
-	// block to the definition set live at its entry.
-	defs  map[*types.Var][]Definition
-	reach map[*Block]FlowSet // keys are Definition values
-	cfg   *CFG
-}
-
-// SolveReachingDefs runs the pass over one function body's CFG.
-func SolveReachingDefs(cfg *CFG, info *types.Info) *ReachingDefs {
-	r := &ReachingDefs{info: info, defs: make(map[*types.Var][]Definition), cfg: cfg}
-	// First pass: collect every definition site so kills are complete.
-	for _, b := range cfg.Blocks {
-		for _, n := range b.Nodes {
-			r.collectDefs(n)
-		}
-	}
-	r.reach = Forward(cfg, nil, r.transfer)
-	return r
-}
-
-// DefsReaching replays use's block and returns the definitions of v that
-// may reach the given node (which must be a node of blk, as produced by
-// VisitBlocks or a client's own walk).
-func (r *ReachingDefs) DefsReaching(blk *Block, node ast.Node, v *types.Var) []Definition {
-	state := r.reach[blk].Clone()
-	for _, n := range blk.Nodes {
-		if n == node {
-			break
-		}
-		r.transfer(n, state)
-	}
-	var out []Definition
-	for _, d := range r.defs[v] {
-		if state.Has(d) {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// transfer applies one node's definitions: each new definition of v kills
-// every other definition of v.
-func (r *ReachingDefs) transfer(n ast.Node, state FlowSet) {
-	forEachDef(n, r.info, func(d Definition) {
-		for _, old := range r.defs[d.Var] {
-			state.Remove(old)
-		}
-		state.Add(d)
-	})
-}
-
-func (r *ReachingDefs) collectDefs(n ast.Node) {
-	forEachDef(n, r.info, func(d Definition) {
-		r.defs[d.Var] = append(r.defs[d.Var], d)
-	})
-}
-
-// forEachDef enumerates the local-variable definitions a CFG node makes.
-// Only simple identifier targets count — a write through a selector or
-// index expression redefines storage, not the variable.
-func forEachDef(n ast.Node, info *types.Info, f func(Definition)) {
-	emit := func(id ast.Expr, node ast.Node) {
-		ident, ok := id.(*ast.Ident)
-		if !ok || ident.Name == "_" {
-			return
-		}
-		var v *types.Var
-		if d, ok := info.Defs[ident]; ok {
-			v, _ = d.(*types.Var)
-		} else if u, ok := info.Uses[ident]; ok {
-			v, _ = u.(*types.Var)
-		}
-		if v != nil {
-			f(Definition{Var: v, Node: node})
-		}
-	}
-	switch x := n.(type) {
-	case *ast.AssignStmt:
-		for _, lhs := range x.Lhs {
-			emit(lhs, x)
-		}
-	case *ast.IncDecStmt:
-		emit(x.X, x)
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, name := range vs.Names {
-						emit(name, vs)
-					}
-				}
-			}
-		}
-	case *ast.RangeStmt:
-		if x.Key != nil {
-			emit(x.Key, x)
-		}
-		if x.Value != nil {
-			emit(x.Value, x)
-		}
-	case *ast.TypeSwitchStmt:
-		// handled via its Assign node when placed in the CFG
-	}
 }
 
 // VisitBlocks replays a solved forward analysis over every block: for each

@@ -9,8 +9,6 @@ func All() []*analysis.Analyzer {
 		HotPathAlloc,
 		Immutability,
 		LockSafe,
-		PanicStyle,
-		ExhaustEngine,
 		PoolLifetime,
 		AtomicPin,
 		CowWrite,

@@ -21,14 +21,6 @@ func TestLockSafe(t *testing.T) {
 	linttest.Run(t, analyzers.LockSafe, "locksafe")
 }
 
-func TestPanicStyle(t *testing.T) {
-	linttest.Run(t, analyzers.PanicStyle, "panicstyle")
-}
-
-func TestExhaustEngine(t *testing.T) {
-	linttest.Run(t, analyzers.ExhaustEngine, "exhaust/def", "exhaust/use")
-}
-
 func TestPoolLifetime(t *testing.T) {
 	// def loads first so use's DepFacts sees the pooled/releases
 	// annotations; def also carries the in-package sync.Pool cases.
@@ -44,18 +36,17 @@ func TestCowWrite(t *testing.T) {
 }
 
 func TestAllRegistered(t *testing.T) {
+	want := []string{"hotpathalloc", "immutability", "locksafe", "poollifetime", "atomicpin", "cowwrite"}
 	all := analyzers.All()
-	if len(all) != 8 {
-		t.Fatalf("All() = %d analyzers, want 8", len(all))
+	if len(all) != len(want) {
+		t.Fatalf("All() = %d analyzers, want %d %v", len(all), len(want), want)
 	}
-	seen := map[string]bool{}
-	for _, a := range all {
-		if a.Name == "" || a.Doc == "" || a.Run == nil || a.SuppressKey == "" {
-			t.Errorf("analyzer %+v incompletely declared", a.Name)
+	for i, a := range all {
+		if a.Name != want[i] {
+			t.Errorf("All()[%d] = %s, want %s", i, a.Name, want[i])
 		}
-		if seen[a.Name] {
-			t.Errorf("duplicate analyzer name %s", a.Name)
+		if a.Doc == "" || a.Run == nil || a.SuppressKey == "" {
+			t.Errorf("analyzer %s incompletely declared", a.Name)
 		}
-		seen[a.Name] = true
 	}
 }

@@ -103,7 +103,7 @@ func checkAtomicPin(pass *analysis.Pass, fd *ast.FuncDecl) {
 			return true
 		})
 	}
-	in := analysis.Forward(cfg, nil, transfer)
+	in := analysis.Forward(cfg, transfer)
 	analysis.VisitBlocks(cfg, in, transfer, func(_ *analysis.Block, n ast.Node, state analysis.FlowSet) {
 		// Walk loads in source order within the node so that two loads in
 		// one statement are caught too.

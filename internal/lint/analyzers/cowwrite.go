@@ -57,7 +57,7 @@ type cowFlow struct {
 func checkCowWrite(pass *analysis.Pass, fd *ast.FuncDecl) {
 	cfg := analysis.BuildCFG(fd.Body)
 	cf := &cowFlow{pass: pass}
-	in := analysis.Forward(cfg, nil, cf.transfer)
+	in := analysis.Forward(cfg, cf.transfer)
 	analysis.VisitBlocks(cfg, in, cf.transfer, func(_ *analysis.Block, n ast.Node, state analysis.FlowSet) {
 		cf.checkNode(n, state)
 	})

@@ -1,7 +1,8 @@
 // Package analyzers holds pclasslint's domain-specific checks: the
 // engine-room invariants of this repository that the Go compiler cannot
-// see (allocation-free hot paths, immutable shared rulesets, lock
-// discipline, panic message style, exhaustive engine dispatch).
+// see: allocation-free hot paths, immutable shared rulesets, no
+// classification under a lock, and the pooled-lifetime, pinned-load and
+// copy-on-write protocols of the serving and update paths.
 package analyzers
 
 import (

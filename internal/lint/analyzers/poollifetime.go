@@ -80,7 +80,7 @@ func checkPoolLifetime(pass *analysis.Pass, fd *ast.FuncDecl) {
 		return
 	}
 
-	in := analysis.Forward(cfg, nil, pf.transfer)
+	in := analysis.Forward(cfg, pf.transfer)
 	analysis.VisitBlocks(cfg, in, pf.transfer, func(_ *analysis.Block, n ast.Node, state analysis.FlowSet) {
 		pf.checkNode(n, state)
 	})

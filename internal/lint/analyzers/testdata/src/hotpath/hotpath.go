@@ -1,3 +1,9 @@
+// Package hotpath is the hotpathalloc fixture. The analyzer stays under
+// the overlap rule: the 0-allocs benchmark gates in CI (allocs gate,
+// bench-smoke) see an allocation only on the branches their inputs drive
+// and only once a benchmark runs, while the analyzer flags one at vet
+// time on every branch of an annotated function, including the cold
+// ones no benchmark reaches (Grow below).
 package hotpath
 
 import "fmt"
@@ -29,6 +35,18 @@ func Precompute(n int) []int {
 		out = append(out[:i], i)
 	}
 	return out
+}
+
+// Grow allocates only when the caller's scratch is short: a benchmark
+// with warm scratch never takes the branch and reads 0 allocs/op, and the
+// analyzer flags it anyway.
+//
+//pclass:hotpath
+func Grow(keys, scratch []int) []int {
+	if cap(scratch) < len(keys) {
+		scratch = make([]int, len(keys)) // want `hot path calls make`
+	}
+	return scratch[:len(keys)]
 }
 
 // Checked shows the two sanctioned escapes: a panic's message may

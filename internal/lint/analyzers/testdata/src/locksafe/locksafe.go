@@ -7,47 +7,6 @@ type shard struct {
 	entries []int
 }
 
-type cache struct {
-	shards []shard
-}
-
-type counters struct {
-	hits int
-	mu   sync.RWMutex
-}
-
-// byValue passes a lock-bearing struct by value.
-func byValue(s shard) int { // want `passes .*shard by value; it contains sync\.Mutex`
-	return len(s.entries)
-}
-
-// valueReturn returns a lock-bearing struct by value.
-func valueReturn() counters { // want `passes counters by value; it contains sync\.RWMutex`
-	return counters{}
-}
-
-// copies dereferences and ranges over lock-bearing values.
-func copies(c *cache, s *shard) {
-	local := *s // want `assignment copies a value containing sync\.Mutex`
-	_ = local
-	for _, sh := range c.shards { // want `range value copies a value containing sync\.Mutex`
-		_ = sh
-	}
-	for i := range c.shards { // ranging by index is the fix
-		c.shards[i].mu.Lock()
-		c.shards[i].mu.Unlock()
-	}
-}
-
-// deferLoop holds every shard's lock until function return.
-func deferLoop(c *cache) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		defer s.mu.Unlock() // want `defer s\.mu\.Unlock\(\) inside a loop`
-	}
-}
-
 func classify(v int) int      { return v }
 func classifyBatch(v int) int { return v }
 
@@ -78,8 +37,9 @@ type locked struct {
 	t  *table
 }
 
-// twoPhase probes under the lock, runs the miss function with the lock
-// released, and retakes it to fill.
+// twoPhase is flowcache.Cache.ClassifyBatchInto's shape since PR 21:
+// probe under the lock, run the miss function with the lock released,
+// and retake it to fill.
 func twoPhase(l *locked, n int, classifyMisses func(int)) {
 	l.mu.Lock()
 	m := l.t.probe(n)
@@ -93,8 +53,10 @@ func twoPhase(l *locked, n int, classifyMisses func(int)) {
 	l.mu.Unlock()
 }
 
-// leakedPhase is the same body with the miss function called before the
-// probe phase's Unlock.
+// leakedPhase replays the revert of PR 21's phase lock: the same body
+// with the miss function called before the probe phase's Unlock. A miss
+// callback that re-enters the cache then deadlocks on l.mu, which
+// TestMissCallbackReentersCache sees only at its timeout.
 func leakedPhase(l *locked, n int, classifyMisses func(int)) {
 	l.mu.Lock()
 	m := l.t.probe(n)
@@ -114,6 +76,19 @@ func branchClassify(s *shard, b bool) int {
 		s.mu.Unlock()
 	}
 	return classify(4) // lock released in every path: fine
+}
+
+// embedded locks through a promoted sync.Mutex method.
+type embedded struct {
+	sync.Mutex
+	n int
+}
+
+func embeddedClassify(e *embedded) int {
+	e.Lock()
+	r := classify(e.n) // want `calls classify while holding lock e`
+	e.Unlock()
+	return r
 }
 
 // allowListed is the sanctioned escape for a deliberate call under lock.

@@ -6,7 +6,6 @@
 //
 //	//pclass:hotpath     on a function: the body may not allocate
 //	//pclass:immutable   on a type: no field writes outside its package
-//	//pclass:exhaustive  on a const enum type: switches must cover it
 //	//pclass:pooled      on a function: its result comes from a sync.Pool;
 //	                     on a type: every value of it is pool-managed
 //	//pclass:releases    on a function: calling it may return its pooled
@@ -40,24 +39,10 @@ import (
 // Prefix starts every pclass annotation comment.
 const Prefix = "//pclass:"
 
-// Member is one package-level constant of an exhaustive enum type.
-type Member struct {
-	Name string
-	// Value is the constant's exact value (constant.Value.ExactString),
-	// so aliases with equal values count as covering the same member.
-	Value string
-	// Exported members are the only ones switches outside the defining
-	// package are required to cover.
-	Exported bool
-}
-
 // Package holds the annotation facts of one package.
 type Package struct {
 	// Immutable lists type names declared //pclass:immutable.
 	Immutable []string
-	// ExhaustiveEnums maps a //pclass:exhaustive enum type name to its
-	// package-level constant members.
-	ExhaustiveEnums map[string][]Member
 	// PooledFuncs lists //pclass:pooled functions — pool-backed getters —
 	// as FuncKey strings ("Recv.Name" for methods, "Name" otherwise).
 	PooledFuncs []string
@@ -78,25 +63,9 @@ type Package struct {
 	MutatorMethods []string
 }
 
-// Empty reports whether the package declares no facts.
-func (p *Package) Empty() bool {
-	return p == nil || len(p.Immutable) == 0 && len(p.ExhaustiveEnums) == 0 &&
-		len(p.PooledFuncs) == 0 && len(p.PooledTypes) == 0 && len(p.ReleaseFuncs) == 0 &&
-		len(p.PinnedFields) == 0 && len(p.CowFields) == 0 && len(p.MutatorMethods) == 0
-}
-
 // HasImmutable reports whether name is an //pclass:immutable type.
 func (p *Package) HasImmutable(name string) bool {
 	return p != nil && contains(p.Immutable, name)
-}
-
-// EnumMembers returns the members of a //pclass:exhaustive enum type, or
-// nil when name is not one.
-func (p *Package) EnumMembers(name string) []Member {
-	if p == nil {
-		return nil
-	}
-	return p.ExhaustiveEnums[name]
 }
 
 // HasPooledFunc reports whether key names a //pclass:pooled getter.
@@ -203,9 +172,9 @@ func Annotated(doc *ast.CommentGroup, name string) bool {
 }
 
 // Scan collects the annotation facts declared in one package's files.
-// info.Defs must be populated (it resolves annotated TypeSpecs to their
-// type objects so enum members can be matched by type identity).
-func Scan(files []*ast.File, pkg *types.Package, info *types.Info) *Package {
+// info.Defs must be populated (it resolves annotated declarations to
+// their objects).
+func Scan(files []*ast.File, info *types.Info) *Package {
 	out := &Package{}
 	for _, f := range files {
 		for _, decl := range f.Decls {
@@ -216,7 +185,7 @@ func Scan(files []*ast.File, pkg *types.Package, info *types.Info) *Package {
 					if !ok {
 						continue
 					}
-					scanTypeSpec(out, pkg, info, d, ts)
+					scanTypeSpec(out, info, d, ts)
 				}
 			case *ast.FuncDecl:
 				scanFuncDecl(out, info, d)
@@ -227,9 +196,9 @@ func Scan(files []*ast.File, pkg *types.Package, info *types.Info) *Package {
 }
 
 // scanTypeSpec collects one type declaration's annotations: the type-level
-// immutable/exhaustive/pooled markers, and the pinned/cow field markers of
+// immutable/pooled markers, and the pinned/cow field markers of
 // a struct type's fields.
-func scanTypeSpec(out *Package, pkg *types.Package, info *types.Info, gd *ast.GenDecl, ts *ast.TypeSpec) {
+func scanTypeSpec(out *Package, info *types.Info, gd *ast.GenDecl, ts *ast.TypeSpec) {
 	// The annotation may sit on the grouped decl or the spec.
 	has := func(name string) bool {
 		return Annotated(gd.Doc, name) || Annotated(ts.Doc, name)
@@ -243,12 +212,6 @@ func scanTypeSpec(out *Package, pkg *types.Package, info *types.Info, gd *ast.Ge
 	}
 	if has("pooled") {
 		out.PooledTypes = append(out.PooledTypes, obj.Name())
-	}
-	if has("exhaustive") {
-		if out.ExhaustiveEnums == nil {
-			out.ExhaustiveEnums = make(map[string][]Member)
-		}
-		out.ExhaustiveEnums[obj.Name()] = enumMembers(pkg, obj)
 	}
 	// Field annotations live on the field's doc comment or its trailing
 	// line comment.
@@ -292,23 +255,4 @@ func scanFuncDecl(out *Package, info *types.Info, fd *ast.FuncDecl) {
 	if Annotated(fd.Doc, "mutates") {
 		out.MutatorMethods = append(out.MutatorMethods, FuncKey(fn))
 	}
-}
-
-// enumMembers lists the package-level constants whose type is exactly the
-// enum's named type, in declaration-name order (scope order is sorted).
-func enumMembers(pkg *types.Package, enum *types.TypeName) []Member {
-	var out []Member
-	scope := pkg.Scope()
-	for _, name := range scope.Names() {
-		c, ok := scope.Lookup(name).(*types.Const)
-		if !ok || types.Unalias(c.Type()) != enum.Type() {
-			continue
-		}
-		out = append(out, Member{
-			Name:     c.Name(),
-			Value:    c.Val().ExactString(),
-			Exported: c.Exported(),
-		})
-	}
-	return out
 }

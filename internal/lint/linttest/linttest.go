@@ -124,7 +124,7 @@ func (l *loader) load(path string) (*fixture, error) {
 		files: files,
 		pkg:   pkg,
 		info:  info,
-		facts: facts.Scan(files, pkg, info),
+		facts: facts.Scan(files, info),
 	}
 	l.pkgs[path] = fx
 	return fx, nil

@@ -243,7 +243,7 @@ func run(cfgFile, modulePath string, analyzers []*analysis.Analyzer) (*unitResul
 		return nil, typeErr
 	}
 
-	own := facts.Scan(files, pkg, info)
+	own := facts.Scan(files, info)
 	if err := writeVetx(cfg, own); err != nil {
 		return nil, err
 	}
@@ -253,7 +253,10 @@ func run(cfgFile, modulePath string, analyzers []*analysis.Analyzer) (*unitResul
 		return res, nil
 	}
 
-	deps := newDepFacts(cfg)
+	deps, err := depFacts(cfg)
+	if err != nil {
+		return nil, err
+	}
 	sup := analysis.BuildSuppressions(fset, files)
 	for _, a := range analyzers {
 		a := a
@@ -264,7 +267,7 @@ func run(cfgFile, modulePath string, analyzers []*analysis.Analyzer) (*unitResul
 			Pkg:       pkg,
 			TypesInfo: info,
 			Facts:     own,
-			DepFacts:  deps.get,
+			DepFacts:  deps,
 			Report: func(d analysis.Diagnostic) {
 				if !sup.Suppressed(fset.Position(d.Pos), a.SuppressKey) {
 					res.findings = append(res.findings, finding{analyzer: a.Name, diag: d})
@@ -337,37 +340,26 @@ func typecheck(fset *token.FileSet, cfg *config, files []*ast.File) (*types.Pack
 	return pkg, info, err
 }
 
-// depFacts lazily decodes dependency .vetx files, indexed by canonical
-// import path (test-variant suffixes stripped).
-type depFacts struct {
-	paths map[string]string
-	cache map[string]*facts.Package
-}
-
-func newDepFacts(cfg *config) *depFacts {
-	d := &depFacts{
-		paths: make(map[string]string, len(cfg.PackageVetx)),
-		cache: make(map[string]*facts.Package),
-	}
+// depFacts decodes the dependency .vetx files the go command listed and
+// returns them keyed by canonical import path (test-variant suffixes
+// stripped). A listed file that cannot be read or decoded fails the unit:
+// read as "no annotations", it would let every cross-package check pass
+// silently. An empty file is a dependency without facts.
+func depFacts(cfg *config) (func(path string) *facts.Package, error) {
+	deps := make(map[string]*facts.Package, len(cfg.PackageVetx))
 	for path, file := range cfg.PackageVetx {
-		p, _, _ := strings.Cut(path, " ")
-		d.paths[p] = file
-	}
-	return d
-}
-
-func (d *depFacts) get(path string) *facts.Package {
-	if fs, ok := d.cache[path]; ok {
-		return fs
-	}
-	var fs *facts.Package
-	if file, ok := d.paths[path]; ok {
-		if data, err := os.ReadFile(file); err == nil {
-			fs, _ = facts.Decode(data)
+		data, err := os.ReadFile(file)
+		var fs *facts.Package
+		if err == nil {
+			fs, err = facts.Decode(data)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("facts of dependency %s (%s): %v", path, file, err)
+		}
+		p, _, _ := strings.Cut(path, " ")
+		deps[p] = fs
 	}
-	d.cache[path] = fs
-	return fs
+	return func(path string) *facts.Package { return deps[path] }, nil
 }
 
 // writeVetx stores the unit's facts where the go command asked for them.

@@ -3,10 +3,13 @@ package unit
 import (
 	"encoding/json"
 	"go/token"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"pktclass/internal/lint/analysis"
+	"pktclass/internal/lint/facts"
 )
 
 // fakeResult builds a unitResult whose positions resolve inside one
@@ -85,5 +88,68 @@ func TestInModule(t *testing.T) {
 		if got := inModule(c.path, "pktclass"); got != c.want {
 			t.Errorf("inModule(%q) = %v, want %v", c.path, got, c.want)
 		}
+	}
+}
+
+// TestCorruptDependencyFactsFailUnit runs one root unit whose dependency
+// facts file is corrupt: the unit must fail naming the dependency and the
+// file, not analyze as if the dependency declared no annotations. An
+// empty facts file and a path absent from PackageVetx still mean empty
+// facts.
+func TestCorruptDependencyFactsFailUnit(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, data []byte) string {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	good, err := (&facts.Package{Immutable: []string{"Expanded"}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := write("probe.go", []byte("package probe\n"))
+	runWith := func(vetx map[string]string) error {
+		data, err := json.Marshal(config{
+			ImportPath:  "pktclass/probe",
+			GoFiles:     []string{src},
+			PackageVetx: vetx,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = run(write("probe.cfg", data), "pktclass", []*analysis.Analyzer{{
+			Name: "probe",
+			Run:  func(*analysis.Pass) error { return nil },
+		}})
+		return err
+	}
+
+	okFiles := map[string]string{
+		"pktclass/internal/ruleset": write("ruleset.vetx", good),
+		"pktclass/internal/bitvec":  write("bitvec.vetx", nil),
+	}
+	if err := runWith(okFiles); err != nil {
+		t.Fatalf("valid and empty facts files: %v", err)
+	}
+
+	corrupt := write("update.vetx", good[:len(good)/2])
+	okFiles["pktclass/internal/update [pktclass/internal/update.test]"] = corrupt
+	err = runWith(okFiles)
+	if err == nil {
+		t.Fatal("corrupt facts file analyzed as empty facts, want an error")
+	}
+	for _, want := range []string{"pktclass/internal/update", corrupt} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+
+	delete(okFiles, "pktclass/internal/update [pktclass/internal/update.test]")
+	okFiles["pktclass/internal/serve"] = filepath.Join(dir, "missing.vetx")
+	if err := runWith(okFiles); err == nil || !strings.Contains(err.Error(), "pktclass/internal/serve") {
+		t.Errorf("unreadable facts file: err = %v, want one naming pktclass/internal/serve", err)
 	}
 }

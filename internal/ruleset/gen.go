@@ -9,8 +9,6 @@ import (
 // under study are ruleset-feature independent, so the profiles exist to
 // prove exactly that: costs must come out identical across profiles for
 // equal N.
-//
-//pclass:exhaustive switches must cover every profile or panic
 type Profile int
 
 const (

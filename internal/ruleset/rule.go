@@ -7,8 +7,6 @@ import (
 )
 
 // ActionKind says what a matching rule does with the packet.
-//
-//pclass:exhaustive switches must cover every kind or panic
 type ActionKind uint8
 
 const (

@@ -67,6 +67,17 @@ var (
 	ErrRolledBack = errors.New("serve: swap rolled back")
 )
 
+const (
+	// spotCheckPackets is the number of sampled headers the scoped
+	// incremental verify adds beyond the per-touched-rule directed probes.
+	spotCheckPackets = 16
+	// rebalanceThreshold arms the steer rebalance-candidate journal event:
+	// when top-K flow share x imbalance index (both in [0,W]) crosses it,
+	// ImbalanceIndex appends one EventRebalanceCandidate and re-arms only
+	// after the score falls back below 80% of it.
+	rebalanceThreshold = 2
+)
+
 // Config parameterizes a Service.
 type Config struct {
 	// Workers is the number of classification goroutines (0 selects
@@ -100,22 +111,12 @@ type Config struct {
 	// atomic pointer swap; any delta failure or verify mismatch falls back
 	// to the shadow-rebuild path, so correctness never depends on this flag.
 	Incremental bool
-	// SpotCheckPackets is the number of sampled headers added to the scoped
-	// incremental verify beyond the per-touched-rule directed probes
-	// (0 selects 16; negative disables the spot checks).
-	SpotCheckPackets int
 	// TopFlows sizes the per-worker top-K table of the heavy-hitter
 	// detector of an observed service (0 selects 16; negative disables
 	// detection). Each worker feeds its own sketch stripe after
 	// classifying its sub-batch, so detection inherits the dispatch path's
 	// single-writer discipline and costs zero allocations per batch.
 	TopFlows int
-	// RebalanceThreshold arms the steer rebalance-candidate journal event:
-	// when top-K flow share x imbalance index (both in [0,W]) crosses this
-	// value, ImbalanceIndex appends one EventRebalanceCandidate and
-	// re-arms only after the score falls back below 80% of the threshold.
-	// 0 selects 2; negative disables the check.
-	RebalanceThreshold float64
 	// Seed makes swap-verification traces deterministic.
 	Seed int64
 	// Obs wires the observability layer: the service registers its counters
@@ -137,14 +138,8 @@ func (c Config) withDefaults() Config {
 	if c.VerifyPackets == 0 {
 		c.VerifyPackets = 256
 	}
-	if c.SpotCheckPackets == 0 {
-		c.SpotCheckPackets = 16
-	}
 	if c.TopFlows == 0 {
 		c.TopFlows = 16
-	}
-	if c.RebalanceThreshold == 0 {
-		c.RebalanceThreshold = 2
 	}
 	return c
 }
@@ -687,11 +682,7 @@ func (s *Service) applyIncrementalLocked(ops []update.Op, next *ruleset.RuleSet)
 	}
 	if s.cfg.VerifyPackets > 0 {
 		s.swapSeed++
-		spot := s.cfg.SpotCheckPackets
-		if spot < 0 {
-			spot = 0
-		}
-		m := update.VerifyDeltasScoped(eng, s.rs, next, rules, spot, s.swapSeed)
+		m := update.VerifyDeltasScoped(eng, s.rs, next, rules, spotCheckPackets, s.swapSeed)
 		if s.obs != nil {
 			s.obs.SwapIncVerify.Observe(time.Since(applied))
 		}
@@ -882,7 +873,7 @@ func (s *Service) WorkerLoads() []WorkerLoad {
 // The value is mirrored into the serve.imbalance_milli gauge (in
 // 1/1000ths), and when the heavy-hitter detector is live the sample also
 // runs the rebalance-candidate check (top-K share x imbalance against
-// Config.RebalanceThreshold, journaled with hysteresis). Call it
+// rebalanceThreshold, journaled with hysteresis). Call it
 // periodically — each /metrics scrape does, and the scaling bench does at
 // the end of its measured window.
 func (s *Service) ImbalanceIndex() float64 {
@@ -898,12 +889,11 @@ func (s *Service) ImbalanceIndex() float64 {
 // so the condition is observable before the mechanism exists.
 func (s *Service) maybeRebalanceEvent(idx float64) {
 	det := s.det
-	thr := s.cfg.RebalanceThreshold
-	if det == nil || thr <= 0 || idx <= 0 {
+	if det == nil || idx <= 0 {
 		return
 	}
 	score := det.TopKShare() * idx
-	if score >= thr {
+	if score >= rebalanceThreshold {
 		if s.rebalanceHot.CompareAndSwap(false, true) {
 			counts := s.WorkerClassified()
 			hot := 0
@@ -914,7 +904,7 @@ func (s *Service) maybeRebalanceEvent(idx float64) {
 			}
 			s.journal.Append(obsv.EventRebalanceCandidate, s.gens.Load(), int64(hot), 0, score)
 		}
-	} else if score < thr*0.8 {
+	} else if score < rebalanceThreshold*0.8 {
 		s.rebalanceHot.Store(false)
 	}
 }
