@@ -120,15 +120,15 @@ func runBench(args []string) {
 		}
 		return
 	}
-	ns, err := parseInts(*sizes)
+	ns, err := parseInts(*sizes, 1)
 	if err != nil {
 		log.Fatalf("-sizes: %v", err)
 	}
-	ks, err := parseInts(*strides)
+	ks, err := parseInts(*strides, 1)
 	if err != nil {
 		log.Fatalf("-strides: %v", err)
 	}
-	caches, err := parseCacheList(*cacheCSV)
+	caches, err := parseInts(*cacheCSV, 0)
 	if err != nil {
 		log.Fatalf("-cache: %v", err)
 	}
@@ -396,7 +396,7 @@ func verifyAgainstLinear(eng core.Engine, rs *ruleset.RuleSet, count int, seed i
 // point is the machine).
 func scalingWorkerList(csv string) ([]int, error) {
 	if csv != "" {
-		return parseInts(csv)
+		return parseInts(csv, 1)
 	}
 	max := runtime.GOMAXPROCS(0)
 	var wl []int
@@ -404,30 +404,6 @@ func scalingWorkerList(csv string) ([]int, error) {
 		wl = append(wl, w)
 	}
 	return append(wl, max), nil
-}
-
-// parseCacheList parses the -cache CSV; unlike parseInts it accepts 0
-// (the uncached series).
-func parseCacheList(csv string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(csv, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, err
-		}
-		if v < 0 {
-			return nil, fmt.Errorf("%d out of range", v)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
-	return out, nil
 }
 
 // traffic is generated load: count packets of a directed trace (zipfS <
@@ -443,11 +419,15 @@ type traffic struct {
 
 // generate draws the traffic against rs. The directed trace and the flow
 // population are seeded with seed, the Zipf burst stream with seed+1.
+// Zipf traffic needs at least one flow; the directed trace ignores flows.
 func (t traffic) generate(rs *ruleset.RuleSet, seed int64) ([]packet.Header, error) {
 	if t.zipfS < 0 {
 		return ruleset.GenerateTrace(rs, ruleset.TraceConfig{
 			Count: t.count, MatchFraction: t.match, Locality: 0.3, Seed: seed,
 		}), nil
+	}
+	if t.flows < 1 {
+		return nil, fmt.Errorf("-flows %d: zipf traffic needs at least one flow", t.flows)
 	}
 	pop := ruleset.FlowHeaders(rs, t.flows, t.match, seed)
 	return packet.ZipfTrace(pop, packet.ZipfTraceConfig{
@@ -640,7 +620,9 @@ func printBenchRow(r benchResult) {
 	fmt.Println()
 }
 
-func parseInts(csv string) ([]int, error) {
+// parseInts parses a non-empty CSV list of integers, each at least lo
+// (-cache takes 0, the uncached series).
+func parseInts(csv string, lo int) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(csv, ",") {
 		f = strings.TrimSpace(f)
@@ -651,7 +633,7 @@ func parseInts(csv string) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		if v <= 0 {
+		if v < lo {
 			return nil, fmt.Errorf("%d out of range", v)
 		}
 		out = append(out, v)

@@ -31,7 +31,7 @@ func TestClassifyTracedMatchesClassify(t *testing.T) {
 			if got := core.ClassifyTraced(eng, h, nil); got != want {
 				t.Fatalf("%s: nil-trace path diverged: got %d want %d on %s", name, got, want, h)
 			}
-			tr := tc.Sample()
+			_, tr := tc.SampleBatch(1)
 			got := core.ClassifyTraced(eng, h, tr)
 			tc.Finish(tr)
 			if got != want {
@@ -61,7 +61,7 @@ func TestCachedClassifyTracedHitAndMissHops(t *testing.T) {
 
 	// Cold: the first traced lookup must record a miss followed by the
 	// engine's stride stages.
-	tr := tc.Sample()
+	_, tr := tc.SampleBatch(1)
 	cold := cached.ClassifyTraced(h, tr)
 	tc.Finish(tr)
 	hops := tr.HopSlice()
@@ -83,7 +83,7 @@ func TestCachedClassifyTracedHitAndMissHops(t *testing.T) {
 
 	// Warm: the same flow must now hit, with the cached decision in the hop
 	// and no engine hops behind it.
-	tr = tc.Sample()
+	_, tr = tc.SampleBatch(1)
 	warm := cached.ClassifyTraced(h, tr)
 	tc.Finish(tr)
 	hops = tr.HopSlice()

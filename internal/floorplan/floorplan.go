@@ -226,14 +226,6 @@ func (p *Placement) computeSpans() {
 	}
 }
 
-// bramColumnPitch is the average spacing between adjacent BRAM columns.
-func bramColumnPitch(die Die) float64 {
-	if len(die.BRAMColumns) < 2 {
-		return float64(die.Cols)
-	}
-	return float64(die.Cols) / float64(len(die.BRAMColumns))
-}
-
 // usedRegion returns the side length of the square region the design packs
 // into at the die utilization target, capped by the die.
 func (p *Placement) usedRegion() float64 {

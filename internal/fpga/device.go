@@ -91,18 +91,6 @@ func Catalog() []Device {
 	}
 }
 
-// SmallestFitting returns the first catalog device (ascending capacity)
-// that fits the resource estimate, or nil.
-func SmallestFitting(r Resources) *Device {
-	for _, d := range Catalog() {
-		if r.Fits(d) == nil {
-			dd := d
-			return &dd
-		}
-	}
-	return nil
-}
-
 // MemoryKind selects the StrideBV stage-memory implementation.
 type MemoryKind int
 

@@ -18,28 +18,3 @@ func TestCatalogOrderedByCapacity(t *testing.T) {
 		}
 	}
 }
-
-func TestSmallestFitting(t *testing.T) {
-	d := Virtex7()
-	small := StrideBVResources(d, StrideBVConfig{Ne: 64, K: 4, Memory: DistRAM})
-	fit := SmallestFitting(small)
-	if fit == nil {
-		t.Fatal("64-entry engine fits nothing")
-	}
-	if fit.Slices > Catalog()[0].Slices {
-		t.Fatalf("small design placed on %s, not the smallest part", fit.Name)
-	}
-	big := StrideBVResources(d, StrideBVConfig{Ne: 2048, K: 3, Memory: BlockRAM})
-	fit = SmallestFitting(big)
-	if fit == nil {
-		t.Fatal("paper's worst case fits no catalog part")
-	}
-	if fit.BRAMBlocks < big.BRAMs {
-		t.Fatalf("selected %s lacks BRAM", fit.Name)
-	}
-	// An absurd design fits nothing.
-	huge := StrideBVResources(d, StrideBVConfig{Ne: 1 << 17, K: 3, Memory: DistRAM})
-	if SmallestFitting(huge) != nil {
-		t.Fatal("2^17-entry design claimed to fit a catalog part")
-	}
-}

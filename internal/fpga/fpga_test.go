@@ -393,18 +393,6 @@ func TestPowerBreakdownConsistent(t *testing.T) {
 	}
 }
 
-func TestDistRAMBitsUsedWithinDevice(t *testing.T) {
-	d := Virtex7()
-	c := StrideBVConfig{Ne: 2048, K: 4, Memory: DistRAM}
-	used := DistRAMBitsUsed(d, c)
-	if used <= 0 || used > d.DistRAMBits {
-		t.Fatalf("distRAM usage %d outside (0, %d]", used, d.DistRAMBits)
-	}
-	if DistRAMBitsUsed(d, StrideBVConfig{Ne: 64, K: 4, Memory: BlockRAM}) != 0 {
-		t.Fatal("BRAM config reports distRAM usage")
-	}
-}
-
 func BenchmarkEvaluateStrideBV(b *testing.B) {
 	d := Virtex7()
 	c := StrideBVConfig{Ne: 1024, K: 4, Memory: DistRAM}

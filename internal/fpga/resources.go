@@ -181,18 +181,6 @@ func TCAMResources(d Device, c TCAMConfig) Resources {
 	return r
 }
 
-// DistRAMBitsUsed returns how much of the device's distributed RAM a
-// distRAM StrideBV build consumes (each memory LUT stores 32 bits but only
-// 2^k are used; capacity accounting charges full LUTs).
-func DistRAMBitsUsed(d Device, c StrideBVConfig) int {
-	if c.Memory != DistRAM {
-		return 0
-	}
-	bitsPerLUTPair := 64 // RAM32X1D: 2 LUTs provide one 32-deep bit column
-	pairs := c.Stages() * c.Ne
-	return pairs * bitsPerLUTPair
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

@@ -15,7 +15,6 @@ package genbv
 import (
 	"fmt"
 
-	"pktclass/internal/bitvec"
 	"pktclass/internal/stridebv"
 )
 
@@ -85,14 +84,6 @@ func (e *Engine) checkKey(key []byte) error {
 		return fmt.Errorf("genbv: key %d bytes, want %d", len(key), want)
 	}
 	return nil
-}
-
-// MatchVector computes the multi-match vector for a key.
-func (e *Engine) MatchVector(key []byte) (bitvec.Vector, error) {
-	if err := e.checkKey(key); err != nil {
-		return bitvec.Vector{}, err
-	}
-	return e.Match(key), nil
 }
 
 // Classify returns the first matching entry index, or -1. Key bits past W

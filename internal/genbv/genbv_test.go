@@ -78,7 +78,7 @@ func TestClassifyRejectsWrongKeyWidth(t *testing.T) {
 	if _, err := eng.Classify(make([]byte, 5)); err == nil {
 		t.Fatal("accepted oversized key")
 	}
-	if _, err := eng.MatchVector(make([]byte, 3)); err == nil {
+	if _, err := eng.Classify(make([]byte, 3)); err == nil {
 		t.Fatal("accepted undersized key")
 	}
 }

@@ -95,8 +95,8 @@ func makeCells(rows, words int) [][]uint64 {
 	return cells
 }
 
-// buildGrid is the image-loader shape (stridebv.ReadImage): it fills
-// rows a call just returned and attaches them afterwards. Clean without an
+// buildGrid is the fill-then-attach constructor shape: it fills rows a
+// call just returned and attaches them afterwards. Clean without an
 // escape: until the field is assigned no snapshot can hold the rows.
 func buildGrid(rows, words int, fill uint64) *Grid {
 	cells := makeCells(rows, words)

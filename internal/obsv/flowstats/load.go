@@ -34,9 +34,6 @@ func NewLoadTracker(window int) *LoadTracker {
 	return &LoadTracker{window: window, ring: make([][]int64, window)}
 }
 
-// Window returns the retained sample count.
-func (t *LoadTracker) Window() int { return t.window }
-
 // Sample records cum (cumulative per-worker counts, e.g.
 // Service.WorkerClassified) and returns the imbalance index over the
 // window. Until the ring fills — including the very first sample — the

@@ -9,8 +9,8 @@ func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestLoadTrackerFirstSampleZeroBaseline(t *testing.T) {
 	tr := NewLoadTracker(4)
-	if tr.Window() != 4 {
-		t.Fatalf("Window = %d, want 4", tr.Window())
+	if tr.window != 4 {
+		t.Fatalf("window = %d, want 4", tr.window)
 	}
 	// One-shot sample measures the cumulative counts themselves:
 	// max=40, mean=25 -> 1.6.
@@ -81,10 +81,10 @@ func TestLoadTrackerCounterRegressionClamped(t *testing.T) {
 }
 
 func TestLoadTrackerDefaultWindow(t *testing.T) {
-	if w := NewLoadTracker(0).Window(); w != 8 {
+	if w := NewLoadTracker(0).window; w != 8 {
 		t.Fatalf("default window = %d, want 8", w)
 	}
-	if w := NewLoadTracker(1).Window(); w != 8 {
+	if w := NewLoadTracker(1).window; w != 8 {
 		t.Fatalf("window(1) = %d, want 8", w)
 	}
 }

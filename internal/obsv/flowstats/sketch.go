@@ -93,22 +93,6 @@ func NewDetector(workers, k, width int) *Detector {
 	return d
 }
 
-// K returns the per-stripe top-K capacity (0 for a nil detector).
-func (d *Detector) K() int {
-	if d == nil {
-		return 0
-	}
-	return d.k
-}
-
-// Workers returns the stripe count (0 for a nil detector).
-func (d *Detector) Workers() int {
-	if d == nil {
-		return 0
-	}
-	return len(d.stripes)
-}
-
 // Packets returns the total observed packet count across all stripes.
 func (d *Detector) Packets() uint64 {
 	if d == nil {

@@ -51,7 +51,7 @@ func TestDetectorNilSafe(t *testing.T) {
 	if d.TopK(4) != nil {
 		t.Fatal("nil TopK != nil")
 	}
-	if d.TopKShare() != 0 || d.Packets() != 0 || d.K() != 0 || d.Workers() != 0 {
+	if d.TopKShare() != 0 || d.Packets() != 0 {
 		t.Fatal("nil detector reported non-zero stats")
 	}
 	if rep := d.Report(4); rep.Packets != 0 || rep.Flows != nil {

@@ -247,7 +247,7 @@ func TestStatuszEndpoint(t *testing.T) {
 func TestTracezEndpoint(t *testing.T) {
 	srv, obs := newTestServer(t)
 	for i := 0; i < 3; i++ {
-		tr := obs.Tracer.Sample()
+		_, tr := obs.Tracer.SampleBatch(1)
 		tr.SetEngine("tcam")
 		tr.AddHop(HopTCAMSearch, 0, 2)
 		tr.AddHop(HopPriorityEncode, 0, int64(i))

@@ -148,7 +148,7 @@ type traceSlot struct {
 	tr      PacketTrace
 }
 
-// Tracer samples 1 in every Every packets into a fixed ring of trace
+// Tracer samples 1 in every `every` packets into a fixed ring of trace
 // slots. Sampling is a single atomic add on the shared packet ordinal;
 // unsampled packets never touch the ring. The zero-size ring and the nil
 // Tracer are both valid "tracing off" states — every method is nil-safe,
@@ -178,16 +178,8 @@ func NewTracer(every, slots int) *Tracer {
 	return t
 }
 
-// Every returns the sampling period (0 when disabled).
-func (t *Tracer) Every() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.every
-}
-
 // SampleBatch advances the sampling clock by n packets and, when one of
-// them lands on the 1-in-Every grid, acquires a trace for it: the returned
+// them lands on the 1-in-`every` grid, acquires a trace for it: the returned
 // index is the packet's offset within the batch. At most one packet per
 // batch is sampled (at 1-in-1 that is the batch's first packet). Returns
 // (-1, nil) when no packet sampled, the tracer is nil/disabled, or the
@@ -208,14 +200,6 @@ func (t *Tracer) SampleBatch(n int) (int, *PacketTrace) {
 		return -1, nil
 	}
 	return int(grid - before - 1), tr
-}
-
-// Sample is the single-packet form of SampleBatch.
-//
-//pclass:hotpath
-func (t *Tracer) Sample() *PacketTrace {
-	_, tr := t.SampleBatch(1)
-	return tr
 }
 
 // acquire claims the next ring slot for writing. A slot still owned by a

@@ -13,14 +13,8 @@ func TestNilTraceAndNilTracerAreSafe(t *testing.T) {
 	tr.AddHop(HopCacheMiss, 3, -1) // must not panic
 	tr.SetEngine("x")
 	var tc *Tracer
-	if tc.Every() != 0 {
-		t.Fatal("nil tracer Every != 0")
-	}
 	if i, s := tc.SampleBatch(32); i != -1 || s != nil {
 		t.Fatal("nil tracer sampled")
-	}
-	if tc.Sample() != nil {
-		t.Fatal("nil tracer Sample != nil")
 	}
 	tc.Finish(nil)
 	if got := tc.Snapshot(); got != nil {
@@ -83,7 +77,7 @@ func TestSampleEveryPacketAtOneInOne(t *testing.T) {
 
 func TestTraceHopsAndSnapshot(t *testing.T) {
 	tc := NewTracer(1, 8)
-	tr := tc.Sample()
+	_, tr := tc.SampleBatch(1)
 	if tr == nil {
 		t.Fatal("no sample at 1-in-1")
 	}
@@ -125,7 +119,7 @@ func TestTraceHopsAndSnapshot(t *testing.T) {
 
 func TestTraceHopOverflowDrops(t *testing.T) {
 	tc := NewTracer(1, 2)
-	tr := tc.Sample()
+	_, tr := tc.SampleBatch(1)
 	for i := 0; i < MaxHops+5; i++ {
 		tr.AddHop(HopStrideStage, i, 1)
 	}
@@ -142,7 +136,7 @@ func TestTraceHopOverflowDrops(t *testing.T) {
 func TestTracerRingOverwriteKeepsNewest(t *testing.T) {
 	tc := NewTracer(1, 4)
 	for i := 0; i < 10; i++ {
-		tr := tc.Sample()
+		_, tr := tc.SampleBatch(1)
 		tr.Result = i
 		tc.Finish(tr)
 	}
@@ -160,7 +154,7 @@ func TestTracerRingOverwriteKeepsNewest(t *testing.T) {
 
 func TestTracerUnfinishedSlotInvisible(t *testing.T) {
 	tc := NewTracer(1, 4)
-	tr := tc.Sample()
+	_, tr := tc.SampleBatch(1)
 	tr.AddHop(HopEngine, 0, 7)
 	if got := tc.Snapshot(); len(got) != 0 {
 		t.Fatalf("in-flight trace visible: %d", len(got))
@@ -175,11 +169,11 @@ func TestTracerBusySlotSkipped(t *testing.T) {
 	// One slot, held open by an unfinished trace: the next sample must be
 	// dropped (busy), not block or corrupt the writer's slot.
 	tc := NewTracer(1, 1)
-	tr := tc.Sample()
+	_, tr := tc.SampleBatch(1)
 	if tr == nil {
 		t.Fatal("first sample failed")
 	}
-	if tr2 := tc.Sample(); tr2 != nil {
+	if _, tr2 := tc.SampleBatch(1); tr2 != nil {
 		t.Fatal("second sample acquired a busy slot")
 	}
 	if st := tc.Stats(); st.Busy != 1 || st.Sampled != 1 {

@@ -369,17 +369,6 @@ func (e *Engine) NumRules() int { return e.rs.Len() }
 // NumParts returns the partition count.
 func (e *Engine) NumParts() int { return len(e.parts) }
 
-// PrefixBits returns the pre-decoder width (0 under BandSplit).
-func (e *Engine) PrefixBits() int {
-	if e.splitter == BandSplit {
-		return 0
-	}
-	return e.prefixBits
-}
-
-// Splitter returns the active assignment policy.
-func (e *Engine) Splitter() Splitter { return e.splitter }
-
 // steer returns the DIP- and SIP-bucket parts h is searched in, -1 for an
 // empty bucket (and always under BandSplit, which has no buckets).
 //

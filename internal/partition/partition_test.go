@@ -134,7 +134,7 @@ func testDifferential(t *testing.T, hidden bool) {
 					t.Fatalf("NumRules = %d want %d", part.NumRules(), rs.Len())
 				}
 				if ci == wideResidual && profile == ruleset.FeatureFree {
-					if entries := residualEntries(rs, part.PrefixBits()); entries <= 2048 || alwaysParts(t, part) != 1 {
+					if entries := residualEntries(rs, geometry(t, part).b); entries <= 2048 || geometry(t, part).always != 1 {
 						t.Fatalf("%v cfg %d: %s over %d residual entries, want one band over more than 2048", profile, ci, part, entries)
 					}
 				}
@@ -144,7 +144,7 @@ func testDifferential(t *testing.T, hidden bool) {
 				for i := 0; i < 100; i++ {
 					hdrs = append(hdrs, ruleset.RandomHeader(rng))
 				}
-				hdrs = append(hdrs, dipWinners(rs, part.PrefixBits(), rng)...)
+				hdrs = append(hdrs, dipWinners(rs, geometry(t, part).b, rng)...)
 				label := fmt.Sprintf("%v cfg %d", profile, ci)
 				checkBatches(t, label, part, lin, hdrs, 0, 1, 3, 256, 400)
 				for _, h := range hdrs {
@@ -184,14 +184,21 @@ func dipWinners(rs *ruleset.RuleSet, b int, rng *rand.Rand) []packet.Header {
 	return hdrs
 }
 
-// alwaysParts reads the always-searched part count out of String.
-func alwaysParts(t *testing.T, part *partition.Engine) int {
+// partGeometry is what String reports about a partitioned engine.
+type partGeometry struct {
+	parts, always, largest, b int
+	mean                      float64
+}
+
+// geometry reads the partition geometry out of String.
+func geometry(t *testing.T, part *partition.Engine) partGeometry {
 	t.Helper()
-	var parts, always int
-	if _, err := fmt.Sscanf(part.String()[len(part.Name()):], "{parts=%d always=%d", &parts, &always); err != nil {
+	var g partGeometry
+	if _, err := fmt.Sscanf(part.String()[len(part.Name()):], "{parts=%d always=%d largest=%d mean=%f B=%d}",
+		&g.parts, &g.always, &g.largest, &g.mean, &g.b); err != nil {
 		t.Fatalf("String = %q: %v", part.String(), err)
 	}
-	return always
+	return g
 }
 
 // residualEntries counts the ternary entries of the rules PrefixSplit with
@@ -235,28 +242,22 @@ func TestPartitionGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if part.Splitter() != partition.PrefixSplit {
-		t.Fatalf("default splitter = %q", part.Splitter())
-	}
-	if part.PrefixBits() < 1 {
-		t.Fatalf("auto prefix bits = %d", part.PrefixBits())
-	}
 	if part.NumParts() < 2 {
 		t.Fatalf("only %d parts at N=4096", part.NumParts())
 	}
 	if !strings.HasPrefix(part.Name(), "part-prefix-") {
 		t.Fatalf("Name = %q", part.Name())
 	}
-	// String reports bucket balance: rules in the largest part beside the
-	// mean over all parts.
-	var parts, always, largest, b int
-	var mean float64
-	geom := part.String()[len(part.Name()):]
-	if _, err := fmt.Sscanf(geom, "{parts=%d always=%d largest=%d mean=%f B=%d}", &parts, &always, &largest, &mean, &b); err != nil {
-		t.Fatalf("String = %q: %v", part.String(), err)
+	// String reports the default splitter's automatic prefix bits and the
+	// bucket balance: rules in the largest part beside the mean over all
+	// parts.
+	g := geometry(t, part)
+	parts, largest, mean := g.parts, g.largest, g.mean
+	if g.b < 1 {
+		t.Fatalf("String = %q: auto prefix bits %d", part.String(), g.b)
 	}
-	if parts != part.NumParts() || b != part.PrefixBits() || always != 1 {
-		t.Fatalf("String = %q, want parts=%d always=1 B=%d", part.String(), part.NumParts(), part.PrefixBits())
+	if parts != part.NumParts() || g.always != 1 {
+		t.Fatalf("String = %q, want parts=%d always=1", part.String(), part.NumParts())
 	}
 	if want := float64(rs.Len()) / float64(parts); mean < want-0.05 || mean > want+0.05 {
 		t.Fatalf("String = %q, want mean %.1f", part.String(), want)
@@ -268,8 +269,8 @@ func TestPartitionGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if band.PrefixBits() != 0 {
-		t.Fatalf("band splitter reports prefix bits %d", band.PrefixBits())
+	if !strings.HasPrefix(band.Name(), "part-band-") {
+		t.Fatalf("band Name = %q", band.Name())
 	}
 	if band.NumParts() != 4 {
 		t.Fatalf("band parts = %d want 4", band.NumParts())

@@ -93,7 +93,7 @@ func TestDeltaChildKeepsStridedPath(t *testing.T) {
 		// Narrow the DIP of one rule in a StrideBV part to a /32 inside its
 		// own bucket: a steering-stable delta that changes answers.
 		j := 0
-		for j < rs.Len()-1 && (rs.Rules[j].DIP.Len < max(parent.PrefixBits(), 1) || rs.Rules[j].DIP.Len == 32 ||
+		for j < rs.Len()-1 && (rs.Rules[j].DIP.Len < max(parent.prefixBits, 1) || rs.Rules[j].DIP.Len == 32 ||
 			parent.parts[parent.loc[j].part].sbv == nil) {
 			j++
 		}

@@ -81,9 +81,6 @@ func NewPipelined(n int) *Pipelined {
 	}
 }
 
-// Width returns the vector width n.
-func (p *Pipelined) Width() int { return p.n }
-
 // Latency returns the pipeline depth in cycles.
 func (p *Pipelined) Latency() int { return p.stages }
 

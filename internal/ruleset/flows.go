@@ -2,28 +2,14 @@ package ruleset
 
 import (
 	"math/rand"
-	"sort"
 
 	"pktclass/internal/packet"
 )
 
-// Flow-level trace generation. Real firewall traffic is flows — repeated
-// headers with heavy-tailed sizes — not independent packets. Flow traces
-// matter for the engines' *memory access* locality (and for the firewall
-// example's statistics); the classification result stream is unchanged.
-
-// FlowTraceConfig parameterizes flow-structured trace generation.
-type FlowTraceConfig struct {
-	// Flows is the number of distinct flows.
-	Flows int
-	// MeanPackets is the mean flow size; sizes are drawn geometrically,
-	// giving the heavy tail short-flow mix of real traffic.
-	MeanPackets float64
-	// MatchFraction of flows are directed at rules, the rest uniform.
-	MatchFraction float64
-	// Seed makes the trace deterministic.
-	Seed int64
-}
+// Flow-level traffic. Real firewall traffic is flows — repeated headers
+// with heavy-tailed popularity — not independent packets. Flow populations
+// matter for the flow cache and for the engines' memory access locality;
+// the classification result stream is unchanged.
 
 // FlowHeaders draws a flow population for the skewed-traffic generators
 // (packet.ZipfTrace): n distinct-by-construction flow headers,
@@ -43,97 +29,4 @@ func FlowHeaders(rs *RuleSet, n int, matchFraction float64, seed int64) []packet
 		}
 	}
 	return out
-}
-
-// Flow is a generated flow: one header plus its packet count.
-type Flow struct {
-	Header  packet.Header
-	Packets int
-}
-
-// GenerateFlows draws the flow population.
-func GenerateFlows(rs *RuleSet, cfg FlowTraceConfig) []Flow {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	out := make([]Flow, 0, cfg.Flows)
-	mean := cfg.MeanPackets
-	if mean < 1 {
-		mean = 1
-	}
-	p := 1 / mean
-	for i := 0; i < cfg.Flows; i++ {
-		var h packet.Header
-		if rng.Float64() < cfg.MatchFraction && rs.Len() > 0 {
-			h = HeaderInRule(rs.Rules[rng.Intn(rs.Len())], rng)
-		} else {
-			h = RandomHeader(rng)
-		}
-		// Geometric size >= 1.
-		n := 1
-		for rng.Float64() > p && n < 1<<20 {
-			n++
-		}
-		out = append(out, Flow{Header: h, Packets: n})
-	}
-	return out
-}
-
-// Interleave expands flows into a packet trace, interleaving packets of
-// concurrently active flows round-robin — the arrival pattern a classifier
-// in front of a flow table actually sees.
-func Interleave(flows []Flow, seed int64) []packet.Header {
-	rng := rand.New(rand.NewSource(seed))
-	remaining := make([]int, len(flows))
-	total := 0
-	for i, f := range flows {
-		remaining[i] = f.Packets
-		total += f.Packets
-	}
-	active := make([]int, len(flows))
-	for i := range active {
-		active[i] = i
-	}
-	out := make([]packet.Header, 0, total)
-	for len(active) > 0 {
-		// Pick a uniformly random active flow; emit one packet.
-		k := rng.Intn(len(active))
-		fi := active[k]
-		out = append(out, flows[fi].Header)
-		remaining[fi]--
-		if remaining[fi] == 0 {
-			active[k] = active[len(active)-1]
-			active = active[:len(active)-1]
-		}
-	}
-	return out
-}
-
-// FlowStats summarizes a flow population.
-type FlowStats struct {
-	Flows       int
-	Packets     int
-	MeanPackets float64
-	P50, P90    int // flow-size percentiles
-	MaxPackets  int
-}
-
-// Stats computes summary statistics over flows.
-func Stats(flows []Flow) FlowStats {
-	if len(flows) == 0 {
-		return FlowStats{}
-	}
-	sizes := make([]int, len(flows))
-	total := 0
-	for i, f := range flows {
-		sizes[i] = f.Packets
-		total += f.Packets
-	}
-	sort.Ints(sizes)
-	return FlowStats{
-		Flows:       len(flows),
-		Packets:     total,
-		MeanPackets: float64(total) / float64(len(flows)),
-		P50:         sizes[len(sizes)/2],
-		P90:         sizes[len(sizes)*9/10],
-		MaxPackets:  sizes[len(sizes)-1],
-	}
 }

@@ -64,12 +64,3 @@ func (c prefixCover) len() int {
 	}
 	return n
 }
-
-// MaxRangePrefixes is the worst-case number of prefixes a single w-bit range
-// expands to: 2(w-1).
-func MaxRangePrefixes(w int) int {
-	if w < 1 {
-		return 0
-	}
-	return 2 * (w - 1)
-}

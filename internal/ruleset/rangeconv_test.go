@@ -47,17 +47,12 @@ func TestPrefixesKnownCases(t *testing.T) {
 	}
 }
 
+// A w-bit range expands to at most 2(w-1) prefixes, 30 for a port range.
 func TestWorstCaseBound(t *testing.T) {
-	if MaxRangePrefixes(16) != 30 {
-		t.Fatalf("MaxRangePrefixes(16) = %d", MaxRangePrefixes(16))
-	}
-	if MaxRangePrefixes(0) != 0 {
-		t.Fatal("MaxRangePrefixes(0) != 0")
-	}
 	// [1, 2^w - 2] is the canonical worst case.
 	ps := PortRange{Lo: 1, Hi: 65534}.Prefixes()
-	if len(ps) != MaxRangePrefixes(16) {
-		t.Fatalf("worst case expansion = %d, want %d", len(ps), MaxRangePrefixes(16))
+	if len(ps) != 30 {
+		t.Fatalf("worst case expansion = %d, want 30", len(ps))
 	}
 }
 
@@ -69,7 +64,7 @@ func TestQuickPrefixCoverExact(t *testing.T) {
 		}
 		r := PortRange{Lo: lo, Hi: hi}
 		ps := r.Prefixes()
-		if len(ps) > MaxRangePrefixes(16) {
+		if len(ps) > 30 {
 			return false
 		}
 		// Exact cover: contiguous, ordered, within bounds.

@@ -50,9 +50,6 @@ func (s *SRL16E) Load(pattern uint16) int {
 	return 16
 }
 
-// Raw exposes the current register contents (for tests and READ-back).
-func (s *SRL16E) Raw() uint16 { return s.bits }
-
 // TernaryEncode converts a 2-bit search value with a 2-bit care mask into
 // the 4 indicator bits used to address a cell. Bit c of the result (c in
 // 0..3) is set iff the binary pattern c is compatible with the search input:

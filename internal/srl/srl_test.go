@@ -42,8 +42,8 @@ func TestLoadTakes16Cycles(t *testing.T) {
 	if cycles := s.Load(0xBEEF); cycles != 16 {
 		t.Fatalf("Load took %d cycles", cycles)
 	}
-	if s.Raw() != 0xBEEF {
-		t.Fatalf("Raw = %04x", s.Raw())
+	if s.bits != 0xBEEF {
+		t.Fatalf("register = %04x", s.bits)
 	}
 	for a := uint8(0); a < 16; a++ {
 		want := 0xBEEF>>a&1 == 1

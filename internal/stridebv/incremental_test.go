@@ -1,7 +1,6 @@
 package stridebv
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -267,7 +266,7 @@ func checkWalkOrder(t *testing.T, e *Engine, sorted bool) {
 
 // The walk order is derived from per-stage populations that rewrite keeps
 // current: exact after a build, after a delta batch (with the parent's left
-// alone), after in-place updates and after an image round trip.
+// alone) and after in-place updates.
 func TestWalkOrderTracksStagePopulations(t *testing.T) {
 	e, _, rules, entries := deltaFixture(t, 200, 6, 31)
 	checkWalkOrder(t, e, true)
@@ -287,13 +286,4 @@ func TestWalkOrderTracksStagePopulations(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkWalkOrder(t, child, false)
-	var buf bytes.Buffer
-	if err := child.WriteImage(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadImage(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkWalkOrder(t, loaded, true)
 }

@@ -230,7 +230,7 @@ func (m *Memory) RefreshSummaries() {
 // Reorder re-sorts the walk order by the current stage populations and, when
 // that changes the lead stages (or there are no lead summaries yet),
 // derives the lead summaries for the new lead into a fresh block. The
-// constructors, RefreshSummaries (so ReadImage) and ApplyDeltas end with it;
+// constructors, RefreshSummaries and ApplyDeltas end with it;
 // an in-place UpdateEntry or InvalidateEntry does not — a stale order costs
 // a few extra loads per lookup, never a wrong answer, and one entry cannot
 // move a stage's population far. A key with fewer than leadStages stages
@@ -289,7 +289,7 @@ func (m *Memory) refreshLead(g, wi int) {
 // dirty entries, each setting its bit in exactly the rows its stride is
 // compatible with, and merged as old &^ dirty | formed: bits of entries
 // that are not dirty always come from the stored words, never from an entry
-// table (a ReadImage-loaded engine has none). Only words that change are
+// table (the engines keep none). Only words that change are
 // stored, and the stage population and the lead summary groups follow the
 // stored words. A stage block still shared with a delta parent is detached
 // on the first word that differs and never otherwise, so a stage the

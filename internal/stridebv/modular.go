@@ -63,12 +63,6 @@ func (m *Modular) Name() string {
 // NumRules returns N.
 func (m *Modular) NumRules() int { return m.rules }
 
-// NumModules returns the partition count.
-func (m *Modular) NumModules() int { return len(m.modules) }
-
-// ModuleWidth returns the per-module entry bound.
-func (m *Modular) ModuleWidth() int { return m.width }
-
 // MemoryBits sums the module stage memories; the total equals the
 // monolithic engine's ceil(W/k)·2^k·Ne exactly (partitioning is free in
 // bits).

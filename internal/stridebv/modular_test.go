@@ -26,11 +26,11 @@ func TestModularPartitioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ceil(100/32) = 4 modules.
-	if m.NumModules() != 4 {
-		t.Fatalf("%d modules", m.NumModules())
+	if len(m.modules) != 4 {
+		t.Fatalf("%d modules", len(m.modules))
 	}
-	if m.ModuleWidth() != 32 || m.NumRules() != 100 {
-		t.Fatal("accessors wrong")
+	if m.width != 32 || m.NumRules() != 100 {
+		t.Fatal("geometry wrong")
 	}
 	// Memory equals the monolithic engine's: the same 2^k·Ne bits per
 	// stage overall.

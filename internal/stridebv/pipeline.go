@@ -44,8 +44,6 @@ type Pipeline struct {
 	regs  [][Ports]flight
 	pes   [Ports]*penc.Pipelined
 	cycle int64
-	inFlt int
-	done  int64
 	// free recycles partial-result vectors: a vector is taken at admission,
 	// travels with its packet through the stage registers, and returns to
 	// the list once the priority encoder has consumed it. At most
@@ -85,13 +83,6 @@ func (p *Pipeline) Latency() int { return p.eng.stages + p.pes[0].Latency() }
 // Cycle returns the clock cycles elapsed.
 func (p *Pipeline) Cycle() int64 { return p.cycle }
 
-// Completed returns the number of results produced so far.
-func (p *Pipeline) Completed() int64 { return p.done }
-
-// InFlight returns the packets currently inside the stage pipeline
-// (excluding the priority encoders).
-func (p *Pipeline) InFlight() int { return p.inFlt }
-
 // Step advances one clock cycle, admitting up to Ports new packets and
 // returning any results that completed this cycle.
 func (p *Pipeline) Step(in []Input) []Output {
@@ -110,7 +101,6 @@ func (p *Pipeline) Step(in []Input) []Output {
 		f := p.regs[last][port]
 		if f.live {
 			pushed, token = &f.bv, f.token
-			p.inFlt--
 		}
 		r := stepPE(p.pes[port], pushed, token)
 		if f.live {
@@ -120,7 +110,6 @@ func (p *Pipeline) Step(in []Input) []Output {
 		}
 		if r != nil {
 			out = append(out, *r)
-			p.done++
 		}
 	}
 	for s := last; s > 0; s-- {
@@ -143,7 +132,6 @@ func (p *Pipeline) Step(in []Input) []Output {
 			v := p.allocBV()
 			v.CopyFrom(p.eng.StageVector(0, in[port].Key.Stride(0, p.eng.k)))
 			p.regs[0][port] = flight{key: in[port].Key, bv: v, token: in[port].Token, live: true}
-			p.inFlt++
 		}
 	}
 	return out

@@ -19,7 +19,7 @@ func TestClassifyTracedStagePopcounts(t *testing.T) {
 		trace := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 200, MatchFraction: 0.8, Seed: 22})
 		tc := obsv.NewTracer(1, 4)
 		for _, h := range trace {
-			tr := tc.Sample()
+			_, tr := tc.SampleBatch(1)
 			got := e.ClassifyTraced(h, tr)
 			tc.Finish(tr)
 			if want := e.Classify(h); got != want {

@@ -18,16 +18,6 @@ const CellsPerEntry = packet.W / 2 // 52
 // cells shift in parallel, each needing 16 cycles.
 const WriteCycles = 16
 
-// Op is a control-block operation code (the paper's Figure 3 control block
-// accepts read, write and search commands).
-type Op uint8
-
-const (
-	OpSearch Op = iota
-	OpWrite
-	OpRead
-)
-
 // FPGA is the SRL16E-based TCAM engine: Ne entries × 52 ternary cells, a
 // per-entry match-reduce AND, a pipelined priority encoder, and a control
 // block that sequences multi-cycle writes. It is cycle-accounted: every
@@ -38,7 +28,7 @@ type FPGA struct {
 	cells [][]srl.Cell // [entry][cell]
 	// valid marks programmed entries; unprogrammed entries never match.
 	valid []bool
-	// shadow keeps the programmed ternary words for OpRead (hardware keeps
+	// shadow keeps the programmed ternary words for Read (hardware keeps
 	// this in a side RAM since SRL truth tables are not invertible).
 	shadow []ruleset.Ternary
 	pe     *penc.Pipelined

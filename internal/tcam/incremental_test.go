@@ -70,7 +70,7 @@ func TestFPGAApplyDeltasEqualsRebuild(t *testing.T) {
 }
 
 // TestFPGAApplyDeltasSharesRuleMap: the FPGA model keeps no entry table
-// beyond its cells and the OpRead shadow, so a delta child reuses its
+// beyond its cells and the Read shadow, so a delta child reuses its
 // parent's entry→rule map as is and still answers both Classify and
 // MultiMatch like the linear reference, while the parent keeps answering
 // for the pre-delta ruleset.

@@ -16,7 +16,7 @@ func TestBehavioralClassifyTraced(t *testing.T) {
 	trace := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 300, MatchFraction: 0.8, Seed: 32})
 	tc := obsv.NewTracer(1, 4)
 	for _, h := range trace {
-		tr := tc.Sample()
+		_, tr := tc.SampleBatch(1)
 		got := eng.ClassifyTraced(h, tr)
 		tc.Finish(tr)
 		if want := eng.Classify(h); got != want {
