@@ -2,10 +2,10 @@ package pktclass
 
 // Batched classification benchmarks: the software analogue of the paper's
 // throughput claims. Each iteration classifies one batchBenchSize-packet
-// batch through the engine's native ClassifyBatch path; the reported
-// ns/pkt metric and the allocs/op column are the numbers the BENCH_*.json
-// snapshots track. The StrideBV batch path must stay at 0 allocs/op in
-// steady state (CI gates on it); run with
+// batch through the engine's native ClassifyBatch path and reports ns/pkt
+// beside the allocs/op column, the numbers `pclass bench` prints. The
+// StrideBV batch path must stay at 0 allocs/op in steady state (CI gates
+// on it); run with
 //
 //	go test -bench 'Batch$' -benchmem
 //

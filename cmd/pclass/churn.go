@@ -24,31 +24,26 @@ import (
 
 // churnResult is one (engine, size, mode) churn measurement.
 type churnResult struct {
-	Engine string `json:"engine"`
-	Rules  int    `json:"rules"`
+	Engine string
+	Rules  int
 	// Mode is "incremental" or "rebuild".
-	Mode string `json:"mode"`
-	// RuleOps is the number of single-rule replacements committed; the rate
-	// divides by the churn phase's wall time.
-	RuleOps       int64   `json:"rule_ops"`
-	RuleOpsPerSec float64 `json:"rule_ops_per_sec"`
+	Mode string
+	// RuleOpsPerSec is the single-rule replacements committed per second
+	// of the churn phase's wall time.
+	RuleOpsPerSec float64
 	// ClassifyP99Ns is the service's per-batch classify p99 under churn;
 	// BaselineP99Ns is the same service's p99 with no updater running, and
 	// P99DeltaPct the relative cost ((churn-baseline)/baseline).
-	ClassifyP99Ns int64   `json:"classify_p99_ns"`
-	BaselineP99Ns int64   `json:"baseline_p99_ns"`
-	P99DeltaPct   float64 `json:"p99_delta_pct"`
+	ClassifyP99Ns int64
+	BaselineP99Ns int64
+	P99DeltaPct   float64
 	// Swap accounting, straight from the service counters: Swaps is the
 	// rebuild path, IncrementalSwaps the O(delta) path, Rollbacks failed
 	// scoped verifies (retried as rebuilds), Fallbacks structural deltas.
-	Swaps            int64 `json:"swaps"`
-	IncrementalSwaps int64 `json:"incremental_swaps"`
-	Rollbacks        int64 `json:"incremental_rollbacks,omitempty"`
-	Fallbacks        int64 `json:"incremental_fallbacks,omitempty"`
-}
-
-func (r churnResult) key() string {
-	return fmt.Sprintf("churn %s N=%d mode=%s", r.Engine, r.Rules, r.Mode)
+	Swaps            int64
+	IncrementalSwaps int64
+	Rollbacks        int64
+	Fallbacks        int64
 }
 
 // churnConfig carries the bench flags the churn mode consumes.
@@ -114,7 +109,6 @@ func churnOne(name string, n int, incremental bool, cfg churnConfig) (churnResul
 		Engine:           name,
 		Rules:            n,
 		Mode:             mode,
-		RuleOps:          out.RuleOps,
 		RuleOpsPerSec:    float64(out.RuleOps) / out.Elapsed.Seconds(),
 		ClassifyP99Ns:    p99[1],
 		BaselineP99Ns:    p99[0],

@@ -7,7 +7,7 @@
 //	pclass -rules rules.txt -trace trace.bin -engine tcam -v
 //	pclass serve -rules rules.txt -clients 8 -update-every 5ms
 //	pclass serve -rules rules.txt -measure
-//	pclass bench -engines stridebv,tcam -sizes 32,512 -json -out BENCH.json
+//	pclass bench -engines stridebv,tcam -sizes 32,512
 //
 // Engines: stridebv | fsbv | rangebv | tcam | tcam-fpga | hicuts | linear.
 // Traces may be text or binary (format is sniffed). Every run is
@@ -19,7 +19,7 @@
 // trace once under continuous churn and reports throughput degradation.
 //
 // The bench subcommand measures each engine's batched classification rate
-// over synthetic rulesets and can emit a BENCH_*.json snapshot.
+// over synthetic rulesets and prints one row per configuration.
 package main
 
 import (

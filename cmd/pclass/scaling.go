@@ -23,24 +23,21 @@ import (
 // sweep. Efficiency is PktsPerSec divided by (workers x the per-worker
 // rate of the sweep's smallest point) — 1.0 is perfectly linear scaling.
 type scalingResult struct {
-	Engine       string  `json:"engine"`
-	Rules        int     `json:"rules"`
-	Workers      int     `json:"workers"`
-	BatchSize    int     `json:"batch_size"`
-	CacheEntries int     `json:"cache_entries,omitempty"`
-	Skew         string  `json:"skew,omitempty"`
-	HitRate      float64 `json:"hit_rate,omitempty"`
-	PktsPerSec   float64 `json:"pkts_per_sec"`
-	Mpps         float64 `json:"mpps"`
-	Speedup      float64 `json:"speedup"`
-	Efficiency   float64 `json:"efficiency"`
+	Engine       string
+	Rules        int
+	Workers      int
+	CacheEntries int
+	HitRate      float64
+	PktsPerSec   float64
+	Speedup      float64
+	Efficiency   float64
 	// Imbalance is the steering imbalance index over the measured window
 	// (max/mean per-worker load; 1.0 = perfectly balanced, Workers = one
 	// worker took everything) — the skew side of the scaling story that
 	// efficiency alone hides: a Zipf point can scale poorly either because
 	// the path stops scaling or because steering parked the elephants on
 	// one worker, and this column tells the two apart.
-	Imbalance float64 `json:"imbalance,omitempty"`
+	Imbalance float64
 }
 
 // scalingConfig carries the sweep knobs shared with the classification
@@ -49,7 +46,6 @@ type scalingConfig struct {
 	traffic traffic
 	profile ruleset.Profile
 	cache   int
-	skew    string
 	seed    int64
 	stride  int
 	dur     time.Duration
@@ -100,14 +96,9 @@ func scalingPoint(name string, rules, workers int, cfg scalingConfig) (scalingRe
 		Engine:       name,
 		Rules:        rules,
 		Workers:      workers,
-		BatchSize:    cfg.traffic.count,
 		CacheEntries: cfg.cache,
 		PktsPerSec:   float64(out.Packets) / out.Elapsed.Seconds(),
 		Imbalance:    svc.ImbalanceIndex(),
-	}
-	r.Mpps = r.PktsPerSec / 1e6
-	if cfg.traffic.zipfS >= 0 || cfg.cache > 0 {
-		r.Skew = cfg.skew
 	}
 	if st, ok := svc.CacheStats(); ok {
 		if lookups := (st.Hits - warm.Hits) + (st.Misses - warm.Misses); lookups > 0 {
@@ -151,7 +142,7 @@ func printScalingRow(r scalingResult) {
 		label = "cached-" + label
 	}
 	fmt.Printf("%-20s N=%-5d workers=%-3d %9.3f Mpps  speedup %5.2fx  efficiency %5.2f  imbalance %4.2f",
-		label, r.Rules, r.Workers, r.Mpps, r.Speedup, r.Efficiency, r.Imbalance)
+		label, r.Rules, r.Workers, r.PktsPerSec/1e6, r.Speedup, r.Efficiency, r.Imbalance)
 	if r.CacheEntries > 0 {
 		fmt.Printf("  %5.1f%% hits", 100*r.HitRate)
 	}

@@ -159,16 +159,12 @@ func New(rs *ruleset.RuleSet, cfg Config) (*Engine, error) {
 	if cfg.PrefixBits < 0 || cfg.PrefixBits > MaxPrefixBits {
 		return nil, fmt.Errorf("partition: prefix bits %d outside [0,%d]", cfg.PrefixBits, MaxPrefixBits)
 	}
-	if cfg.PrefixBits == 0 {
-		cfg.PrefixBits = autoPrefixBits(rs.Len())
-	}
 
 	e := &Engine{
-		rs:         rs,
-		splitter:   cfg.Splitter,
-		prefixBits: cfg.PrefixBits,
-		scratch:    new(sync.Pool),
-		loc:        make([]partLoc, rs.Len()),
+		rs:       rs,
+		splitter: cfg.Splitter,
+		scratch:  new(sync.Pool),
+		loc:      make([]partLoc, rs.Len()),
 	}
 
 	// Assign every rule to exactly one group, preserving rule order within
@@ -185,6 +181,10 @@ func New(rs *ruleset.RuleSet, cfg Config) (*Engine, error) {
 			groups = append(groups, group{idx: g})
 		}
 	} else {
+		if cfg.PrefixBits == 0 {
+			cfg.PrefixBits = autoPrefixBits(rs.Len())
+		}
+		e.prefixBits = cfg.PrefixBits
 		nb := 1 << uint(cfg.PrefixBits)
 		dip := make([][]int32, nb)
 		sip := make([][]int32, nb)
@@ -244,9 +244,6 @@ func New(rs *ruleset.RuleSet, cfg Config) (*Engine, error) {
 			e.candWords = max(e.candWords, p.sbv.SummaryWords())
 		}
 		e.parts[pi] = p
-	}
-	if len(e.parts) == 0 {
-		return nil, fmt.Errorf("partition: no partitions produced")
 	}
 	e.subName = e.parts[0].eng.Name()
 	return e, nil
@@ -531,13 +528,16 @@ func mergeSorted(lists [][]int) []int {
 
 // String summarises the partition geometry, including bucket balance (rules
 // in the largest part against the mean) — what the splitter is there to keep
-// even.
+// even — and the pre-decoder width B, which only PrefixSplit has.
 func (e *Engine) String() string {
 	largest := 0
 	for _, p := range e.parts {
 		largest = max(largest, len(p.global))
 	}
-	return fmt.Sprintf("%s{parts=%d always=%d largest=%d mean=%.1f B=%d}",
-		e.Name(), len(e.parts), len(e.always), largest,
-		float64(e.rs.Len())/float64(len(e.parts)), e.prefixBits)
+	s := fmt.Sprintf("%s{parts=%d always=%d largest=%d mean=%.1f",
+		e.Name(), len(e.parts), len(e.always), largest, float64(e.rs.Len())/float64(len(e.parts)))
+	if e.prefixBits > 0 {
+		s += fmt.Sprintf(" B=%d", e.prefixBits)
+	}
+	return s + "}"
 }

@@ -95,12 +95,6 @@ type HardwareRun struct {
 	LatencyCycles int
 }
 
-// ThroughputGbps converts a hardware run into line rate at the given clock
-// (minimum-size 40-byte packets, the paper's convention).
-func (h HardwareRun) ThroughputGbps(clockMHz float64) float64 {
-	return h.PacketsPerCycle * clockMHz * 1e6 * packet.MinPacketBits / 1e9
-}
-
 // RunStrideBVPipeline clocks a trace through the cycle-accurate dual-port
 // StrideBV pipeline.
 func RunStrideBVPipeline(eng *stridebv.Engine, trace []packet.Header) (HardwareRun, error) {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"testing"
 
 	"pktclass/internal/core"
@@ -108,12 +107,6 @@ func TestRunStrideBVPipelineThroughput(t *testing.T) {
 		if hr.Results[i] != rs.FirstMatch(h) {
 			t.Fatalf("pipeline result %d wrong", i)
 		}
-	}
-	// At 200 MHz the paper's formula gives ~128 Gbps.
-	got := hr.ThroughputGbps(200)
-	want := hr.PacketsPerCycle * 200e6 * 320 / 1e9
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("ThroughputGbps = %v, want %v", got, want)
 	}
 	if hr.LatencyCycles <= 26 {
 		t.Fatalf("latency %d too small", hr.LatencyCycles)
