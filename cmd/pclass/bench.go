@@ -100,8 +100,8 @@ func runBench(args []string) {
 					for _, r := range rows {
 						printScalingRow(r)
 						if *minEff > 0 && r.Workers > 1 && r.Efficiency < *minEff {
-							below = append(below, fmt.Sprintf("%s N=%d workers=%d: efficiency %.2f < %.2f",
-								r.Engine, r.Rules, r.Workers, r.Efficiency, *minEff))
+							below = append(below, fmt.Sprintf("%s N=%d workers=%d cpus=%d procs=%d: efficiency %.2f < %.2f",
+								r.Engine, r.Rules, r.Workers, runtime.NumCPU(), runtime.GOMAXPROCS(0), r.Efficiency, *minEff))
 						}
 					}
 				}

@@ -10,6 +10,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"pktclass/internal/cli"
@@ -141,8 +142,10 @@ func printScalingRow(r scalingResult) {
 	if r.CacheEntries > 0 {
 		label = "cached-" + label
 	}
-	fmt.Printf("%-20s N=%-5d workers=%-3d %9.3f Mpps  speedup %5.2fx  efficiency %5.2f  imbalance %4.2f",
-		label, r.Rules, r.Workers, r.PktsPerSec/1e6, r.Speedup, r.Efficiency, r.Imbalance)
+	// The host's vCPU count and GOMAXPROCS ride on every row: efficiency
+	// at a worker count means little without the cores it ran on.
+	fmt.Printf("%-20s N=%-5d workers=%-3d cpus=%d procs=%d %9.3f Mpps  speedup %5.2fx  efficiency %5.2f  imbalance %4.2f",
+		label, r.Rules, r.Workers, runtime.NumCPU(), runtime.GOMAXPROCS(0), r.PktsPerSec/1e6, r.Speedup, r.Efficiency, r.Imbalance)
 	if r.CacheEntries > 0 {
 		fmt.Printf("  %5.1f%% hits", 100*r.HitRate)
 	}

@@ -44,7 +44,8 @@ type Updater interface {
 
 // Footprint is implemented by engines with a hardware memory model.
 // MemoryBits is the paper's stored-bit count (Section V-B): ⌈W/k⌉·2^k·Ne
-// for StrideBV, 2·W·Ne for a TCAM.
+// for StrideBV, 2·W·Ne for the SRL16E TCAM, (2·W + 64)·N for the extended
+// behavioural TCAM.
 type Footprint interface {
 	MemoryBits() int
 }

@@ -40,8 +40,24 @@ func forEachTable(t *testing.T, entries int, fn func(t *testing.T, tb table, nex
 	})
 	t.Run("Private", func(t *testing.T) {
 		var gen uint64
-		fn(t, NewPrivate(entries), func() uint64 { gen++; return gen })
+		fn(t, &prehashed{Private: NewPrivate(entries)}, func() uint64 { gen++; return gen })
 	})
+}
+
+// prehashed holds a Private to the table contract through its one batch
+// entry point, ClassifyBatchPrehashedInto, hashing each batch the way the
+// steered serving path does. The hash slice grows once and is reused.
+type prehashed struct {
+	*Private
+	hashes []uint64
+}
+
+func (p *prehashed) ClassifyBatchInto(gen uint64, hdrs []packet.Header, out []int, classifyMisses func([]packet.Header, []int)) {
+	p.hashes = p.hashes[:0]
+	for _, h := range hdrs {
+		p.hashes = append(p.hashes, h.Hash())
+	}
+	p.ClassifyBatchPrehashedInto(gen, hdrs, p.hashes, out, classifyMisses)
 }
 
 func TestSizingRoundsUp(t *testing.T) {

@@ -6,9 +6,9 @@ import (
 	"pktclass/internal/packet"
 )
 
-// The prehashed batch path is the same cache with dispatch-computed
-// hashes: its results must be identical to the self-hashing path,
-// hit-for-hit.
+// The prehashed batch path is the same table with dispatch-computed
+// hashes: its results must be identical to the locked Cache's, which
+// hashes each header itself, hit-for-hit.
 func TestPrivatePrehashedMatchesSelfHashing(t *testing.T) {
 	classify := func(h packet.Header) int { return int(h.SIP^h.DIP) & 0xff }
 	missFn := func(hdrs []packet.Header, out []int) {
@@ -26,7 +26,7 @@ func TestPrivatePrehashedMatchesSelfHashing(t *testing.T) {
 		hashes[i] = h.Hash()
 	}
 
-	plain := NewPrivate(4096)
+	plain := New(Config{Entries: 4096})
 	pre := NewPrivate(4096)
 	outPlain := make([]int, len(trace))
 	outPre := make([]int, len(trace))

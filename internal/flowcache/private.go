@@ -14,9 +14,9 @@ import (
 // behind RSS-style flow steering every packet of a flow reaches the same
 // worker, so that worker's table needs no lock and sees no cross-core
 // cache-line traffic on the probe path. All mutating methods (Lookup,
-// Insert, ClassifyBatchInto) must be called from the owner — or, as Cache
-// does, under a lock; Stats and SetProbeHistogram are safe from any
-// goroutine (the counters are atomic so scrapes never race the owner).
+// Insert, ClassifyBatchPrehashedInto) must be called from the owner — or,
+// as Cache does, under a lock; Stats and SetProbeHistogram are safe from
+// any goroutine (the counters are atomic so scrapes never race the owner).
 //
 // Private does not allocate generations: the serving layer owns one
 // generation counter per service and passes the live build's generation
@@ -137,23 +137,18 @@ func (p *Private) Insert(key packet.Key, gen uint64, result int32) {
 	}
 }
 
-// ClassifyBatchInto classifies hdrs into out at generation gen, answering
-// what it can from the cache and calling classifyMisses at most once (when
-// there are misses) with the compacted miss set; fresh results are
-// inserted before returning. Probes run in arrival order on the owner's
-// core. Steady state allocates nothing. Owner only; classifyMisses must
-// not retain its argument slices.
+// ClassifyBatchPrehashedInto classifies hdrs into out at generation gen,
+// answering what it can from the cache and calling classifyMisses at most
+// once (when there are misses) with the compacted miss set; fresh results
+// are inserted before returning. Probes run in arrival order on the
+// owner's core. Steady state allocates nothing. Owner only;
+// classifyMisses must not retain its argument slices.
 //
-//pclass:hotpath
-func (p *Private) ClassifyBatchInto(gen uint64, hdrs []packet.Header, out []int, classifyMisses func(hdrs []packet.Header, out []int)) {
-	p.classifyBatch(gen, hdrs, nil, out, classifyMisses)
-}
-
-// ClassifyBatchPrehashedInto is ClassifyBatchInto with the flow hashes
-// already computed: hashes[i] must equal hdrs[i].Hash(). The
-// steered serving path hashes every header once to pick the worker and
-// passes the values through, so the private cache never rehashes — one
-// splitmix64 finalizer per packet saved on the hottest path.
+// The flow hashes come with the batch: hashes[i] must equal
+// hdrs[i].Hash(). The steered serving path hashes every header once to
+// pick the worker and passes the values through, so the private cache
+// never rehashes — one splitmix64 finalizer per packet saved on the
+// hottest path.
 //
 //pclass:hotpath
 func (p *Private) ClassifyBatchPrehashedInto(gen uint64, hdrs []packet.Header, hashes []uint64, out []int, classifyMisses func(hdrs []packet.Header, out []int)) {

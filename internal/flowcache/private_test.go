@@ -79,13 +79,15 @@ func TestStaleDropCountedOnlyWhenOverwritten(t *testing.T) {
 
 // BenchmarkPrivateBatch is the CI allocation gate for the per-worker
 // cache probe path: one op = one mixed hit/miss batch through
-// ClassifyBatchInto. Steady state must not allocate.
+// ClassifyBatchPrehashedInto. Steady state must not allocate.
 func BenchmarkPrivateBatch(b *testing.B) {
 	p := NewPrivate(4096)
 	trace := make([]packet.Header, 512)
+	hashes := make([]uint64, len(trace))
 	for i := range trace {
 		f := uint32(i % 192)
 		trace[i] = packet.Header{SIP: f * 7, DIP: f * 11, SP: uint16(f), DP: 53, Proto: 17}
+		hashes[i] = trace[i].Hash()
 	}
 	out := make([]int, len(trace))
 	missFn := func(hdrs []packet.Header, o []int) {
@@ -93,11 +95,11 @@ func BenchmarkPrivateBatch(b *testing.B) {
 			o[i] = int(hdrs[i].DIP) & 0x3f
 		}
 	}
-	p.ClassifyBatchInto(1, trace, out, missFn)
+	p.ClassifyBatchPrehashedInto(1, trace, hashes, out, missFn)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.ClassifyBatchInto(1, trace, out, missFn)
+		p.ClassifyBatchPrehashedInto(1, trace, hashes, out, missFn)
 	}
 }
 

@@ -2,6 +2,7 @@ package tcam
 
 import (
 	"fmt"
+	"slices"
 
 	"pktclass/internal/core"
 	"pktclass/internal/penc"
@@ -16,21 +17,15 @@ var (
 	_ core.Footprint = (*FPGA)(nil)
 )
 
-// validateDeltas checks a delta batch against a TCAM of ne entries holding
-// numRules rules: matching index and entry counts, in-range rows, and the
-// 1:1 rule↔entry mapping the per-row write path needs (a rule spanning
-// several entries has no single row to rewrite — that is a structural delta
-// for the shadow-rebuild path).
-func validateDeltas(ne, numRules int, rules []int, entries []ruleset.Ternary) error {
+// validateDeltas checks a delta batch against a TCAM of n rows: matching
+// index and entry counts, and in-range rows.
+func validateDeltas(n int, rules []int, entries []ruleset.Ternary) error {
 	if len(rules) != len(entries) {
 		return fmt.Errorf("tcam: %d delta indices but %d entries", len(rules), len(entries))
 	}
-	if ne != numRules {
-		return fmt.Errorf("tcam: delta update needs a 1:1 rule/entry mapping (%d rules expand to %d entries)", numRules, ne)
-	}
 	for _, j := range rules {
-		if j < 0 || j >= ne {
-			return fmt.Errorf("tcam: delta entry %d out of range [0,%d)", j, ne)
+		if j < 0 || j >= n {
+			return fmt.Errorf("tcam: delta entry %d out of range [0,%d)", j, n)
 		}
 	}
 	return nil
@@ -39,19 +34,21 @@ func validateDeltas(ne, numRules int, rules []int, entries []ruleset.Ternary) er
 // ApplyDeltas applies a batch of single-entry rule replacements and returns
 // the resulting TCAM without touching the receiver, which keeps serving
 // concurrent searches until the caller publishes the result (atomic pointer
-// store). Only the row table is copied (32 B per entry) and only the
-// touched rows are repacked; the parent map is shared. rules[i] names the
-// row replaced by entries[i]; later deltas win when indices repeat.
-// Requires the 1:1 rule↔entry mapping of a prefix-only expansion.
+// store). Only the row and bounds tables are copied (40 B per rule) and
+// only the touched rows are rewritten, each from its entry's lowering
+// (ruleset.LowerEntry). rules[i] names the rule replaced by entries[i];
+// later deltas win when indices repeat. Row i is rule i whatever the
+// ruleset's expansion, so this works on range-expanded (firewall) sets too.
 func (t *Behavioral) ApplyDeltas(rules []int, entries []ruleset.Ternary) (core.Engine, error) {
-	if err := validateDeltas(len(t.rows), t.numRules, rules, entries); err != nil {
+	if err := validateDeltas(len(t.rows), rules, entries); err != nil {
 		return nil, err
 	}
-	rows := append([]row(nil), t.rows...)
+	rows, bnds := slices.Clone(t.rows), slices.Clone(t.bounds)
 	for i, j := range rules {
-		rows[j] = packRow(entries[i])
+		x := ruleset.LowerEntry(entries[i])
+		rows[j], bnds[j] = packRow(x.Cover), packBounds(&x)
 	}
-	return &Behavioral{table{rows: rows, ruleMap: t.ruleMap}}, nil
+	return &Behavioral{rows: rows, bounds: bnds}, nil
 }
 
 // ApplyDeltas applies a batch of single-entry rule replacements through the
@@ -70,7 +67,12 @@ func (t *Behavioral) ApplyDeltas(rules []int, entries []ruleset.Ternary) (core.E
 // deltas win when indices repeat. Requires the 1:1 rule↔entry mapping of a
 // prefix-only expansion.
 func (t *FPGA) ApplyDeltas(rules []int, entries []ruleset.Ternary) (core.Engine, error) {
-	if err := validateDeltas(len(t.cells), t.numRules, rules, entries); err != nil {
+	if len(t.cells) != t.numRules {
+		// A rule spanning several entries has no single row to rewrite:
+		// that is a structural delta for the shadow-rebuild path.
+		return nil, fmt.Errorf("tcam: delta update needs a 1:1 rule/entry mapping (%d rules expand to %d entries)", t.numRules, len(t.cells))
+	}
+	if err := validateDeltas(len(t.cells), rules, entries); err != nil {
 		return nil, err
 	}
 	n := &FPGA{

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"pktclass/internal/core"
 	"pktclass/internal/ruleset"
 )
 
@@ -124,6 +125,9 @@ func TestFPGAApplyDeltasCycleAccounting(t *testing.T) {
 
 // TestTCAMApplyDeltasValidation pins what both TCAMs refuse and the words
 // they refuse it with (the serving layer logs these on its rollback path).
+// A range-expanded set is refused only by the FPGA model, whose rows are
+// expanded entries; the extended behavioural TCAM keeps one row per rule
+// and takes the delta.
 func TestTCAMApplyDeltasValidation(t *testing.T) {
 	_, ex, _, rules, entries := tcamDeltaFixture(t, 32, 4, 37)
 	rsFw := ruleset.Generate(ruleset.GenConfig{N: 48, Profile: ruleset.FirewallProfile, Seed: 38, DefaultRule: true})
@@ -141,24 +145,37 @@ func TestTCAMApplyDeltasValidation(t *testing.T) {
 		ex      *ruleset.Expanded
 		rules   []int
 		entries []ruleset.Ternary
-		want    string
+		// want is each engine's error; "" means the delta applies.
+		want map[string]string
 	}{
-		{"length mismatch", ex, rules, entries[:3], "tcam: 4 delta indices but 3 entries"},
-		{"row past the end", ex, outOfRange(ex.Len()), entries, "tcam: delta entry 32 out of range [0,32)"},
-		{"negative row", ex, outOfRange(-1), entries, "tcam: delta entry -1 out of range [0,32)"},
-		{"range-expanded", exFw, rules[:1], entries[:1],
-			fmt.Sprintf("tcam: delta update needs a 1:1 rule/entry mapping (48 rules expand to %d entries)", exFw.Len())},
+		{"length mismatch", ex, rules, entries[:3], both("tcam: 4 delta indices but 3 entries")},
+		{"row past the end", ex, outOfRange(ex.Len()), entries, both("tcam: delta entry 32 out of range [0,32)")},
+		{"negative row", ex, outOfRange(-1), entries, both("tcam: delta entry -1 out of range [0,32)")},
+		{"range-expanded", exFw, rules[:1], entries[:1], map[string]string{
+			"behavioral": "",
+			"fpga":       fmt.Sprintf("tcam: delta update needs a 1:1 rule/entry mapping (48 rules expand to %d entries)", exFw.Len()),
+		}},
 	}
 	for _, c := range cases {
-		_, errB := NewBehavioral(c.ex).ApplyDeltas(c.rules, c.entries)
-		_, errF := NewFPGA(c.ex).ApplyDeltas(c.rules, c.entries)
-		for engine, err := range map[string]error{"behavioral": errB, "fpga": errF} {
-			if err == nil || err.Error() != c.want {
-				t.Errorf("%s, %s: error %v, want %q", c.name, engine, err, c.want)
+		outB, errB := NewBehavioral(c.ex).ApplyDeltas(c.rules, c.entries)
+		outF, errF := NewFPGA(c.ex).ApplyDeltas(c.rules, c.entries)
+		for engine, res := range map[string]struct {
+			out core.Engine
+			err error
+		}{"behavioral": {outB, errB}, "fpga": {outF, errF}} {
+			want := c.want[engine]
+			switch {
+			case want == "" && (res.err != nil || res.out == nil):
+				t.Errorf("%s, %s: error %v, want the delta applied", c.name, engine, res.err)
+			case want != "" && (res.err == nil || res.err.Error() != want):
+				t.Errorf("%s, %s: error %v, want %q", c.name, engine, res.err, want)
 			}
 		}
 	}
 }
+
+// both is the same expected error for both TCAMs.
+func both(msg string) map[string]string { return map[string]string{"behavioral": msg, "fpga": msg} }
 
 // BenchmarkTCAMFPGAWrite is CI's 0-allocs gate on the SRL16E shift-in
 // write primitive.

@@ -26,14 +26,10 @@ func (r *row) matches(hi, lo uint64) bool {
 	return (hi^r.vhi)&r.mhi|(lo^r.vlo)&r.mlo == 0
 }
 
-// table is an expansion in searchable form, the only copy of the entries a
-// software TCAM keeps: the ruleset.Expanded it was packed from is not
-// retained.
+// table is an expansion in searchable form for the partitioned TCAM, the
+// only copy of the entries it keeps: the ruleset.Expanded it was packed
+// from is not retained. Nothing writes it after construction.
 type table struct {
-	// rows is shared with nothing until ApplyDeltas, which copies it for
-	// the child before writing the child's rows.
-	//
-	//pclass:cow
 	rows []row
 	ruleMap
 }
@@ -70,4 +66,23 @@ func (m *ruleMap) appendRule(out []int, entry int) []int {
 		out = append(out, p)
 	}
 	return out
+}
+
+// bounds is an extended row's two range comparators (8 bytes): a key is
+// admitted when its source port lies in [sp, sp+spSpan] and its
+// destination port in [dp, dp+dpSpan]. Storing the span instead of the
+// upper bound makes each comparator one wrapping subtract and one compare.
+type bounds struct{ sp, spSpan, dp, dpSpan uint16 }
+
+func packBounds(x *ruleset.ExtendedEntry) bounds {
+	return bounds{sp: x.SP.Lo, spSpan: x.SP.Hi - x.SP.Lo, dp: x.DP.Lo, dpSpan: x.DP.Hi - x.DP.Lo}
+}
+
+// admits reports whether the ports of the key word lo (packet.Header.Words'
+// layout: source port in bits 63..48, destination port in 47..32) lie
+// inside the bounds.
+//
+//pclass:hotpath
+func (b *bounds) admits(lo uint64) bool {
+	return uint16(lo>>48)-b.sp <= b.spSpan && uint16(lo>>32)-b.dp <= b.dpSpan
 }

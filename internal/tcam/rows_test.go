@@ -72,44 +72,37 @@ func TestRowMatchEqualsMatchesKey(t *testing.T) {
 }
 
 // TestBehavioralApplyDeltasCopyOnWrite pins the storage side of ApplyDeltas:
-// the receiver's row table is bit-identical afterwards, the child has its
-// own rows but the receiver's parent map (the expansion's, as 4-byte rule
-// indices), and exactly the touched rows differ.
+// the receiver's row and bounds tables are bit-identical afterwards, the
+// child has its own copies of both, and exactly the touched rows differ,
+// each rewritten from its entry's lowering.
 func TestBehavioralApplyDeltasCopyOnWrite(t *testing.T) {
 	_, ex, _, rules, entries := tcamDeltaFixture(t, 64, 10, 43)
 	eng := NewBehavioral(ex)
-	before := append([]row(nil), eng.rows...)
+	rowsBefore, boundsBefore := slices.Clone(eng.rows), slices.Clone(eng.bounds)
 	out, err := eng.ApplyDeltas(rules, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	child := out.(*Behavioral)
-	if !slices.Equal(eng.rows, before) {
-		t.Fatal("ApplyDeltas changed the receiver's rows")
+	if !slices.Equal(eng.rows, rowsBefore) || !slices.Equal(eng.bounds, boundsBefore) {
+		t.Fatal("ApplyDeltas changed the receiver's tables")
 	}
-	if &child.rows[0] == &eng.rows[0] {
-		t.Fatal("child shares the receiver's row table")
-	}
-	if &child.parent[0] != &eng.parent[0] {
-		t.Fatal("parent map was copied, want it shared with the receiver")
-	}
-	for j, p := range eng.parent {
-		if int(p) != ex.Parent[j] {
-			t.Fatalf("parent[%d] = %d, the expansion has %d", j, p, ex.Parent[j])
-		}
+	if &child.rows[0] == &eng.rows[0] || &child.bounds[0] == &eng.bounds[0] {
+		t.Fatal("child shares the receiver's row or bounds table")
 	}
 	touched := map[int]ruleset.Ternary{}
 	for i, j := range rules {
 		touched[j] = entries[i] // later deltas win
 	}
 	for j := range child.rows {
-		want := eng.rows[j]
+		wantRow, wantBounds := eng.rows[j], eng.bounds[j]
 		e, ok := touched[j]
 		if ok {
-			want = packRow(e)
+			x := ruleset.LowerEntry(e)
+			wantRow, wantBounds = packRow(x.Cover), packBounds(&x)
 		}
-		if child.rows[j] != want {
-			t.Fatalf("row %d (touched: %v) = %+v, want %+v", j, ok, child.rows[j], want)
+		if child.rows[j] != wantRow || child.bounds[j] != wantBounds {
+			t.Fatalf("row %d (touched: %v) = %+v %+v, want %+v %+v", j, ok, child.rows[j], child.bounds[j], wantRow, wantBounds)
 		}
 	}
 }
@@ -149,7 +142,7 @@ func TestBehavioralInvalidateThenRevive(t *testing.T) {
 		t.Fatal(err)
 	}
 	alive := out.(*Behavioral)
-	if !slices.Equal(alive.rows, eng.rows) {
+	if !slices.Equal(alive.rows, eng.rows) || !slices.Equal(alive.bounds, eng.bounds) {
 		t.Fatal("revived table differs from the original")
 	}
 	for _, h := range trace {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pktclass/internal/core"
+	"pktclass/internal/packet"
 	"pktclass/internal/ruleset"
 	"pktclass/internal/tcam"
 )
@@ -32,10 +33,11 @@ func rulesExpandingTo(t *testing.T, profile ruleset.Profile, ne int, seed int64)
 }
 
 // TestBehavioralEqualsLinearAcrossSizes checks the row-table TCAM against
-// the linear reference on an empty table, a single row, the entry counts
-// around 64 and the serving benchmark's Ne = 928, for range-expanded
-// (firewall) and 1:1 (prefix-only) expansions, through Classify,
-// ClassifyBatch and MultiMatch.
+// the linear reference on rule sets whose expansions hold no entry, a
+// single entry, the entry counts around 64 and the serving benchmark's
+// Ne = 928, for range-expanded (firewall) and 1:1 (prefix-only)
+// expansions, through Classify, ClassifyBatch and MultiMatch. Whatever Ne
+// is, the extended TCAM stores one row and 2·W + 64 bits per rule.
 func TestBehavioralEqualsLinearAcrossSizes(t *testing.T) {
 	for _, profile := range []ruleset.Profile{ruleset.FirewallProfile, ruleset.PrefixOnly} {
 		for _, ne := range []int{0, 1, 63, 64, 65, 928} {
@@ -44,8 +46,11 @@ func TestBehavioralEqualsLinearAcrossSizes(t *testing.T) {
 				ex := rs.Expand()
 				eng := tcam.NewBehavioral(ex)
 				lin := core.NewLinear(rs)
-				if eng.NumEntries() != ne || eng.NumRules() != rs.Len() {
-					t.Fatalf("engine has %d entries / %d rules, want %d / %d", eng.NumEntries(), eng.NumRules(), ne, rs.Len())
+				if eng.NumEntries() != rs.Len() || eng.NumRules() != rs.Len() {
+					t.Fatalf("engine has %d rows / %d rules, want %d / %d", eng.NumEntries(), eng.NumRules(), rs.Len(), rs.Len())
+				}
+				if got, want := eng.MemoryBits(), (2*packet.W+64)*rs.Len(); got != want {
+					t.Fatalf("MemoryBits = %d, want %d", got, want)
 				}
 				if profile == ruleset.FirewallProfile && ne >= 63 && rs.Len() == ne {
 					t.Fatalf("firewall set of %d entries has no range-expanded rule", ne)

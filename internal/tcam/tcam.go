@@ -12,44 +12,77 @@ import (
 	"pktclass/internal/ruleset"
 )
 
-// Behavioral is the reference TCAM: entries searched in parallel (semantics:
-// all compared, lowest index wins), wildcards per bit. It operates on the
-// ternary-expanded form of a ruleset, stored as packed word rows, and
-// reports rule-level results.
+// Behavioral is the reference TCAM, built as an extended TCAM (Spitznagel,
+// Taylor and Turner, ICNP 2003): one row per rule, searched in parallel
+// (semantics: all compared, lowest index wins), each row a packed ternary
+// word with a range comparator beside each port field. Row i is rule i, so
+// a port range costs one row instead of its prefix cross product and no
+// entry→rule map is kept. tcam.FPGA and tcam.Partitioned stay on the
+// expanded entries of the paper's Section II.
 type Behavioral struct {
-	table
+	// rows[i] is rule i's cover word and bounds[i] its port bounds. Both
+	// are shared with nothing until ApplyDeltas, which copies them for the
+	// child before writing the child's rows.
+	//
+	//pclass:cow
+	rows []row
+	//pclass:cow
+	bounds []bounds
 }
 
-// NewBehavioral builds a behavioral TCAM over an expanded ruleset. It packs
-// the entries into its own row table and copies ex's parent map as 4-byte
-// rule indices; ex itself is not retained.
+// NewBehavioral builds a behavioral TCAM over an expanded ruleset: each
+// rule's run of entries is folded back into one row by ex.Lower. ex itself
+// is not retained.
 func NewBehavioral(ex *ruleset.Expanded) *Behavioral {
-	return &Behavioral{table: newTable(ex)}
+	lowered := ex.Lower()
+	rows, bnds := make([]row, len(lowered)), make([]bounds, len(lowered))
+	for i := range lowered {
+		x := &lowered[i]
+		rows[i], bnds[i] = packRow(x.Cover), packBounds(x)
+	}
+	return &Behavioral{rows: rows, bounds: bnds}
 }
 
 // Name identifies the engine in reports.
 func (t *Behavioral) Name() string { return "tcam-behavioral" }
 
 // NumRules returns the original rule count N.
-func (t *Behavioral) NumRules() int { return t.numRules }
+func (t *Behavioral) NumRules() int { return len(t.rows) }
 
-// NumEntries returns the stored entry count Ne.
+// NumEntries returns the stored row count, one per rule.
 func (t *Behavioral) NumEntries() int { return len(t.rows) }
 
-// MemoryBits returns the stored bits of the paper's TCAM model, 2·W·Ne.
-func (t *Behavioral) MemoryBits() int { return MemoryBits(len(t.rows), packet.W) }
+// MemoryBits returns the stored bits: the paper's 2·W per ternary row plus
+// 64 bits of port bounds, (2·W + 64)·N.
+func (t *Behavioral) MemoryBits() int {
+	return MemoryBits(len(t.rows), packet.W) + boundsBits*len(t.rows)
+}
+
+// boundsBits is the storage of one row's four 16-bit port bounds.
+const boundsBits = 64
+
+// match reports whether row i accepts the key hi:lo: its branch-free
+// two-word compare matches and its bounds admit the key's ports.
+//
+//pclass:hotpath
+func (t *Behavioral) match(i int, hi, lo uint64) bool {
+	return t.rows[i].matches(hi, lo) && t.bounds[i].admits(lo)
+}
 
 // Classify returns the highest-priority matching rule index, or -1.
 // This is the priority-encoder output of a hardware TCAM: the first row
-// that matches the header's two words, straight from its fields.
+// that accepts the header's two words, straight from its fields. A row
+// whose ternary word matches but whose bounds reject the ports does not
+// stop the search.
 //
 //pclass:hotpath
 func (t *Behavioral) Classify(h packet.Header) int {
 	hi, lo := h.Words()
 	rows := t.rows
+	bnds := t.bounds[:len(rows)]
 	for i := range rows {
-		if rows[i].matches(hi, lo) {
-			return int(t.parent[i])
+		if rows[i].matches(hi, lo) && bnds[i].admits(lo) {
+			return i
 		}
 	}
 	return -1
@@ -71,20 +104,20 @@ func (t *Behavioral) MultiMatch(h packet.Header) []int {
 	hi, lo := h.Words()
 	var out []int
 	for i := range t.rows {
-		if t.rows[i].matches(hi, lo) {
-			out = t.appendRule(out, i)
+		if t.match(i, hi, lo) {
+			out = append(out, i)
 		}
 	}
 	return out
 }
 
-// MatchVector returns the raw per-entry match flags (the TCAM match lines
-// before priority encoding).
+// MatchVector returns the raw per-rule match flags (the TCAM match lines
+// before priority encoding): line i is asserted when row i accepts k.
 func (t *Behavioral) MatchVector(k packet.Key) []bool {
 	hi, lo := k.Words()
 	out := make([]bool, len(t.rows))
 	for i := range t.rows {
-		out[i] = t.rows[i].matches(hi, lo)
+		out[i] = t.match(i, hi, lo)
 	}
 	return out
 }

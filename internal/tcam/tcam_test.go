@@ -58,19 +58,20 @@ func TestBehavioralNoMatch(t *testing.T) {
 	}
 }
 
+// TestMatchVector: the extended TCAM raises one match line per rule, and
+// line i is asserted exactly when rule i matches the header.
 func TestMatchVector(t *testing.T) {
 	rs := ruleset.SampleRuleSet()
-	ex := rs.Expand()
-	eng := NewBehavioral(ex)
+	eng := NewBehavioral(rs.Expand())
 	h := packet.Header{SIP: 0x14000001, DIP: 0x230B0001, SP: 5, DP: 80, Proto: 6}
 	mv := eng.MatchVector(h.Key())
-	if len(mv) != ex.Len() {
-		t.Fatalf("MatchVector length %d", len(mv))
+	if len(mv) != rs.Len() {
+		t.Fatalf("MatchVector length %d, want one line per rule (%d)", len(mv), rs.Len())
 	}
 	anySet := false
 	for i, m := range mv {
-		if m && !ex.Entries[i].MatchesKey(h.Key()) {
-			t.Fatalf("flag %d set but entry does not match", i)
+		if m != rs.Rules[i].Matches(h) {
+			t.Fatalf("line %d = %v, rule %d matches = %v", i, m, i, rs.Rules[i].Matches(h))
 		}
 		anySet = anySet || m
 	}

@@ -7,9 +7,10 @@ import (
 
 // ClassifyTraced classifies h exactly like Classify while narrating the
 // search into tr: one tcam-search hop carrying the number of asserted
-// match lines (every entry is compared in parallel in hardware, so the
+// match lines (every row is compared in parallel in hardware, so the
 // count is the fan-in the priority encoder sees), then a priority-encode
-// hop with the winning entry index (-1 when no line asserted).
+// hop with the winning row, which is the winning rule (-1 when no line
+// asserted).
 //
 //pclass:hotpath
 func (t *Behavioral) ClassifyTraced(h packet.Header, tr *obsv.PacketTrace) int {
@@ -20,7 +21,7 @@ func (t *Behavioral) ClassifyTraced(h packet.Header, tr *obsv.PacketTrace) int {
 	hi, lo := h.Words()
 	matches, first := 0, -1
 	for i := range t.rows {
-		if t.rows[i].matches(hi, lo) {
+		if t.match(i, hi, lo) {
 			matches++
 			if first < 0 {
 				first = i
@@ -29,8 +30,5 @@ func (t *Behavioral) ClassifyTraced(h packet.Header, tr *obsv.PacketTrace) int {
 	}
 	tr.AddHop(obsv.HopTCAMSearch, 0, int64(matches))
 	tr.AddHop(obsv.HopPriorityEncode, 0, int64(first))
-	if first < 0 {
-		return -1
-	}
-	return int(t.parent[first])
+	return first
 }

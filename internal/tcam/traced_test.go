@@ -11,8 +11,7 @@ func TestBehavioralClassifyTraced(t *testing.T) {
 	rs := ruleset.Generate(ruleset.GenConfig{
 		N: 128, Profile: ruleset.FirewallProfile, Seed: 31, DefaultRule: true,
 	})
-	ex := rs.Expand()
-	eng := NewBehavioral(ex)
+	eng := NewBehavioral(rs.Expand())
 	trace := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 300, MatchFraction: 0.8, Seed: 32})
 	tc := obsv.NewTracer(1, 4)
 	for _, h := range trace {
@@ -27,12 +26,15 @@ func TestBehavioralClassifyTraced(t *testing.T) {
 			t.Fatalf("hops = %+v", hops)
 		}
 		// The search hop must count every asserted match line, not stop at
-		// the winner: the byte-level oracle over the expansion gives the
-		// count and the first line, the match vector must agree with it.
+		// the winner: the rules themselves give the count and the first
+		// line (one line per rule), the match vector must agree with them.
 		lines, first := 0, -1
 		mv := eng.MatchVector(h.Key())
-		for i := range ex.Entries {
-			m := ex.Entries[i].MatchesKey(h.Key())
+		if len(mv) != rs.Len() {
+			t.Fatalf("%d match lines, want one per rule (%d)", len(mv), rs.Len())
+		}
+		for i, r := range rs.Rules {
+			m := r.Matches(h)
 			if m != mv[i] {
 				t.Fatalf("match line %d = %v, oracle says %v for %s", i, mv[i], m, h)
 			}

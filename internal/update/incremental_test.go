@@ -70,7 +70,9 @@ func TestDeltasLowering(t *testing.T) {
 // TestApplyDeltasToEngineRoutesEveryFamily drives the engine contract over
 // every cli engine plus part-tcam, bare and behind a flow cache: each
 // engine's core.MemoryBits is its family's stored-bit model (a partitioned
-// engine's is the sum over its parts, which hold every entry once), each
+// engine's is the sum over its parts, which hold every entry once; the
+// behavioural TCAM is an extended one, 2·W ternary bits plus 64 bits of
+// port bounds per rule, and the SRL16E model 2·W per entry), each
 // core.Updater answers like the linear reference after a generated 8-op
 // delta, and every other engine refuses with ErrDeltaUnsupported.
 func TestApplyDeltasToEngineRoutesEveryFamily(t *testing.T) {
@@ -91,6 +93,7 @@ func TestApplyDeltasToEngineRoutesEveryFamily(t *testing.T) {
 	ne := rs.Expand().Len()
 	strideBits := func(w, k int) int { return (w + k - 1) / k << k * ne }
 	tcamBits := 2 * packet.W * ne
+	extendedBits := (2*packet.W + 64) * rs.Len()
 	want := map[string]struct {
 		bits    int
 		updates bool
@@ -98,12 +101,12 @@ func TestApplyDeltasToEngineRoutesEveryFamily(t *testing.T) {
 		"stridebv":      {strideBits(packet.W, k), true},
 		"fsbv":          {strideBits(packet.W, 1), true},
 		"rangebv":       {strideBits(72, k) + 4*16*ne, false},
-		"tcam":          {tcamBits, true},
+		"tcam":          {extendedBits, true},
 		"tcam-fpga":     {tcamBits, true},
 		"hicuts":        {0, false},
 		"linear":        {0, false},
 		"part-stridebv": {strideBits(packet.W, k), true},
-		"part-tcam":     {tcamBits, true},
+		"part-tcam":     {extendedBits, true},
 	}
 	names := append(cli.EngineNames(), "part-tcam")
 	if len(names) != len(want) {

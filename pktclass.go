@@ -116,7 +116,8 @@ func NewStrideBV(rs *RuleSet, stride int) (*StrideBV, error) {
 // NewFSBV builds the per-bit Field-Split Bit Vector engine (stride 1).
 func NewFSBV(rs *RuleSet) (*StrideBV, error) { return stridebv.NewFSBV(rs.Expand()) }
 
-// NewTCAM builds the behavioral TCAM engine.
+// NewTCAM builds the behavioral TCAM engine, an extended TCAM with one row
+// and two port-range comparators per rule.
 func NewTCAM(rs *RuleSet) *TCAM { return tcam.NewBehavioral(rs.Expand()) }
 
 // NewTCAMFPGA builds the cycle-accounted SRL16E TCAM (16-cycle entry
