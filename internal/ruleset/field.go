@@ -11,8 +11,6 @@ package ruleset
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"pktclass/internal/packet"
 )
@@ -79,36 +77,6 @@ func (p Prefix) String() string {
 			byte(p.Value>>24), byte(p.Value>>16), byte(p.Value>>8), byte(p.Value), p.Len)
 	}
 	return fmt.Sprintf("%d/%d", p.Value, p.Len)
-}
-
-// ParseIPv4Prefix parses "a.b.c.d/len" (or "a.b.c.d" as /32).
-func ParseIPv4Prefix(s string) (Prefix, error) {
-	addr := s
-	length := 32
-	if i := strings.IndexByte(s, '/'); i >= 0 {
-		addr = s[:i]
-		var err error
-		length, err = strconv.Atoi(s[i+1:])
-		if err != nil {
-			return Prefix{}, fmt.Errorf("ruleset: bad prefix length in %q: %v", s, err)
-		}
-	}
-	if strings.Count(addr, ".") != 3 {
-		return Prefix{}, fmt.Errorf("ruleset: bad IPv4 address %q", addr)
-	}
-	var v uint32
-	for rest, i := addr, 0; i < 4; i++ {
-		p := rest
-		if dot := strings.IndexByte(rest, '.'); dot >= 0 {
-			p, rest = rest[:dot], rest[dot+1:]
-		}
-		o, ok := parseDecimal(p, 0xFF)
-		if !ok {
-			return Prefix{}, fmt.Errorf("ruleset: bad IPv4 octet %q in %q", p, addr)
-		}
-		v = v<<8 | o
-	}
-	return NewPrefix(v, 32, length)
 }
 
 // PortRange is an inclusive [Lo, Hi] interval over 16-bit port numbers.

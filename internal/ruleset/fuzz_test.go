@@ -17,11 +17,11 @@ func FuzzParseRule(f *testing.F) {
 	f.Add("@1.2.3.4 5.6.7.8 0 : 1 2 : 3 icmp")
 	f.Add("@1.2.3.4/32 5.6.7.8/32 0 : 65535 0 : 65535 17")
 	f.Fuzz(func(t *testing.T, line string) {
-		r, err := ParseRule(line)
+		r, err := parseLine(line)
 		if err != nil {
 			return
 		}
-		back, err := ParseRule(r.String())
+		back, err := parseLine(r.String())
 		if err != nil {
 			t.Fatalf("accepted %q but rejected its String %q: %v", line, r.String(), err)
 		}

@@ -2,12 +2,10 @@ package ruleset
 
 import (
 	"io"
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
-	"testing/quick"
 )
 
 const sampleText = `# comment line
@@ -17,6 +15,13 @@ const sampleText = `# comment line
 @1.2.3.4/32 5.6.7.8/32 53 : 53 0 : 65535 udp
 @9.0.0.0/8 0.0.0.0/0 0 : 65535 0 : 1023 * PORT 7
 `
+
+// parseLine parses one rule line.
+func parseLine(line string) (Rule, error) {
+	var r Rule
+	err := parseRule(line, &r)
+	return r, err
+}
 
 func TestParseBasics(t *testing.T) {
 	rs, err := ParseString(sampleText)
@@ -96,27 +101,45 @@ func TestParseErrors(t *testing.T) {
 		"@1.2.3.4/32 5.6.7.8/32 0 : 1 0 : 1 tcp FLY",     // bad action
 		"@1.2.3.4/32 5.6.7.8/32 0 : 1 0 : 1 tcp PORT zz", // bad port
 		"@1.2.3.4/32 5.6.7.8/32 0 : 1 0 : 1 tcp PORT -5", // negative port
+		// Numbers are ASCII digits only, with no sign, and an action port
+		// fits in 31 bits.
+		"@1.2.3.4/+8 5.6.7.8/32 0 : 1 0 : 1 tcp",
+		"@1.2.3.4/-0 5.6.7.8/32 0 : 1 0 : 1 tcp",
+		"@1.2.3.4/32 5.6.7.8/32 0 : 1 0 : 1 tcp PORT +3",
+		"@1.2.3.4/32 5.6.7.8/32 0 : 1 0 : 1 tcp PORT 99999999999",
 	}
 	for _, b := range bads {
-		if _, err := ParseRule(b); err == nil {
+		if _, err := parseLine(b); err == nil {
 			t.Fatalf("accepted %q", b)
 		}
 	}
 	// The error text is part of the format's contract (tools print it).
 	for line, want := range map[string]string{
-		"@1.2.3.4/32 5.6.7.8/32 0 : 1 tcp":                 `ruleset: rule has 6 tokens, want >= 9: "@1.2.3.4/32 5.6.7.8/32 0 : 1 tcp"`,
-		"@1.2.3/32 5.6.7.8/32 0 : 1 0 : 1 tcp":             `ruleset: bad IPv4 address "1.2.3"`,
-		"@1.x.3/32 5.6.7.8/32 0 : 1 0 : 1 tcp":             `ruleset: bad IPv4 address "1.x.3"`,
-		"@1.2.3.4/32 5.6.256.8/32 0 : 1 0 : 1 tcp":         `ruleset: bad IPv4 octet "256" in "5.6.256.8"`,
-		"@1.2.3.4/32 5.6..8/32 0 : 1 0 : 1 tcp":            `ruleset: bad IPv4 octet "" in "5.6..8"`,
-		"@1.2.3.4/33 5.6.7.8/32 0 : 1 0 : 1 tcp":           `ruleset: prefix length 33 out of range [0,32]`,
-		"@1.2.3.4/32 5.6.7.8/32 0 : +1 0 : 1 tcp":          `source port: ruleset: bad port "+1"`,
-		"@1.2.3.4/32 5.6.7.8/32 0 : 1 0 : 1 0x06/0xZZ":     `ruleset: bad protocol mask "0xZZ"`,
-		"@1.2.3.4/32 5.6.7.8/32 0 : 1 0 : 1 tcq":           `ruleset: bad protocol "tcq"`,
-		"@1.2.3.4/32 5.6.7.8/32 0 : 1 0 : 1 tcp FLY \t me": `ruleset: unknown action "FLY me"`,
-		"@1.2.3.4/32 5.6.7.8/32 0 : 1 0 : 1 tcp PORT -5":   `ruleset: bad action port "-5"`,
+		"@1.2.3.4/32 5.6.7.8/32 0 : 1 tcp":                         `ruleset: rule has 6 tokens, want >= 9: "@1.2.3.4/32 5.6.7.8/32 0 : 1 tcp"`,
+		"@1.2.3/32 5.6.7.8/32 0 : 1 0 : 1 tcp":                     `ruleset: bad IPv4 address "1.2.3"`,
+		"@1.x.3/32 5.6.7.8/32 0 : 1 0 : 1 tcp":                     `ruleset: bad IPv4 address "1.x.3"`,
+		"@1.2.3.4/32 5.6.256.8/32 0 : 1 0 : 1 tcp":                 `ruleset: bad IPv4 octet "256" in "5.6.256.8"`,
+		"@1.2.3.4/32 5.6..8/32 0 : 1 0 : 1 tcp":                    `ruleset: bad IPv4 octet "" in "5.6..8"`,
+		"@1.2.3.4/33 5.6.7.8/32 0 : 1 0 : 1 tcp":                   `ruleset: prefix length 33 out of range [0,32]`,
+		"@1.2.3.4/32 5.6.7.8/32 0 : +1 0 : 1 tcp":                  `source port: ruleset: bad port "+1"`,
+		"@1.2.3.4/32 5.6.7.8/32 0 : 1 0 : 1 0x06/0xZZ":             `ruleset: bad protocol mask "0xZZ"`,
+		"@1.2.3.4/32 5.6.7.8/32 0 : 1 0 : 1 tcq":                   `ruleset: bad protocol "tcq"`,
+		"@1.2.3.4/32 5.6.7.8/32 0 : 1 0 : 1 tcp FLY \t me":         `ruleset: unknown action "FLY me"`,
+		"@1.2.3.4/32 5.6.7.8/32 0 : 1 0 : 1 tcp PORT -5":           `ruleset: bad action port "-5"`,
+		"@1.2.3.4/+8 5.6.7.8/32 0 : 1 0 : 1 tcp":                   `ruleset: bad prefix length in "1.2.3.4/+8": strconv.Atoi: parsing "+8": invalid syntax`,
+		"@1.2.3.4/32 5.6.7.8/-0 0 : 1 0 : 1 tcp":                   `ruleset: bad prefix length in "5.6.7.8/-0": strconv.Atoi: parsing "-0": invalid syntax`,
+		"@1.2.3.4/-5 5.6.7.8/32 0 : 1 0 : 1 tcp":                   `ruleset: prefix length -5 out of range [0,32]`,
+		"@1.2.3.4/x 5.6.7.8/32 0 : 1 0 : 1 tcp":                    `ruleset: bad prefix length in "1.2.3.4/x": strconv.Atoi: parsing "x": invalid syntax`,
+		"@1.2.3.4/32 5.6.7.8/32 0 : 1 0 : 1 tcp PORT +3":           `ruleset: bad action port "+3"`,
+		"@1.2.3.4/32 5.6.7.8/32 0 : 1 0 : 1 tcp FWD 99999999999 x": `ruleset: bad action port "99999999999"`,
+		"@1.2.3.4/32 5.6.7.8/32 9 : 1 0 : 1 tcp":                   `source port: ruleset: inverted port range [9,1]`,
+		"@1.2.3.4/32 5.6.7.8/32 x : 1 0 ; 1 tcp":                   `source port: ruleset: bad port "x"`,
+		"@1.2.3.4/32 5.6.7.8/32 0 : 1 x ; y tcp":                   `destination port: ruleset: want "lo : hi", got "x ; y"`,
+		"@1.2.3.4/32 5.6.7.8/32 0 : 1 0 : 1 6/tcp":                 `ruleset: bad protocol mask "tcp"`,
+		"@1.2.3.4/32 5.6.7.8/32 0 : 1 0 : 1 tcp/0xFF":              `ruleset: bad protocol "tcp/0xFF"`,
+		"@x 5.6.7.8/32 0 : 1":                                      `ruleset: rule has 5 tokens, want >= 9: "@x 5.6.7.8/32 0 : 1"`,
 	} {
-		if _, err := ParseRule(line); err == nil || err.Error() != want {
+		if _, err := parseLine(line); err == nil || err.Error() != want {
 			t.Fatalf("%q: error %v, want %s", line, err, want)
 		}
 	}
@@ -129,61 +152,12 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// The tokenizer must cut exactly what strings.Fields cuts, Unicode spaces
-// and invalid UTF-8 included, whatever the buffer holds of it.
-func TestCutFieldsEqualsStringsFields(t *testing.T) {
-	check := func(s string) bool {
-		want := strings.Fields(s)
-		for _, room := range []int{0, 1, len(want), len(want) + 2} {
-			got := make([]string, room)
-			n, rest := cutFields(s, got)
-			if n != min(room, len(want)) || !slices.Equal(got[:n], want[:n]) {
-				t.Logf("%q room %d: cut %q, Fields %q", s, room, got[:n], want)
-				return false
-			}
-			// What is left holds the remaining tokens and nothing else.
-			if !slices.Equal(strings.Fields(rest), want[n:]) {
-				t.Logf("%q room %d: rest %q, want tokens %q", s, room, rest, want[n:])
-				return false
-			}
-		}
-		return true
-	}
-	for _, s := range []string{
-		"", " ", "a", " a ", "a b", "\ta\v\fb\r\nc ", "a\u00a0b\u0085c\u2003d\u3000", "\u1680x\u2028\u2029y\u202f\u205fz",
-		"a\x00b\x1fc\x7fd", "\xffa\xc2 b\xe2\x80", "é è\u00a0ê", "@1.2.3.4/32 5.6.7.8/32 0 : 1 0 : 1 tcp PORT 3",
-	} {
-		if !check(s) {
-			t.Fatalf("cutFields differs from strings.Fields on %q", s)
-		}
-	}
-	// Random strings over an alphabet dense in spaces of every kind.
-	alphabet := []rune(" \t\n\v\f\r\u0085\u00a0\u1680\u2000\u200a\u2028\u3000ab@:/0é\x00\x1c\ufffd")
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 5000; i++ {
-		var sb strings.Builder
-		for n := rng.Intn(12); n > 0; n-- {
-			if rng.Intn(8) == 0 {
-				sb.WriteByte(byte(0x80 + rng.Intn(0x80))) // a stray byte: invalid UTF-8
-			} else {
-				sb.WriteRune(alphabet[rng.Intn(len(alphabet))])
-			}
-		}
-		if !check(sb.String()) {
-			t.Fatalf("cutFields differs from strings.Fields on %q", sb.String())
-		}
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // ParseString's line handling: endings, blanks, comments, and the line
 // number an error carries.
 func TestParseStringLines(t *testing.T) {
 	const a, b = "@1.2.3.4/32 5.6.7.8/32 0 : 1 0 : 1 tcp PORT 1", "@9.0.0.0/8 0.0.0.0/0 0 : 65535 0 : 1023 * DROP"
-	ra, errA := ParseRule(a)
-	rb, errB := ParseRule(b)
+	ra, errA := parseLine(a)
+	rb, errB := parseLine(b)
 	if errA != nil || errB != nil {
 		t.Fatal(errA, errB)
 	}

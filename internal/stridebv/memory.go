@@ -1,6 +1,7 @@
 package stridebv
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -17,7 +18,10 @@ import (
 // columns of a 64-entry group one stored word at a time and is the one
 // copy-on-write mutation point of every bit-vector engine in the tree:
 // BuildMemory is rewrite over fresh blocks, every in-place update is
-// rewrite over the touched groups. The front ends embed it and differ only
+// rewrite over the touched groups. rewrite programs a group from bit planes
+// — for each key bit, which of the group's entries care about it and which
+// want it set — so a group costs its entries' care bits plus about 2^(k+1)
+// word operations a stage. The front ends embed it and differ only
 // in how a lookup's stage addresses are produced and in what a surviving
 // entry means: Engine (the packed 5-tuple, entries resolved through its
 // entry→rule map), RangeEngine (the 72 prefix bits, port bounds
@@ -68,19 +72,18 @@ type Memory struct {
 }
 
 // scratchState is one goroutine's reusable workspace, recycled through the
-// memory's pool: a key's stage addresses (an entry write's value strides),
-// an entry write's care strides, the candidate words left to walk (see
-// candidates), for matchInto only the full result
-// vector, and for rewrite only the group's stride table, made on a
-// workspace's first write — strides[s·64+b] is the stage-s stride of the
-// group's entry b, value in the low byte and care in the high one (k <= 8).
+// memory's pool: a key's stage addresses, the candidate words left to walk
+// (see candidates), for matchInto only the full result vector, and for
+// rewrite only the group's bit planes, made on a workspace's first write —
+// the care planes, then the value planes, one word per key bit each and
+// padded to a multiple of 64 key bits, then 2^k words for a stage's rows.
 //
 //pclass:pooled
 type scratchState struct {
-	addrs, care []int
-	cand        []uint64
-	acc         bitvec.Vector
-	strides     []uint16
+	addrs  []int
+	cand   []uint64
+	acc    bitvec.Vector
+	planes []uint64
 }
 
 // MinStride and MaxStride bound supported stride lengths. The paper uses 3
@@ -174,7 +177,6 @@ func (m *Memory) getScratch() *scratchState {
 	}
 	return &scratchState{
 		addrs: make([]int, m.stages),
-		care:  make([]int, m.stages),
 		cand:  make([]uint64, m.sumWords),
 		acc:   bitvec.New(m.ne),
 	}
@@ -285,61 +287,76 @@ func (m *Memory) refreshLead(g, wi int) {
 // rewrite is the one writer of stage memory. It reprograms the columns of
 // the dirty entries of 64-entry group wi — entry(j) returns entry j's
 // pattern as BuildMemory takes it — and leaves every other bit as stored.
-// Per stage, the 2^k row words of the group are formed in registers for the
-// dirty entries, each setting its bit in exactly the rows its stride is
-// compatible with, and merged as old &^ dirty | formed: bits of entries
-// that are not dirty always come from the stored words, never from an entry
-// table (the engines keep none). Only words that change are
-// stored, and the stage population and the lead summary groups follow the
-// stored words. A stage block still shared with a delta parent is detached
-// on the first word that differs and never otherwise, so a stage the
-// rewrite does not change stays shared. cowwrite keeps this the only write
-// path. Not safe concurrently with lookups on the same memory.
+// The valid dirty entries are first scattered into bit planes of the group
+// (planes), two words per key bit i: bit b of care[i] means entry b cares
+// about bit i, bit b of val[i] that it also wants the bit set, so an entry
+// costs its care bits. Each stage then forms its 2^k row words by doubling
+// over its k planes: starting from rows[0] = live, an address bit that is
+// 1 drops the entries that care about it and want it 0, one that is 0
+// drops those that want it 1. The doubling runs least significant bit
+// first and two planes a pass (k = 4 takes passes of 1 and 4 iterations):
+// about 2^(k+1) word operations a stage, whatever the number of dirty
+// entries. The rows are merged as old &^ dirty | formed: bits of entries
+// that are not dirty always come from the stored words, never from an
+// entry table (the engines keep none). Only words that change are stored,
+// and the stage population and the lead summary groups follow the stored
+// words. A stage block still shared with a delta parent is detached before
+// its first store and never otherwise, so a stage the rewrite does not
+// change stays shared. The stage loop makes no call but that detach, and
+// the scatter is out of line, so that the loop keeps its variables in
+// registers: with either inline, they spill and a single-entry write runs
+// about 30 % slower. cowwrite keeps this the only write path. Not safe
+// concurrently with lookups on the same memory.
 //
 //pclass:cow-mutator
 func (m *Memory) rewrite(wi int, dirty uint64, entry func(j int) (value, mask []byte, valid bool)) {
 	sc := m.getScratch()
-	if sc.strides == nil {
-		sc.strides = make([]uint16, m.stages*64)
+	care, val, rows, live := m.planes(sc, wi, dirty, entry)
+	k, words := m.k, m.words
+	// Bits past W (final-stage padding) are cared about and zero: they only
+	// match the zero padding the key side generates.
+	for i := m.w; i < m.stages*k; i++ {
+		care[i] = live
 	}
-	strides := sc.strides
-	var live uint64 // the dirty entries that are valid; the others match nothing
-	for rest := dirty; rest != 0; rest &= rest - 1 {
-		b := bits.TrailingZeros64(rest)
-		value, mask, valid := entry(wi<<6 + b)
-		if !valid {
-			continue
-		}
-		live |= 1 << uint(b)
-		m.columnStrides(sc, value, mask)
-		for s, val := range sc.addrs {
-			strides[s<<6+b] = uint16(val) | uint16(sc.care[s])<<8
-		}
-	}
-	var rows [1 << MaxStride]uint64
 	var stale uint // bit g: a stage of lead summary group g stored a word
-	nrows, words := 1<<uint(m.k), m.words
 	for s := 0; s < m.stages; s++ {
-		wild := formRows(&rows, strides[s<<6:][:64], live, nrows)
+		c, v := care[s*k:][:k], val[s*k:][:k]
+		// One plane first if k is odd; then each pass makes 4n rows of n.
+		i, n := k-1, 1
+		rows[0] = live
+		if k&1 != 0 {
+			rows[0], rows[1] = live&^(c[i]&v[i]), live&^(c[i]&^v[i])
+			i, n = i-1, 2
+		}
+		for ; i > 0; i, n = i-2, n<<2 {
+			p1, p0 := c[i]&^v[i], c[i]&v[i] // excluded where bit i is 1, 0
+			q1, q0 := c[i-1]&^v[i-1], c[i-1]&v[i-1]
+			r0 := rows[:n]
+			r1, r2, r3 := rows[n:][:len(r0)], rows[2*n:][:len(r0)], rows[3*n:][:len(r0)]
+			for r, x := range r0 {
+				r3[r] = x &^ (p1 | q1)
+				r2[r] = x &^ (p0 | q1)
+				r1[r] = x &^ (p1 | q0)
+				r0[r] = x &^ (p0 | q0)
+			}
+		}
 		blk := m.blk[s]
-		shared := m.shared != nil && m.shared[s]
-		ones, stored := 0, false
-		for c := 0; c < nrows; c++ {
-			i := c*words + wi
-			old := blk[i]
-			word := old&^dirty | rows[c] | wild
-			rows[c] = 0
-			if word == old {
+		if m.shared != nil && m.shared[s] {
+			if !differs(blk[wi:], rows, words, dirty) {
 				continue
 			}
-			if shared {
-				blk = append([]uint64(nil), blk...)
-				m.blk[s], m.shared[s] = blk, false
-				shared = false
+			blk = append([]uint64(nil), blk...)
+			m.blk[s], m.shared[s] = blk, false
+		}
+		ones, stored := 0, false
+		for r, f := range rows {
+			i := r*words + wi
+			old := blk[i]
+			if word := old&^dirty | f; word != old {
+				blk[i] = word
+				ones += bits.OnesCount64(word) - bits.OnesCount64(old)
+				stored = true
 			}
-			blk[i] = word
-			ones += bits.OnesCount64(word) - bits.OnesCount64(old)
-			stored = true
 		}
 		m.ones[s] += ones
 		for p := 0; stored && m.lead != nil && p < leadStages; p++ {
@@ -356,31 +373,79 @@ func (m *Memory) rewrite(wi int, dirty uint64, entry func(j int) (value, mask []
 	m.putScratch(sc)
 }
 
-// formRows forms one stage's row words for the live entries of a group:
-// each sets its bit in exactly the rows its stride group[b] is compatible
-// with. A stride that cares about nothing is compatible with every row;
-// those entries are returned in wild, to be ORed into every row once. It is
-// a function of its own so that its loop keeps its variables in registers:
-// written inline in rewrite, they spill and a bulk build runs ~7 % slower.
-func formRows(rows *[1 << MaxStride]uint64, group []uint16, live uint64, nrows int) (wild uint64) {
-	for rest := live; rest != 0; rest &= rest - 1 {
+// planes scatters the valid dirty entries of group wi into sc's bit
+// planes, made on the workspace's first write, and returns the care and
+// value planes, 2^k words of scratch for a stage's rows and the valid
+// dirty entries.
+func (m *Memory) planes(sc *scratchState, wi int, dirty uint64, entry func(j int) (value, mask []byte, valid bool)) (care, val, rows []uint64, live uint64) {
+	kb := m.stages * m.k  // key bits, the last stage's padding included
+	pl := (kb + 63) &^ 63 // a plane's length: whole chunks
+	if sc.planes == nil {
+		sc.planes = make([]uint64, 2*pl+1<<uint(m.k))
+	}
+	care, val, rows = sc.planes[:pl], sc.planes[pl:2*pl], sc.planes[2*pl:]
+	clear(sc.planes[:2*pl])
+	for rest := dirty; rest != 0; rest &= rest - 1 {
 		b := bits.TrailingZeros64(rest)
-		val, care := int(group[b]&0xFF), int(group[b]>>8)
-		if care == 0 {
-			wild |= 1 << uint(b)
+		value, mask, valid := entry(wi<<6 + b)
+		if !valid {
 			continue
 		}
-		// The rows that agree with the value on every cared bit: those bits
-		// fixed at the value's, every setting of the rest.
-		base, free := val&care, (nrows-1)&^care
-		for sub := free; ; sub = (sub - 1) & free {
-			rows[base|sub] |= 1 << uint(b)
-			if sub == 0 {
-				break
-			}
+		live |= 1 << uint(b)
+		m.scatter(care, val, value, mask, 1<<uint(b))
+	}
+	return care, val, rows[:1<<uint(m.k)], live
+}
+
+// differs reports whether merging the formed rows into col — a group's
+// word of each row, words apart — would change a stored word.
+func differs(col, formed []uint64, words int, dirty uint64) bool {
+	for r, f := range formed {
+		if old := col[r*words]; old&^dirty|f != old {
+			return true
 		}
 	}
-	return wild
+	return false
+}
+
+// scatter ORs bit into care[i] for every key bit i < W the pattern (mask
+// bit 1 = care) cares about, and into val[i] for every such bit it wants
+// set. The pattern is read in 8-byte big-endian chunks, bit-reversed so
+// that a chunk's bit t is key bit 8q+t, and only its set bits are visited:
+// an entry costs its care bits, not W. The planes are padded to a whole
+// chunk, so indexing them needs no bounds check.
+func (m *Memory) scatter(care, val []uint64, value, mask []byte, bit uint64) {
+	for q := 0; q<<3 < m.w; q += 8 {
+		mc := chunk(mask, q)
+		if rest := m.w - q<<3; rest < 64 {
+			mc &= ^uint64(0) << uint(64-rest) // drop the bits past W
+		}
+		vc := bits.Reverse64(chunk(value, q))
+		mc = bits.Reverse64(mc)
+		c, v := care[q<<3:][:64], val[q<<3:][:64]
+		for ; mc != 0; mc &= mc - 1 {
+			t := bits.TrailingZeros64(mc) & 63
+			c[t] |= bit
+			v[t] |= bit & -(vc >> uint(t) & 1)
+		}
+	}
+}
+
+// chunk returns bytes [q, q+8) of b as a big-endian word, bytes past the
+// end of b reading as zero.
+func chunk(b []byte, q int) uint64 {
+	switch {
+	case q+8 <= len(b):
+		return binary.BigEndian.Uint64(b[q:])
+	case len(b) >= 8: // the last 8 bytes, shifted up past those before q
+		return binary.BigEndian.Uint64(b[len(b)-8:]) << uint(8*(q+8-len(b)))
+	}
+	var x uint64
+	n := 0
+	for ; q+n < len(b); n++ {
+		x = x<<8 | uint64(b[q+n])
+	}
+	return x << uint(64-8*n)
 }
 
 // stridesInto is the one generic stride extractor: dst[s] becomes bits
@@ -388,9 +453,9 @@ func formRows(rows *[1 << MaxStride]uint64, group []uint16, live uint64, nrows i
 // byte i/8, the packet.Key layout) — and every position from W on, the tail
 // of the last byte and the final stage's padding, reads as zero whatever
 // key holds there.
-// Entry writes for every front end and the Range and generic-width lookups
-// use it; the 5-tuple lookup keeps packet.Header.StridesInto, the
-// divide-free two-word form of the same function.
+// The Range and generic-width lookups use it; the 5-tuple lookup keeps
+// packet.Header.StridesInto, the divide-free two-word form of the same
+// function.
 //
 //pclass:hotpath
 func (m *Memory) stridesInto(key []byte, dst []int) {
@@ -412,17 +477,6 @@ func (m *Memory) stridesInto(key []byte, dst []int) {
 		have -= k
 		dst[s] = int(acc >> have & mask)
 	}
-}
-
-// columnStrides derives an entry's per-stage value (sc.addrs) and care
-// (sc.care) strides from its W-bit ternary pattern (mask bit 1 = care) —
-// once per entry, so that each row costs one compare. Bits past W
-// (final-stage padding) are cared about and zero: they only match the zero
-// padding the key side generates.
-func (m *Memory) columnStrides(sc *scratchState, value, mask []byte) {
-	m.stridesInto(value, sc.addrs)
-	m.stridesInto(mask, sc.care)
-	sc.care[m.stages-1] |= 1<<uint(m.stages*m.k-m.w) - 1
 }
 
 // candidates fills cand with the AND of the lead summary rows the stage

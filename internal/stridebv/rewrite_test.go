@@ -78,7 +78,7 @@ func halfShared(e *Engine) bool {
 // index (the last delta wins), chain delta children and grandchildren —
 // one-byte rewrites leave stages half shared.
 func TestIncrementalRewritesEqualFreshBuild(t *testing.T) {
-	for _, k := range []int{3, 4} {
+	for k := MinStride; k <= MaxStride; k++ {
 		for seed := int64(1); seed <= 3; seed++ {
 			rewriteSequence(t, k, seed)
 		}
@@ -180,6 +180,137 @@ func rewriteSequence(t *testing.T, k int, seed int64) {
 	}
 	if halfParents == 0 {
 		t.Fatalf("k=%d seed=%d: no delta on a half-shared engine", k, seed)
+	}
+}
+
+// memPattern is one entry of a generic-width memory.
+type memPattern struct {
+	value, mask []byte
+	valid       bool
+}
+
+// randPattern returns a valid w-bit pattern with junk under its don't-care
+// bits and no care bit past W.
+func randPattern(rng *rand.Rand, w int) memPattern {
+	n := (w + 7) / 8
+	p := memPattern{value: make([]byte, n), mask: make([]byte, n), valid: true}
+	rng.Read(p.value)
+	rng.Read(p.mask)
+	for i := range p.mask {
+		p.mask[i] &= byte(rng.Intn(256)) | byte(rng.Intn(256))
+	}
+	p.mask[n-1] &^= byte(1)<<uint(n*8-w) - 1
+	return p
+}
+
+// checkFreshMemory fails unless m holds exactly the stage memory a fresh
+// BuildMemory over want has: stage blocks, lead summaries of m's own walk
+// order derived from its stored words, and, once m is reordered,
+// populations, walk order and lead summaries.
+func checkFreshMemory(t *testing.T, name string, m *Memory, want []memPattern) {
+	t.Helper()
+	fresh, err := BuildMemory(m.w, m.k, m.ne, func(j int) ([]byte, []byte, bool) {
+		return want[j].value, want[j].mask, want[j].valid
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m.blk, fresh.blk) {
+		t.Fatalf("%s: stage memory differs from a fresh build's", name)
+	}
+	if !reflect.DeepEqual(m.lead, m.DeriveLead()) {
+		t.Fatalf("%s: lead summaries differ from those of the stored words under order %v", name, m.order)
+	}
+	m.Reorder()
+	if !reflect.DeepEqual(m.ones, fresh.ones) || !reflect.DeepEqual(m.order, fresh.order) || !reflect.DeepEqual(m.lead, fresh.lead) {
+		t.Fatalf("%s: populations %v / %v, order %v / %v, or lead summaries differ", name, m.ones, fresh.ones, m.order, fresh.order)
+	}
+}
+
+// deltaChild returns a copy of m whose stage blocks all alias m's, the
+// state ApplyDeltas starts a child in.
+func deltaChild(m *Memory) Memory {
+	n := *m
+	n.blk = append([][]uint64(nil), m.blk...)
+	n.lead = append([]uint64(nil), m.lead...)
+	n.ones = append([]int(nil), m.ones...)
+	n.shared = make([]bool, n.stages)
+	for s := range n.shared {
+		n.shared[s] = true
+	}
+	return n
+}
+
+// TestMemoryRewritesEqualFreshBuild is the writer's parity check at the
+// widths of TestBuildMemoryMatchesBitProbeOracle and every stride: after
+// single-entry, multi-entry and invalidating group rewrites, on a memory
+// and on chains of delta children, stage memory is exactly a fresh
+// BuildMemory's, and every ancestor is exactly as it was.
+func TestMemoryRewritesEqualFreshBuild(t *testing.T) {
+	const ne = 200 // four words, eight entries in the last
+	rng := rand.New(rand.NewSource(3))
+	for _, w := range []int{8, 13, 72, 256, 300} {
+		for k := MinStride; k <= MaxStride; k++ {
+			want := make([]memPattern, ne)
+			for j := range want {
+				want[j] = randPattern(rng, w)
+			}
+			m, err := BuildMemory(w, k, ne, func(j int) ([]byte, []byte, bool) {
+				return want[j].value, want[j].mask, want[j].valid
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			type frozen struct {
+				m    *Memory
+				want []memPattern
+			}
+			var ancestors []frozen
+			for step := 0; step < 24; step++ {
+				name := fmt.Sprintf("W=%d k=%d step %d", w, k, step)
+				if step%5 == 4 { // carry on in a delta child
+					parent := m
+					ancestors = append(ancestors, frozen{&parent, append([]memPattern(nil), want...)})
+					m = deltaChild(&parent)
+				}
+				wi := rng.Intn((ne + 63) / 64)
+				var dirty uint64
+				invalid := 1 // in 4: the share of the dirty entries made invalid
+				switch n := min(64, ne-wi<<6); rng.Intn(3) {
+				case 0: // one entry
+					dirty = 1 << uint(rng.Intn(n))
+				case 1: // several
+					for i := 1 + rng.Intn(8); i > 0; i-- {
+						dirty |= 1 << uint(rng.Intn(n))
+					}
+				case 2: // the whole group, most of it invalidated
+					dirty, invalid = ^uint64(0)>>uint(64-n), 3
+				}
+				next := map[int]memPattern{}
+				for rest := dirty; rest != 0; rest &= rest - 1 {
+					j := wi<<6 + bits.TrailingZeros64(rest)
+					p := randPattern(rng, w)
+					if rng.Intn(3) == 0 {
+						p = want[j] // rewritten as it is
+					}
+					if rng.Intn(4) < invalid {
+						p.valid = false
+					}
+					next[j] = p
+				}
+				m.rewrite(wi, dirty, func(j int) ([]byte, []byte, bool) {
+					p := next[j]
+					return p.value, p.mask, p.valid
+				})
+				for j, p := range next {
+					want[j] = p
+				}
+				checkFreshMemory(t, name, &m, want)
+			}
+			for i, a := range ancestors {
+				checkFreshMemory(t, fmt.Sprintf("W=%d k=%d ancestor %d", w, k, i), a.m, a.want)
+			}
+		}
 	}
 }
 

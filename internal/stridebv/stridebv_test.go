@@ -353,15 +353,22 @@ func BenchmarkClassifyK3N2048(b *testing.B) {
 }
 
 // BenchmarkStrideBVBuild is the cold-start cost of the flat engine: one
-// New over an expanded ruleset (firewall: Ne ≈ 1.8 N; prefix-only: Ne = N).
+// New over an expanded ruleset (firewall: Ne ≈ 1.8 N; prefix-only: Ne = N),
+// at N = 2048 and at part_large's N = 32768.
 func BenchmarkStrideBVBuild(b *testing.B) {
-	for _, p := range []struct {
+	for _, c := range []struct {
 		name    string
 		profile ruleset.Profile
-	}{{"fw", ruleset.FirewallProfile}, {"prefix", ruleset.PrefixOnly}} {
-		_, ex := genSet(b, 2048, p.profile, 1)
-		for _, k := range []int{3, 4} {
-			b.Run(fmt.Sprintf("%s/k%d/N2048", p.name, k), func(b *testing.B) {
+		n       int
+		strides []int
+	}{
+		{"fw", ruleset.FirewallProfile, 2048, []int{3, 4}},
+		{"prefix", ruleset.PrefixOnly, 2048, []int{3, 4}},
+		{"prefix", ruleset.PrefixOnly, 32768, []int{4}},
+	} {
+		_, ex := genSet(b, c.n, c.profile, 1)
+		for _, k := range c.strides {
+			b.Run(fmt.Sprintf("%s/k%d/N%d", c.name, k, c.n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := New(ex, k); err != nil {
@@ -369,6 +376,27 @@ func BenchmarkStrideBVBuild(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestBuildAllocsBounded: a build allocates its blocks, summaries and
+// scratch once, not once per 64-entry group — the same count at N = 2048
+// (32 groups) and N = 16384 (256 groups), at most 48 at k = 4.
+func TestBuildAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops workspaces at random under the race detector")
+	}
+	for _, n := range []int{2048, 16384} {
+		_, ex := genSet(t, n, ruleset.PrefixOnly, 1)
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := New(ex, 4); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("N=%d: %.0f allocations", n, allocs)
+		if allocs > 48 {
+			t.Fatalf("N=%d: New allocates %.0f times, bound 48", n, allocs)
 		}
 	}
 }
