@@ -79,6 +79,10 @@ func startObsServer(addr string, obs *obsv.Obs, svc *serve.Service) (*obsv.Serve
 			st, _ := svc.CacheStats()
 			return st.HitRate()
 		})
+		srv.AddGaugeFunc("flowcache.coalesced", func() float64 {
+			st, _ := svc.CacheStats()
+			return float64(st.Coalesced)
+		})
 		srv.AddGaugeFunc("flowcache.entries", func() float64 {
 			st, _ := svc.CacheStats()
 			return float64(st.Entries)

@@ -23,6 +23,20 @@
 // goroutines; its batch path takes the lock once to probe and once to
 // insert, never across the engine call.
 //
+// # Batches
+//
+// A batch is probed whole before any miss reaches the engine, and a packet
+// train puts the same flow into one batch many times. The probe keys every
+// miss in a batch-local open-addressed table: a flow's first miss is its
+// leader, and every later miss of that flow in the batch is a follower of
+// it. The engine classifies the leaders only, one call per batch; the fill
+// inserts each leader once and copies its result to its followers, so the
+// engine sees each missing flow once per batch. The table is stamped per
+// batch rather than cleared, and lives in the batch's scratch, so
+// concurrent batches through Cache coalesce independently. Misses still
+// counts every packet the cache did not answer; Coalesced counts the
+// followers among them.
+//
 // # Generations
 //
 // Correctness under the serving layer's atomic engine hot-swap is the
@@ -97,7 +111,8 @@ type Config struct {
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
 	Hits       int64  // lookups answered from the cache
-	Misses     int64  // lookups that fell through to the engine
+	Misses     int64  // lookups the cache did not answer
+	Coalesced  int64  // misses answered by their flow's first miss in the same batch
 	Evictions  int64  // live same-generation entries displaced by CLOCK
 	StaleDrops int64  // entries emptied when a newer generation retired their bucket
 	Entries    int    // fixed capacity
@@ -121,6 +136,7 @@ func (s Stats) Table() *metrics.Table {
 	t.AddRow("hits", fmt.Sprint(s.Hits))
 	t.AddRow("misses", fmt.Sprint(s.Misses))
 	t.AddRow("hit rate", fmt.Sprintf("%.1f%%", 100*s.HitRate()))
+	t.AddRow("coalesced", fmt.Sprint(s.Coalesced))
 	t.AddRow("evictions", fmt.Sprint(s.Evictions))
 	t.AddRow("stale drops", fmt.Sprint(s.StaleDrops))
 	t.AddRow("generation", fmt.Sprint(s.Generation))
@@ -275,12 +291,12 @@ func (c *Cache) Insert(key packet.Key, gen uint64, result int32) {
 
 // ClassifyBatchInto classifies hdrs into out at generation gen, answering
 // what it can from the cache and calling classifyMisses at most once (when
-// there are misses) with the compacted miss set to fill in the rest; the
-// fresh results are inserted before returning. The lock is taken once to
-// probe and once to insert and is never held across classifyMisses, which
-// may therefore call back into the cache. The steady state allocates
-// nothing (scratch is pooled). classifyMisses must not retain its argument
-// slices.
+// there are misses) with the batch's distinct missing flows, each once, to
+// fill in the rest; the fresh results are inserted before returning. The
+// lock is taken once to probe and once to insert and is never held across
+// classifyMisses, which may therefore call back into the cache. The steady
+// state allocates nothing (scratch is pooled). classifyMisses must not
+// retain its argument slices.
 //
 //pclass:hotpath
 func (c *Cache) ClassifyBatchInto(gen uint64, hdrs []packet.Header, out []int, classifyMisses func(hdrs []packet.Header, out []int)) {

@@ -276,7 +276,9 @@ func classifyMissesFn(calls, classified *int, tag int) func([]packet.Header, []i
 
 // The batched path must agree with the engine it fronts across generation
 // bumps mid-stream: three generations classify the same flows to
-// generation-tagged results, so a retired entry served would show.
+// generation-tagged results, so a retired entry served would show. The
+// engine sees each missing flow of a batch exactly once: its headers are
+// distinct, and the batch's misses are exactly the packets of those flows.
 func TestClassifyBatchIntoMatchesEngine(t *testing.T) {
 	forEachTable(t, 1<<12, func(t *testing.T, tb table, nextGen func() uint64) {
 		const gens, rounds, batchSize = 3, 20, 256
@@ -286,19 +288,38 @@ func TestClassifyBatchIntoMatchesEngine(t *testing.T) {
 		for g := 0; g < gens; g++ {
 			gen := nextGen()
 			tag := int(gen) * 1_000_000
-			miss := classifyMissesFn(&calls, &classified, tag)
+			engine := classifyMissesFn(&calls, &classified, tag)
 			for round := 0; round < rounds; round++ {
 				// Heavy key reuse: draw each batch from the small population.
 				batch := make([]packet.Header, batchSize)
 				for i := range batch {
 					batch[i] = pop[rng.Intn(len(pop))]
 				}
+				missing := make(map[packet.Header]bool)
+				miss := func(hdrs []packet.Header, out []int) {
+					for _, h := range hdrs {
+						if missing[h] {
+							t.Fatalf("gen %d round %d: flow %v reached the engine twice in one batch", gen, round, h)
+						}
+						missing[h] = true
+					}
+					engine(hdrs, out)
+				}
 				out := make([]int, len(batch))
+				before := tb.Stats().Misses
 				tb.ClassifyBatchInto(gen, batch, out, miss)
+				missed := 0
 				for i, h := range batch {
 					if want := flowResult(h) + tag; out[i] != want {
 						t.Fatalf("gen %d round %d packet %d: got %d want %d", gen, round, i, out[i], want)
 					}
+					if missing[h] {
+						missed++
+					}
+				}
+				if got := tb.Stats().Misses - before; got != int64(missed) {
+					t.Fatalf("gen %d round %d: %d misses, but %d packets belong to the %d flows the engine saw",
+						gen, round, got, missed, len(missing))
 				}
 			}
 		}
@@ -309,8 +330,11 @@ func TestClassifyBatchIntoMatchesEngine(t *testing.T) {
 		if st.Hits+st.Misses != gens*rounds*batchSize {
 			t.Fatalf("lookup accounting: %+v", st)
 		}
-		if st.Misses != int64(classified) {
-			t.Fatalf("misses %d != packets classified by engine %d", st.Misses, classified)
+		if st.Misses != int64(classified)+st.Coalesced {
+			t.Fatalf("misses %d != packets classified by engine %d + coalesced %d", st.Misses, classified, st.Coalesced)
+		}
+		if st.Coalesced == 0 {
+			t.Fatal("no batch repeated a missing flow: the followers went unchecked")
 		}
 		// 300 flows into 20×256 lookups per generation: the steady state
 		// must be hit-dominated.
@@ -372,14 +396,19 @@ func TestClassifyBatchIntoSmallBatches(t *testing.T) {
 
 // The CI allocation gate for both batch paths: a mixed hit/miss steady
 // state (the table is smaller than the flow set, so every batch probes,
-// calls the engine and inserts) must not allocate.
+// calls the engine and inserts) must not allocate. Every flow arrives
+// twice in a row, so every batch also coalesces repeated misses.
 func TestClassifyBatchIntoZeroAllocSteadyState(t *testing.T) {
 	forEachTable(t, 256, func(t *testing.T, tb table, nextGen func() uint64) {
 		if _, pooled := tb.(*Cache); pooled && raceEnabled {
 			t.Skip("sync.Pool drops puts under -race; zero-alloc gate runs in normal builds")
 		}
 		gen := nextGen()
-		hdrs := testHeaders(512, 8)
+		flows := testHeaders(512, 8)
+		hdrs := make([]packet.Header, 2*len(flows))
+		for i := range hdrs {
+			hdrs[i] = flows[i/2]
+		}
 		out := make([]int, len(hdrs))
 		misses := 0
 		miss := func(mh []packet.Header, mo []int) {
@@ -398,6 +427,9 @@ func TestClassifyBatchIntoZeroAllocSteadyState(t *testing.T) {
 		}
 		if misses == 0 {
 			t.Fatal("steady state never missed: the fill phase went ungated")
+		}
+		if tb.Stats().Coalesced == 0 {
+			t.Fatal("steady state never coalesced: the follower path went ungated")
 		}
 	})
 }

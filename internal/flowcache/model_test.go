@@ -91,7 +91,10 @@ func (o *oracle) bucket(hi, lo uint64) *oracleBucket {
 }
 
 // classifyBatchInto is ClassifyBatchInto's probe, miss call and fill over
-// the oracle buckets; it returns the batch's hits.
+// the oracle buckets; it returns the batch's hits. Every packet is probed
+// before any insert, the engine answers every miss, repeats included, and
+// each distinct missing flow is then inserted once, in the order of its
+// first miss.
 func (o *oracle) classifyBatchInto(gen uint64, hdrs []packet.Header, out []int, classifyMisses func([]packet.Header, []int)) int {
 	var missIdx []int
 	var missHdrs []packet.Header
@@ -109,11 +112,13 @@ func (o *oracle) classifyBatchInto(gen uint64, hdrs []packet.Header, out []int, 
 	}
 	missOut := make([]int, len(missHdrs))
 	classifyMisses(missHdrs, missOut)
+	inserted := make(map[packet.Header]bool, len(missHdrs))
 	for j, i := range missIdx {
 		out[i] = missOut[j]
-		if missOut[j] < -1 || missOut[j] > maxResult {
+		if inserted[hdrs[i]] || missOut[j] < -1 || missOut[j] > maxResult {
 			continue
 		}
+		inserted[hdrs[i]] = true
 		hi, lo := hdrs[i].Words()
 		if o.bucket(hi, lo).insert(hi, lo, gen, int32(missOut[j])) {
 			o.evictions++

@@ -28,6 +28,7 @@ type Private struct {
 
 	hits       obsv.Counter
 	misses     obsv.Counter
+	coalesced  obsv.Counter
 	evictions  obsv.Counter
 	staleDrops obsv.Counter
 	lastGen    atomic.Uint64
@@ -40,30 +41,61 @@ type Private struct {
 }
 
 // batchScratch is one batch's workspace between the probe and fill phases:
-// the compacted miss set. Private owns one; Cache pools them, one per
-// in-flight batch.
+// the compacted leaders, their followers and the table that tells them
+// apart. Private owns one; Cache pools them, one per in-flight batch.
 //
 //pclass:pooled
 type batchScratch struct {
-	misses   []miss
-	missHdrs []packet.Header
-	missOut  []int
+	misses    []miss
+	missHdrs  []packet.Header
+	missOut   []int
+	followers []follower
+	nFollow   int // followers[:nFollow] are this batch's
+
+	// seen is coalesce's table, open-addressed over a power of two ≥ 2×
+	// the longest batch so far; a slot belongs to the batch whose stamp it
+	// carries, so a new batch only bumps stamp.
+	seen  []seenSlot
+	stamp uint32
 }
 
-// miss is one probe miss: the flow words and hash fill inserts it under,
-// written by probe, and its position in the batch.
+// miss is one probe miss, and after coalesce one leader: the flow words
+// and hash fill inserts it under, written by probe, and its position in
+// the batch.
 type miss struct {
 	hi, lo, hash uint64
 	idx          int32
 }
 
+// follower is a repeat miss: its position in the batch and the index in
+// misses of its flow's leader, whose result fill copies to it.
+type follower struct{ idx, leader int32 }
+
+// seenSlot is one coalescing-table slot: the stamp of the batch that wrote
+// it and the index in misses of the leader whose flow it keys. The flow
+// words are the leader's, so the slot holds no copy of the tuple.
+type seenSlot struct {
+	stamp  uint32
+	leader int32
+}
+
 // grow ensures the scratch holds n packets.
 func (sc *batchScratch) grow(n int) {
 	if len(sc.misses) < n {
-		sc.misses = make([]miss, n)
-		sc.missHdrs = make([]packet.Header, n)
-		sc.missOut = make([]int, n)
+		sc.alloc(n)
 	}
+}
+
+// alloc sizes the scratch for n packets. It runs only while batches keep
+// getting longer, so it stays out of line, out of probe's body.
+//
+//go:noinline
+func (sc *batchScratch) alloc(n int) {
+	sc.misses = make([]miss, n)
+	sc.missHdrs = make([]packet.Header, n)
+	sc.missOut = make([]int, n)
+	sc.followers = make([]follower, n)
+	sc.seen = make([]seenSlot, ceilPow2(2*n))
 }
 
 // NewPrivate builds a private cache with at least entries capacity,
@@ -100,6 +132,7 @@ func (p *Private) Stats() Stats {
 	return Stats{
 		Hits:       p.hits.Value(),
 		Misses:     p.misses.Value(),
+		Coalesced:  p.coalesced.Value(),
 		Evictions:  p.evictions.Value(),
 		StaleDrops: p.staleDrops.Value(),
 		Entries:    p.Entries(),
@@ -139,10 +172,10 @@ func (p *Private) Insert(key packet.Key, gen uint64, result int32) {
 
 // ClassifyBatchPrehashedInto classifies hdrs into out at generation gen,
 // answering what it can from the cache and calling classifyMisses at most
-// once (when there are misses) with the compacted miss set; fresh results
-// are inserted before returning. Probes run in arrival order on the
-// owner's core. Steady state allocates nothing. Owner only;
-// classifyMisses must not retain its argument slices.
+// once (when there are misses) with the batch's distinct missing flows,
+// each once; fresh results are inserted before returning. Probes run in
+// arrival order on the owner's core. Steady state allocates nothing. Owner
+// only; classifyMisses must not retain its argument slices.
 //
 // The flow hashes come with the batch: hashes[i] must equal
 // hdrs[i].Hash(). The steered serving path hashes every header once to
@@ -186,11 +219,12 @@ func batchLen(hdrs []packet.Header, out []int) int {
 	return len(hdrs)
 }
 
-// probe is the batch's first phase: it answers every hit into out and
-// compacts the misses into sc (headers in sc.missHdrs[:m], their flow
-// words, hashes and batch positions in sc.misses[:m]), returning the miss
-// count m. pre, when non-nil, carries caller-computed flow hashes; nil
-// computes them from each header's words. Each header's words are read
+// probe is the batch's first phase: it answers every hit into out,
+// compacts the misses into sc and folds each repeated miss into its flow's
+// first (coalesce), returning the leader count m: headers in
+// sc.missHdrs[:m], flow words, hashes and batch positions in
+// sc.misses[:m]. pre, when non-nil, carries caller-computed flow hashes;
+// nil computes them from each header's words. Each header's words are read
 // once, here: fill inserts from sc.misses, whatever the miss callback did
 // to sc.missHdrs, and the caller's hashes are not retained.
 //
@@ -225,17 +259,65 @@ func (p *Private) probe(sc *batchScratch, gen uint64, hdrs []packet.Header, pre 
 		sc.missHdrs[m] = h
 		m++
 	}
+	p.hits.Add(int64(hits))
+	p.misses.Add(int64(m))
+	sc.nFollow = 0
+	if m > 1 {
+		leaders := sc.coalesce(m)
+		if leaders < m {
+			p.coalesced.Add(int64(m - leaders))
+		}
+		m = leaders
+	}
 	if probeHist != nil {
 		probeHist.Observe(time.Since(probeStart))
 	}
-	p.hits.Add(int64(hits))
-	p.misses.Add(int64(m))
 	return m
+}
+
+// coalesce folds the repeats among the m compacted misses into followers
+// of their flow's first miss, its leader, compacting the leaders in place
+// in arrival order, and returns the leader count. It keys each miss in
+// sc.seen under a fresh batch stamp, by the low bits of the hash's high
+// word: buckets read the low word, and steering's range reduction pins
+// only the high word's top bits on one worker, so those bits still spread
+// the flows one worker sees.
+//
+//pclass:hotpath
+func (sc *batchScratch) coalesce(m int) int {
+	sc.stamp++
+	if sc.stamp == 0 { // wrapped: no slot may look written by this batch
+		clear(sc.seen)
+		sc.stamp = 1
+	}
+	seen, stamp, mask := sc.seen, sc.stamp, uint32(len(sc.seen)-1)
+	leaders, f := 0, 0
+	for j := range sc.misses[:m] {
+		ms := sc.misses[j]
+		for s := uint32(ms.hash>>32) & mask; ; s = (s + 1) & mask {
+			sl := &seen[s]
+			if sl.stamp != stamp {
+				*sl = seenSlot{stamp: stamp, leader: int32(leaders)}
+				sc.misses[leaders] = ms
+				sc.missHdrs[leaders] = sc.missHdrs[j]
+				leaders++
+				break
+			}
+			if l := &sc.misses[sl.leader]; l.hi == ms.hi && l.lo == ms.lo {
+				sc.followers[f] = follower{idx: ms.idx, leader: sl.leader}
+				f++
+				break
+			}
+		}
+	}
+	sc.nFollow = f
+	return leaders
 }
 
 // fill is the batch's second phase: it scatters the m engine results in
 // sc.missOut back into out and inserts each under gen, at the flow words
-// and hash probe recorded for it.
+// and hash probe recorded for it, then copies each leader's result to its
+// followers.
 //
 //pclass:hotpath
 func (p *Private) fill(sc *batchScratch, gen uint64, m int, out []int) {
@@ -249,6 +331,9 @@ func (p *Private) fill(sc *batchScratch, gen uint64, m int, out []int) {
 			evicted++
 		}
 		stale += st
+	}
+	for _, f := range sc.followers[:sc.nFollow] {
+		out[f.idx] = sc.missOut[f.leader]
 	}
 	if evicted > 0 {
 		p.evictions.Add(int64(evicted))

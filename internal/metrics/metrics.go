@@ -36,18 +36,6 @@ func (s *Series) At(n int) (float64, bool) {
 	return 0, false
 }
 
-// Mean returns the average value across the series.
-func (s *Series) Mean() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	t := 0.0
-	for _, p := range s.Points {
-		t += p.Value
-	}
-	return t / float64(len(s.Points))
-}
-
 // Figure is a set of series sharing the N axis.
 type Figure struct {
 	Title  string

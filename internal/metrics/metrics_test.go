@@ -15,13 +15,6 @@ func TestSeriesBasics(t *testing.T) {
 	if _, ok := s.At(128); ok {
 		t.Fatal("At(128) found a phantom point")
 	}
-	if s.Mean() != 2.0 {
-		t.Fatalf("Mean = %v", s.Mean())
-	}
-	empty := &Series{}
-	if empty.Mean() != 0 {
-		t.Fatal("empty Mean != 0")
-	}
 }
 
 func TestFigureRendering(t *testing.T) {

@@ -215,6 +215,7 @@ func (c Counters) Table() *metrics.Table {
 		t.AddRow("cache hits", fmt.Sprint(c.Cache.Hits))
 		t.AddRow("cache misses", fmt.Sprint(c.Cache.Misses))
 		t.AddRow("cache hit rate", fmt.Sprintf("%.1f%%", 100*c.Cache.HitRate()))
+		t.AddRow("cache coalesced", fmt.Sprint(c.Cache.Coalesced))
 		t.AddRow("cache evictions", fmt.Sprint(c.Cache.Evictions))
 		t.AddRow("cache stale drops", fmt.Sprint(c.Cache.StaleDrops))
 	}
@@ -793,20 +794,18 @@ func (s *Service) CacheStats() (stats flowcache.Stats, ok bool) {
 	if s.workers[0].cache == nil {
 		return flowcache.Stats{}, false
 	}
-	var agg flowcache.Stats
 	for _, w := range s.workers {
 		st := w.cache.Stats()
-		agg.Hits += st.Hits
-		agg.Misses += st.Misses
-		agg.Evictions += st.Evictions
-		agg.StaleDrops += st.StaleDrops
-		agg.Entries += st.Entries
-		agg.Shards++
-		if st.Generation > agg.Generation {
-			agg.Generation = st.Generation
-		}
+		stats.Hits += st.Hits
+		stats.Misses += st.Misses
+		stats.Coalesced += st.Coalesced
+		stats.Evictions += st.Evictions
+		stats.StaleDrops += st.StaleDrops
+		stats.Entries += st.Entries
+		stats.Shards++
+		stats.Generation = max(stats.Generation, st.Generation)
 	}
-	return agg, true
+	return stats, true
 }
 
 // WorkerCacheStats snapshots each worker's private flow cache (nil when

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -43,6 +44,37 @@ func TestSteeredMatchesUnsteered(t *testing.T) {
 	}
 	if ws := svc.WorkerCacheStats(); len(ws) != 4 {
 		t.Fatalf("WorkerCacheStats: %d entries, want 4", len(ws))
+	}
+}
+
+// The service's cache view sums every worker's coalesced misses, and the
+// counters table shows them: a batch of 64 copies each of 4 new flows
+// leaves 4 leaders and 252 followers, wherever the flows are steered.
+func TestCacheStatsSumCoalesced(t *testing.T) {
+	rs := prefixSet(t, 16, 73)
+	svc, err := New(rs, strideBuild, Config{Workers: 2, CacheEntries: 1 << 10, Seed: 73})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustClose(t, svc)
+	flows := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 4, MatchFraction: 1, Seed: 74})
+	hdrs := make([]packet.Header, 64*len(flows))
+	for i := range hdrs {
+		hdrs[i] = flows[i%len(flows)]
+	}
+	if err := svc.ClassifySteered(hdrs, make([]int, len(hdrs))); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := svc.CacheStats()
+	var perWorker int64
+	for _, ws := range svc.WorkerCacheStats() {
+		perWorker += ws.Coalesced
+	}
+	if st.Coalesced != 252 || perWorker != st.Coalesced || st.Misses != 256 {
+		t.Fatalf("coalesced %d (workers sum %d), misses %d; want 252 of 256", st.Coalesced, perWorker, st.Misses)
+	}
+	if table := svc.Counters().Table().String(); !strings.Contains(table, "cache coalesced") {
+		t.Fatalf("counters table has no coalesced row:\n%s", table)
 	}
 }
 

@@ -70,13 +70,39 @@ func halfShared(e *Engine) bool {
 	return shared && own
 }
 
+// checkGroupsOracle fails unless, in every group of groups, each stage
+// row holds entry for entry what the bit-probe oracle says of pattern(j),
+// and nothing past Ne. A fresh build runs the same writer as rewrite, so
+// only this check sees how the rows are formed.
+func checkGroupsOracle(t *testing.T, name string, m *Memory, groups map[int]bool, pattern func(j int) (value, mask []byte, valid bool)) {
+	t.Helper()
+	for wi := range groups {
+		for s, blk := range m.blk {
+			for c := 0; c < 1<<uint(m.k); c++ {
+				word := blk[c*m.words+wi]
+				for j := wi << 6; j < wi<<6+64; j++ {
+					want := false
+					if j < m.ne {
+						value, mask, valid := pattern(j)
+						want = compatibleBits(value, mask, valid, m.w, m.k, s, c)
+					}
+					if got := word>>uint(j&63)&1 == 1; got != want {
+						t.Fatalf("%s: stage %d row %d entry %d: stored %v, oracle %v", name, s, c, j, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestIncrementalRewritesEqualFreshBuild: any sequence of UpdateEntry,
 // InvalidateEntry and ApplyDeltas leaves stage memory exactly as a fresh
 // New over the resulting entry list would build it, and every engine a
 // delta was derived from exactly as it was. The sequences start with a
 // write to entry Ne−1 (in a partial last word) and a batch that repeats an
 // index (the last delta wins), chain delta children and grandchildren —
-// one-byte rewrites leave stages half shared.
+// one-byte rewrites leave stages half shared. Every group the sequence
+// wrote then holds what the bit-probe oracle says of its entries.
 func TestIncrementalRewritesEqualFreshBuild(t *testing.T) {
 	for k := MinStride; k <= MaxStride; k++ {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -124,6 +150,7 @@ func rewriteSequence(t *testing.T, k int, seed int64) {
 	}
 	var ancestors []frozen
 	var halfParents int
+	touched := map[int]bool{}
 	apply := func(rules []int) {
 		entries := make([]ruleset.Ternary, len(rules))
 		for i, j := range rules {
@@ -136,6 +163,7 @@ func rewriteSequence(t *testing.T, k int, seed int64) {
 		ancestors = append(ancestors, frozen{cur, append([]ruleset.Ternary(nil), want...)})
 		for i, j := range rules {
 			want[j] = entries[i]
+			touched[j>>6] = true
 		}
 		cur = child
 	}
@@ -148,6 +176,7 @@ func rewriteSequence(t *testing.T, k int, seed int64) {
 				t.Fatal(err)
 			}
 			want[ne-1] = entry
+			touched[(ne-1)>>6] = true
 		case step == 1:
 			apply([]int{ne - 1, 3, ne - 1, 3})
 		default:
@@ -159,12 +188,14 @@ func rewriteSequence(t *testing.T, k int, seed int64) {
 					t.Fatal(err)
 				}
 				want[j] = entry
+				touched[j>>6] = true
 			case 1:
 				j := index()
 				if err := cur.InvalidateEntry(j); err != nil {
 					t.Fatal(err)
 				}
 				want[j] = ruleset.InvalidTernary()
+				touched[j>>6] = true
 			case 2:
 				rules := make([]int, 1+rng.Intn(3))
 				for i := range rules {
@@ -178,6 +209,9 @@ func rewriteSequence(t *testing.T, k int, seed int64) {
 	for i, a := range ancestors {
 		checkFresh(t, fmt.Sprintf("k=%d seed=%d ancestor %d", k, seed, i), a.e, a.want)
 	}
+	checkGroupsOracle(t, fmt.Sprintf("k=%d seed=%d", k, seed), &cur.Memory, touched, func(j int) ([]byte, []byte, bool) {
+		return pattern(&want[j])
+	})
 	if halfParents == 0 {
 		t.Fatalf("k=%d seed=%d: no delta on a half-shared engine", k, seed)
 	}
@@ -245,7 +279,8 @@ func deltaChild(m *Memory) Memory {
 // widths of TestBuildMemoryMatchesBitProbeOracle and every stride: after
 // single-entry, multi-entry and invalidating group rewrites, on a memory
 // and on chains of delta children, stage memory is exactly a fresh
-// BuildMemory's, and every ancestor is exactly as it was.
+// BuildMemory's, and every ancestor is exactly as it was. Every group the
+// rewrites wrote then holds what the bit-probe oracle says of its entries.
 func TestMemoryRewritesEqualFreshBuild(t *testing.T) {
 	const ne = 200 // four words, eight entries in the last
 	rng := rand.New(rand.NewSource(3))
@@ -266,6 +301,7 @@ func TestMemoryRewritesEqualFreshBuild(t *testing.T) {
 				want []memPattern
 			}
 			var ancestors []frozen
+			touched := map[int]bool{}
 			for step := 0; step < 24; step++ {
 				name := fmt.Sprintf("W=%d k=%d step %d", w, k, step)
 				if step%5 == 4 { // carry on in a delta child
@@ -274,6 +310,7 @@ func TestMemoryRewritesEqualFreshBuild(t *testing.T) {
 					m = deltaChild(&parent)
 				}
 				wi := rng.Intn((ne + 63) / 64)
+				touched[wi] = true
 				var dirty uint64
 				invalid := 1 // in 4: the share of the dirty entries made invalid
 				switch n := min(64, ne-wi<<6); rng.Intn(3) {
@@ -310,6 +347,9 @@ func TestMemoryRewritesEqualFreshBuild(t *testing.T) {
 			for i, a := range ancestors {
 				checkFreshMemory(t, fmt.Sprintf("W=%d k=%d ancestor %d", w, k, i), a.m, a.want)
 			}
+			checkGroupsOracle(t, fmt.Sprintf("W=%d k=%d", w, k), &m, touched, func(j int) ([]byte, []byte, bool) {
+				return want[j].value, want[j].mask, want[j].valid
+			})
 		}
 	}
 }
