@@ -9,7 +9,8 @@
 //	pclass serve -rules rules.txt -measure
 //	pclass bench -engines stridebv,tcam -sizes 32,512
 //
-// Engines: stridebv | fsbv | rangebv | tcam | tcam-fpga | hicuts | linear.
+// Engines: stridebv | fsbv | rangebv | tcam | hicuts | linear | part-stridebv
+// (any engine behind part- is partitioned, e.g. part-tcam).
 // Traces may be text or binary (format is sniffed). Every run is
 // differentially verified against the linear reference unless -noverify.
 //

@@ -1,7 +1,7 @@
 // Dynamic updates: firewall rules change while traffic flows. This example
-// applies a stream of rule replacements to a live StrideBV engine (one
-// bit-slice write per stage) and to a live SRL16E TCAM (16-cycle shift per
-// entry), verifies both still classify exactly like a rebuilt reference,
+// applies a stream of rule replacements to a StrideBV engine (one
+// bit-slice write per stage) and to an SRL16E TCAM (16-cycle shift per
+// entry), verifies both against the updated ruleset's linear reference,
 // and compares the sustainable update rates at each engine's modeled clock.
 package main
 
@@ -21,39 +21,40 @@ func main() {
 	const n = 256
 	const nOps = 500
 
-	// Prefix-only keeps the 1:1 rule/entry mapping in-place updates need.
-	rsS := pktclass.GenerateRuleSet(n, "prefix-only", 21)
-	rsT := pktclass.GenerateRuleSet(n, "prefix-only", 21)
+	// Prefix-only keeps the 1:1 rule/entry mapping delta updates need.
+	rs := pktclass.GenerateRuleSet(n, "prefix-only", 21)
 
-	eng, err := stridebv.New(rsS.Expand(), 4)
+	eng, err := stridebv.New(rs.Expand(), 4)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fp := tcam.NewFPGA(rsT.Expand())
+	fp := tcam.NewFPGA(rs.Expand())
 	fmt.Printf("engines: %s and %s over %d rules\n", eng.Name(), fp.Name(), n)
 
-	ops, err := update.GenerateOps(rsS, nOps, 22)
+	ops, err := update.GenerateOps(rs, nOps, 22)
 	if err != nil {
 		log.Fatal(err)
 	}
-	opsT := make([]update.Op, len(ops))
-	copy(opsT, ops)
 
-	costS, err := update.ApplyToStrideBV(eng, rsS, ops)
+	updated, costS, err := update.ApplyToStrideBV(eng, ops)
 	if err != nil {
 		log.Fatal(err)
 	}
-	costT, err := update.ApplyToTCAM(fp, rsT, opsT)
+	costT, err := update.ApplyToTCAM(fp, ops)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Both engines must still agree with a linear reference over the
-	// mutated rulesets.
-	if err := update.VerifyAfterUpdates(rsS, eng.Classify, 23); err != nil {
+	// updated ruleset.
+	next, err := update.ApplyToRuleSet(rs, ops)
+	if err != nil {
 		log.Fatal(err)
 	}
-	if err := update.VerifyAfterUpdates(rsT, fp.Classify, 23); err != nil {
+	if err := update.VerifyAfterUpdates(next, updated.Classify, 23); err != nil {
+		log.Fatal(err)
+	}
+	if err := update.VerifyAfterUpdates(next, fp.Classify, 23); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("applied %d rule replacements to each engine; verification clean\n\n", nOps)

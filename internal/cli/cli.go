@@ -64,9 +64,11 @@ func ReadTrace(r io.Reader) ([]packet.Header, error) {
 
 // EngineNames lists the -engine values BuildEngine accepts. The "part-"
 // prefix composes: "part-<sub>" wraps any other listed engine in the
-// partitioning layer (e.g. "part-stridebv", "part-tcam").
+// partitioning layer (e.g. "part-stridebv", "part-tcam"). Every listed
+// engine is safe for concurrent use; the cycle models (tcam.FPGA,
+// stridebv.Pipeline) are not, and are not listed.
 func EngineNames() []string {
-	return []string{"stridebv", "fsbv", "rangebv", "tcam", "tcam-fpga", "hicuts", "linear", "part-stridebv"}
+	return []string{"stridebv", "fsbv", "rangebv", "tcam", "hicuts", "linear", "part-stridebv"}
 }
 
 // Options carries the engine-construction knobs beyond the engine name.
@@ -133,8 +135,6 @@ func BuildEngineOpts(rs *ruleset.RuleSet, name string, opts Options) (core.Engin
 		return core.NewLinear(rs), nil
 	case "tcam":
 		return tcam.NewBehavioral(rs.Expand()), nil
-	case "tcam-fpga":
-		return tcam.NewFPGA(rs.Expand()), nil
 	case "stridebv":
 		e, err := stridebv.New(rs.Expand(), stride)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -147,5 +148,45 @@ func TestNestedPartitionBatch(t *testing.T) {
 		if want := lin.Classify(h); out[i] != want {
 			t.Fatalf("batch[%d] = %d, linear = %d for %s", i, out[i], want, h)
 		}
+	}
+}
+
+// TestClassifyBatchConcurrentEveryEngine: every engine the registry serves,
+// and a partitioned TCAM, answers like the linear reference while four
+// goroutines classify 64-packet batches through one instance — the
+// concurrent use the serving layer makes of it. Each goroutine has its own
+// slice of the trace, so an engine that shares lookup state between
+// callers returns wrong answers here (and races under -race).
+func TestClassifyBatchConcurrentEveryEngine(t *testing.T) {
+	const goroutines, batch, perG = 4, 64, 512
+	rs := ruleset.Generate(ruleset.GenConfig{N: 256, Profile: ruleset.FirewallProfile, Seed: 61, DefaultRule: true})
+	hdrs := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: goroutines * perG, MatchFraction: 0.8, Seed: 62})
+	want := make([]int, len(hdrs))
+	for i, h := range hdrs {
+		want[i] = rs.FirstMatch(h)
+	}
+	for _, name := range append(EngineNames(), "part-tcam") {
+		eng, err := BuildEngine(rs, name, 4)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var wg sync.WaitGroup
+		for g := range goroutines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out := make([]int, batch)
+				for lo := g * perG; lo < (g+1)*perG; lo += batch {
+					core.ClassifyBatchInto(eng, hdrs[lo:lo+batch], out)
+					for i, got := range out {
+						if got != want[lo+i] {
+							t.Errorf("%s: goroutine %d packet %d: got %d, linear %d", name, g, lo+i, got, want[lo+i])
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -37,7 +37,8 @@ type Cached struct {
 
 // NewCached wraps eng with the cache under a freshly allocated generation.
 // Both arguments must be non-nil; eng must be safe for concurrent use
-// (every engine in this repository is).
+// (every engine cli.EngineNames lists is; the single-goroutine cycle model
+// tcam.FPGA is not).
 func NewCached(eng Engine, cache *flowcache.Cache) *Cached {
 	if eng == nil {
 		panic("core: NewCached with nil engine")

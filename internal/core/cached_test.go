@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pktclass/internal/cli"
 	"pktclass/internal/core"
@@ -79,10 +80,13 @@ func TestCachedDifferentialAgainstUncached(t *testing.T) {
 // version pairs one engine build with the linear reference over the same
 // ruleset: whatever build a reader observes, every classification it gets
 // must agree with that build's own reference — a stale hit from any other
-// build shows up as a divergence.
+// build shows up as a divergence. served is closed once a reader has
+// completed a batch on it.
 type version struct {
 	cached *core.Cached
 	ref    *core.Linear
+	served chan struct{}
+	once   sync.Once
 }
 
 func TestCachedDifferentialUnderHotSwap(t *testing.T) {
@@ -125,7 +129,7 @@ func TestCachedDifferentialUnderHotSwap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &version{cached: core.NewCached(eng, cache), ref: core.NewLinear(rs)}
+		return &version{cached: core.NewCached(eng, cache), ref: core.NewLinear(rs), served: make(chan struct{})}
 	}
 
 	// The swap sequence must actually change decisions on the population,
@@ -145,7 +149,23 @@ func TestCachedDifferentialUnderHotSwap(t *testing.T) {
 	live.Store(buildVersion(sets[0]))
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	errCh := make(chan error, readers)
+	errCh := make(chan error, readers+1)
+
+	// publish swaps in a build of rs and waits until a reader has completed
+	// a batch on it, so every generation inserts into the cache and the
+	// next one meets its entries (stale drops), however the goroutines are
+	// scheduled.
+	publish := func(rs *ruleset.RuleSet) bool {
+		v := buildVersion(rs)
+		live.Store(v)
+		select {
+		case <-v.served:
+			return true
+		case <-time.After(10 * time.Second):
+			errCh <- fmt.Errorf("gen %d: no reader completed a batch within 10s", v.cached.Generation())
+			return false
+		}
+	}
 
 	// Updater: walk the version chain forward and back (the backward steps
 	// are rollback-shaped — an older ruleset returning under a *new*
@@ -157,10 +177,14 @@ func TestCachedDifferentialUnderHotSwap(t *testing.T) {
 		defer stop.Store(true)
 		for lap := 0; lap < 8; lap++ {
 			for v := 0; v < versions; v++ {
-				live.Store(buildVersion(sets[v]))
+				if !publish(sets[v]) {
+					return
+				}
 			}
 			for v := versions - 2; v > 0; v-- {
-				live.Store(buildVersion(sets[v]))
+				if !publish(sets[v]) {
+					return
+				}
 			}
 		}
 	}()
@@ -199,6 +223,7 @@ func TestCachedDifferentialUnderHotSwap(t *testing.T) {
 						return
 					}
 				}
+				v.once.Do(func() { close(v.served) })
 			}
 		}(int64(100 + r))
 	}

@@ -13,9 +13,11 @@ import (
 )
 
 // Engine is a packet classifier. Implementations in this repository:
-// the linear reference (this package), tcam.Behavioral, tcam.FPGA,
-// stridebv.Engine (any stride, FSBV at k=1), stridebv.RangeEngine,
-// dtree.Tree and partition.Engine. Callers reach an engine's further
+// the linear reference (this package), tcam.Behavioral, stridebv.Engine
+// (any stride, FSBV at k=1), stridebv.RangeEngine, dtree.Tree and
+// partition.Engine, each safe for concurrent use, and the cycle model
+// tcam.FPGA, which is not: like stridebv.Pipeline it steps one clock and
+// serves one goroutine. Callers reach an engine's further
 // capabilities by asserting the optional interfaces below, never by
 // switching over concrete engine types.
 type Engine interface {

@@ -20,7 +20,7 @@ func TestClassifyTracedMatchesClassify(t *testing.T) {
 		N: 128, Profile: ruleset.FirewallProfile, Seed: 5, DefaultRule: true,
 	})
 	trace := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 500, MatchFraction: 0.7, Seed: 6})
-	for _, name := range []string{"stridebv", "fsbv", "rangebv", "tcam", "tcam-fpga", "linear", "hicuts"} {
+	for _, name := range []string{"stridebv", "fsbv", "rangebv", "tcam", "linear", "hicuts"} {
 		eng, err := cli.BuildEngine(rs, name, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -109,20 +109,25 @@ func ExtUpdateRate(c Config) (*metrics.Table, error) {
 		Title:   fmt.Sprintf("Extension: dynamic rule updates (N = %d)", n),
 		Headers: []string{"Engine", "Latency (cycles)", "Port cycles/update", "Updates/s at modeled clock"},
 	}
-	rsS := ruleset.Generate(ruleset.GenConfig{N: n, Profile: ruleset.PrefixOnly, Seed: c.Seed, DefaultRule: true})
-	eng, err := stridebv.New(rsS.Expand(), 4)
+	// Both engines take the same update stream over the same ruleset.
+	rs := ruleset.Generate(ruleset.GenConfig{N: n, Profile: ruleset.PrefixOnly, Seed: c.Seed, DefaultRule: true})
+	ops, err := update.GenerateOps(rs, 200, c.Seed)
 	if err != nil {
 		return nil, err
 	}
-	ops, err := update.GenerateOps(rsS, 200, c.Seed)
+	next, err := update.ApplyToRuleSet(rs, ops)
 	if err != nil {
 		return nil, err
 	}
-	costS, err := update.ApplyToStrideBV(eng, rsS, ops)
+	eng, err := stridebv.New(rs.Expand(), 4)
 	if err != nil {
 		return nil, err
 	}
-	if err := update.VerifyAfterUpdates(rsS, eng.Classify, c.Seed+2); err != nil {
+	updated, costS, err := update.ApplyToStrideBV(eng, ops)
+	if err != nil {
+		return nil, err
+	}
+	if err := update.VerifyAfterUpdates(next, updated.Classify, c.Seed+2); err != nil {
 		return nil, err
 	}
 	tmS, _, err := fpga.StrideBVTiming(c.Device, fpga.StrideBVConfig{Ne: n, K: 4, Memory: fpga.DistRAM}, floorplan.Automatic, c.Seed)
@@ -134,17 +139,12 @@ func ExtUpdateRate(c Config) (*metrics.Table, error) {
 		fmt.Sprintf("%.1f", float64(costS.OccupancyCycles)/float64(costS.Ops)),
 		fmt.Sprintf("%.2e", costS.UpdatesPerSecond(tmS.ClockMHz)))
 
-	rsT := ruleset.Generate(ruleset.GenConfig{N: n, Profile: ruleset.PrefixOnly, Seed: c.Seed, DefaultRule: true})
-	fp := tcam.NewFPGA(rsT.Expand())
-	opsT, err := update.GenerateOps(rsT, 200, c.Seed)
+	fp := tcam.NewFPGA(rs.Expand())
+	costT, err := update.ApplyToTCAM(fp, ops)
 	if err != nil {
 		return nil, err
 	}
-	costT, err := update.ApplyToTCAM(fp, rsT, opsT)
-	if err != nil {
-		return nil, err
-	}
-	if err := update.VerifyAfterUpdates(rsT, fp.Classify, c.Seed+3); err != nil {
+	if err := update.VerifyAfterUpdates(next, fp.Classify, c.Seed+3); err != nil {
 		return nil, err
 	}
 	tmT, _, err := fpga.TCAMTiming(c.Device, fpga.TCAMConfig{Ne: n}, c.Seed)

@@ -136,9 +136,10 @@ func TestPipelineRunMatchesEngine(t *testing.T) {
 
 // Regression for the shared-Expanded mutation bug: an Engine and a
 // tcam.Behavioral built over the *same* Expanded are the differential pair
-// the serving layer verifies with. UpdateEntry used to write through to the
-// shared Entries slice, silently dragging the TCAM reference along with the
-// update and defeating verification.
+// the serving layer verifies with. The in-place entry write used to write
+// through to the shared Entries slice, silently dragging the TCAM reference
+// along with the update and defeating verification. The update is now an
+// ApplyDeltas child, and writing the old entry back is another.
 func TestUpdateEntryDoesNotMutateSharedExpanded(t *testing.T) {
 	rs, ex := genSet(t, 32, ruleset.PrefixOnly, 53)
 	e, err := New(ex, 4)
@@ -169,25 +170,21 @@ func TestUpdateEntryDoesNotMutateSharedExpanded(t *testing.T) {
 		repl.Value[i] = ^before.Value[i]
 		repl.Mask[i] = 0xff
 	}
-	if err := e.UpdateEntry(victim, repl); err != nil {
-		t.Fatal(err)
-	}
+	updated := applyDeltas(t, e, []int{victim}, []ruleset.Ternary{repl})
 
 	if got := ref.Classify(hit); got != victim {
 		t.Fatalf("tcam reference over shared Expanded changed: got %d want %d", got, victim)
 	}
 	if ex.Entries[victim] != before {
-		t.Fatal("caller's Expanded was mutated by UpdateEntry")
+		t.Fatal("caller's Expanded was mutated by ApplyDeltas")
 	}
-	if got := e.Classify(hit); got == victim {
+	if got := updated.Classify(hit); got == victim {
 		t.Fatal("engine still matches the replaced entry")
 	}
 	// The engine agrees with a build over the test's own expansion with the
 	// update applied, and writing the old entry back restores the original.
-	checkMatchVectors(t, e, applied(ex, []int{victim}, []ruleset.Ternary{repl}), trace)
-	if err := e.UpdateEntry(victim, before); err != nil {
-		t.Fatal(err)
-	}
+	checkMatchVectors(t, updated, applied(ex, []int{victim}, []ruleset.Ternary{repl}), trace)
+	checkMatchVectors(t, applyDeltas(t, updated, []int{victim}, []ruleset.Ternary{before}), ex, trace)
 	checkMatchVectors(t, e, ex, trace)
 }
 

@@ -36,10 +36,12 @@ func diffMem(e *Engine, snap [][]bitvec.Vector) (int, int) {
 
 // TestUpdateOnDeltaChildLeavesParentIntact is the regression test for the
 // copy-on-write aliasing bug: a delta-derived engine shares untouched stage
-// vectors with its parent, and an in-place UpdateEntry/InvalidateEntry on
-// the child used to write straight through that shared storage, corrupting
-// the engine concurrent readers still hold. On the pre-fix code the parent
-// snapshot comparison below fails.
+// vectors with its parent, and a write on the child used to go straight
+// through that shared storage, corrupting the engine concurrent readers
+// still hold. Every write on the child is now a single-entry ApplyDeltas,
+// each on the engine the last one returned; neither the parent nor the
+// child may move. On the pre-fix code the parent snapshot comparison below
+// fails.
 func TestUpdateOnDeltaChildLeavesParentIntact(t *testing.T) {
 	parent, rs, rules, entries := deltaFixture(t, 256, 4, 401)
 	snap, lead := snapshotMem(parent), slices.Clone(parent.lead)
@@ -50,17 +52,18 @@ func TestUpdateOnDeltaChildLeavesParentIntact(t *testing.T) {
 	}
 
 	child := applyDeltas(t, parent, rules, entries)
+	snapChild := snapshotMem(child)
 
-	// In-place writes on the child: replace entries the delta batch did not
-	// touch (their vectors all still alias the parent), then invalidate a
-	// couple more.
+	// Writes on the child: replace entries the delta batch did not touch
+	// (their vectors all still alias the parent), then invalidate a couple
+	// more.
 	donor := ruleset.Generate(ruleset.GenConfig{N: 8, Profile: ruleset.PrefixOnly, Seed: 403})
 	rng := rand.New(rand.NewSource(404))
 	touched := map[int]bool{}
 	for _, j := range rules {
 		touched[j] = true
 	}
-	wrote := 0
+	wrote, cur := 0, child
 	for _, r := range donor.Rules {
 		j := rng.Intn(rs.Len())
 		if touched[j] {
@@ -72,20 +75,20 @@ func TestUpdateOnDeltaChildLeavesParentIntact(t *testing.T) {
 			t.Fatalf("donor rule expands to %d entries", len(te))
 		}
 		if wrote%3 == 2 {
-			if err := child.InvalidateEntry(j); err != nil {
-				t.Fatal(err)
-			}
-		} else if err := child.UpdateEntry(j, te[0]); err != nil {
-			t.Fatal(err)
+			te[0] = ruleset.InvalidTernary()
 		}
+		cur = applyDeltas(t, cur, []int{j}, te)
 		wrote++
 	}
 	if wrote < 4 {
-		t.Fatalf("only %d in-place writes landed; fixture too small", wrote)
+		t.Fatalf("only %d writes landed; fixture too small", wrote)
 	}
 
 	if s, c := diffMem(parent, snap); s >= 0 {
 		t.Fatalf("child write leaked into parent stage memory at (stage=%d, value=%d)", s, c)
+	}
+	if s, c := diffMem(child, snapChild); s >= 0 {
+		t.Fatalf("a write on the child moved the child at (stage=%d, value=%d)", s, c)
 	}
 	if &child.lead[0] == &parent.lead[0] || !slices.Equal(parent.lead, lead) {
 		t.Fatal("the child shares or wrote the parent's lead summaries")
@@ -99,7 +102,8 @@ func TestUpdateOnDeltaChildLeavesParentIntact(t *testing.T) {
 
 // TestApplyDeltasOnDeltaChild covers the chained case: a second ApplyDeltas
 // on a delta-derived child must also un-alias before its single-bit writes
-// (the grandparent and parent both stay intact and correct).
+// (the grandparent and parent both stay intact and correct), and so must a
+// third, an invalidation on the grandchild.
 func TestApplyDeltasOnDeltaChild(t *testing.T) {
 	parent, rs, rules, entries := deltaFixture(t, 128, 3, 411)
 	snapParent, leadParent := snapshotMem(parent), slices.Clone(parent.lead)
@@ -115,8 +119,10 @@ func TestApplyDeltasOnDeltaChild(t *testing.T) {
 		entries2 = append(entries2, r.TernaryEntries()[0])
 	}
 	grandchild := applyDeltas(t, child, rules2, entries2)
-	if err := grandchild.InvalidateEntry(rng.Intn(rs.Len())); err != nil {
-		t.Fatal(err)
+	snapGrand := snapshotMem(grandchild)
+	applyDeltas(t, grandchild, []int{rng.Intn(rs.Len())}, []ruleset.Ternary{ruleset.InvalidTernary()})
+	if s, c := diffMem(grandchild, snapGrand); s >= 0 {
+		t.Fatalf("great-grandchild write leaked into grandchild at (stage=%d, value=%d)", s, c)
 	}
 	if s, c := diffMem(parent, snapParent); s >= 0 {
 		t.Fatalf("grandchild write leaked into grandparent at (stage=%d, value=%d)", s, c)
@@ -130,12 +136,13 @@ func TestApplyDeltasOnDeltaChild(t *testing.T) {
 }
 
 // TestInvalidateEntryRecorded is the regression test for the resurrection
-// bug: InvalidateEntry used to clear stage memory but leave the entry table
+// bug: invalidation used to clear stage memory but leave the entry table
 // untouched, so a rebuild from the engine's view brought the entry back to
 // life. The engine keeps no entry table now — its stage memory is the
-// record — so the invalidation must agree with a rebuild over the test's
-// own expansion with the invalidation applied and survive a rewrite of its
-// group, which takes every entry but the dirty one from the stored words.
+// record — so the invalidation (an ApplyDeltas of the never-match entry)
+// must agree with a rebuild over the test's own expansion with the
+// invalidation applied and survive a rewrite of its group, which takes
+// every entry but the dirty one from the stored words.
 func TestInvalidateEntryRecorded(t *testing.T) {
 	rs, ex := genSet(t, 96, ruleset.PrefixOnly, 421)
 	e, err := New(ex, 4)
@@ -155,9 +162,7 @@ func TestInvalidateEntryRecorded(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no winning entry found")
 	}
-	if err := e.InvalidateEntry(victim); err != nil {
-		t.Fatal(err)
-	}
+	e = applyDeltas(t, e, []int{victim}, []ruleset.Ternary{ruleset.InvalidTernary()})
 	if ex.Entries[victim].Invalid {
 		t.Fatal("invalidation leaked into the caller's shared Expanded")
 	}
@@ -181,9 +186,7 @@ func TestInvalidateEntryRecorded(t *testing.T) {
 
 	// Rewriting the victim's neighbour re-derives only the neighbour.
 	nb := victim ^ 1
-	if err := e.UpdateEntry(nb, ex.Entries[nb]); err != nil {
-		t.Fatal(err)
-	}
+	e = applyDeltas(t, e, []int{nb}, ex.Entries[nb:nb+1])
 	for _, h := range trace {
 		if e.MatchVector(h.Key()).Get(victim) {
 			t.Fatalf("a rewrite of its group resurrected invalidated entry %d", victim)

@@ -104,11 +104,10 @@ func TestFaultRepairByRewrite(t *testing.T) {
 		v := e.StageVector(s, c)
 		v.SetTo(j, !v.Get(j))
 	}
-	// Scrub: rewrite every entry through the incremental-update path.
-	for j, entry := range ex.Entries {
-		if err := e.UpdateEntry(j, entry); err != nil {
-			t.Fatal(err)
-		}
+	// Scrub: rewrite every entry, one at a time, through the one writer of
+	// stage memory; the engine owns its storage and no reader holds it.
+	for j := range ex.Entries {
+		rewriteEntry(e, j, &ex.Entries[j])
 	}
 	// The repaired engine must match the reference everywhere.
 	trace := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 500, MatchFraction: 0.8, Seed: 67})

@@ -34,10 +34,10 @@ var (
 // pointer store, the software analogue of the hardware completing a write
 // behind the search path.
 //
-// The child engine records which stages still alias the receiver (shared),
-// so later in-place writes on it — UpdateEntry, InvalidateEntry, another
-// ApplyDeltas — un-alias before mutating instead of punching through into
-// the receiver's storage.
+// The child records which of its stages still alias the receiver (shared),
+// so each stage is copied at most once however many of the batch's groups
+// store in it. Once returned, the child is never written again: a later
+// update is another ApplyDeltas on it, which leaves it as it was.
 //
 // rules[i] names the entry (== rule, see below) replaced by entries[i].
 // ApplyDeltas requires the 1:1 rule↔entry mapping of a prefix-only

@@ -17,6 +17,13 @@ func applyDeltas(t testing.TB, e *Engine, rules []int, entries []ruleset.Ternary
 	return child.(*Engine)
 }
 
+// rewriteEntry reprograms entry j of e in place through rewrite, with j
+// alone dirty: the write ApplyDeltas makes per touched group, here on an
+// engine that owns its storage and that no reader holds.
+func rewriteEntry(e *Engine, j int, entry *ruleset.Ternary) {
+	e.rewrite(j>>6, 1<<uint(j&63), func(int) (value, mask []byte, valid bool) { return pattern(entry) })
+}
+
 // deltaFixture generates a prefix-only set, an engine over it, and a batch
 // of single-entry replacements with the post-delta ruleset they produce.
 func deltaFixture(t testing.TB, n, deltas int, seed int64) (*Engine, *ruleset.RuleSet, []int, []ruleset.Ternary) {
@@ -145,15 +152,17 @@ func TestApplyDeltasSharesUntouchedStages(t *testing.T) {
 		}
 	}
 
-	// An in-place write on the grandchild clears a bit in every stage, so
-	// every block is detached first and neither ancestor moves.
-	if err := grand.InvalidateEntry(11); err != nil {
-		t.Fatal(err)
-	}
-	for s, shared := range sharedStages(t, grand, child) {
+	// Invalidating an entry on the grandchild clears a bit in every stage,
+	// so the great-grandchild detaches every block and no ancestor moves.
+	snapGrand := snapshotMem(grand)
+	great := applyDeltas(t, grand, []int{11}, []ruleset.Ternary{ruleset.InvalidTernary()})
+	for s, shared := range sharedStages(t, great, grand) {
 		if shared {
-			t.Fatalf("stage %d still aliases the parent after an in-place write", s)
+			t.Fatalf("stage %d still aliases the parent after an invalidation", s)
 		}
+	}
+	if s, c := diffMem(grand, snapGrand); s >= 0 {
+		t.Fatalf("descendant write leaked into the grandchild at (stage=%d, value=%d)", s, c)
 	}
 	if s, c := diffMem(e, snapE); s >= 0 {
 		t.Fatalf("descendant write leaked into grandparent at (stage=%d, value=%d)", s, c)
@@ -198,9 +207,11 @@ func TestApplyDeltasValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkStrideBVUpdateEntry is CI's 0-allocs gate on the in-place write
-// primitive (the software analogue of the stage-memory write port).
-func BenchmarkStrideBVUpdateEntry(b *testing.B) {
+// BenchmarkStrideBVRewrite is CI's 0-allocs gate on the single-entry
+// rewrite, the write primitive every delta stores through (the software
+// analogue of the stage-memory write port), on an engine that owns its
+// storage.
+func BenchmarkStrideBVRewrite(b *testing.B) {
 	rs, ex := genSet(b, 2048, ruleset.PrefixOnly, 21)
 	e, err := New(ex, 4)
 	if err != nil {
@@ -211,16 +222,13 @@ func BenchmarkStrideBVUpdateEntry(b *testing.B) {
 	for i, r := range donor.Rules {
 		entries[i] = r.TernaryEntries()[0]
 	}
-	// Pre-touch so copy-on-first-update happens outside the measured loop.
-	if err := e.UpdateEntry(0, entries[0]); err != nil {
-		b.Fatal(err)
-	}
+	// Pre-touch so the scratch workspace's planes are made outside the
+	// measured loop.
+	rewriteEntry(e, 0, &entries[0])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.UpdateEntry(i%rs.Len(), entries[i%len(entries)]); err != nil {
-			b.Fatal(err)
-		}
+		rewriteEntry(e, i%rs.Len(), &entries[i%len(entries)])
 	}
 }
 
@@ -237,8 +245,8 @@ func BenchmarkStrideBVApplyDeltas8(b *testing.B) {
 
 // checkWalkOrder asserts the derived walk state of e: ones[s] is exactly
 // the population of stage s, and order is a permutation of the stages,
-// sparsest first when sorted is set (in-place updates leave it stale).
-func checkWalkOrder(t *testing.T, e *Engine, sorted bool) {
+// sparsest first.
+func checkWalkOrder(t *testing.T, e *Engine) {
 	t.Helper()
 	seen := make([]bool, e.Stages())
 	for p, s := range e.order {
@@ -246,7 +254,7 @@ func checkWalkOrder(t *testing.T, e *Engine, sorted bool) {
 			t.Fatalf("stage %d appears twice in the walk order %v", s, e.order)
 		}
 		seen[s] = true
-		if sorted && p > 0 && e.ones[e.order[p-1]] > e.ones[s] {
+		if p > 0 && e.ones[e.order[p-1]] > e.ones[s] {
 			t.Fatalf("walk order %v is not sparsest first (populations %v)", e.order, e.ones)
 		}
 	}
@@ -265,25 +273,28 @@ func checkWalkOrder(t *testing.T, e *Engine, sorted bool) {
 }
 
 // The walk order is derived from per-stage populations that rewrite keeps
-// current: exact after a build, after a delta batch (with the parent's left
-// alone) and after in-place updates.
+// current: exact after a build, after a delta batch and after a delta on
+// that child (an invalidation and a replacement), with each parent's left
+// alone.
 func TestWalkOrderTracksStagePopulations(t *testing.T) {
 	e, _, rules, entries := deltaFixture(t, 200, 6, 31)
-	checkWalkOrder(t, e, true)
+	checkWalkOrder(t, e)
 	parentOnes := append([]int(nil), e.ones...)
 	child := applyDeltas(t, e, rules, entries)
-	checkWalkOrder(t, child, true)
-	checkWalkOrder(t, e, true)
+	checkWalkOrder(t, child)
+	checkWalkOrder(t, e)
 	for s, n := range parentOnes {
 		if e.ones[s] != n {
 			t.Fatalf("ApplyDeltas moved the parent's stage %d population", s)
 		}
 	}
-	if err := child.InvalidateEntry(rules[0]); err != nil {
-		t.Fatal(err)
+	childOnes := append([]int(nil), child.ones...)
+	grand := applyDeltas(t, child, []int{rules[0], 5}, []ruleset.Ternary{ruleset.InvalidTernary(), entries[1]})
+	checkWalkOrder(t, grand)
+	checkWalkOrder(t, child)
+	for s, n := range childOnes {
+		if child.ones[s] != n {
+			t.Fatalf("ApplyDeltas moved the child's stage %d population", s)
+		}
 	}
-	if err := child.UpdateEntry(5, entries[1]); err != nil {
-		t.Fatal(err)
-	}
-	checkWalkOrder(t, child, false)
 }

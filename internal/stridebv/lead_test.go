@@ -69,10 +69,12 @@ func TestLeadSummaryWordsWalked(t *testing.T) {
 	}
 }
 
-// TestLeadSummaryInPlaceWrites: an in-place UpdateEntry into a word the
-// packet's lead summary rows exclude makes the new entry the packet's
-// answer, and an InvalidateEntry of it restores the old answer; after each,
-// the lead summaries are exactly those of the stored words.
+// TestLeadSummaryInPlaceWrites: an in-place single-entry rewrite into a
+// word the packet's lead summary rows exclude makes the new entry the
+// packet's answer, and rewriting it with the never-match entry restores the
+// old answer; after each, the lead summaries are exactly those of the
+// stored words. rewrite keeps them current itself, with no Reorder after
+// it, so this checks the per-word lead maintenance.
 func TestLeadSummaryInPlaceWrites(t *testing.T) {
 	rs, ex := genSet(t, 256, ruleset.PrefixOnly, 9)
 	e, err := New(ex, 4)
@@ -98,22 +100,19 @@ func TestLeadSummaryInPlaceWrites(t *testing.T) {
 	for i := range exact.Mask {
 		exact.Mask[i] = 0xFF
 	}
-	if err := e.UpdateEntry(0, exact); err != nil {
-		t.Fatal(err)
-	}
+	rewriteEntry(e, 0, &exact)
 	if got := e.Classify(h); got != ex.Parent[0] {
 		t.Fatalf("after writing entry 0 to match the header exactly: rule %d, want %d", got, ex.Parent[0])
 	}
 	if !reflect.DeepEqual(e.lead, e.DeriveLead()) {
-		t.Fatal("UpdateEntry left the lead summaries stale")
+		t.Fatal("rewrite left the lead summaries stale")
 	}
-	if err := e.InvalidateEntry(0); err != nil {
-		t.Fatal(err)
-	}
+	inv := ruleset.InvalidTernary()
+	rewriteEntry(e, 0, &inv)
 	if got := e.Classify(h); got != before {
 		t.Fatalf("after invalidating entry 0: rule %d, want %d", got, before)
 	}
 	if !reflect.DeepEqual(e.lead, e.DeriveLead()) {
-		t.Fatal("InvalidateEntry left the lead summaries stale")
+		t.Fatal("the invalidating rewrite left the lead summaries stale")
 	}
 }

@@ -17,8 +17,9 @@ import (
 // one summary index and the one writer, rewrite, which reprograms the
 // columns of a 64-entry group one stored word at a time and is the one
 // copy-on-write mutation point of every bit-vector engine in the tree:
-// BuildMemory is rewrite over fresh blocks, every in-place update is
-// rewrite over the touched groups. rewrite programs a group from bit planes
+// BuildMemory is rewrite over fresh blocks, a delta child (ApplyDeltas) is
+// rewrite over the touched groups before it is published. Memory a reader
+// can see is never written again. rewrite programs a group from bit planes
 // — for each key bit, which of the group's entries care about it and which
 // want it set — so a group costs its entries' care bits plus about 2^(k+1)
 // word operations a stage. The front ends embed it and differ only
@@ -214,9 +215,8 @@ func (m *Memory) MemoryBits() int { return m.stages * (1 << uint(m.k)) * m.ne }
 // the stage populations, the walk order and the lead summaries. None of it
 // exists in hardware, so code that mutates stage memory directly through
 // StageVector (fault injection, scrub tooling) must refresh before
-// classifying; the supported mutation paths (rewrite, behind BuildMemory and
-// the front ends' UpdateEntry, InvalidateEntry, ApplyDeltas) maintain it
-// from the words they store. The lead summaries are rebuilt into a fresh
+// classifying; rewrite, behind BuildMemory and ApplyDeltas, maintains it
+// from the words it stores. The lead summaries are rebuilt into a fresh
 // block, never in place, so a memory copied by value keeps its own.
 func (m *Memory) RefreshSummaries() {
 	ones := make([]int, m.stages)
@@ -232,12 +232,11 @@ func (m *Memory) RefreshSummaries() {
 // Reorder re-sorts the walk order by the current stage populations and, when
 // that changes the lead stages (or there are no lead summaries yet),
 // derives the lead summaries for the new lead into a fresh block. The
-// constructors, RefreshSummaries and ApplyDeltas end with it;
-// an in-place UpdateEntry or InvalidateEntry does not — a stale order costs
-// a few extra loads per lookup, never a wrong answer, and one entry cannot
-// move a stage's population far. A key with fewer than leadStages stages
-// repeats its sparsest one until the walker's unconditional lead is full:
-// AND is idempotent, so the duplicate loads change nothing.
+// constructors, RefreshSummaries and ApplyDeltas end with it, so every
+// memory a reader sees walks its stages sparsest first. A key with fewer
+// than leadStages stages repeats its sparsest one until the walker's
+// unconditional lead is full: AND is idempotent, so the duplicate loads
+// change nothing.
 func (m *Memory) Reorder() {
 	order := make([]int, m.stages, max(m.stages, leadStages))
 	for s := range order {
@@ -305,8 +304,9 @@ func (m *Memory) refreshLead(g, wi int) {
 // change stays shared. The stage loop makes no call but that detach, and
 // the scatter is out of line, so that the loop keeps its variables in
 // registers: with either inline, they spill and a single-entry write runs
-// about 30 % slower. cowwrite keeps this the only write path. Not safe
-// concurrently with lookups on the same memory.
+// about 30 % slower. cowwrite keeps this the only write path. It writes
+// only memory no reader can see yet: a BuildMemory in progress or a delta
+// child before ApplyDeltas returns it.
 //
 //pclass:cow-mutator
 func (m *Memory) rewrite(wi int, dirty uint64, entry func(j int) (value, mask []byte, valid bool)) {

@@ -95,14 +95,16 @@ func checkGroupsOracle(t *testing.T, name string, m *Memory, groups map[int]bool
 	}
 }
 
-// TestIncrementalRewritesEqualFreshBuild: any sequence of UpdateEntry,
-// InvalidateEntry and ApplyDeltas leaves stage memory exactly as a fresh
-// New over the resulting entry list would build it, and every engine a
-// delta was derived from exactly as it was. The sequences start with a
-// write to entry Ne−1 (in a partial last word) and a batch that repeats an
-// index (the last delta wins), chain delta children and grandchildren —
-// one-byte rewrites leave stages half shared. Every group the sequence
-// wrote then holds what the bit-probe oracle says of its entries.
+// TestIncrementalRewritesEqualFreshBuild: any sequence of ApplyDeltas
+// batches — single replacements, single invalidations and batches of up to
+// three — leaves stage memory exactly as a fresh New over the resulting
+// entry list would build it, and every engine a delta was derived from
+// exactly as it was. The sequences start with an in-place rewrite of entry
+// Ne−1 (in a partial last word) on the fresh build, which owns its storage,
+// and a batch that repeats an index (the last delta wins), then chain delta
+// children and grandchildren — one-byte rewrites leave stages half shared.
+// Every group the sequence wrote then holds what the bit-probe oracle says
+// of its entries.
 func TestIncrementalRewritesEqualFreshBuild(t *testing.T) {
 	for k := MinStride; k <= MaxStride; k++ {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -151,11 +153,14 @@ func rewriteSequence(t *testing.T, k int, seed int64) {
 	var ancestors []frozen
 	var halfParents int
 	touched := map[int]bool{}
-	apply := func(rules []int) {
+	draws := func(rules []int) []ruleset.Ternary {
 		entries := make([]ruleset.Ternary, len(rules))
 		for i, j := range rules {
 			entries[i] = draw(j)
 		}
+		return entries
+	}
+	apply := func(rules []int, entries []ruleset.Ternary) {
 		child := applyDeltas(t, cur, rules, entries)
 		if halfShared(cur) {
 			halfParents++
@@ -172,36 +177,25 @@ func rewriteSequence(t *testing.T, k int, seed int64) {
 		switch {
 		case step == 0:
 			entry := draw(ne - 1)
-			if err := cur.UpdateEntry(ne-1, entry); err != nil {
-				t.Fatal(err)
-			}
+			rewriteEntry(cur, ne-1, &entry)
 			want[ne-1] = entry
 			touched[(ne-1)>>6] = true
 		case step == 1:
-			apply([]int{ne - 1, 3, ne - 1, 3})
+			rules := []int{ne - 1, 3, ne - 1, 3}
+			apply(rules, draws(rules))
 		default:
 			switch rng.Intn(3) {
 			case 0:
 				j := index()
-				entry := draw(j)
-				if err := cur.UpdateEntry(j, entry); err != nil {
-					t.Fatal(err)
-				}
-				want[j] = entry
-				touched[j>>6] = true
+				apply([]int{j}, []ruleset.Ternary{draw(j)})
 			case 1:
-				j := index()
-				if err := cur.InvalidateEntry(j); err != nil {
-					t.Fatal(err)
-				}
-				want[j] = ruleset.InvalidTernary()
-				touched[j>>6] = true
+				apply([]int{index()}, []ruleset.Ternary{ruleset.InvalidTernary()})
 			case 2:
 				rules := make([]int, 1+rng.Intn(3))
 				for i := range rules {
 					rules[i] = index()
 				}
-				apply(rules)
+				apply(rules, draws(rules))
 			}
 		}
 		checkFresh(t, name, cur, want)
@@ -369,10 +363,11 @@ func changedWords(before [][]uint64, e *Engine) (words, bitsFlipped int) {
 }
 
 // TestIncrementalWordsStored counts the words updates store on the churn
-// workload's engine shape (N = 2048 prefix-only, k = 4): single UpdateEntry
-// calls, an 8-delta batch and a 32-delta batch. Each touched 64-entry group
-// stores at most stages·2^k words, whatever Ne; a bit-at-a-time column
-// write probes stages·2^k bits per entry.
+// workload's engine shape (N = 2048 prefix-only, k = 4): single-entry
+// rewrites on an engine that owns its storage, an 8-delta batch and a
+// 32-delta batch. Each touched 64-entry group stores at most stages·2^k
+// words, whatever Ne; a bit-at-a-time column write probes stages·2^k bits
+// per entry.
 func TestIncrementalWordsStored(t *testing.T) {
 	for _, deltas := range []int{8, 32} {
 		e, _, rules, entries := deltaFixture(t, 2048, deltas, 23)
@@ -403,16 +398,14 @@ func TestIncrementalWordsStored(t *testing.T) {
 			for s := range before {
 				before[s] = append([]uint64(nil), e.blk[s]...)
 			}
-			if err := e.UpdateEntry(j, entries[i]); err != nil {
-				t.Fatal(err)
-			}
+			rewriteEntry(e, j, &entries[i])
 			n, flipped := changedWords(before, e)
 			if n > perGroup {
-				t.Fatalf("UpdateEntry(%d) stored %d words, bound %d", j, n, perGroup)
+				t.Fatalf("rewrite of entry %d stored %d words, bound %d", j, n, perGroup)
 			}
 			total, most, totalFlipped = total+n, max(most, n), totalFlipped+flipped
 		}
-		t.Logf("UpdateEntry: %.1f words stored on average, %d at most (bound %d), %.1f bits flipped; column probes %d",
+		t.Logf("single-entry rewrite: %.1f words stored on average, %d at most (bound %d), %.1f bits flipped; column probes %d",
 			float64(total)/float64(len(rules)), most, perGroup, float64(totalFlipped)/float64(len(rules)), perGroup)
 	}
 }

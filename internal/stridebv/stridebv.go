@@ -37,10 +37,6 @@ type Engine struct {
 	// construction, so delta children share it.
 	parent   []int32
 	numRules int
-	// pending is the pattern UpdateEntry is writing. rewrite reads entries
-	// through a callback, and one held here reaches it without a heap copy
-	// per write.
-	pending ruleset.Ternary
 }
 
 // New builds a StrideBV engine with stride k over the expanded ruleset.
@@ -151,37 +147,6 @@ func (e *Engine) MultiMatch(h packet.Header) []int {
 	rules := e.rules(e.matchInto(sc).SetBits())
 	e.putScratch(sc)
 	return rules
-}
-
-// UpdateEntry reprograms ternary entry j in place, the incremental-update
-// property of the bit-vector approach (no global rebuild required): it
-// rewrites j's 64-entry group with j alone dirty and entry as its pattern,
-// so every stage stores only the words whose bit j changes. The write
-// restores entry j's column from scratch — the fault-scrub repair
-// primitive — and allocates nothing in steady state on an engine that owns
-// its storage. On a delta-derived engine (ApplyDeltas) a stage is
-// un-aliased before the first stored word that differs in it, so the
-// parent engine that concurrent readers may still hold is never mutated.
-// The Expanded the engine was built from is never read or written.
-//
-// UpdateEntry mutates live stage memory and must not run concurrently with
-// classification; for the publish-after-write variant that is safe under
-// concurrent readers, see ApplyDeltas.
-func (e *Engine) UpdateEntry(j int, entry ruleset.Ternary) error {
-	if j < 0 || j >= e.ne {
-		return fmt.Errorf("stridebv: entry %d out of range [0,%d)", j, e.ne)
-	}
-	e.pending = entry
-	e.rewrite(j>>6, 1<<uint(j&63), func(int) (value, mask []byte, valid bool) { return pattern(&e.pending) })
-	return nil
-}
-
-// InvalidateEntry disables entry j: its bit is cleared in every stage
-// vector, so it can never survive the pipeline AND, and a serialized image
-// keeps it dead. Like UpdateEntry, the write is copy-on-write safe on a
-// delta-derived engine.
-func (e *Engine) InvalidateEntry(j int) error {
-	return e.UpdateEntry(j, ruleset.InvalidTernary())
 }
 
 // String summarises the engine configuration.

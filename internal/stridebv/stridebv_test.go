@@ -215,9 +215,7 @@ func TestUpdateEntryEqualsRebuild(t *testing.T) {
 	// Replace entry 5 with entry 20's pattern; a fresh engine over the
 	// test's own expansion with the same update applied must agree
 	// everywhere.
-	if err := e.UpdateEntry(5, ex.Entries[20]); err != nil {
-		t.Fatal(err)
-	}
+	updated := applyDeltas(t, e, []int{5}, []ruleset.Ternary{ex.Entries[20]})
 	fresh, err := New(applied(ex, []int{5}, []ruleset.Ternary{ex.Entries[20]}), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -225,17 +223,17 @@ func TestUpdateEntryEqualsRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for i := 0; i < 500; i++ {
 		h := ruleset.RandomHeader(rng)
-		a := e.MatchVector(h.Key())
+		a := updated.MatchVector(h.Key())
 		b := fresh.MatchVector(h.Key())
 		if !a.Equal(b) {
 			t.Fatalf("update != rebuild for %s", h)
 		}
 	}
-	if err := e.UpdateEntry(-1, ex.Entries[0]); err == nil {
-		t.Fatal("UpdateEntry(-1) accepted")
+	if _, err := e.ApplyDeltas([]int{-1}, ex.Entries[:1]); err == nil {
+		t.Fatal("ApplyDeltas(-1) accepted")
 	}
-	if err := e.UpdateEntry(ex.Len(), ex.Entries[0]); err == nil {
-		t.Fatal("UpdateEntry past end accepted")
+	if _, err := e.ApplyDeltas([]int{ex.Len()}, ex.Entries[:1]); err == nil {
+		t.Fatal("ApplyDeltas past end accepted")
 	}
 }
 
@@ -257,18 +255,18 @@ func TestInvalidateEntry(t *testing.T) {
 	if !found {
 		t.Skip("no header hits rule 0")
 	}
+	var rules []int
+	var entries []ruleset.Ternary
 	for j, p := range ex.Parent {
 		if p == 0 {
-			if err := e.InvalidateEntry(j); err != nil {
-				t.Fatal(err)
-			}
+			rules, entries = append(rules, j), append(entries, ruleset.InvalidTernary())
 		}
 	}
-	if got := e.Classify(victim); got == 0 {
+	if got := applyDeltas(t, e, rules, entries).Classify(victim); got == 0 {
 		t.Fatal("invalidated rule still matches")
 	}
-	if err := e.InvalidateEntry(-1); err == nil {
-		t.Fatal("InvalidateEntry(-1) accepted")
+	if _, err := e.ApplyDeltas([]int{-1}, entries[:1]); err == nil {
+		t.Fatal("invalidation of entry -1 accepted")
 	}
 }
 

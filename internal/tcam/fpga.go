@@ -22,11 +22,17 @@ const WriteCycles = 16
 // per-entry match-reduce AND, a pipelined priority encoder, and a control
 // block that sequences multi-cycle writes. It is cycle-accounted: every
 // operation reports the cycles it consumed, and searches issued during a
-// write are rejected, exactly like the hardware.
+// write are rejected, exactly like the hardware. Write is its one write
+// path. It is a single-goroutine cycle model, like stridebv.Pipeline:
+// Search advances one cycle counter and steps one pipelined priority
+// encoder, so an FPGA is not safe for concurrent use and is not served;
+// Behavioral gives the same answers to concurrent readers.
 type FPGA struct {
 	ruleMap
 	cells [][]srl.Cell // [entry][cell]
-	// valid marks programmed entries; unprogrammed entries never match.
+	// valid marks entries programmed with a valid ternary word; the rest
+	// (unprogrammed, invalidated, or written with an invalid word) never
+	// match.
 	valid []bool
 	// shadow keeps the programmed ternary words for Read (hardware keeps
 	// this in a side RAM since SRL truth tables are not invertible).
@@ -105,7 +111,8 @@ func entryBits(k packet.Key, c int) uint8 {
 }
 
 // Write programs entry idx with a ternary word, occupying the write port
-// for WriteCycles cycles. It returns the cycles consumed.
+// for WriteCycles cycles. It returns the cycles consumed. An invalid word
+// (ruleset.InvalidTernary) leaves the row matching nothing.
 func (t *FPGA) Write(idx int, e ruleset.Ternary) (int, error) {
 	if idx < 0 || idx >= len(t.cells) {
 		return 0, fmt.Errorf("tcam: entry %d out of range [0,%d)", idx, len(t.cells))
@@ -117,7 +124,7 @@ func (t *FPGA) Write(idx int, e ruleset.Ternary) (int, error) {
 		t.cells[idx][c].Write(entryBits(e.Value, c), entryBits(e.Mask, c))
 	}
 	t.shadow[idx] = e
-	t.valid[idx] = true
+	t.valid[idx] = !e.Invalid
 	t.busyUntil = t.cycle + WriteCycles
 	t.writing = idx
 	return WriteCycles, nil

@@ -239,6 +239,49 @@ func indexOfParent(ex *ruleset.Expanded, rule int) int {
 	return -1
 }
 
+// TestFPGAInvalidEntryNeverMatches: an invalid ternary word, written into a
+// row or present in the expansion the TCAM is programmed from, leaves the
+// row matching nothing — the semantics TestInvalidTernarySemantics pins for
+// StrideBV — so the model answers like the behavioural TCAM given the same
+// delta. Half the headers fall inside rule 0, whose row it is.
+func TestFPGAInvalidEntryNeverMatches(t *testing.T) {
+	rs, ex := genSet(t, 16, ruleset.PrefixOnly, 41)
+	inv := ruleset.InvalidTernary()
+	written := NewFPGA(ex)
+	cycles, err := written.Write(0, inv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written.Advance(int64(cycles))
+	built := NewFPGA(&ruleset.Expanded{
+		Entries:  append([]ruleset.Ternary{inv}, ex.Entries[1:]...),
+		Parent:   ex.Parent,
+		NumRules: ex.NumRules,
+	})
+	ref, err := NewBehavioral(ex).ApplyDeltas([]int{0}, []ruleset.Ternary{inv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 2000; i++ {
+		h := ruleset.RandomHeader(rng)
+		if i%2 == 0 {
+			h = ruleset.HeaderInRule(rs.Rules[0], rng)
+		}
+		want := ref.Classify(h)
+		for name, f := range map[string]*FPGA{"written": written, "programmed": built} {
+			if got := f.Classify(h); got != want || got == 0 {
+				t.Fatalf("%s invalid row: Classify = %d, behavioural = %d for %s", name, got, want, h)
+			}
+			for _, r := range f.MultiMatch(h) {
+				if r == 0 {
+					t.Fatalf("%s invalid row: MultiMatch reports rule 0 for %s", name, h)
+				}
+			}
+		}
+	}
+}
+
 func TestFPGAWriteOutOfRange(t *testing.T) {
 	_, ex := genSet(t, 4, ruleset.PrefixOnly, 8)
 	fpga := NewFPGA(ex)
@@ -274,6 +317,11 @@ func TestMemoryBits(t *testing.T) {
 	// The paper's Fig 7 point: 2048 rules -> 416 Kbit.
 	if kbit := float64(MemoryBits(2048, packet.W)) / 1024; kbit != 416 {
 		t.Fatalf("TCAM memory at N=2048 = %v Kbit, want 416", kbit)
+	}
+	// The SRL16E model stores every expanded entry.
+	_, ex := genSet(t, 32, ruleset.FirewallProfile, 9)
+	if got, want := NewFPGA(ex).MemoryBits(), 2*packet.W*ex.Len(); got != want {
+		t.Fatalf("FPGA MemoryBits = %d, want %d", got, want)
 	}
 }
 

@@ -92,7 +92,6 @@ func TestApplyDeltasToEngineRoutesEveryFamily(t *testing.T) {
 	const k = 4
 	ne := rs.Expand().Len()
 	strideBits := func(w, k int) int { return (w + k - 1) / k << k * ne }
-	tcamBits := 2 * packet.W * ne
 	extendedBits := (2*packet.W + 64) * rs.Len()
 	want := map[string]struct {
 		bits    int
@@ -102,7 +101,6 @@ func TestApplyDeltasToEngineRoutesEveryFamily(t *testing.T) {
 		"fsbv":          {strideBits(packet.W, 1), true},
 		"rangebv":       {strideBits(72, k) + 4*16*ne, false},
 		"tcam":          {extendedBits, true},
-		"tcam-fpga":     {tcamBits, true},
 		"hicuts":        {0, false},
 		"linear":        {0, false},
 		"part-stridebv": {strideBits(packet.W, k), true},

@@ -15,11 +15,12 @@
 //
 // The package generates deterministic update workloads (rule replacement
 // on a prefix-only ruleset, so the one-entry-per-rule invariant holds),
-// applies them to live engines, and differentially verifies the result
-// against an engine rebuilt from scratch. It names no engine family: the
-// in-place cost paths take the write port they drive, and the
-// copy-on-write path (ApplyDeltasToEngine) reaches each engine's own delta
-// path through core.Updater.
+// lowers them to single-entry deltas in one place (Deltas), applies them,
+// and differentially verifies the result against the linear reference of
+// the updated ruleset (ApplyToRuleSet). It names no engine family: the
+// cost paths take the write path they drive, and the serving path
+// (ApplyDeltasToEngine) reaches each engine's own delta path through
+// core.Updater. No path writes a ruleset or an engine a reader can see.
 package update
 
 import (
@@ -40,7 +41,7 @@ type Op struct {
 
 // GenerateOps draws a deterministic stream of rule replacements for a
 // prefix-only ruleset (each replacement is itself prefix-only, preserving
-// the 1:1 rule/entry mapping the in-place update path requires).
+// the 1:1 rule/entry mapping the delta paths require).
 func GenerateOps(rs *ruleset.RuleSet, count int, seed int64) ([]Op, error) {
 	if rs.ExpansionFactor() != 1 {
 		return nil, fmt.Errorf("update: ruleset must be prefix-only (expansion factor %.2f)", rs.ExpansionFactor())
@@ -73,66 +74,54 @@ func (c Cost) UpdatesPerSecond(clockMHz float64) float64 {
 	return clockMHz * 1e6 * float64(c.Ops) / float64(c.OccupancyCycles)
 }
 
-// ApplyToStrideBV applies the ops in place to a live StrideBV engine
-// (stridebv.Engine) and returns the cost.
+// ApplyToStrideBV applies the ops to a StrideBV engine (stridebv.Engine)
+// through its delta path and returns the updated engine, with the modelled
+// cost: each update occupies one issue slot and completes after the
+// pipeline's stages. eng is not modified.
 func ApplyToStrideBV(eng interface {
-	UpdateEntry(j int, e ruleset.Ternary) error
+	core.Updater
 	Stages() int
-}, rs *ruleset.RuleSet, ops []Op) (Cost, error) {
-	if err := applyInPlace(rs, ops, eng.UpdateEntry); err != nil {
-		return Cost{}, err
+}, ops []Op) (core.Engine, Cost, error) {
+	rules, entries, err := Deltas(ops)
+	if err != nil {
+		return nil, Cost{}, err
 	}
-	return Cost{
+	out, err := eng.ApplyDeltas(rules, entries)
+	if err != nil {
+		return nil, Cost{}, err
+	}
+	return out, Cost{
 		Ops:             len(ops),
 		LatencyCycles:   eng.Stages(),
 		OccupancyCycles: int64(len(ops)), // one issue slot each, pipelined
 	}, nil
 }
 
-// ApplyToTCAM applies the ops to a live SRL16E TCAM (tcam.FPGA) and returns
-// the cost. Write reports the cycles a row's shift-in occupies the single
-// write port, which is also one update's latency.
+// ApplyToTCAM writes the ops into an SRL16E TCAM (tcam.FPGA), one row per
+// op in order, and returns the cost. Write reports the cycles a row's
+// shift-in occupies the single write port, which is also one update's
+// latency.
 func ApplyToTCAM(fp interface {
 	Write(idx int, e ruleset.Ternary) (int, error)
 	Advance(n int64)
-}, rs *ruleset.RuleSet, ops []Op) (Cost, error) {
+}, ops []Op) (Cost, error) {
+	rules, entries, err := Deltas(ops)
+	if err != nil {
+		return Cost{}, err
+	}
 	c := Cost{Ops: len(ops)}
-	err := applyInPlace(rs, ops, func(j int, e ruleset.Ternary) error {
-		cycles, err := fp.Write(j, e)
+	for i, j := range rules {
+		cycles, err := fp.Write(j, entries[i])
 		if err != nil {
-			return err
+			return Cost{}, err
 		}
 		c.LatencyCycles = cycles
 		c.OccupancyCycles += int64(cycles)
 		// Wait out the shift: the single write port serializes
 		// consecutive updates.
 		fp.Advance(int64(cycles))
-		return nil
-	})
-	if err != nil {
-		return Cost{}, err
 	}
 	return c, nil
-}
-
-// applyInPlace validates each op, applies it to rs and writes its one
-// ternary entry through write.
-func applyInPlace(rs *ruleset.RuleSet, ops []Op, write func(j int, e ruleset.Ternary) error) error {
-	for _, op := range ops {
-		if op.Index < 0 || op.Index >= rs.Len() {
-			return fmt.Errorf("update: index %d out of range", op.Index)
-		}
-		entries := op.Rule.TernaryEntries()
-		if len(entries) != 1 {
-			return fmt.Errorf("update: replacement expands to %d entries, want 1", len(entries))
-		}
-		//pclass:allow-mutate in-place update path: the caller owns this ruleset
-		rs.Rules[op.Index] = op.Rule
-		if err := write(op.Index, entries[0]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ApplyToRuleSet returns a new ruleset with the ops applied, leaving the
@@ -162,11 +151,11 @@ func ApplyToRuleSet(rs *ruleset.RuleSet, ops []Op) (*ruleset.RuleSet, error) {
 // fall back to the shadow-rebuild path.
 var ErrDeltaUnsupported = errors.New("update: no incremental delta path")
 
-// Deltas lowers rule-replacement ops to the per-row form the engines'
-// in-place update primitives consume: rules[i] is the row (== rule index
-// under the 1:1 prefix-only mapping) that entries[i] replaces. It fails
-// when a replacement expands to more than one ternary entry — a structural
-// delta that must take the shadow-rebuild path instead.
+// Deltas lowers rule-replacement ops to the per-row form every engine
+// write path consumes: rules[i] is the row (== rule index under the 1:1
+// prefix-only mapping) that entries[i] replaces. It fails when a
+// replacement expands to more than one ternary entry — a structural delta
+// that must take the shadow-rebuild path instead.
 func Deltas(ops []Op) (rules []int, entries []ruleset.Ternary, err error) {
 	rules = make([]int, len(ops))
 	entries = make([]ruleset.Ternary, len(ops))

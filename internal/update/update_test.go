@@ -51,25 +51,33 @@ func TestStrideBVUpdateStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost, err := ApplyToStrideBV(eng, rs, ops)
+	updated, cost, err := ApplyToStrideBV(eng, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cost.Ops != 100 || cost.LatencyCycles != eng.Stages() || cost.OccupancyCycles != 100 {
 		t.Fatalf("cost = %+v", cost)
 	}
-	if err := VerifyAfterUpdates(rs, eng.Classify, 5); err != nil {
-		t.Fatal(err)
-	}
-	// The live engine must equal a rebuild from the mutated ruleset.
-	fresh, err := stridebv.New(rs.Expand(), 4)
+	next, err := ApplyToRuleSet(rs, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := ruleset.GenerateTrace(rs, ruleset.TraceConfig{Count: 300, MatchFraction: 0.7, Seed: 6})
+	if err := VerifyAfterUpdates(next, updated.Classify, 5); err != nil {
+		t.Fatal(err)
+	}
+	// The updated engine must equal a rebuild from the updated ruleset,
+	// and the receiver keep answering for the old one.
+	fresh, err := stridebv.New(next.Expand(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := ruleset.GenerateTrace(next, ruleset.TraceConfig{Count: 300, MatchFraction: 0.7, Seed: 6})
 	for _, h := range trace {
-		if eng.Classify(h) != fresh.Classify(h) {
-			t.Fatalf("live engine diverges from rebuild on %s", h)
+		if updated.Classify(h) != fresh.Classify(h) {
+			t.Fatalf("updated engine diverges from rebuild on %s", h)
+		}
+		if eng.Classify(h) != rs.FirstMatch(h) {
+			t.Fatalf("receiver changed on %s", h)
 		}
 	}
 }
@@ -82,7 +90,7 @@ func TestTCAMUpdateStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := fp.Cycle()
-	cost, err := ApplyToTCAM(fp, rs, ops)
+	cost, err := ApplyToTCAM(fp, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +103,11 @@ func TestTCAMUpdateStream(t *testing.T) {
 	if fp.Cycle()-start < cost.OccupancyCycles {
 		t.Fatalf("cycle counter did not advance through writes")
 	}
-	if err := VerifyAfterUpdates(rs, fp.Classify, 9); err != nil {
+	next, err := ApplyToRuleSet(rs, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyAfterUpdates(next, fp.Classify, 9); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -108,21 +120,17 @@ func TestUpdateRateComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsT := prefixOnlySet(t, 64, 10)
-	fp := tcam.NewFPGA(rsT.Expand())
+	fp := tcam.NewFPGA(rs.Expand())
 
 	ops, err := GenerateOps(rs, 64, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opsT := make([]Op, len(ops))
-	copy(opsT, ops)
-
-	cs, err := ApplyToStrideBV(eng, rs, ops)
+	_, cs, err := ApplyToStrideBV(eng, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := ApplyToTCAM(fp, rsT, opsT)
+	ct, err := ApplyToTCAM(fp, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +152,7 @@ func TestApplyRejectsBadOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []Op{{Index: 99, Rule: rs.Rules[0]}}
-	if _, err := ApplyToStrideBV(eng, rs, bad); err == nil {
+	if _, _, err := ApplyToStrideBV(eng, bad); err == nil {
 		t.Fatal("accepted out-of-range index")
 	}
 	ranged := []Op{{Index: 0, Rule: ruleset.Rule{
@@ -152,14 +160,14 @@ func TestApplyRejectsBadOps(t *testing.T) {
 		SP: ruleset.PortRange{Lo: 1, Hi: 6}, DP: ruleset.FullPortRange,
 		Proto: ruleset.AnyProtocol,
 	}}}
-	if _, err := ApplyToStrideBV(eng, rs, ranged); err == nil {
+	if _, _, err := ApplyToStrideBV(eng, ranged); err == nil {
 		t.Fatal("accepted expanding replacement")
 	}
 	fp := tcam.NewFPGA(rs.Expand())
-	if _, err := ApplyToTCAM(fp, rs, bad); err == nil {
+	if _, err := ApplyToTCAM(fp, bad); err == nil {
 		t.Fatal("TCAM accepted out-of-range index")
 	}
-	if _, err := ApplyToTCAM(fp, rs, ranged); err == nil {
+	if _, err := ApplyToTCAM(fp, ranged); err == nil {
 		t.Fatal("TCAM accepted expanding replacement")
 	}
 }

@@ -56,7 +56,8 @@ type (
 	StrideBV = stridebv.Engine
 	// TCAM is the behavioral ternary-CAM engine.
 	TCAM = tcam.Behavioral
-	// TCAMFPGA is the cycle-accounted SRL16E TCAM.
+	// TCAMFPGA is the cycle-accounted SRL16E TCAM, a single-goroutine
+	// cycle model.
 	TCAMFPGA = tcam.FPGA
 	// Device models the target FPGA.
 	Device = fpga.Device

@@ -49,6 +49,7 @@ var keepUnreached = map[string]string{
 	"internal/ruleset.ParseTernary":             "fuzz target: FuzzParseTernary pins the text form Ternary.String writes",
 	"internal/ruleset.Expanded.FirstMatch":      "test oracle: first match over expanded entries, the reference for entry-level engines",
 	"internal/ruleset.Ternary.Matches":          "test oracle: header-level ternary match beside MatchesKey",
+	"internal/ruleset.InvalidTernary":           "test input: the canonical never-match entry every engine's invalidation tests write",
 	"internal/oftuple.Rule.Matches":             "test oracle: the OpenFlow 12-tuple reference the oftuple engine is checked against",
 	"internal/lint/linttest.Run":                "test harness: the fixture runner every analyzer test imports",
 	"internal/sim.RunStrideBVPipeline":          "paper model: the StrideBV pipeline of the paper's RTL, cycle by cycle (DESIGN.md)",
